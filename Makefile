@@ -29,14 +29,17 @@ lint:
 # serve the ingest queue / epoch worker / shutdown interleavings, core the
 # concurrent Add vs Recluster paths of the incremental miner, interestcache
 # the atomic epoch-generation snapshot swap under concurrent queries, memdb
-# the per-user rate limiter under concurrent admission, and wal the staged
+# the per-user rate limiter under concurrent admission, wal the staged
 # group-commit writer (concurrent Append/SyncTo vs the background fsync
-# goroutine and segment rotation).
+# goroutine and segment rotation), and schema the access(a) registry and its
+# per-column change log (extraction workers write it while an epoch reads
+# the changed-column set and generation under the same lock).
 racecheck:
 	$(GO) test -race ./internal/dbscan/... ./internal/distance/... \
 		./internal/qlog/... ./internal/extract/... ./internal/sqlparser/... \
 		./internal/serve/... ./internal/core/... ./internal/interestcache/... \
-		./internal/memdb/... ./internal/shard/... ./internal/wal/...
+		./internal/memdb/... ./internal/shard/... ./internal/wal/... \
+		./internal/schema/...
 
 # fuzz replays the checked-in seed corpora in regression mode (plain go test
 # runs every f.Add seed) and then explores each target briefly. Raise

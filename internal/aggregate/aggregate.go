@@ -29,6 +29,17 @@ type Item struct {
 	// hot path (and the shard router) never re-joins the relation list.
 	// Empty means "not yet computed" — consumers fall back to deriving it.
 	RelKey string
+	// Key is the interned Area.Key(), under the same convention: set by
+	// the accumulator that deduplicated the item, derived when empty.
+	Key string
+}
+
+// AreaKey returns the item's area key, deriving it when not interned.
+func (it *Item) AreaKey() string {
+	if it.Key != "" {
+		return it.Key
+	}
+	return it.Area.Key()
 }
 
 // Options controls summarisation.
@@ -172,19 +183,28 @@ func Summarize(id int, items []*Item, opts Options) *Summary {
 
 // representatives picks the n heaviest distinct member areas.
 func representatives(items []*Item, n int) []string {
-	sorted := append([]*Item(nil), items...)
+	// Area.Key renders the whole CNF, so fetch each member's key once
+	// instead of rendering two per comparison.
+	type keyed struct {
+		it  *Item
+		key string
+	}
+	sorted := make([]keyed, len(items))
+	for i, it := range items {
+		sorted[i] = keyed{it, it.AreaKey()}
+	}
 	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Weight != sorted[j].Weight {
-			return sorted[i].Weight > sorted[j].Weight
+		if sorted[i].it.Weight != sorted[j].it.Weight {
+			return sorted[i].it.Weight > sorted[j].it.Weight
 		}
-		return sorted[i].Area.Key() < sorted[j].Area.Key()
+		return sorted[i].key < sorted[j].key
 	})
 	var out []string
-	for _, it := range sorted {
+	for _, k := range sorted {
 		if len(out) >= n {
 			break
 		}
-		out = append(out, it.Area.IntermediateSQL())
+		out = append(out, k.it.Area.IntermediateSQL())
 	}
 	return out
 }

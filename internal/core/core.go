@@ -234,6 +234,7 @@ func (a *itemAccum) add(ar *qlog.AreaRecord) (idx int, isNew bool) {
 			Area:   ar.Area,
 			Users:  make(map[string]struct{}),
 			RelKey: extract.RelationSetKey(ar.Area.Relations),
+			Key:    key,
 		})
 		isNew = true
 	}

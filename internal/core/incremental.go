@@ -3,41 +3,37 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/aggregate"
 	"repro/internal/dbscan"
-	"repro/internal/distance"
 	"repro/internal/qlog"
 )
 
 // Incremental is the epoch-based mining state behind the skyserved service.
 // Extractions accumulate between epochs through Add; Recluster re-runs the
-// clustering stage over everything seen so far, reusing work from previous
-// epochs wherever the inputs are provably unchanged:
+// clustering stage over everything seen so far through its Substrate, which
+// keeps every piece of distance work whose inputs are provably unchanged:
 //
-//   - distance values live in an n-independent DynamicPairCache keyed by
-//     global item index, so a pair evaluated in epoch k is a lookup in every
-//     later epoch;
-//   - per-partition LAESA pivot indexes are extended over the appended
-//     suffix (items join partitions in first-occurrence order, and an item's
-//     relation set never changes) instead of being rebuilt, until the
-//     partition has doubled since the last full build;
-//   - distance profiles are compiled once per item and kept.
+//   - compiled profiles, recompiled only where a column they read moved in
+//     the access(a) registry (schema.Stats.ChangedSince);
+//   - per-group LAESA pivot tables, extended over new areas and refreshed
+//     at changed ones;
+//   - the eps-neighbour graph, rescanned only for new and changed areas.
 //
-// All of that reuse is sound only while the access(a) registry is unchanged:
-// profiles read schema.Stats, and extraction grows it. Recluster checks
-// Stats.Generation and drops every cached structure when it moved.
+// A DBSCAN epoch therefore evaluates distances only for the new part of the
+// log and the areas a registry move touched, then clusters every partition
+// from the graph (dbscan.ClusterGraph).
 //
 // Because items accumulate in the same first-occurrence order the batch
 // mine() dedups in, a final-epoch Recluster over a fully drained log is
 // equivalent to MineRecords over the same records (same eps selection, same
-// partition traversal, same DBSCAN input) — the property the serve smoke
-// test asserts byte-for-byte on the report.
+// partition traversal, same neighbourhoods and distance values) — the
+// property the serve smoke test asserts byte-for-byte on the report.
 //
 // Add is safe to call concurrently with other Adds. Recluster must not run
-// concurrently with itself but may overlap Adds: it clusters a consistent
-// snapshot of the items admitted before it started.
+// concurrently with itself (or with another miner's on a shared substrate)
+// but may overlap Adds: it clusters a consistent snapshot of the items
+// admitted before it started.
 type Incremental struct {
 	m   *Miner
 	acc *itemAccum
@@ -46,22 +42,8 @@ type Incremental struct {
 	// representative re-extracted on restore.
 	reps []qlog.Record
 
-	gen      uint64
-	primed   bool
-	profiles []*distance.Profile
-	metric   *distance.Metric
-	// kern is the flat SoA distance kernel over the compiled profiles; it is
-	// append-only across epochs (item indices are stable) and dropped with
-	// the other caches when the access(a) registry moves.
-	kern *distance.Kernel
-	// cache is swapped by Recluster while the metrics handlers read the
-	// lifetime counters concurrently, hence the atomic pointer.
-	cache atomic.Pointer[distance.DynamicPairCache]
-	parts map[string]*incPartition
-
-	// sub, when set (IncrementalShared), replaces the private metric /
-	// profiles / kern / cache quartet: items intern into the shared kernel
-	// and slots maps local item index → substrate slot.
+	// sub holds every compiled profile and cross-epoch distance structure;
+	// slots maps local item index → substrate slot.
 	sub   *Substrate
 	slots []int
 
@@ -85,39 +67,29 @@ type deltaState struct {
 	// epoch instead).
 	sinceAnchor int
 	anchorEps   float64
-}
-
-// incPartition is the persistent clustering state of one relation-set
-// partition.
-type incPartition struct {
-	// members are the item indices clustered last epoch (ascending).
-	members []int
-	ix      *dbscan.PivotIndex
-	// builtN is the partition size when ix was last built from scratch;
-	// once the partition doubles, a rebuild re-spreads the pivots.
-	builtN int
+	// gen is the access(a) registry generation the anchor's profiles were
+	// compiled against; a delta is only sound while it holds.
+	gen uint64
 }
 
 // Incremental returns a fresh epoch-based miner sharing this Miner's
-// configuration and access(a) registry.
+// configuration and access(a) registry, over a private substrate.
 func (m *Miner) Incremental() *Incremental {
-	return &Incremental{
-		m:     m,
-		acc:   newItemAccum(),
-		parts: make(map[string]*incPartition),
-	}
+	return m.IncrementalShared(m.Substrate())
 }
 
-// IncrementalShared returns an epoch-based miner that clusters through the
-// shared substrate instead of private distance structures — the per-class
-// miners use this so overlapping area populations pay for each distance
-// once. Results are bit-identical to a private Incremental over the same
-// records. Miners sharing a substrate must recluster sequentially; Adds may
-// still run concurrently.
+// IncrementalShared returns an epoch-based miner that clusters through a
+// substrate shared with other miners — the per-class miners use this so
+// overlapping area populations pay for each neighbourhood once. Results are
+// bit-identical to a private Incremental over the same records. Miners
+// sharing a substrate must recluster sequentially; Adds may still run
+// concurrently.
 func (m *Miner) IncrementalShared(sub *Substrate) *Incremental {
-	inc := m.Incremental()
-	inc.sub = sub
-	return inc
+	return &Incremental{
+		m:   m,
+		acc: newItemAccum(),
+		sub: sub,
+	}
 }
 
 // Add folds one extracted record into the accumulator. It reports whether
@@ -140,27 +112,13 @@ func (inc *Incremental) Distinct() int {
 	return len(inc.acc.items)
 }
 
-// DistanceEvals and DistanceCacheHits expose the lifetime counters of the
-// cross-epoch cache; per-epoch deltas give the reuse ratio serveperf reports.
-func (inc *Incremental) DistanceEvals() int64 {
-	if inc.sub != nil {
-		return inc.sub.Evals()
-	}
-	if c := inc.cache.Load(); c != nil {
-		return c.Evals()
-	}
-	return 0
-}
+// DistanceEvals and DistanceCacheHits expose the substrate's lifetime
+// counters: kernel evaluations, and neighbour-graph entries reused instead
+// of evaluated. Both only grow, across registry moves included; per-epoch
+// deltas give the reuse ratio serveperf reports.
+func (inc *Incremental) DistanceEvals() int64 { return inc.sub.Evals() }
 
-func (inc *Incremental) DistanceCacheHits() int64 {
-	if inc.sub != nil {
-		return inc.sub.Hits()
-	}
-	if c := inc.cache.Load(); c != nil {
-		return c.Hits()
-	}
-	return 0
-}
+func (inc *Incremental) DistanceCacheHits() int64 { return inc.sub.Hits() }
 
 // snapshotItems copies the accumulator state admitted so far: shallow item
 // copies (areas are immutable; weights and user sets keep mutating under
@@ -174,14 +132,14 @@ func (inc *Incremental) snapshotItems() ([]*aggregate.Item, int) {
 		for u := range it.Users {
 			users[u] = struct{}{}
 		}
-		items[i] = &aggregate.Item{Area: it.Area, Weight: it.Weight, Users: users, RelKey: it.RelKey}
+		items[i] = &aggregate.Item{Area: it.Area, Weight: it.Weight, Users: users, RelKey: it.RelKey, Key: it.Key}
 	}
 	return items, inc.acc.contradictory
 }
 
 // Recluster runs one full epoch: it clusters every area admitted before the
 // call and returns the same Result shape as a batch mine. DistanceEvals and
-// DistanceCacheHits report the cross-epoch cache's lifetime counters.
+// DistanceCacheHits report the substrate's lifetime counters.
 func (inc *Incremental) Recluster() *Result {
 	return inc.recluster(true)
 }
@@ -198,7 +156,6 @@ func (inc *Incremental) ReclusterAuto() *Result {
 		inc.m.cfg.Algorithm != AlgDBSCAN ||
 		inc.m.cfg.SampleSize > 0 ||
 		inc.delta == nil ||
-		inc.m.stats.Generation() != inc.gen ||
 		inc.delta.sinceAnchor+1 >= inc.m.fullReclusterEvery()
 	return inc.recluster(full)
 }
@@ -232,57 +189,19 @@ func (inc *Incremental) recluster(full bool) *Result {
 		return res
 	}
 
-	// Cached distances, profiles, pivot tables and the delta anchor are only
-	// valid while the access(a) registry they were compiled from is
-	// unchanged.
-	if gen := inc.m.stats.Generation(); gen != inc.gen || !inc.primed {
-		if inc.primed {
-			epochCacheResets.Inc()
-		}
-		inc.primed = true
-		inc.gen = gen
-		if inc.sub == nil {
-			inc.metric = &distance.Metric{Mode: inc.m.cfg.Mode, Stats: inc.m.stats}
-			inc.profiles = inc.profiles[:0]
-			inc.kern = distance.NewKernel(inc.m.cfg.Mode)
-			inc.cache.Store(nil)
-		} else {
-			inc.slots = inc.slots[:0]
-		}
-		inc.parts = make(map[string]*incPartition)
-		inc.delta = nil
-		full = true
-	}
 	profSp := epochProfilesStage.Start()
-	var cache pairSource
-	if inc.sub != nil {
-		inc.sub.ensure(inc.gen)
-		for i := len(inc.slots); i < len(items); i++ {
-			inc.slots = append(inc.slots, inc.sub.slotFor(items[i].Area))
-		}
-		cache = &subView{sub: inc.sub, slots: inc.slots}
-	} else {
-		for i := len(inc.profiles); i < len(items); i++ {
-			p := inc.metric.Profile(items[i].Area)
-			inc.profiles = append(inc.profiles, p)
-			inc.kern.Add(p)
-		}
-		dc := inc.cache.Load()
-		if dc == nil {
-			dc = distance.NewDynamicPairCache(inc.kern.Distance)
-			inc.cache.Store(dc)
-		} else {
-			// The kernel is append-only, so the method value stays valid as
-			// items arrive; re-setting it here keeps the swap symmetric with
-			// resets.
-			dc.SetFn(inc.kern.Distance)
-		}
-		cache = dc
-	}
+	slots, gen := inc.sub.sync(items[len(inc.slots):])
+	inc.slots = append(inc.slots, slots...)
 	profSp.End()
+	dist := func(i, j int) float64 { return inc.sub.dist(inc.slots[i], inc.slots[j]) }
 
-	if !full {
-		return inc.deltaEpoch(items, res, cache)
+	// A delta anchor is only valid while the registry its profiles were
+	// compiled from is unchanged.
+	if inc.delta != nil && inc.delta.gen != gen {
+		inc.delta = nil
+	}
+	if !full && inc.delta != nil {
+		return inc.deltaEpoch(items, res, dist)
 	}
 	anchorEpochsTotal.Inc()
 	res.ClusteredAreas = len(items)
@@ -290,7 +209,7 @@ func (inc *Incremental) recluster(full bool) *Result {
 	eps := inc.m.cfg.Eps
 	if inc.m.cfg.AutoEps && len(items) > 1 {
 		var sampleHits int64
-		eps, sampleHits = inc.m.autoEps(len(items), cache.Dist)
+		eps, sampleHits = inc.m.autoEps(len(items), dist)
 		res.DistanceCacheHits += sampleHits
 	}
 	res.ChosenEps = eps
@@ -301,32 +220,30 @@ func (inc *Incremental) recluster(full bool) *Result {
 	// A full DBSCAN epoch doubles as the delta anchor: record the clustering
 	// in global item indices so the next ReclusterAuto can reduce against it.
 	var anchor *deltaState
-	if inc.m.cfg.Algorithm == AlgDBSCAN {
-		anchor = &deltaState{n: len(items), anchorEps: eps}
-	}
-
 	clusterSp := epochClusterStage.Start()
-	live := make(map[string]bool, len(order))
+	var mr *mapRegion
+	if inc.m.cfg.Algorithm == AlgDBSCAN {
+		anchor = &deltaState{n: len(items), anchorEps: eps, gen: gen}
+		mr = newMapRegion(inc.sub.neighbours(eps))
+	}
 	for _, key := range order {
 		part := groups[key]
-		live[key] = true
 		weights := make([]int, len(part))
 		for i, idx := range part {
 			weights[i] = items[idx].Weight
 		}
-		distFn := func(i, j int) float64 {
-			return cache.Dist(part[i], part[j])
-		}
 		dcfg := dbscan.Config{Eps: eps, MinPts: inc.m.cfg.MinPts, Workers: inc.m.cfg.Workers, Weights: weights}
 		var dres *dbscan.Result
-		switch {
-		case inc.m.cfg.Algorithm == AlgOPTICS:
+		if mr == nil {
+			distFn := func(i, j int) float64 { return dist(part[i], part[j]) }
 			o := dbscan.RunOPTICS(len(part), distFn, eps*2, inc.m.cfg.MinPts, weights)
 			dres = o.ExtractDBSCAN(eps)
-		case inc.m.usePivots(len(part)):
-			dres = dbscan.ClusterWithIndex(len(part), distFn, dcfg, inc.partitionIndex(key, part, distFn))
-		default:
-			dres = dbscan.Cluster(len(part), distFn, dcfg)
+		} else {
+			slots := make([]int, len(part))
+			for i, idx := range part {
+				slots[i] = inc.slots[idx]
+			}
+			dres = mr.cluster(slots, dcfg)
 		}
 		collectPartition(res, items, part, dres, opts)
 		if anchor != nil {
@@ -344,19 +261,14 @@ func (inc *Incremental) recluster(full bool) *Result {
 			}
 		}
 	}
-	// Eps changes (AutoEps) can dissolve partitions; drop indexes whose key
-	// vanished so they don't pin stale tables.
-	for key := range inc.parts {
-		if !live[key] {
-			delete(inc.parts, key)
-		}
+	if mr != nil {
+		inc.sub.hits.Add(mr.reused)
 	}
-
 	clusterSp.End()
 	inc.delta = anchor
 
-	res.DistanceEvals = cache.Evals()
-	res.DistanceCacheHits += cache.Hits()
+	res.DistanceEvals = inc.sub.Evals()
+	res.DistanceCacheHits += inc.sub.Hits()
 
 	finSp := epochFinalizeStage.Start()
 	finalizeClusters(res)
@@ -371,7 +283,7 @@ func (inc *Incremental) recluster(full bool) *Result {
 // a cluster's total weight rides on its representative, so prior clusters
 // can merge through new bridge points; prior clusters are never re-split
 // until the next full anchor re-clusters from scratch.
-func (inc *Incremental) deltaEpoch(items []*aggregate.Item, res *Result, cache pairSource) *Result {
+func (inc *Incremental) deltaEpoch(items []*aggregate.Item, res *Result, dist func(i, j int) float64) *Result {
 	deltaEpochsTotal.Inc()
 	prior := inc.delta
 	eps := prior.anchorEps
@@ -415,7 +327,7 @@ func (inc *Incremental) deltaEpoch(items []*aggregate.Item, res *Result, cache p
 	}
 	groups, order := partitionItems(redItems, eps)
 
-	next := &deltaState{n: len(items), anchorEps: eps, sinceAnchor: prior.sinceAnchor + 1}
+	next := &deltaState{n: len(items), anchorEps: eps, sinceAnchor: prior.sinceAnchor + 1, gen: prior.gen}
 	clusterSp := epochClusterStage.Start()
 	for _, key := range order {
 		part := groups[key] // indices into reduced
@@ -424,7 +336,7 @@ func (inc *Incremental) deltaEpoch(items []*aggregate.Item, res *Result, cache p
 			weights[i] = reduced[idx].weight
 		}
 		distFn := func(i, j int) float64 {
-			return cache.Dist(reduced[part[i]].global, reduced[part[j]].global)
+			return dist(reduced[part[i]].global, reduced[part[j]].global)
 		}
 		dcfg := dbscan.Config{Eps: eps, MinPts: inc.m.cfg.MinPts, Workers: inc.m.cfg.Workers, Weights: weights}
 		var dres *dbscan.Result
@@ -481,45 +393,13 @@ func (inc *Incremental) deltaEpoch(items []*aggregate.Item, res *Result, cache p
 	clusterSp.End()
 	inc.delta = next
 
-	res.DistanceEvals = cache.Evals()
-	res.DistanceCacheHits += cache.Hits()
+	res.DistanceEvals = inc.sub.Evals()
+	res.DistanceCacheHits = inc.sub.Hits()
 
 	finSp := epochFinalizeStage.Start()
 	finalizeClusters(res)
 	finSp.End()
 	return res
-}
-
-// partitionIndex returns a pivot index covering part, extending last
-// epoch's table when the partition only grew, rebuilding when membership
-// changed (an eps flip re-keyed the grouping) or the partition doubled.
-func (inc *Incremental) partitionIndex(key string, part []int, distFn func(i, j int) float64) *dbscan.PivotIndex {
-	p := inc.parts[key]
-	if p != nil && p.ix != nil && prefixEqual(p.members, part) && len(part) < 2*p.builtN {
-		p.ix.Extend(len(part), distFn)
-		p.members = append([]int(nil), part...)
-		return p.ix
-	}
-	ix := dbscan.NewPivotIndex(len(part), distFn, inc.m.pivotCount())
-	inc.parts[key] = &incPartition{
-		members: append([]int(nil), part...),
-		ix:      ix,
-		builtN:  len(part),
-	}
-	return ix
-}
-
-// prefixEqual reports whether old is a prefix of cur.
-func prefixEqual(old, cur []int) bool {
-	if len(old) > len(cur) {
-		return false
-	}
-	for i, v := range old {
-		if cur[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // ItemState is the serialisable form of one distinct access area: the

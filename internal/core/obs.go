@@ -15,8 +15,12 @@ var (
 
 	epochsTotal = obs.NewCounter("skyaccess_core_epochs_total",
 		"incremental recluster epochs run")
-	epochCacheResets = obs.NewCounter("skyaccess_core_epoch_cache_resets_total",
-		"epochs that dropped cached distances because the access(a) registry moved")
+	profilesRecompiled = obs.NewCounter("skyaccess_core_profiles_recompiled_total",
+		"substrate profiles recompiled because a column they read moved in access(a)")
+	graphDirtySlots = obs.NewCounter("skyaccess_core_graph_dirty_slots_total",
+		"new or changed substrate slots whose eps-neighbour list was rescanned")
+	graphRebuilds = obs.NewCounter("skyaccess_core_graph_rebuilds_total",
+		"eps-neighbour graph rebuilds (registry restore, eps change or partition-rule flip)")
 	anchorEpochsTotal = obs.NewCounter("skyaccess_core_anchor_epochs_total",
 		"full re-cluster epochs (every epoch without DeltaEpochs; the periodic anchors with it)")
 	deltaEpochsTotal = obs.NewCounter("skyaccess_core_delta_epochs_total",

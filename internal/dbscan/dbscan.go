@@ -67,30 +67,23 @@ func (r *Result) NoiseCount() int {
 // dist must be symmetric; it is called concurrently from multiple
 // goroutines and must be safe for concurrent use.
 func Cluster(n int, dist func(i, j int) float64, cfg Config) *Result {
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = unclassified
-	}
-	e := &engine{n: n, dist: dist, cfg: cfg, labels: labels, workers: resolveWorkers(cfg.Workers, n)}
-	if e.workers > 1 && n >= parallelCutoff {
-		e.pool = newWorkerPool(e.workers)
-		defer e.pool.close()
-	}
+	e := newEngine(n, dist, cfg)
+	defer e.close()
+	return e.run(e.regionQuery)
+}
 
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != unclassified {
-			continue
-		}
-		neighbours := e.regionQuery(i)
-		if e.weightOf(neighbours) < cfg.MinPts {
-			labels[i] = Noise
-			continue
-		}
-		e.expand(i, neighbours, clusterID)
-		clusterID++
-	}
-	return &Result{Labels: labels, NumClusters: clusterID}
+// ClusterGraph runs DBSCAN over n points whose eps-neighbourhoods are
+// already known: region(i) must return every point within Eps of i,
+// including i itself, in ascending index order — exactly what Cluster's
+// scans would find. No distance is evaluated. The incremental miner keeps
+// an eps-neighbour graph across epochs and clusters every epoch through
+// here; labels equal Cluster's over the same neighbourhoods because both
+// run the same label-propagation loop. region is called at most once per
+// point, sequentially, and the slice it returns is only read before the
+// next call, so region may reuse one buffer.
+func ClusterGraph(n int, region func(i int) []int, cfg Config) *Result {
+	e := newEngine(n, nil, cfg)
+	return e.run(region)
 }
 
 const unclassified = -2
@@ -121,6 +114,48 @@ func (e *engine) weightOf(idx []int) int {
 		total += e.cfg.Weights[i]
 	}
 	return total
+}
+
+// newEngine prepares the labels and, for large parallel runs, the worker
+// pool; callers that start a pool must close the engine.
+func newEngine(n int, dist func(i, j int) float64, cfg Config) *engine {
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = unclassified
+	}
+	e := &engine{n: n, dist: dist, cfg: cfg, labels: labels, workers: resolveWorkers(cfg.Workers, n)}
+	if dist != nil && e.workers > 1 && n >= parallelCutoff {
+		e.pool = newWorkerPool(e.workers)
+	}
+	return e
+}
+
+func (e *engine) close() {
+	if e.pool != nil {
+		e.pool.close()
+	}
+}
+
+// run is the one DBSCAN label-propagation loop every entry point shares:
+// region(i) returns i's eps-neighbourhood, including i, in ascending index
+// order. Points are visited in index order and each cluster grows from its
+// first core point, so two region sources that agree on every
+// neighbourhood produce identical labels.
+func (e *engine) run(region func(int) []int) *Result {
+	clusterID := 0
+	for i := 0; i < e.n; i++ {
+		if e.labels[i] != unclassified {
+			continue
+		}
+		neighbours := region(i)
+		if e.weightOf(neighbours) < e.cfg.MinPts {
+			e.labels[i] = Noise
+			continue
+		}
+		e.expand(i, neighbours, clusterID, region)
+		clusterID++
+	}
+	return &Result{Labels: e.labels, NumClusters: clusterID}
 }
 
 type engine struct {
@@ -220,36 +255,34 @@ func (e *engine) regionQuery(i int) []int {
 }
 
 // expand grows cluster id from core point i using the classic seed-set
-// expansion.
-func (e *engine) expand(i int, seeds []int, id int) {
+// expansion of Ester et al.: a core point's neighbours join the cluster as
+// soon as they are seen, so every point enters the queue at most once and a
+// neighbourhood is read in full before the next region query.
+func (e *engine) expand(i int, seeds []int, id int, region func(int) []int) {
 	e.labels[i] = id
-	queue := make([]int, 0, len(seeds))
-	for _, j := range seeds {
-		if j != i {
-			queue = append(queue, j)
-		}
-	}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		switch e.labels[j] {
-		case Noise:
-			e.labels[j] = id // border point
-			continue
-		case unclassified:
-			e.labels[j] = id
-		default:
-			continue // already in a cluster
-		}
-		neighbours := e.regionQuery(j)
+	queue := e.claim(seeds, id, nil)
+	for h := 0; h < len(queue); h++ {
+		neighbours := region(queue[h])
 		if e.weightOf(neighbours) >= e.cfg.MinPts {
-			for _, k := range neighbours {
-				if e.labels[k] == unclassified || e.labels[k] == Noise {
-					queue = append(queue, k)
-				}
-			}
+			queue = e.claim(neighbours, id, queue)
 		}
 	}
+}
+
+// claim labels a core point's neighbours into cluster id: unclassified
+// points join the queue to be expanded in turn, noise points become border
+// points, and points already in a cluster keep it.
+func (e *engine) claim(neighbours []int, id int, queue []int) []int {
+	for _, k := range neighbours {
+		switch e.labels[k] {
+		case unclassified:
+			e.labels[k] = id
+			queue = append(queue, k)
+		case Noise:
+			e.labels[k] = id
+		}
+	}
+	return queue
 }
 
 // KDistances returns the distance of every point to its k-th nearest
@@ -334,6 +367,12 @@ func SuggestEps(kdist []float64) float64 {
 // default-mix workload the overshoot stays under 2·d(q,x) pair for pair,
 // which is what the PivotSlackFactor margin used by ClusterWithPivots
 // absorbs (see that constructor).
+//
+// An index can outlive one clustering run: the incremental miner's shared
+// substrate keeps one per relation-set group across epochs, Extends it over
+// appended points, Refreshes the entries of points whose distances changed,
+// and scans only changed points with RegionFiltered to maintain its
+// eps-neighbour graph.
 type PivotIndex struct {
 	dist   func(i, j int) float64
 	pivots []int
@@ -439,13 +478,12 @@ func (ix *PivotIndex) Pivots() int { return len(ix.pivots) }
 // The pivot SET stays fixed — pruning correctness never depends on pivot
 // choice, only its effectiveness does, so callers should rebuild once the
 // set has grown far past the size the pivots were chosen for (the
-// incremental miner rebuilds at 2×; through its cross-epoch distance cache
-// a rebuild re-evaluates nothing already known).
+// incremental miner's substrate rebuilds at 2×).
 //
 // dist replaces the stored distance function for subsequent region queries;
-// it must agree with the original on the already-covered prefix (the
-// incremental miner's partition-local closures do: partition membership is
-// append-only, so local indices are stable).
+// it must agree with the original on the already-covered prefix, except at
+// points passed to Refresh (the substrate's group-local closures do: group
+// membership is append-only, so local indices are stable).
 func (ix *PivotIndex) Extend(n int, dist func(i, j int) float64) {
 	ix.dist = dist
 	old := ix.N()
@@ -462,13 +500,50 @@ func (ix *PivotIndex) Extend(n int, dist func(i, j int) float64) {
 	}
 }
 
+// Refresh re-evaluates the table at points whose distances changed — the
+// incremental miner recompiles an area when access(a) moves under it and
+// keeps its index: every pivot row is recomputed at those points, and the
+// whole row of a pivot that is itself among them. The pivot set stays fixed
+// (pruning correctness never depends on it); dist replaces the stored
+// distance function as in Extend.
+func (ix *PivotIndex) Refresh(points []int, dist func(i, j int) float64) {
+	ix.dist = dist
+	if len(points) == 0 {
+		return
+	}
+	changed := make(map[int]bool, len(points))
+	for _, i := range points {
+		changed[i] = true
+	}
+	for k, p := range ix.pivots {
+		row := ix.table[k]
+		if changed[p] {
+			for i := range row {
+				row[i] = dist(p, i)
+			}
+			continue
+		}
+		for _, i := range points {
+			row[i] = dist(p, i)
+		}
+	}
+}
+
 // Region returns all points within eps of q (including q), using pivot
 // pruning to avoid most distance evaluations.
 func (ix *PivotIndex) Region(q int, eps float64, n int) []int {
+	return ix.RegionFiltered(q, eps, n, nil)
+}
+
+// RegionFiltered is Region over the candidates keep admits (nil admits
+// all; q itself is always returned). The incremental miner's neighbour graph scans each
+// changed point only against the candidates whose pair with it no earlier
+// scan of the same update evaluated, so every pair costs one evaluation.
+func (ix *PivotIndex) RegionFiltered(q int, eps float64, n int, keep func(j int) bool) []int {
 	sp := pivotRegionStage.Start()
 	defer sp.End()
 	pivotRegionsTotal.Inc()
-	return ix.regionRange(q, eps, 0, n, nil)
+	return ix.regionRange(q, eps, 0, n, keep)
 }
 
 // RegionParallel is Region with the candidate scan split across workers.
@@ -504,12 +579,17 @@ func (ix *PivotIndex) regionPooled(q int, eps float64, n, workers int, pool *wor
 	return out
 }
 
-// regionRange scans candidates in [lo, hi), appending matches to out.
-func (ix *PivotIndex) regionRange(q int, eps float64, lo, hi int, out []int) []int {
+// regionRange returns the matches among the candidates in [lo, hi) that
+// keep admits (nil admits all).
+func (ix *PivotIndex) regionRange(q int, eps float64, lo, hi int, keep func(int) bool) []int {
+	var out []int
 candidates:
 	for j := lo; j < hi; j++ {
 		if j == q {
 			out = append(out, j)
+			continue
+		}
+		if keep != nil && !keep(j) {
 			continue
 		}
 		for k := range ix.pivots {
@@ -560,64 +640,9 @@ func ClusterWithIndex(n int, dist func(i, j int) float64, cfg Config, ix *PivotI
 	if n == 0 {
 		return &Result{Labels: []int{}}
 	}
-	workers := resolveWorkers(cfg.Workers, n)
 	ix.dist = dist
 	ix.Slack = PivotSlackFactor * cfg.Eps
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = unclassified
-	}
-	e := &engine{n: n, dist: dist, cfg: cfg, labels: labels, workers: workers}
-	if workers > 1 && n >= parallelCutoff {
-		e.pool = newWorkerPool(workers)
-		defer e.pool.close()
-	}
-	region := func(i int) []int { return ix.regionPooled(i, cfg.Eps, n, workers, e.pool) }
-
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != unclassified {
-			continue
-		}
-		neighbours := region(i)
-		if e.weightOf(neighbours) < cfg.MinPts {
-			labels[i] = Noise
-			continue
-		}
-		e.expandWith(i, neighbours, clusterID, region)
-		clusterID++
-	}
-	return &Result{Labels: labels, NumClusters: clusterID}
-}
-
-// expandWith is expand with a pluggable region query.
-func (e *engine) expandWith(i int, seeds []int, id int, region func(int) []int) {
-	e.labels[i] = id
-	queue := make([]int, 0, len(seeds))
-	for _, j := range seeds {
-		if j != i {
-			queue = append(queue, j)
-		}
-	}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		switch e.labels[j] {
-		case Noise:
-			e.labels[j] = id
-			continue
-		case unclassified:
-			e.labels[j] = id
-		default:
-			continue
-		}
-		neighbours := region(j)
-		if e.weightOf(neighbours) >= e.cfg.MinPts {
-			for _, k := range neighbours {
-				if e.labels[k] == unclassified || e.labels[k] == Noise {
-					queue = append(queue, k)
-				}
-			}
-		}
-	}
+	e := newEngine(n, dist, cfg)
+	defer e.close()
+	return e.run(func(i int) []int { return ix.regionPooled(i, cfg.Eps, n, e.workers, e.pool) })
 }

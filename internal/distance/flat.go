@@ -33,10 +33,10 @@ import (
 // 0 where the pointer path provably computes exact 0. The equivalence is
 // asserted pair-for-pair by TestKernelMatchesProfileDistance.
 //
-// Add is not safe for concurrent use; Distance is (it only reads), which is
-// what DBSCAN's parallel region queries require. Indices are append-only:
-// the incremental miner keeps one Kernel alive across epochs and appends
-// each epoch's new profiles.
+// Add and Set are not safe for concurrent use; Distance is (it only reads),
+// which is what DBSCAN's parallel region queries require. Indices are
+// stable: the shared substrate keeps one Kernel alive across epochs, appends
+// each epoch's new profiles and Sets the few whose access(a) moved.
 type Kernel struct {
 	mode Mode
 	// bias/scale express both modes' different-column d_pred as one FMA:
@@ -226,6 +226,30 @@ func (k *Kernel) N() int { return len(k.ref) }
 
 // Add repacks one compiled profile and returns its kernel index.
 func (k *Kernel) Add(p *Profile) int {
+	k.ref = append(k.ref, k.header(p))
+	return len(k.ref) - 1
+}
+
+// Set re-points index i at a recompiled profile and reports whether its
+// distances can have changed. Every record is content-interned, so a
+// profile identical to the one i already holds resolves to the same header
+// (Set returns false), and the records of the profile it replaces are kept
+// but reached only by areas that still share their exact content — a stale
+// record is never read for a recompiled area. The substrate uses it to
+// refresh the areas a moved access(a) registry invalidated while keeping
+// every other index.
+func (k *Kernel) Set(i int, p *Profile) bool {
+	hid := k.header(p)
+	if k.ref[i] == hid {
+		return false
+	}
+	k.ref[i] = hid
+	return true
+}
+
+// header interns a profile's tables, clauses and constraint list and
+// returns its packed header's index.
+func (k *Kernel) header(p *Profile) int32 {
 	var h areaHdr
 	h.tabN = int32(len(p.Tables))
 	k.tabBuf = k.tabBuf[:0]
@@ -276,8 +300,7 @@ func (k *Kernel) Add(p *Profile) int {
 		k.hdrI[string(k.keyBuf)] = hid
 		k.hdr = append(k.hdr, h)
 	}
-	k.ref = append(k.ref, hid)
-	return len(k.ref) - 1
+	return hid
 }
 
 func (k *Kernel) intern(m map[string]int32, s string) int32 {

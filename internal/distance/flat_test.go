@@ -191,3 +191,72 @@ func TestKernelAppendStable(t *testing.T) {
 		t.Errorf("N = %d, want 40", kern.N())
 	}
 }
+
+// After the registry moves, Set-ing only the areas that read a moved column
+// (ReadColumns) must leave the kernel bit-identical to a fresh kernel built
+// from profiles compiled under the moved registry — every other area's
+// profile is provably unchanged.
+func TestKernelSetMatchesFreshKernel(t *testing.T) {
+	for _, mode := range []Mode{ModeEndpoint, ModePaperLiteral} {
+		st := kernelStats()
+		m := &Metric{Mode: mode, Stats: st}
+		kern := NewKernel(mode)
+		r := rand.New(rand.NewSource(11))
+		const n = 60
+		areas := make([]*extract.AccessArea, n)
+		for i := range areas {
+			areas[i] = randProfileArea(r)
+			kern.Add(m.Profile(areas[i]))
+		}
+		gen := st.Generation()
+		st.ObserveNumeric("T.u", 500)         // widen a seeded column
+		st.ObserveNumeric("X.q", 3)           // create an unseeded one
+		st.ObserveCategorical("S.class", "X") // new categorical value
+		cols, all, _ := st.ChangedSince(gen)
+		if all || len(cols) != 3 {
+			t.Fatalf("changed columns %v (all=%v)", cols, all)
+		}
+		changed, set := 0, 0
+		for i, a := range areas {
+			reads := false
+			for _, c := range ReadColumns(a) {
+				for _, moved := range cols {
+					reads = reads || c == moved
+				}
+			}
+			if !reads {
+				continue
+			}
+			set++
+			if kern.Set(i, m.Profile(a)) {
+				changed++
+			}
+		}
+		if changed == 0 || set == n {
+			t.Fatalf("mode %v: %d of %d areas re-Set, %d changed; the test needs a strict subset", mode, set, n, changed)
+		}
+		fresh := NewKernel(mode)
+		for _, a := range areas {
+			fresh.Add(m.Profile(a))
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got, want := kern.Distance(i, j), fresh.Distance(i, j); got != want {
+					t.Fatalf("mode %v: d(%d,%d) = %v after Set, fresh kernel %v", mode, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestReadColumns(t *testing.T) {
+	a := area([]string{"T", "S"}, predicate.CNF{
+		{cc("T.a", predicate.Lt, 3), predicate.Cols("T.a", predicate.Eq, "T.b")},
+		{predicate.CC("S.class", predicate.Eq, predicate.Str("STAR")), cc("T.a", predicate.Gt, 1)},
+		{predicate.True()},
+	})
+	got := ReadColumns(a)
+	if len(got) != 2 || got[0] != "T.a" || got[1] != "S.class" {
+		t.Fatalf("ReadColumns = %v, want [T.a S.class]", got)
+	}
+}

@@ -167,3 +167,33 @@ func (m *Metric) compileCategorical(p predicate.Pred) predProfile {
 		frac:       frac,
 	}
 }
+
+// ReadColumns returns the columns whose access(a) registry entries Profile
+// reads when compiling area a — the column of every numeric and categorical
+// predicate; column-column predicates read none — deduplicated, in
+// first-use order. A profile can change between two registry generations
+// only if one of these columns changed (schema.Stats.ChangedSince).
+func ReadColumns(a *extract.AccessArea) []string {
+	var cols []string
+	for _, cl := range a.CNF {
+		for _, pr := range cl {
+			switch pr.Kind {
+			case predicate.TruePred, predicate.FalsePred, predicate.ColumnColumn:
+				continue
+			}
+			if !containsString(cols, pr.Column) {
+				cols = append(cols, pr.Column)
+			}
+		}
+	}
+	return cols
+}
+
+func containsString(list []string, s string) bool {
+	for _, v := range list {
+		if v == s {
+			return true
+		}
+	}
+	return false
+}

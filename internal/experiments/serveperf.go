@@ -167,7 +167,7 @@ func (e *Env) RunServePerf() *ServePerfResult {
 	out.LatencyP99MS = percentile(latencies, 0.99)
 
 	// Let the final epoch settle, bracketing it with /metrics to isolate
-	// how much distance work the cross-epoch cache saved it.
+	// how much distance work the cross-epoch neighbour graph saved it.
 	pre, err1 := fetchMetrics(ts.URL)
 	http.Post(ts.URL+"/flush", "", nil)
 	post, err2 := fetchMetrics(ts.URL)

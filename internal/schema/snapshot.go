@@ -13,12 +13,35 @@ import (
 // and no-op observations leave it unchanged, so a stable generation across
 // two instants proves every access(a)/content(a) answer — and therefore
 // every distance profile compiled from them — is identical at both. The
-// epoch-based incremental miner uses it to decide whether cached
-// cross-epoch distances are still valid.
+// epoch-based incremental miner uses it to decide whether a delta anchor is
+// still valid; ChangedSince narrows the same question to columns.
 func (s *Stats) Generation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.gen
+}
+
+// ChangedSince reports which columns' access(a)/content(a) mutated after
+// generation gen, together with the current generation, read under one lock
+// so a concurrent Observe cannot slip between the two. all is true when a
+// RestoreSnapshot ran after gen — every column may then differ and cols is
+// nil. Columns come back sorted. A profile compiled from the registry at or
+// after generation gen reads the same answers today unless it reads one of
+// cols, which is how the shared distance substrate recompiles only the
+// profiles a registry move can have changed.
+func (s *Stats) ChangedSince(gen uint64) (cols []string, all bool, cur uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.resetGen > gen {
+		return nil, true, s.gen
+	}
+	for col, g := range s.changed {
+		if g > gen {
+			cols = append(cols, col)
+		}
+	}
+	sort.Strings(cols)
+	return cols, false, s.gen
 }
 
 // IntervalSnapshot is the JSON form of an interval. Endpoints are encoded
@@ -85,7 +108,8 @@ func (s *Stats) Snapshot() *StatsSnapshot {
 }
 
 // RestoreSnapshot replaces the registry contents with a previously exported
-// state and bumps the generation.
+// state and bumps the generation; ChangedSince reports every column as
+// changed across it.
 func (s *Stats) RestoreSnapshot(snap *StatsSnapshot) {
 	if snap == nil {
 		return
@@ -101,6 +125,8 @@ func (s *Stats) RestoreSnapshot(snap *StatsSnapshot) {
 		s.categorical[name] = &categoricalStat{content: sliceSet(cs.Content), access: sliceSet(cs.Access)}
 	}
 	s.gen++
+	s.resetGen = s.gen
+	s.changed = make(map[string]uint64)
 }
 
 func setSlice(m map[string]struct{}) []string {

@@ -29,6 +29,11 @@ type Stats struct {
 	categorical map[string]*categoricalStat
 	// gen counts effective mutations (see Generation in snapshot.go).
 	gen uint64
+	// changed maps every column that has ever mutated to the generation of
+	// its latest effective mutation, and resetGen is the generation of the
+	// latest RestoreSnapshot — the change log ChangedSince reads.
+	changed  map[string]uint64
+	resetGen uint64
 }
 
 type numericStat struct {
@@ -46,7 +51,14 @@ func NewStats() *Stats {
 	return &Stats{
 		numeric:     make(map[string]*numericStat),
 		categorical: make(map[string]*categoricalStat),
+		changed:     make(map[string]uint64),
 	}
+}
+
+// bump records one effective mutation of column; the caller holds mu.
+func (s *Stats) bump(column string) {
+	s.gen++
+	s.changed[column] = s.gen
 }
 
 // SeedNumericSample seeds content(a) and access(a) for column a (qualified
@@ -69,7 +81,7 @@ func (s *Stats) SeedNumericSample(column string, sample []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.numeric[column] = &numericStat{content: iv, access: iv}
-	s.gen++
+	s.bump(column)
 }
 
 // SeedNumericContent seeds content(a) directly with a known interval (used
@@ -79,7 +91,7 @@ func (s *Stats) SeedNumericContent(column string, content interval.Interval) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.numeric[column] = &numericStat{content: content, access: content}
-	s.gen++
+	s.bump(column)
 }
 
 // SeedCategorical seeds the categorical content/access sets for column a.
@@ -92,7 +104,7 @@ func (s *Stats) SeedCategorical(column string, values []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.categorical[column] = cs
-	s.gen++
+	s.bump(column)
 }
 
 // ObserveNumeric records that a query referred to constant v on column a,
@@ -107,13 +119,13 @@ func (s *Stats) ObserveNumeric(column string, v float64) {
 	if !ok {
 		ns = &numericStat{content: interval.Point(v), access: interval.Point(v)}
 		s.numeric[column] = ns
-		s.gen++
+		s.bump(column)
 		return
 	}
 	grown := ns.access.Hull(interval.Point(v))
 	if grown != ns.access {
 		ns.access = grown
-		s.gen++
+		s.bump(column)
 	}
 }
 
@@ -128,7 +140,7 @@ func (s *Stats) ObserveCategorical(column string, v string) {
 	}
 	if _, seen := cs.access[v]; !seen {
 		cs.access[v] = struct{}{}
-		s.gen++
+		s.bump(column)
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/qlog"
+	"repro/internal/traffic"
 )
 
 // TestMetricsProm checks /metrics?format=prom serves both registries —
@@ -222,5 +225,70 @@ func TestSlowlogEndpoint(t *testing.T) {
 
 	if code, _, body := get(t, ts.URL+"/debug/slowlog?k=bogus", ""); code != 400 {
 		t.Errorf("bad k: status %d, body %s", code, body)
+	}
+}
+
+// The distance counters are substrate lifetime totals: they must never go
+// down, in particular not across an epoch whose access(a) registry moved
+// under it (which once swapped the pair cache they read, restarting both
+// from zero). Both the JSON keys and the prom counters are read.
+func TestDistanceCountersSurviveRegistryMove(t *testing.T) {
+	db := testDB()
+	s, err := NewServer(Config{Miner: minerConfig(db), BatchSize: 64, Traffic: &traffic.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type counters struct{ evals, hits float64 }
+	read := func() counters {
+		t.Helper()
+		_, _, body := get(t, ts.URL+"/metrics", "")
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("metrics json: %v", err)
+		}
+		c := counters{m["distance_evals"].(float64), m["distance_cache_hits"].(float64)}
+		_, _, prom := get(t, ts.URL+"/metrics?format=prom", "")
+		for name, want := range map[string]float64{
+			"skyaccess_serve_distance_evals_total":      c.evals,
+			"skyaccess_serve_distance_cache_hits_total": c.hits,
+		} {
+			line := name + " " + strconv.FormatFloat(want, 'g', -1, 64)
+			if !strings.Contains(string(prom), line+"\n") {
+				t.Errorf("prom view disagrees with JSON, want %q:\n%s", line, grepLines(string(prom), name))
+			}
+		}
+		return c
+	}
+
+	postNDJSON(t, ts.URL, synthRecords(400, 7))
+	s.Flush()
+	first := read()
+	if first.evals == 0 || first.hits == 0 {
+		t.Fatalf("first epoch: evals %v, hits %v", first.evals, first.hits)
+	}
+
+	// One statement that widens access(a) on a column existing areas read.
+	gen := s.miner.Stats().Generation()
+	postNDJSON(t, ts.URL, []qlog.Record{{Seq: 1 << 20, User: "widen",
+		SQL: "SELECT objid FROM PhotoObjAll WHERE ra BETWEEN -5000 AND 5000"}})
+	s.Flush()
+	if s.miner.Stats().Generation() == gen {
+		t.Fatal("the widening statement did not move the access(a) registry")
+	}
+	moved := read()
+	// Lifetime totals: the second epoch's work adds to the first's. It
+	// rescans only the areas the move touched, so it evaluates less than
+	// the first epoch did, and every miner reuses the rest of the graph, so
+	// it reuses more entries than the first epoch, where only the class
+	// miners could.
+	if added := moved.evals - first.evals; added <= 0 || added >= first.evals {
+		t.Errorf("evals %v → %v: the registry-move epoch should add a partial rescan", first.evals, moved.evals)
+	}
+	if added := moved.hits - first.hits; added <= first.hits {
+		t.Errorf("hits %v → %v: the registry-move epoch should add more reuse than the first epoch had", first.hits, moved.hits)
 	}
 }

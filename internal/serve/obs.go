@@ -63,10 +63,10 @@ func (s *Server) initRegistry() {
 		"pipeline records that took the full parse path",
 		func() float64 { return float64(s.statsSnapshot().FullParses) })
 	r.NewCounterFunc("skyaccess_serve_distance_evals_total",
-		"distance evaluations across all epochs",
+		"kernel distance evaluations across all epochs (lifetime; never resets)",
 		func() float64 { return float64(s.inc.DistanceEvals()) })
 	r.NewCounterFunc("skyaccess_serve_distance_cache_hits_total",
-		"distance lookups answered by the cross-epoch pair cache",
+		"eps-neighbour graph entries clustered without re-evaluation (lifetime; never resets)",
 		func() float64 { return float64(s.inc.DistanceCacheHits()) })
 
 	if s.wal != nil || s.cfg.WALDir != "" {

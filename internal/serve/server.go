@@ -236,10 +236,12 @@ func NewServer(cfg Config) (*Server, error) {
 	// substrate too: it interns every area first, so the class miners'
 	// epochs find their distances already computed.
 	var ts *trafficState
-	inc := miner.Incremental()
+	var inc *core.Incremental
 	if cfg.Traffic != nil {
 		ts = newTrafficState(*cfg.Traffic, miner)
 		inc = miner.IncrementalShared(ts.sub)
+	} else {
+		inc = miner.Incremental()
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -641,8 +643,8 @@ func (s *Server) runEpoch(force bool) {
 		res.AttachCoverage(s.cfg.Coverage)
 	}
 	// The class miners recluster after the global one: every area is
-	// already interned in the shared substrate, so the class epochs pay
-	// cache lookups, not distance evaluations.
+	// already interned in the shared substrate and its neighbour graph is
+	// current, so the class epochs evaluate no distances.
 	var classRes map[string]*core.Result
 	if s.traffic != nil {
 		classRes = s.reclusterClasses(force)
