@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: build test vet lint racecheck fuzz fuzz-regression bench bench-check \
-	quick-identity serve-smoke semcache-smoke shard-smoke wal-smoke \
-	traffic-smoke ci clean
+	quick-identity repro-check serve-smoke semcache-smoke shard-smoke \
+	wal-smoke traffic-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,7 @@ lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipped"; fi
 
-# The parallel region-query, pivot-index, and pair-cache code paths must stay
-# race-clean; qlog covers the streaming worker pool and the template cache,
+# The parallel region-query and pivot-index code paths must stay race-clean; qlog covers the streaming worker pool and the template cache,
 # extract the concurrent template rebinds, sqlparser the fingerprint pass,
 # serve the ingest queue / epoch worker / shutdown interleavings, core the
 # concurrent Add vs Recluster paths of the incremental miner, interestcache
@@ -158,12 +157,25 @@ quick-identity:
 	$(GO) run ./cmd/benchreport -exp semcacheperf -scale 2000 -semjson $(QUICKJSON)
 	$(GO) run ./cmd/benchreport -compare BENCH_semcache.json $(QUICKJSON) -identity
 
+# repro-check is the paper-reproduction golden gate: render every
+# deterministic experiment (table1, fig1a-c, coverage, olapclus,
+# olapclusraw, ablation, ablationsigma, density — not efficiency, scaling or
+# requery, which print wall clock) at -scale 5000, seed 42, and require the
+# output to equal internal/experiments/testdata/repro_5000_seed42.golden
+# byte for byte, at GOMAXPROCS 1 and 2. After reviewing an intended change,
+# regenerate the golden with
+#   go test ./internal/experiments/ -run TestReproGolden -update
+repro-check:
+	GOMAXPROCS=1 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
+	GOMAXPROCS=2 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
+
 # ci mirrors .github/workflows/ci.yml locally: build, lint (gofmt + vet +
 # staticcheck when present), unit tests, race detector, fuzz seed-corpus
-# regression, the per-PR semcache identity gate, and the end-to-end smokes.
+# regression, the per-PR semcache identity gate, the paper-reproduction
+# golden, and the end-to-end smokes.
 # The nightly bench-drift job (make bench-check) is not part of ci — it
 # takes minutes, not seconds.
-ci: build lint test racecheck fuzz-regression quick-identity serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke
+ci: build lint test racecheck fuzz-regression quick-identity repro-check serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke
 	@echo "ci: all gates green"
 
 clean:

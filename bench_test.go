@@ -268,8 +268,9 @@ func BenchmarkConsolidate(b *testing.B) {
 	}
 }
 
-// Pivot-pruning ablation: plain O(n²) region queries vs LAESA pivots on the
-// same metric workload.
+// Pivot-pruning ablation: plain O(n²) region queries vs DBSCAN over LAESA
+// pivot-pruned regions (with the PivotSlackFactor margin, as the miners'
+// substrate runs it) on the same metric workload.
 func BenchmarkDBSCANPlain5k(b *testing.B)  { benchPivot(b, false) }
 func BenchmarkDBSCANPivots5k(b *testing.B) { benchPivot(b, true) }
 
@@ -289,7 +290,9 @@ func benchPivot(b *testing.B, pivots bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pivots {
-			dbscan.ClusterWithPivots(len(pts), dist, cfg, 8)
+			ix := dbscan.NewPivotIndex(len(pts), dist, 8)
+			ix.Slack = dbscan.PivotSlackFactor * cfg.Eps
+			dbscan.ClusterGraph(len(pts), func(i int) []int { return ix.Region(i, cfg.Eps, len(pts)) }, cfg)
 		} else {
 			dbscan.Cluster(len(pts), dist, cfg)
 		}

@@ -1,7 +1,9 @@
 // Command skyserved runs the online access-area mining service: it ingests
 // query-log records over HTTP, extracts access areas through the streaming
 // pipeline with a warm template cache, re-clusters them in epochs, and
-// serves live Table-1-style reports.
+// serves live Table-1-style reports. Every epoch clusters exactly, through
+// the same engine as the batch miner: it rescans only the eps-neighbourhoods
+// of new areas and of areas whose access(a) columns moved.
 //
 // Usage:
 //
@@ -141,8 +143,6 @@ func main() {
 	cacheBudget := flag.Int64("cache-budget", 0, "semantic-cache resident-bytes budget: regions admitted best-heat-first, coldest evicted under pressure (0 = unlimited)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "per-region staleness bound: unchanged regions keep their store across epochs while younger than this, older stores miss as stale (0 = rebuild every epoch)")
 	cacheComposeMax := flag.Int("cache-compose-max", 4, "max regions a composed /query answer may union (negative = disable composition)")
-	deltaEpochs := flag.Bool("delta-epochs", false, "cluster only the delta between epochs (representatives + noise + new areas); flush/shutdown always re-cluster fully")
-	anchorEvery := flag.Int("anchor-every", 8, "with -delta-epochs, run a full re-cluster every Nth epoch")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
 	shards := flag.Int("shards", 1, "in-process shard miners behind one router (1 = unsharded)")
@@ -193,7 +193,6 @@ func main() {
 			Schema: skyserver.Schema(), Stats: stats,
 			Eps: *eps, MinPts: *minPts, AutoEps: *autoEps,
 			Mode: dmode, Seed: *seed, Workers: *workers,
-			DeltaEpochs: *deltaEpochs, FullReclusterEvery: *anchorEvery,
 		}
 	}
 

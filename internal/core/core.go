@@ -53,39 +53,15 @@ type Config struct {
 	Seed int64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Pivots is the LAESA pivot count for the pivot-index region-query
-	// backend (0 = default 8). The index is used automatically for
-	// ModeEndpoint DBSCAN runs on partitions of at least 64 areas, with
-	// the dbscan.PivotSlackFactor margin absorbing the distance's
-	// near-metric triangle defect; ModePaperLiteral and OPTICS keep
-	// brute-force scans.
-	Pivots int
-	// DisablePivotIndex reverts the clustering stage to the pre-index hot
-	// path — brute-force region queries with no pair memoization — so the
-	// perf harness and the equivalence guard can measure before/after
-	// behaviour through the same instrumentation.
+	// DisablePivotIndex turns off the substrate's LAESA pruning: every
+	// eps-neighbour scan then evaluates each unordered pair of a partition
+	// once, brute force — clusterperf's "before" baseline, measured through
+	// the same instrumentation as the default.
 	DisablePivotIndex bool
-	// DisableTemplateCache reverts the extraction stage to the pre-cache hot
-	// path — a full parse and extraction for every record instead of a
-	// per-fingerprint template rebind — so the perf harness and the
-	// equivalence guard can measure before/after behaviour through the same
-	// instrumentation, and so experiments needing honest per-statement stage
-	// timings (the §6.6 efficiency report) can opt out.
-	DisableTemplateCache bool
 	// SigmaRule and MinColumnSupport configure aggregation (Section 6.2);
 	// zero values mean 3 and 0.5.
 	SigmaRule        float64
 	MinColumnSupport float64
-	// DeltaEpochs lets Incremental.ReclusterAuto cluster only the delta
-	// between epochs: stable clusters collapse to weighted representatives
-	// and DBSCAN runs over representatives + noise + new areas, with a full
-	// re-cluster every FullReclusterEvery epochs as the equivalence anchor.
-	// Only the DBSCAN backend with SampleSize 0 supports deltas; other
-	// configurations silently run full epochs.
-	DeltaEpochs bool
-	// FullReclusterEvery is the anchor cadence for DeltaEpochs: every Nth
-	// ReclusterAuto epoch re-clusters everything from scratch (0 = default 8).
-	FullReclusterEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -127,10 +103,11 @@ type Result struct {
 	ContradictoryAreas int
 	// ChosenEps records the eps actually used (relevant with AutoEps).
 	ChosenEps float64
-	// DistanceEvals counts the ProfileDistance evaluations the run needed
-	// (auto-eps, pivot rows, and region queries combined); DistanceCacheHits
-	// counts the lookups the shared memoizing cache answered without
-	// recomputing. Together they make the pivot-index speed-up measurable.
+	// DistanceEvals counts the kernel evaluations of the substrate the run
+	// clustered through (auto-eps sample, pivot rows and neighbour scans
+	// combined); DistanceCacheHits counts the neighbour-graph entries it
+	// reused instead of evaluating — 0 for a batch mine, whose substrate is
+	// fresh; an epoch reports both as the substrate's lifetime totals.
 	DistanceEvals     int64
 	DistanceCacheHits int64
 }
@@ -183,14 +160,12 @@ func (m *Miner) MineStream(ctx context.Context, src qlog.RecordSource) *Result {
 	return m.mine(areaRecs, stats)
 }
 
-// pipeline builds the extraction pipeline with the template cache on by
-// default.
+// pipeline builds the extraction pipeline with the template cache on.
 func (m *Miner) pipeline() *qlog.Pipeline {
 	extractor := &extract.Extractor{Schema: m.cfg.Schema, PredCap: m.cfg.PredCap, Stats: m.stats}
 	return &qlog.Pipeline{
 		Extractor: extractor,
 		Workers:   m.cfg.Workers,
-		NoCache:   m.cfg.DisableTemplateCache,
 	}
 }
 
@@ -254,101 +229,78 @@ func (m *Miner) mine(areaRecs []qlog.AreaRecord, stats *qlog.Stats) *Result {
 	}
 	res.ContradictoryAreas = acc.contradictory
 	res.DistinctAreas = len(acc.items)
-	m.clusterBody(acc.items, res)
+	m.mineItems(acc.items, res)
 	return res
 }
 
-// clusterBody is the one-shot clustering engine: sampling, eps selection,
-// relation-set partitioning, DBSCAN/OPTICS per partition, and aggregation,
-// all through per-run caches. It may reorder items (sampling shuffles in
-// place). The epoch-based Incremental replaces the cache plumbing with
-// persistent cross-epoch structures but shares partitionItems /
-// collectPartition / finalizeClusters so the two paths cannot drift.
-func (m *Miner) clusterBody(items []*aggregate.Item, res *Result) {
-	// Sampling (the paper clustered a sample for the same reason).
-	if m.cfg.SampleSize > 0 && len(items) > m.cfg.SampleSize {
+// sampling reports whether SampleSize caps a run over n distinct areas.
+func (m *Miner) sampling(n int) bool {
+	return m.cfg.SampleSize > 0 && n > m.cfg.SampleSize
+}
+
+// mineItems clusters items through a fresh substrate, whose slots are then
+// the items' indices. When SampleSize caps the run it first shuffles items
+// in place and keeps the first SampleSize (the paper clustered a sample for
+// the same reason).
+func (m *Miner) mineItems(items []*aggregate.Item, res *Result) {
+	if m.sampling(len(items)) {
 		r := rand.New(rand.NewSource(m.cfg.Seed))
 		r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 		items = items[:m.cfg.SampleSize]
 	}
+	sub := m.Substrate()
+	m.cluster(sub, items, sub.sync(items), res)
+	finalizeClusters(res)
+}
+
+// cluster is the one clustering engine behind every batch mine and every
+// epoch: eps selection, relation-set partitioning, then per partition
+// DBSCAN from the substrate's eps-neighbour graph (dbscan.ClusterGraph) or
+// OPTICS through Substrate.dist, folded into res. slots[i] is items[i]'s
+// substrate slot, already synced. Clusters are left unordered for
+// finalizeClusters; DistanceEvals and DistanceCacheHits report the
+// substrate's lifetime counters.
+func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, res *Result) {
 	res.ClusteredAreas = len(items)
-
-	metric := &distance.Metric{Mode: m.cfg.Mode, Stats: m.stats}
-	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule, MinColumnSupport: m.cfg.MinColumnSupport}
-
-	// Precompile every profile once into the flat SoA kernel and route ALL
-	// distance evaluations — auto-eps, pivot rows, region queries — through
-	// one shared cache, so evaluation counts are comparable across
-	// configurations. The kernel computes values bit-identical to
-	// ProfileDistance with zero allocations per pair. The global cache
-	// memoizes when the item count allows it; partition-local caches below
-	// keep memoization effective at any scale. With the pivot index disabled
-	// (the perf harness's "before" baseline) the cache only counts,
-	// reproducing the pre-index evaluation pattern.
-	kern := distance.NewKernel(m.cfg.Mode)
-	for _, it := range items {
-		kern.Add(metric.Profile(it.Area))
-	}
-	rawDist := kern.Distance
-	var cache *distance.PairCache
-	if m.cfg.DisablePivotIndex {
-		cache = distance.NewCountingPairCache(len(items), rawDist)
-	} else {
-		cache = distance.NewPairCache(len(items), rawDist)
-	}
-
+	dist := func(i, j int) float64 { return sub.dist(slots[i], slots[j]) }
 	eps := m.cfg.Eps
 	if m.cfg.AutoEps && len(items) > 1 {
-		var sampleHits int64
-		eps, sampleHits = m.autoEps(len(items), cache.Dist)
-		res.DistanceCacheHits += sampleHits
-		res.ChosenEps = eps
-	} else {
-		res.ChosenEps = eps
+		eps = m.autoEps(len(items), dist)
 	}
+	res.ChosenEps = eps
 
 	groups, order := partitionItems(items, eps)
-
+	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule, MinColumnSupport: m.cfg.MinColumnSupport}
+	var mr *mapRegion
+	if m.cfg.Algorithm == AlgDBSCAN {
+		mr = newMapRegion(sub.neighbours(eps))
+	}
 	for _, key := range order {
 		part := groups[key]
 		weights := make([]int, len(part))
 		for i, idx := range part {
 			weights[i] = items[idx].Weight
 		}
-		distFn := func(i, j int) float64 {
-			return cache.Dist(part[i], part[j])
-		}
-		// Partition-local memoization: DBSCAN's region queries visit every
-		// ordered pair once, so each unordered pair would otherwise be
-		// evaluated twice; OPTICS likewise. Partitions are small enough for
-		// dense storage even when the global cache has degraded to counting,
-		// and the cache is dropped as soon as the partition is clustered.
-		var partCache *distance.PairCache
-		if !m.cfg.DisablePivotIndex {
-			partCache = distance.NewPairCache(len(part), distFn)
-			distFn = partCache.Dist
-		}
-		dcfg := dbscan.Config{Eps: eps, MinPts: m.cfg.MinPts, Workers: m.cfg.Workers, Weights: weights}
 		var dres *dbscan.Result
-		switch {
-		case m.cfg.Algorithm == AlgOPTICS:
+		if mr == nil {
+			distFn := func(i, j int) float64 { return dist(part[i], part[j]) }
 			o := dbscan.RunOPTICS(len(part), distFn, eps*2, m.cfg.MinPts, weights)
 			dres = o.ExtractDBSCAN(eps)
-		case m.usePivots(len(part)):
-			dres = dbscan.ClusterWithPivots(len(part), distFn, dcfg, m.pivotCount())
-		default:
-			dres = dbscan.Cluster(len(part), distFn, dcfg)
+		} else {
+			partSlots := make([]int, len(part))
+			for i, idx := range part {
+				partSlots[i] = slots[idx]
+			}
+			dcfg := dbscan.Config{Eps: eps, MinPts: m.cfg.MinPts, Workers: m.cfg.Workers, Weights: weights}
+			dres = mr.cluster(partSlots, dcfg)
 		}
-
 		collectPartition(res, items, part, dres, opts)
-		if partCache != nil {
-			res.DistanceCacheHits += partCache.Hits()
-		}
 	}
-	res.DistanceEvals = cache.Evals()
-	res.DistanceCacheHits += cache.Hits()
-
-	finalizeClusters(res)
+	if mr != nil {
+		sub.hits.Add(mr.reused)
+	}
+	res.DistanceEvals = sub.Evals()
+	res.DistanceCacheHits = sub.Hits()
 }
 
 // partitionItems groups item indices by exact relation set when eps makes
@@ -437,33 +389,9 @@ func finalizeClusters(res *Result) {
 	}
 }
 
-// pivotMinPartition is the partition size under which building a pivot
-// index costs more than the brute-force scans it would save.
-const pivotMinPartition = 64
-
-// usePivots reports whether a partition of size n should cluster through
-// the LAESA pivot index: ModeEndpoint is near-metric (its triangle defect
-// is covered by ClusterWithPivots's slack margin), while the paper-literal
-// mode's similarity-like d_pred gives the pruning nothing to hold on to.
-func (m *Miner) usePivots(n int) bool {
-	return !m.cfg.DisablePivotIndex &&
-		m.cfg.Mode == distance.ModeEndpoint &&
-		n >= pivotMinPartition
-}
-
-func (m *Miner) pivotCount() int {
-	if m.cfg.Pivots > 0 {
-		return m.cfg.Pivots
-	}
-	return 8
-}
-
 // autoEps picks eps from the k-distance knee over a bounded sample of item
-// indices; dist is the shared-cache distance in item index space. KDistances
-// scans every ordered sample pair, so the sample gets its own dense cache —
-// each unordered pair is evaluated once regardless of the global cache's
-// storage mode — and the second return value reports the hits it served.
-func (m *Miner) autoEps(n int, dist func(i, j int) float64) (float64, int64) {
+// indices; dist is the substrate distance in item index space.
+func (m *Miner) autoEps(n int, dist func(i, j int) float64) float64 {
 	const maxSample = 1000
 	sample := make([]int, n)
 	for i := range sample {
@@ -473,15 +401,11 @@ func (m *Miner) autoEps(n int, dist func(i, j int) float64) (float64, int64) {
 		r := rand.New(rand.NewSource(m.cfg.Seed + 1))
 		sample = r.Perm(n)[:maxSample]
 	}
-	sampleCache := distance.NewPairCache(len(sample), func(i, j int) float64 {
-		return dist(sample[i], sample[j])
-	})
-	kd := dbscan.KDistances(len(sample), sampleCache.Dist, m.cfg.MinPts)
-	eps := dbscan.SuggestEps(kd)
-	if eps <= 0 {
-		return m.cfg.Eps, sampleCache.Hits()
+	kd := dbscan.KDistances(len(sample), func(i, j int) float64 { return dist(sample[i], sample[j]) }, m.cfg.MinPts)
+	if eps := dbscan.SuggestEps(kd); eps > 0 {
+		return eps
 	}
-	return eps, sampleCache.Hits()
+	return m.cfg.Eps
 }
 
 // AttachCoverage fills area/object coverage for every cluster from a data

@@ -191,85 +191,3 @@ func TestIncrementalRestoreGuards(t *testing.T) {
 		t.Fatalf("nil state restore: %v", err)
 	}
 }
-
-// Delta epochs cluster only representatives + noise + new areas; the
-// periodic full re-cluster is the equivalence anchor. The final anchor over
-// a drained log must reproduce the one-shot batch mining exactly, and the
-// intermediate delta epochs must actually have reduced the DBSCAN input.
-func TestDeltaEpochsAnchorEquivalentToBatch(t *testing.T) {
-	recs := synthRecords(3000, 42)
-	bcfg := Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats()}
-	batchRes := NewMiner(bcfg).MineRecords(recs)
-
-	icfg := Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(),
-		DeltaEpochs: true, FullReclusterEvery: 100}
-	im := NewMiner(icfg)
-	inc := im.Incremental()
-	areaRecs, _ := im.pipeline().Run(recs)
-	const chunk = 400
-	deltas, reducedMax := 0, 0
-	for lo := 0; lo < len(areaRecs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(areaRecs) {
-			hi = len(areaRecs)
-		}
-		for i := lo; i < hi; i++ {
-			inc.Add(&areaRecs[i])
-		}
-		epoch := inc.ReclusterAuto()
-		if epoch.ClusteredAreas < epoch.DistinctAreas {
-			deltas++
-			if epoch.ClusteredAreas > reducedMax {
-				reducedMax = epoch.ClusteredAreas
-			}
-		}
-	}
-	if deltas == 0 {
-		t.Fatal("no delta epoch ran (every epoch clustered the full item set)")
-	}
-	if reducedMax >= inc.Distinct() {
-		t.Fatalf("delta epochs did not reduce the point set: %d of %d", reducedMax, inc.Distinct())
-	}
-	// The anchor is the ground truth: a full Recluster after the deltas must
-	// match the batch run bit for bit.
-	sameMining(t, batchRes, inc.Recluster())
-}
-
-// FullReclusterEvery must force periodic anchors: with cadence 2 every
-// second ReclusterAuto is full (clusters everything), and delta state
-// carries across the anchors.
-func TestDeltaEpochsAnchorCadence(t *testing.T) {
-	recs := synthRecords(2400, 9)
-	cfg := Config{Schema: skyserver.Schema(), Seed: 9, Stats: seededStats(),
-		DeltaEpochs: true, FullReclusterEvery: 2}
-	im := NewMiner(cfg)
-	inc := im.Incremental()
-	areaRecs, _ := im.pipeline().Run(recs)
-	const chunk = 300
-	var fullEpochs, deltaEpochs []int
-	for lo, epoch := 0, 0; lo < len(areaRecs); lo, epoch = lo+chunk, epoch+1 {
-		hi := lo + chunk
-		if hi > len(areaRecs) {
-			hi = len(areaRecs)
-		}
-		for i := lo; i < hi; i++ {
-			inc.Add(&areaRecs[i])
-		}
-		r := inc.ReclusterAuto()
-		if r.ClusteredAreas == r.DistinctAreas {
-			fullEpochs = append(fullEpochs, epoch)
-		} else {
-			deltaEpochs = append(deltaEpochs, epoch)
-		}
-	}
-	// Epoch 0 has no anchor yet, so it is full; afterwards deltas and
-	// anchors must alternate (cadence 2).
-	if len(fullEpochs) < 3 || len(deltaEpochs) < 2 {
-		t.Fatalf("cadence 2 over 8 epochs: full=%v delta=%v", fullEpochs, deltaEpochs)
-	}
-	for _, e := range deltaEpochs {
-		if e%2 != 1 {
-			t.Fatalf("delta at even epoch %d; full=%v delta=%v", e, fullEpochs, deltaEpochs)
-		}
-	}
-}

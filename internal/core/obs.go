@@ -21,10 +21,4 @@ var (
 		"new or changed substrate slots whose eps-neighbour list was rescanned")
 	graphRebuilds = obs.NewCounter("skyaccess_core_graph_rebuilds_total",
 		"eps-neighbour graph rebuilds (registry restore, eps change or partition-rule flip)")
-	anchorEpochsTotal = obs.NewCounter("skyaccess_core_anchor_epochs_total",
-		"full re-cluster epochs (every epoch without DeltaEpochs; the periodic anchors with it)")
-	deltaEpochsTotal = obs.NewCounter("skyaccess_core_delta_epochs_total",
-		"delta epochs that clustered only representatives + noise + new areas")
-	deltaPointsTotal = obs.NewCounter("skyaccess_core_delta_points_total",
-		"reduced points fed to DBSCAN across delta epochs")
 )

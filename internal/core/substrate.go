@@ -13,13 +13,14 @@ import (
 	"repro/internal/schema"
 )
 
-// Substrate is the only distance state behind the epoch-based miners: access
-// areas interned by key into one flat SoA kernel, the columns each compiled
-// profile reads, and an eps-neighbour graph over the interned slots. Every
-// Incremental has one — a private substrate by default, a shared one for
-// the traffic-class miners, whose largely overlapping area populations (a
-// bot area and a human area with the same CNF are the same point) then pay
-// for each neighbourhood once.
+// Substrate is the only distance state behind the miners: access areas
+// interned by key into one flat SoA kernel, the columns each compiled
+// profile reads, and an eps-neighbour graph over the interned slots. A
+// batch mine clusters through a fresh one; every Incremental keeps one — a
+// private substrate by default, a shared one for the traffic-class miners,
+// whose largely overlapping area populations (a bot area and a human area
+// with the same CNF are the same point) then pay for each neighbourhood
+// once.
 //
 // Epochs keep their work. Extraction grows access(a) and profiles read it,
 // so at each epoch the substrate asks schema.Stats which columns moved since
@@ -28,11 +29,11 @@ import (
 // unchanged content keeps its slot clean). Every other slot keeps its
 // profile, its pivot-table entries and its neighbour list. The graph then
 // rescans only new and changed ("dirty") slots — one pivot-pruned scan each,
-// evaluating each unordered pair once as Kernel.Distance(min, max), the
-// orientation the batch miner's pair cache uses, so values are bit-identical
-// to a batch mine over the same registry. A registry restore, an eps change
-// (AutoEps) or a partition-rule flip marks every slot dirty and rebuilds the
-// lists through the same code.
+// evaluating each unordered pair once as Kernel.Distance(min, max), so a
+// value never depends on which side asked and an epoch's graph is
+// bit-identical to a batch mine's fresh one over the same registry. A
+// registry restore, an eps change (AutoEps) or a partition-rule flip marks
+// every slot dirty and rebuilds the lists through the same code.
 //
 // Miners sharing a substrate must recluster sequentially (the serving
 // layer's epoch loop is); Adds never touch it. Evals, Hits and Slots are
@@ -105,7 +106,7 @@ type nbrGroup struct {
 }
 
 // Substrate builds an empty substrate bound to this Miner's distance mode,
-// pivot settings and access(a) registry. Hand it to IncrementalShared on
+// pivot setting and access(a) registry. Hand it to IncrementalShared on
 // every miner that should share distance work.
 func (m *Miner) Substrate() *Substrate {
 	return &Substrate{
@@ -128,7 +129,7 @@ func (s *Substrate) Slots() int {
 
 // Evals returns the substrate-lifetime kernel evaluations across every
 // sharing miner: neighbour scans, pivot rows, the AutoEps sample, and the
-// direct distances of OPTICS and delta epochs.
+// direct distances of OPTICS.
 func (s *Substrate) Evals() int64 { return s.evals.Load() }
 
 // Hits returns the substrate-lifetime neighbour-graph entries miners
@@ -151,12 +152,11 @@ func (s *Substrate) dist(a, b int) float64 {
 }
 
 // sync brings the compiled profiles up to date with the registry and
-// interns the items' areas, returning their slots and the registry
-// generation every profile is now current against. Profiles of existing
+// interns the items' areas, returning their slots. Profiles of existing
 // slots that read a moved column are recompiled; a registry restore
 // recompiles all of them into a fresh kernel (dropping every stale record)
 // and invalidates the graph.
-func (s *Substrate) sync(items []*aggregate.Item) ([]int, uint64) {
+func (s *Substrate) sync(items []*aggregate.Item) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cols, all, cur := s.stats.ChangedSince(s.gen)
@@ -187,7 +187,7 @@ func (s *Substrate) sync(items []*aggregate.Item) ([]int, uint64) {
 	for i, it := range items {
 		out[i] = s.intern(it.AreaKey(), it.Area)
 	}
-	return out, cur
+	return out
 }
 
 // intern returns the slot of the area with the given Key(), compiling its
@@ -275,7 +275,7 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 		case !s.m.usePivots(len(grp.members)):
 			grp.ix = nil
 		case grp.ix == nil || len(grp.members) >= 2*grp.builtN:
-			grp.ix = dbscan.NewPivotIndexParallel(len(grp.members), gdist, s.m.pivotCount(), workers)
+			grp.ix = dbscan.NewPivotIndexParallel(len(grp.members), gdist, pivotCount, workers)
 			grp.builtN = len(grp.members)
 		default:
 			grp.ix.Refresh(staleLocal, gdist)
@@ -344,6 +344,24 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 	g.covered = n
 	g.seq = before + 1
 	return g, before
+}
+
+// pivotCount is the LAESA pivot count of every group index, and
+// pivotMinPartition the group size under which building one costs more
+// than the brute-force scans it would save.
+const (
+	pivotCount        = 8
+	pivotMinPartition = 64
+)
+
+// usePivots reports whether a scan group of size n gets a pivot index:
+// ModeEndpoint is near-metric (its triangle defect is covered by the
+// dbscan.PivotSlackFactor margin), while the paper-literal mode's
+// similarity-like d_pred gives the pruning nothing to hold on to.
+func (m *Miner) usePivots(n int) bool {
+	return !m.cfg.DisablePivotIndex &&
+		m.cfg.Mode == distance.ModeEndpoint &&
+		n >= pivotMinPartition
 }
 
 // group returns (creating) the scan group for a key.

@@ -288,8 +288,9 @@ func (e *engine) claim(neighbours []int, id int, queue []int) []int {
 // KDistances returns the distance of every point to its k-th nearest
 // neighbour, sorted descending — the eps-selection heuristic from the
 // original DBSCAN paper [10]: plot the curve and pick eps at the "knee".
-// dist must be symmetric; the computation is O(n²) like the clustering
-// itself.
+// dist must be symmetric: each unordered pair is evaluated once, as
+// dist(i, j) with i < j, and fills both points' rows, so the computation
+// costs n(n−1)/2 evaluations and O(n²) memory.
 // k is clamped to [1, n−1] (a point has only n−1 neighbours); n ≤ 1 has no
 // neighbour distances at all and yields an empty curve.
 func KDistances(n int, dist func(i, j int) float64, k int) []float64 {
@@ -302,18 +303,20 @@ func KDistances(n int, dist func(i, j int) float64, k int) []float64 {
 	if k > n-1 {
 		k = n - 1
 	}
-	out := make([]float64, 0, n)
-	row := make([]float64, 0, n-1)
+	// rows[i*(n-1)+c] is i's c-th neighbour distance in index order.
+	rows := make([]float64, n*(n-1))
 	for i := 0; i < n; i++ {
-		row = row[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			row = append(row, dist(i, j))
+		for j := i + 1; j < n; j++ {
+			d := dist(i, j)
+			rows[i*(n-1)+j-1] = d
+			rows[j*(n-1)+i] = d
 		}
+	}
+	out := make([]float64, n)
+	for i := range out {
+		row := rows[i*(n-1) : (i+1)*(n-1)]
 		sort.Float64s(row)
-		out = append(out, row[k-1])
+		out[i] = row[k-1]
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out
@@ -365,11 +368,10 @@ func SuggestEps(kdist []float64) float64 {
 // min-matching can pair a clause with different partners on the two sides
 // of a triple, so |d(q,p) − d(x,p)| can exceed d(q,x). Measured on the 20k
 // default-mix workload the overshoot stays under 2·d(q,x) pair for pair,
-// which is what the PivotSlackFactor margin used by ClusterWithPivots
-// absorbs (see that constructor).
+// which is what a Slack of PivotSlackFactor·eps absorbs.
 //
-// An index can outlive one clustering run: the incremental miner's shared
-// substrate keeps one per relation-set group across epochs, Extends it over
+// An index can outlive one clustering run: the miners' substrate keeps one
+// per relation-set group across epochs, Extends it over
 // appended points, Refreshes the entries of points whose distances changed,
 // and scans only changed points with RegionFiltered to maintain its
 // eps-neighbour graph.
@@ -543,48 +545,9 @@ func (ix *PivotIndex) RegionFiltered(q int, eps float64, n int, keep func(j int)
 	sp := pivotRegionStage.Start()
 	defer sp.End()
 	pivotRegionsTotal.Inc()
-	return ix.regionRange(q, eps, 0, n, keep)
-}
-
-// RegionParallel is Region with the candidate scan split across workers.
-// The result is in ascending index order like Region's. Each call spawns
-// its own goroutines; the clustering drivers use regionPooled instead.
-func (ix *PivotIndex) RegionParallel(q int, eps float64, n, workers int) []int {
-	workers = resolveWorkers(workers, n)
-	if workers == 1 || n < parallelCutoff {
-		return ix.Region(q, eps, n)
-	}
-	pool := newWorkerPool(workers)
-	defer pool.close()
-	return ix.regionPooled(q, eps, n, workers, pool)
-}
-
-// regionPooled is the pooled candidate scan behind RegionParallel and
-// ClusterWithIndex; pool may be nil for a serial scan.
-func (ix *PivotIndex) regionPooled(q int, eps float64, n, workers int, pool *workerPool) []int {
-	if pool == nil || workers == 1 || n < parallelCutoff {
-		return ix.Region(q, eps, n)
-	}
-	sp := pivotRegionStage.Start()
-	defer sp.End()
-	pivotRegionsTotal.Inc()
-	parts := make([][]int, workers)
-	pool.runChunks(n, workers, func(w, lo, hi int) {
-		parts[w] = ix.regionRange(q, eps, lo, hi, nil)
-	})
-	var out []int
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// regionRange returns the matches among the candidates in [lo, hi) that
-// keep admits (nil admits all).
-func (ix *PivotIndex) regionRange(q int, eps float64, lo, hi int, keep func(int) bool) []int {
 	var out []int
 candidates:
-	for j := lo; j < hi; j++ {
+	for j := 0; j < n; j++ {
 		if j == q {
 			out = append(out, j)
 			continue
@@ -608,41 +571,12 @@ candidates:
 	return out
 }
 
-// PivotSlackFactor is the near-metric safety margin ClusterWithPivots adds
-// to the pruning threshold: a candidate is skipped only when the pivot gap
-// exceeds (1+PivotSlackFactor)·eps. The endpoint-mode distance violates the
+// PivotSlackFactor is the near-metric safety margin, in units of eps, that
+// the miners' substrate sets as every index's Slack: a candidate is skipped
+// only when the pivot gap exceeds (1+PivotSlackFactor)·eps. The endpoint-mode distance violates the
 // triangle inequality by at most ~2× the pair distance on the measured
 // workloads (the min-matching clause assignment can flip between the two
 // sides of a triple), so a 2·eps margin keeps the pruning lossless for
 // eps-close pairs while still discarding ~79% of the far candidates, whose
 // pivot gaps are dominated by cross-column structure and sit near 1.
 const PivotSlackFactor = 2.0
-
-// ClusterWithPivots runs DBSCAN using a pivot index for region queries,
-// honouring cfg.Workers for both index construction and the pruned scans.
-// The pruning threshold carries the PivotSlackFactor margin, so the labels
-// match brute-force Cluster exactly for metric and near-metric distances
-// whose triangle defect stays under PivotSlackFactor·d; see PivotIndex.
-func ClusterWithPivots(n int, dist func(i, j int) float64, cfg Config, pivots int) *Result {
-	if n == 0 {
-		return &Result{Labels: []int{}}
-	}
-	ix := NewPivotIndexParallel(n, dist, pivots, resolveWorkers(cfg.Workers, n))
-	return ClusterWithIndex(n, dist, cfg, ix)
-}
-
-// ClusterWithIndex is ClusterWithPivots over a caller-supplied pivot index,
-// letting the epoch-based incremental miner reuse (and Extend) one index
-// across re-clustering epochs instead of rebuilding it. The index must
-// cover at least n points; its Slack is set to PivotSlackFactor·Eps for
-// this run, and its stored distance function is replaced by dist.
-func ClusterWithIndex(n int, dist func(i, j int) float64, cfg Config, ix *PivotIndex) *Result {
-	if n == 0 {
-		return &Result{Labels: []int{}}
-	}
-	ix.dist = dist
-	ix.Slack = PivotSlackFactor * cfg.Eps
-	e := newEngine(n, dist, cfg)
-	defer e.close()
-	return e.run(func(i int) []int { return ix.regionPooled(i, cfg.Eps, n, e.workers, e.pool) })
-}

@@ -308,11 +308,20 @@ func TestSuggestEpsFlatCurve(t *testing.T) {
 	}
 }
 
+// pivotCluster runs DBSCAN the way the miners' substrate does: every
+// neighbourhood comes from a LAESA index (built on workers goroutines) whose
+// Slack is the PivotSlackFactor margin, fed to ClusterGraph.
+func pivotCluster(n int, dist func(i, j int) float64, cfg Config, pivots, workers int) *Result {
+	ix := NewPivotIndexParallel(n, dist, pivots, workers)
+	ix.Slack = PivotSlackFactor * cfg.Eps
+	return ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps, n) }, cfg)
+}
+
 // TestClusterWithPivotsNearMetricSlack pins the slack margin down with a
 // hand-built quasi-metric: d(1,2) ≤ eps while |d(0,1) − d(0,2)| = 2·eps,
 // a triangle-inequality violation of the kind the min-matching d_conj
 // produces. Slackless LAESA pruning drops the true neighbour and shatters
-// the cluster; ClusterWithPivots's PivotSlackFactor margin must keep it.
+// the cluster; the PivotSlackFactor margin must keep it.
 func TestClusterWithPivotsNearMetricSlack(t *testing.T) {
 	mat := [][]float64{
 		{0, 5.0, 7.0, 5.5},
@@ -333,7 +342,7 @@ func TestClusterWithPivotsNearMetricSlack(t *testing.T) {
 	}
 
 	brute := Cluster(len(mat), dist, cfg)
-	pivoted := ClusterWithPivots(len(mat), dist, cfg, 2)
+	pivoted := pivotCluster(len(mat), dist, cfg, 2, 1)
 	if brute.NumClusters != 1 {
 		t.Fatalf("fixture should form one cluster brute-force, got %d", brute.NumClusters)
 	}
@@ -352,7 +361,7 @@ func TestPivotsMatchExact(t *testing.T) {
 	}
 	cfg := Config{Eps: 0.2, MinPts: 4}
 	plain := Cluster(len(pts), euclid1D(pts), cfg)
-	pivoted := ClusterWithPivots(len(pts), euclid1D(pts), cfg, 6)
+	pivoted := pivotCluster(len(pts), euclid1D(pts), cfg, 6, 1)
 	if plain.NumClusters != pivoted.NumClusters {
 		t.Fatalf("cluster counts: %d vs %d", plain.NumClusters, pivoted.NumClusters)
 	}
@@ -385,16 +394,17 @@ func TestPivotRegionEqualsScan(t *testing.T) {
 }
 
 func TestPivotWorkersMatchSerial(t *testing.T) {
-	// cfg.Workers must drive both index construction and the pruned region
-	// scans; labels must be identical to the single-worker run (both scan
-	// candidates in ascending order).
+	// An index built on several workers must label identically to a
+	// single-worker one: the pivot rows, and so every pruned region, are
+	// the same.
 	r := rand.New(rand.NewSource(13))
 	pts := make([]float64, 4000)
 	for i := range pts {
 		pts[i] = r.Float64() * 60
 	}
-	serial := ClusterWithPivots(len(pts), euclid1D(pts), Config{Eps: 0.2, MinPts: 4, Workers: 1}, 6)
-	parallel := ClusterWithPivots(len(pts), euclid1D(pts), Config{Eps: 0.2, MinPts: 4, Workers: 8}, 6)
+	cfg := Config{Eps: 0.2, MinPts: 4}
+	serial := pivotCluster(len(pts), euclid1D(pts), cfg, 6, 1)
+	parallel := pivotCluster(len(pts), euclid1D(pts), cfg, 6, 8)
 	if serial.NumClusters != parallel.NumClusters {
 		t.Fatalf("cluster counts: %d vs %d", serial.NumClusters, parallel.NumClusters)
 	}
@@ -405,6 +415,8 @@ func TestPivotWorkersMatchSerial(t *testing.T) {
 	}
 }
 
+// An index whose pivot rows were filled on 8 workers must answer every
+// region exactly like a serially built one, in ascending order.
 func TestPivotRegionParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	pts := make([]float64, 3000)
@@ -415,7 +427,7 @@ func TestPivotRegionParallelMatchesSerial(t *testing.T) {
 	parallelIx := NewPivotIndexParallel(len(pts), euclid1D(pts), 5, 8)
 	for q := 0; q < 40; q++ {
 		want := serialIx.Region(q, 0.25, len(pts))
-		got := parallelIx.RegionParallel(q, 0.25, len(pts), 8)
+		got := parallelIx.Region(q, 0.25, len(pts))
 		if len(got) != len(want) {
 			t.Fatalf("q=%d: region sizes %d vs %d", q, len(got), len(want))
 		}
@@ -428,7 +440,7 @@ func TestPivotRegionParallelMatchesSerial(t *testing.T) {
 }
 
 func TestPivotsEmptyInput(t *testing.T) {
-	res := ClusterWithPivots(0, nil, Config{Eps: 1, MinPts: 1}, 4)
+	res := pivotCluster(0, nil, Config{Eps: 1, MinPts: 1}, 4, 1)
 	if res.NumClusters != 0 {
 		t.Errorf("res = %+v", res)
 	}
@@ -490,7 +502,6 @@ func TestWorkerPoolReuse(t *testing.T) {
 	defer pool.close()
 	e := &engine{n: n, dist: d, cfg: Config{Eps: 0.3, MinPts: 4}, workers: 8, pool: pool}
 	es := &engine{n: n, dist: d, cfg: Config{Eps: 0.3, MinPts: 4}, workers: 1}
-	ix := NewPivotIndex(n, d, 5)
 	for q := 0; q < 50; q++ {
 		want := es.regionQuery(q)
 		got := e.regionQuery(q)
@@ -500,16 +511,6 @@ func TestWorkerPoolReuse(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("q=%d: pooled region[%d] = %d, serial %d", q, i, got[i], want[i])
-			}
-		}
-		pw := ix.regionPooled(q, 0.3, n, 8, pool)
-		ps := ix.Region(q, 0.3, n)
-		if len(pw) != len(ps) {
-			t.Fatalf("q=%d: pooled pivot region size %d, serial %d", q, len(pw), len(ps))
-		}
-		for i := range ps {
-			if pw[i] != ps[i] {
-				t.Fatalf("q=%d: pooled pivot region[%d] = %d, serial %d", q, i, pw[i], ps[i])
 			}
 		}
 	}

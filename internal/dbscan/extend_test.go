@@ -70,8 +70,8 @@ func TestPivotIndexExtendEvaluatesNewPointsOnly(t *testing.T) {
 	}
 }
 
-// ClusterWithIndex over an extended index must label identically to
-// brute-force DBSCAN and to ClusterWithPivots built from scratch.
+// DBSCAN over an extended index (with the PivotSlackFactor margin, as the
+// substrate runs it) must label identically to brute-force DBSCAN.
 func TestClusterWithExtendedIndexMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var pts []float64
@@ -93,7 +93,8 @@ func TestClusterWithExtendedIndexMatchesBrute(t *testing.T) {
 	// Build over the first two-thirds, extend over the rest — the epoch shape.
 	ix := NewPivotIndex(2*n/3, dist, 4)
 	ix.Extend(n, dist)
-	inc := ClusterWithIndex(n, dist, cfg, ix)
+	ix.Slack = PivotSlackFactor * cfg.Eps
+	inc := ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps, n) }, cfg)
 
 	if brute.NumClusters != inc.NumClusters {
 		t.Fatalf("clusters: brute %d vs extended-index %d", brute.NumClusters, inc.NumClusters)

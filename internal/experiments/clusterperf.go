@@ -24,9 +24,11 @@ type ClusterPerfRun struct {
 
 // ClusterPerfResult is the outcome of the clustering perf experiment: the
 // same Table-1 workload mined brute-force ("before") and through the LAESA
-// pivot index ("after"), with the distance-evaluation counts from the
-// shared memoizing cache. cmd/benchreport serialises it to
-// BENCH_clustering.json so successive PRs have a perf trajectory.
+// pivot index ("after"), with the kernel-evaluation counts of each run's
+// substrate. Both evaluate each unordered pair at most once, so EvalRatio
+// is the pruning's saving alone; CacheHits is 0 for both, since a batch
+// mine's substrate starts empty. cmd/benchreport serialises it to
+// BENCH_clustering.json so successive changes have a perf trajectory.
 type ClusterPerfResult struct {
 	Queries           int            `json:"queries"`
 	Seed              int64          `json:"seed"`
@@ -46,9 +48,9 @@ type ClusterPerfResult struct {
 
 // RunClusterPerf executes the clustering perf comparison: one shared
 // extraction pass, then two full mining runs over the identical areas —
-// pivot index off (the seed behaviour) and on (the default) — verifying
-// the aggregated output is identical and measuring how many distance
-// evaluations the pivot pruning avoids.
+// pivot index off (brute-force neighbour scans) and on (the default) —
+// verifying the aggregated output is identical and measuring how many
+// distance evaluations the pivot pruning avoids.
 func (e *Env) RunClusterPerf() *ClusterPerfResult {
 	ex := &extract.Extractor{Schema: e.Schema, Stats: e.Stats}
 	pipeline := &qlog.Pipeline{Extractor: ex}

@@ -82,13 +82,12 @@ type ShardPerfResult struct {
 }
 
 // shardServeConfig is the per-shard server configuration: the serveperf
-// shape plus mining-lag-bounded admission and delta epochs (the recommended
-// serving mode), Coverage left to the coordinator's merged view.
+// shape plus mining-lag-bounded admission, Coverage left to the
+// coordinator's merged view.
 func shardServeConfig(e *Env, stats *schema.Stats, tcache *extract.TemplateCache, epochAreas, maxLag int) serve.Config {
 	return serve.Config{
 		Miner: core.Config{
 			Schema: e.Schema, Stats: stats, Seed: e.Seed,
-			DeltaEpochs: true,
 		},
 		Templates:    tcache,
 		QueueSize:    512,

@@ -13,8 +13,8 @@ import (
 // and no-op observations leave it unchanged, so a stable generation across
 // two instants proves every access(a)/content(a) answer — and therefore
 // every distance profile compiled from them — is identical at both. The
-// epoch-based incremental miner uses it to decide whether a delta anchor is
-// still valid; ChangedSince narrows the same question to columns.
+// serving layer uses it to skip an idempotent re-flush; ChangedSince
+// narrows the same question to columns for the miners' substrate.
 func (s *Stats) Generation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -152,7 +152,6 @@ func (s *Server) Remine(from, to int64, relations []string, fps []uint64) (*core
 	pipe := &qlog.Pipeline{
 		Extractor: &extract.Extractor{Schema: cfg.Schema, PredCap: cfg.PredCap, Stats: statsCopy},
 		Workers:   cfg.Workers,
-		NoCache:   cfg.DisableTemplateCache,
 	}
 	areaRecs, _ := pipe.Run(recs)
 	kept := areaRecs[:0]

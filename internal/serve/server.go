@@ -192,12 +192,12 @@ type Server struct {
 	epochDone chan struct{}
 
 	// epochMu serialises Recluster (the epoch worker, Flush and Shutdown
-	// can all request one). epochFull/epochProcessed/epochStatsGen (also
+	// can all request one). epochForced/epochProcessed/epochStatsGen (also
 	// under epochMu) remember what the last epoch covered, so an idempotent
-	// re-flush — nothing processed, no stats movement since a full epoch —
+	// re-flush — nothing processed, no stats movement since a forced epoch —
 	// skips the re-cluster instead of redoing it.
 	epochMu        sync.Mutex
-	epochFull      bool
+	epochForced    bool
 	epochProcessed int64
 	epochStatsGen  uint64
 	newSinceEpoch  atomic.Int64
@@ -265,7 +265,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.pipe = &qlog.Pipeline{
 		Extractor: &extract.Extractor{Schema: cfg.Miner.Schema, PredCap: cfg.Miner.PredCap, Stats: miner.Stats()},
 		Workers:   cfg.Miner.Workers,
-		NoCache:   cfg.Miner.DisableTemplateCache,
 		Cache:     tcache,
 	}
 	if cfg.QueryDB != nil {
@@ -609,21 +608,22 @@ func (s *Server) epochLoop() {
 }
 
 // runEpoch re-clusters what changed since the last epoch and publishes the
-// result. force requests a full re-cluster regardless of Config.DeltaEpochs;
-// the periodic epoch worker passes false so mid-stream epochs may run the
-// reduced delta path, while Flush, Shutdown and snapshot restore anchor on
-// the exact clustering.
+// result. force marks the deterministic boundaries — Flush, Shutdown and
+// snapshot restore — where traffic drift is observed; the periodic epoch
+// worker passes false.
 func (s *Server) runEpoch(force bool) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	// Idempotent re-flush: when the last epoch was already a full re-cluster
-	// and neither the processed count nor the stats registry moved since, a
-	// forced epoch would reproduce it exactly — skip the re-cluster. (A
+	// Idempotent re-flush: when the last epoch was forced and neither the
+	// processed count nor the stats registry moved since, another epoch
+	// would reproduce it exactly — skip the re-cluster. Only a forced epoch
+	// licenses the skip: after an unforced one, the forced epoch still has
+	// drift to observe, and skipping it would make /drift depend on timing. (A
 	// second POST /flush, or a coordinator flush right after the shard's own,
 	// becomes cheap instead of repeating the most expensive operation.)
 	processedNow := s.processedCount()
 	genNow := s.statsGeneration()
-	if s.epochFull && s.epochs.Load() > 0 &&
+	if s.epochForced && s.epochs.Load() > 0 &&
 		processedNow == s.epochProcessed && genNow == s.epochStatsGen {
 		return
 	}
@@ -632,12 +632,7 @@ func (s *Server) runEpoch(force bool) {
 	t0 := time.Now()
 	// Areas added while Recluster runs belong to the next epoch.
 	s.newSinceEpoch.Store(0)
-	var res *core.Result
-	if force {
-		res = s.inc.Recluster()
-	} else {
-		res = s.inc.ReclusterAuto()
-	}
+	res := s.inc.Recluster()
 	res.PipelineStats = s.statsSnapshot()
 	if s.cfg.Coverage != nil {
 		res.AttachCoverage(s.cfg.Coverage)
@@ -661,7 +656,7 @@ func (s *Server) runEpoch(force bool) {
 	if s.qcache != nil {
 		s.qcache.Install(gen, res.Clusters)
 	}
-	s.epochFull = force
+	s.epochForced = force
 	s.epochProcessed = processedNow
 	s.epochStatsGen = genNow
 }

@@ -55,19 +55,37 @@ func ndjsonBody(recs []qlog.Record) *bytes.Buffer {
 
 func postNDJSON(t *testing.T, url string, recs []qlog.Record) ingestReply {
 	t.Helper()
-	resp, err := http.Post(url+"/ingest", "application/x-ndjson", ndjsonBody(recs))
-	if err != nil {
-		t.Fatalf("ingest: %v", err)
+	// A 429 is back-pressure, not failure: like loggen, re-send the tail
+	// the bounded queue did not accept after a short backoff. The returned
+	// reply totals what every attempt accepted.
+	var total ingestReply
+	backoff := 2 * time.Millisecond
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Post(url+"/ingest", "application/x-ndjson", ndjsonBody(recs))
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		var reply ingestReply
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("ingest reply: %v", err)
+		}
+		total.Accepted += reply.Accepted
+		switch {
+		case resp.StatusCode == http.StatusAccepted:
+			return total
+		case resp.StatusCode == http.StatusTooManyRequests && time.Now().Before(deadline):
+			recs = recs[reply.Accepted:]
+			time.Sleep(backoff)
+			if backoff < 100*time.Millisecond {
+				backoff *= 2
+			}
+		default:
+			t.Fatalf("ingest status %d (%s)", resp.StatusCode, reply.Error)
+		}
 	}
-	defer resp.Body.Close()
-	var reply ingestReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatalf("ingest reply: %v", err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest status %d (%s)", resp.StatusCode, reply.Error)
-	}
-	return reply
 }
 
 func get(t *testing.T, url string, accept string) (int, http.Header, []byte) {

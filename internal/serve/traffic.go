@@ -131,13 +131,7 @@ func (s *Server) reclusterClasses(force bool) map[string]*core.Result {
 	t := s.traffic
 	classRes := make(map[string]*core.Result, len(traffic.Classes))
 	for _, cls := range traffic.Classes {
-		inc := t.incs[cls]
-		var r *core.Result
-		if force {
-			r = inc.Recluster()
-		} else {
-			r = inc.ReclusterAuto()
-		}
+		r := t.incs[cls].Recluster()
 		cc := t.counts[cls]
 		r.PipelineStats = &qlog.Stats{
 			Total:     int(cc.total.Load()),
