@@ -32,13 +32,15 @@ lint:
 # group-commit writer (concurrent Append/SyncTo vs the background fsync
 # goroutine and segment rotation), and schema the access(a) registry and its
 # per-column change log (extraction workers write it while an epoch reads
-# the changed-column set and generation under the same lock).
+# the changed-column set and generation under the same lock), and traffic
+# the classifier and interface miner (the pump writes them while /interfaces
+# and snapshots read them).
 racecheck:
 	$(GO) test -race ./internal/dbscan/... ./internal/distance/... \
 		./internal/qlog/... ./internal/extract/... ./internal/sqlparser/... \
 		./internal/serve/... ./internal/core/... ./internal/interestcache/... \
 		./internal/memdb/... ./internal/shard/... ./internal/wal/... \
-		./internal/schema/...
+		./internal/schema/... ./internal/traffic/...
 
 # fuzz replays the checked-in seed corpora in regression mode (plain go test
 # runs every f.Add seed) and then explores each target briefly. Raise

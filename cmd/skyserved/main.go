@@ -11,14 +11,10 @@
 //	          [-wal-dir wal] [-debug-addr :6060] [-shards N] [-traffic]
 //	          [-role coordinator|shard -peers ...]
 //
-// Endpoints:
+// Endpoints (shared by every topology — one handler set in internal/serve):
 //
 //	POST /ingest    JSON array, object, or NDJSON stream of records
 //	POST /flush     drain the queue and re-cluster now
-//	POST /snapshot  persist state now
-//	POST /query     execute a SELECT via the semantic result cache
-//	POST /remine    mine a historical [from,to) record-time window from the
-//	                WAL (optional relation/fingerprint filters; -wal-dir)
 //	GET  /report    latest clustering (?format=text|csv|json, ?top=N,
 //	                ETag/If-None-Match; with -traffic, ?class=bot|human|admin
 //	                serves one traffic class's slice)
@@ -30,15 +26,29 @@
 //	GET  /debug/slowlog  top-K slowest statements by fingerprint
 //	GET  /healthz   readiness
 //
+// Single node only (standalone or -role shard), because they need the
+// node's own database, WAL or snapshot:
+//
+//	POST /snapshot  persist state now
+//	POST /query     execute a SELECT via the semantic result cache
+//	POST /remine    mine a historical [from,to) record-time window from the
+//	                WAL (optional relation/fingerprint filters; -wal-dir)
+//
 // Topologies (one binary, three roles):
 //
 //	-shards N       in-process sharding: N shard miners behind one
 //	                relation-set router and merged /report, same process
 //	-role shard     one shard node of a multi-node cluster (adds
-//	                GET /shard/result for the coordinator)
+//	                GET /shard/result, /shard/telemetry and /shard/traffic
+//	                for the coordinator)
 //	-role coordinator -peers http://h1:8081,http://h2:8081
-//	                routes /ingest to the peer shards and serves the merged
-//	                /report, /stats, /metrics, /shard/status
+//	                routes /ingest to the peer shards
+//
+// Both sharded topologies run the same coordinator: the shared endpoints
+// plus GET /shard/status (per-shard liveness and delivery state); /report
+// adds X-Stale-Shards and X-Merge-Exact. -peers needs -role coordinator,
+// -shards cannot combine with -role, and -autoeps is refused in every
+// sharded topology (merge exactness needs one fixed eps on every shard).
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/ plus the same /metrics and /debug/slowlog views.
@@ -65,6 +75,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -120,6 +131,28 @@ func shardWALDir(base string, i int) string {
 	return filepath.Join(base, "shard-"+strconv.Itoa(i))
 }
 
+// validateTopology refuses flag combinations that would start a topology
+// other than the one asked for, or void the coordinator's exactness claim.
+func validateTopology(shards int, role, peers string, autoEps bool) error {
+	switch role {
+	case "", "shard", "coordinator":
+	default:
+		return fmt.Errorf("unknown -role %q (want coordinator or shard)", role)
+	}
+	switch {
+	case role == "coordinator" && peers == "":
+		return errors.New("-role coordinator needs -peers")
+	case role != "coordinator" && peers != "":
+		return errors.New("-peers is read only by -role coordinator")
+	case role != "" && shards > 1:
+		return fmt.Errorf("-shards starts an in-process coordinator; it cannot combine with -role %s", role)
+	case autoEps && (shards > 1 || role != ""):
+		// A shard choosing its own eps voids X-Merge-Exact.
+		return errors.New("-autoeps is incompatible with sharding: merge exactness needs one fixed eps on every shard")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	eps := flag.Float64("eps", 0.06, "DBSCAN eps")
@@ -146,7 +179,6 @@ func main() {
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
 	shards := flag.Int("shards", 1, "in-process shard miners behind one router (1 = unsharded)")
-	warmup := flag.Int("warmup", 0, "router staging horizon in area-bearing records before keys bind to shards (0 = default 1024, negative = bind on first sight)")
 	role := flag.String("role", "", "multi-node role: coordinator or shard (empty = standalone)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs (coordinator role)")
 	trafficOn := flag.Bool("traffic", false, "classify ingest into bot/human/admin and mine per class: adds /report?class=, /drift and /interfaces (a coordinator assumes its shard peers also run -traffic)")
@@ -158,17 +190,8 @@ func main() {
 		dmode = distance.ModePaperLiteral
 	}
 
-	sharded := *shards > 1 || *role == "coordinator"
-	if sharded && *autoEps {
-		fmt.Fprintln(os.Stderr, "skyserved: -autoeps is incompatible with sharding: merge exactness needs one fixed eps on every shard")
-		os.Exit(1)
-	}
-	if *role != "" && *role != "coordinator" && *role != "shard" {
-		fmt.Fprintf(os.Stderr, "skyserved: unknown -role %q (want coordinator or shard)\n", *role)
-		os.Exit(1)
-	}
-	if *role == "coordinator" && *peers == "" {
-		fmt.Fprintln(os.Stderr, "skyserved: -role coordinator needs -peers")
+	if err := validateTopology(*shards, *role, *peers, *autoEps); err != nil {
+		fmt.Fprintf(os.Stderr, "skyserved: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -196,84 +219,59 @@ func main() {
 		}
 	}
 
-	// What to serve, and how to stop it, by topology.
+	// What to serve, and how to stop it, by topology. Every topology builds
+	// the synthetic database: it seeds access(a), backs /query and supplies
+	// coverage for the (merged) report.
+	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
 	var handler http.Handler
 	var registry *obs.Registry
 	var shutdown func(context.Context) error
 
-	switch {
-	case *role == "coordinator":
-		// Pure router/merger: no local miner, no local database beyond the
-		// synthetic coverage source for the merged report.
-		db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
-		peerList := strings.Split(*peers, ",")
-		nodes := make([]shard.Node, len(peerList))
-		for i, p := range peerList {
-			nodes[i] = shard.NewHTTPNode(fmt.Sprintf("shard-%d", i), strings.TrimSpace(p), nil)
-		}
-		router := shard.NewRouter(len(nodes), skyserver.Schema(), 0, nil, *warmup)
-		statePath := ""
-		if *snapshot != "" {
-			statePath = *snapshot + ".router"
-		}
-		coord, err := shard.NewCoordinator(shard.Config{
-			Router:          router,
-			Nodes:           nodes,
-			QueueSize:       *queue,
-			BatchSize:       *batch,
-			Eps:             *eps,
-			Coverage:        db,
-			ReportTop:       *top,
-			Traffic:         *trafficOn,
-			RouterStatePath: statePath,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skyserved: %v\n", err)
-			os.Exit(1)
-		}
-		coord.SeedMerge()
-		handler = coord.Handler()
-		shutdown = func(ctx context.Context) error { return coord.Close() }
-		log.Printf("skyserved: coordinator over %d shards: %s", len(nodes), *peers)
-
-	case *shards > 1:
-		// In-process sharding: N shard servers share one stats registry (the
-		// access(a) observations commute) and one template cache (warmed by
-		// the router), so the merged report is byte-identical to a single
-		// batch mine over the same records.
-		db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
-		stats := schema.NewStats()
-		skyserver.SeedStats(db, stats)
-		tcache := &extract.TemplateCache{}
-		router := shard.NewRouter(*shards, skyserver.Schema(), 0, tcache, *warmup)
-		nodes := make([]shard.Node, *shards)
-		for i := 0; i < *shards; i++ {
-			s, err := serve.NewServer(serve.Config{
-				Miner:            minerCfg(stats),
-				QueueSize:        *queue,
-				BatchSize:        *batch,
-				EpochAreas:       *epochAreas,
-				EpochInterval:    *epochInterval,
-				MaxMiningLag:     *maxLag,
-				Templates:        tcache,
-				SnapshotPath:     shardSnapshotPath(*snapshot, i),
-				WALDir:           shardWALDir(*walDir, i),
-				WALSegmentBytes:  *walSegBytes,
-				WALSegmentWindow: *walWindow,
-				Traffic:          trafficCfg,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skyserved: shard %d: %v\n", i, err)
-				os.Exit(1)
+	if *role == "coordinator" || *shards > 1 {
+		// One coordinator for both sharded topologies; only the node list
+		// differs. -role coordinator routes to remote shard processes (no
+		// local miner); -shards N embeds N shard servers that share one
+		// stats registry (the access(a) observations commute) and one
+		// template cache (warmed by the router), so the merged report is
+		// byte-identical to a single batch mine over the same records.
+		var nodes []shard.Node
+		var tcache *extract.TemplateCache
+		if *role == "coordinator" {
+			for i, p := range strings.Split(*peers, ",") {
+				nodes = append(nodes, shard.NewHTTPNode(fmt.Sprintf("shard-%d", i), strings.TrimSpace(p), nil))
 			}
-			nodes[i] = shard.NewLocalNode(fmt.Sprintf("shard-%d", i), s)
+		} else {
+			stats := schema.NewStats()
+			skyserver.SeedStats(db, stats)
+			tcache = &extract.TemplateCache{}
+			for i := 0; i < *shards; i++ {
+				s, err := serve.NewServer(serve.Config{
+					Miner:            minerCfg(stats),
+					QueueSize:        *queue,
+					BatchSize:        *batch,
+					EpochAreas:       *epochAreas,
+					EpochInterval:    *epochInterval,
+					MaxMiningLag:     *maxLag,
+					Templates:        tcache,
+					SnapshotPath:     shardSnapshotPath(*snapshot, i),
+					WALDir:           shardWALDir(*walDir, i),
+					WALSegmentBytes:  *walSegBytes,
+					WALSegmentWindow: *walWindow,
+					Traffic:          trafficCfg,
+				})
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "skyserved: shard %d: %v\n", i, err)
+					os.Exit(1)
+				}
+				nodes = append(nodes, shard.NewLocalNode(fmt.Sprintf("shard-%d", i), s))
+			}
 		}
 		statePath := ""
 		if *snapshot != "" {
 			statePath = *snapshot + ".router"
 		}
 		coord, err := shard.NewCoordinator(shard.Config{
-			Router:          router,
+			Router:          shard.NewRouter(len(nodes), skyserver.Schema(), tcache, 0),
 			Nodes:           nodes,
 			QueueSize:       *queue,
 			BatchSize:       *batch,
@@ -290,11 +288,9 @@ func main() {
 		coord.SeedMerge()
 		handler = coord.Handler()
 		shutdown = func(ctx context.Context) error { return coord.Close() }
-		log.Printf("skyserved: %d in-process shards", *shards)
-
-	default:
+		log.Printf("skyserved: coordinator over %d shards", len(nodes))
+	} else {
 		// Standalone server, or one shard node of a multi-node cluster.
-		db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
 		stats := schema.NewStats()
 		skyserver.SeedStats(db, stats)
 		cfg := serve.Config{

@@ -153,7 +153,7 @@ func (e *Env) runOneShardCount(n, burstSize, epochAreas, maxLag int, batchReport
 	stats := schema.NewStats()
 	skyserver.SeedStats(e.DB, stats)
 	tcache := &extract.TemplateCache{}
-	router := shard.NewRouter(n, e.Schema, 0, tcache, 0)
+	router := shard.NewRouter(n, e.Schema, tcache, 0)
 	nodes := make([]shard.Node, n)
 	servers := make([]*serve.Server, n)
 	for i := 0; i < n; i++ {
@@ -292,7 +292,7 @@ func (e *Env) runOneShardCount(n, burstSize, epochAreas, maxLag int, batchReport
 		}
 	}
 
-	merged, _, _ := coord.Merged()
+	merged, _, _ := coord.Latest("")
 	if merged != nil {
 		run.DistinctAreas = merged.DistinctAreas
 		run.Clusters = len(merged.Clusters)

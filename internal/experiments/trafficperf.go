@@ -203,7 +203,7 @@ func (e *Env) RunTrafficPerf() *TrafficPerfResult {
 			srv.Close()
 			return fail(err)
 		}
-		served, _ := srv.LatestClass(cls)
+		served, _, _ := srv.Latest(cls)
 		if served == nil {
 			out.IdenticalClassPartition = false
 			continue
@@ -226,8 +226,9 @@ func (e *Env) RunTrafficPerf() *TrafficPerfResult {
 	}
 
 	// The interface surface and drift run A.
-	out.InterfacesTracked = srv.TrackedInterfaces()
-	if ifaces := srv.RenderInterfaces(10); len(ifaces) > 0 {
+	ifaces, tracked := srv.Interfaces(10)
+	out.InterfacesTracked = tracked
+	if len(ifaces) > 0 {
 		out.TopInterfaceHits = ifaces[0].Hits
 	}
 	driftA, err := json.Marshal(srv.DriftEvents(""))
@@ -336,7 +337,7 @@ func (e *Env) RunTrafficPerf() *TrafficPerfResult {
 // flushedReport flushes the server and renders its latest global report.
 func flushedReport(srv *serve.Server) ([]byte, error) {
 	srv.Flush()
-	res, _ := srv.Latest()
+	res, _, _ := srv.Latest("")
 	var buf bytes.Buffer
 	if err := report.Write(&buf, res, report.JSON, report.Options{Coverage: true}); err != nil {
 		return nil, err

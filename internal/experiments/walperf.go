@@ -172,7 +172,7 @@ func (e *Env) walPerfReport(cfg serve.Config, recs []qlog.Record) ([]byte, error
 		return nil, err
 	}
 	srv.Flush()
-	res, _ := srv.Latest()
+	res, _, _ := srv.Latest("")
 	var buf bytes.Buffer
 	if err := report.Write(&buf, res, report.JSON, report.Options{Coverage: cfg.Coverage != nil}); err != nil {
 		srv.Close()
@@ -304,7 +304,7 @@ func (e *Env) RunWALPerf() *WALPerfResult {
 	}
 	out.RestartSeconds = time.Since(t0).Seconds()
 	srv2.Flush()
-	res2, _ := srv2.Latest()
+	res2, _, _ := srv2.Latest("")
 	var replayed bytes.Buffer
 	_ = report.Write(&replayed, res2, report.JSON, report.Options{Coverage: true})
 	out.IdenticalReportAfterReplay = bytes.Equal(replayed.Bytes(), onReport)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,40 +19,97 @@ import (
 	"repro/internal/traffic"
 )
 
-// Handler returns the service's HTTP surface:
+// Backend is what the shared HTTP surface serves from: one *Server (the
+// single node) or a shard coordinator over N of them. Every shared endpoint
+// has exactly one handler, written against this interface, so a client gets
+// the same contract — status codes, JSON keys, ETags — from either topology.
+type Backend interface {
+	// Enqueue admits one record: ErrClosed answers 503, any other error
+	// 429 (backpressure: the client re-sends the tail).
+	Enqueue(rec qlog.Record) error
+	// Commit is the durability barrier run before any reply acknowledging
+	// accepted > 0 records (a no-op where nothing is logged).
+	Commit(accepted int) error
+	// Flush drains everything accepted and runs an epoch (blocks).
+	Flush()
+	// FlushJSON, StatsJSON and MetricsJSON are the /flush, /stats and
+	// /metrics reply bodies.
+	FlushJSON() map[string]any
+	StatsJSON() map[string]any
+	MetricsJSON() map[string]any
+	// Latest returns the newest result for one traffic class ("" = the
+	// classless report), its generation, and the names of shards whose
+	// contribution is last-known rather than fresh (nil result before the
+	// first epoch).
+	Latest(class string) (*core.Result, int64, []string)
+	// TrafficEnabled reports whether the class-aware surfaces are on.
+	TrafficEnabled() bool
+	// DriftEvents returns the drift log, filtered to one class ("" = all).
+	DriftEvents(class string) []traffic.Event
+	// Interfaces returns the top-K mined query interfaces (top <= 0 = all)
+	// and how many fingerprints are tracked.
+	Interfaces(top int) ([]traffic.Interface, int)
+	// Closed reports whether the backend is shutting down.
+	Closed() bool
+}
+
+// NewMux returns the HTTP surface both topologies share:
 //
 //	POST /ingest    JSON array, single object, or NDJSON stream of records
 //	POST /flush     drain the queue and run an epoch (blocks)
-//	POST /snapshot  write the snapshot now
-//	POST /query     execute a statement via the semantic result cache
 //	GET  /report    latest clustering (text/csv/json, content-negotiated,
 //	                ETag/If-None-Match aware; ?class=bot|human|admin serves
-//	                one traffic class's partition of it)
+//	                one traffic class's partition of it; X-Stale-Shards lists
+//	                shards serving last-known results)
 //	GET  /drift     per-class interest-drift events (?class= filters)
 //	GET  /interfaces  hottest statement templates as parameterized query
 //	                interfaces (?top=N)
 //	GET  /stats     cumulative pipeline statistics
-//	GET  /metrics   flat counters (ingest rate, cache hits, epoch latency,
-//	                semantic-cache hit/miss/bytes per region);
-//	                ?format=prom renders the full registry in Prometheus
-//	                text exposition format
+//	GET  /metrics   flat counters (ingest rate, cache hits, epoch latency...);
+//	                ?format=prom renders reg (when non-nil) plus the
+//	                process-wide Default registry in Prometheus text format
 //	GET  /debug/slowlog  top-K slowest statements by fingerprint (?k=N)
 //	GET  /healthz   readiness
-func (s *Server) Handler() http.Handler {
+//
+// opts carries the report defaults (row cap, coverage columns). A backend
+// that also has a MergeIsExact() bool method answers /report with an
+// X-Merge-Exact header.
+func NewMux(b Backend, reg *obs.Registry, opts report.Options) *http.ServeMux {
+	h := &handlers{b: b, reg: reg, opts: opts}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", s.handleIngest)
-	mux.HandleFunc("/flush", s.handleFlush)
+	mux.HandleFunc("/ingest", h.ingest)
+	mux.HandleFunc("/flush", h.flush)
+	mux.HandleFunc("/report", h.report)
+	mux.HandleFunc("/drift", h.drift)
+	mux.HandleFunc("/interfaces", h.interfaces)
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, b.StatsJSON())
+	})
+	mux.HandleFunc("/metrics", h.metrics)
+	mux.HandleFunc("/debug/slowlog", handleSlowlog)
+	mux.HandleFunc("/healthz", h.healthz)
+	return mux
+}
+
+// Handler returns the single node's HTTP surface: the shared set (NewMux)
+// plus the endpoints only a node holding the data and the WAL can answer:
+//
+//	POST /snapshot  write the snapshot now
+//	POST /query     execute a statement via the semantic result cache
+//	POST /remine    mine a historical window from the WAL
+func (s *Server) Handler() http.Handler {
+	mux := NewMux(s, s.reg, report.Options{Top: s.cfg.ReportTop, Coverage: s.cfg.Coverage != nil})
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/remine", s.handleRemine)
-	mux.HandleFunc("/report", s.handleReport)
-	mux.HandleFunc("/drift", s.handleDrift)
-	mux.HandleFunc("/interfaces", s.handleInterfaces)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
-	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
+}
+
+// handlers binds the shared endpoints to one backend.
+type handlers struct {
+	b    Backend
+	reg  *obs.Registry
+	opts report.Options
 }
 
 // ingestReply is the JSON body of every /ingest response.
@@ -69,30 +127,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleIngest admits records into the bounded queue. A full queue answers
-// 429 with the count accepted so far — accepted records are never dropped,
-// the client re-sends the remainder. With a WAL configured, every reply
-// that acknowledges records is preceded by a group-commit fsync covering
-// them: an ack implies the records survive a crash.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	IngestHTTPCommit(w, r, s.enqueue, s.commitWAL)
-}
-
-// IngestHTTP implements the /ingest protocol — NDJSON or JSON body, one
-// enqueue call per record in input order, 429/503 with the accepted count on
-// refusal — against any admission function. The serve handler and the shard
-// coordinator share it so a client cannot tell a shard node from a
-// coordinator by ingest semantics. enqueue errors map to 503 for ErrClosed
-// and 429 for everything else (backpressure: the client re-sends the tail).
-func IngestHTTP(w http.ResponseWriter, r *http.Request, enqueue func(qlog.Record) error) {
-	IngestHTTPCommit(w, r, enqueue, nil)
-}
-
-// IngestHTTPCommit is IngestHTTP with a durability barrier: commit (when
-// non-nil) runs before any reply acknowledging accepted > 0 records. A
-// commit failure turns the reply into a 500 with zero accepted — nothing is
-// acknowledged that did not reach stable storage.
-func IngestHTTPCommit(w http.ResponseWriter, r *http.Request, enqueue func(qlog.Record) error, commit func(accepted int) error) {
+// ingest implements POST /ingest: an NDJSON or JSON body, one Enqueue per
+// record in input order. A refusal answers 429 (503 when closing) with the
+// count accepted so far — accepted records are never dropped, the client
+// re-sends the remainder. Every reply that acknowledges records is preceded
+// by the backend's durability barrier: with a WAL, an ack implies the
+// records survive a crash.
+func (h *handlers) ingest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -101,17 +142,19 @@ func IngestHTTPCommit(w http.ResponseWriter, r *http.Request, enqueue func(qlog.
 	ndjson := strings.Contains(ct, "ndjson") || strings.Contains(ct, "jsonl") ||
 		strings.Contains(ct, "jsonlines") || strings.Contains(ct, "text/plain")
 	if ndjson {
-		ingestNDJSON(w, r, enqueue, commit)
+		ingestNDJSON(w, r, h.b)
 		return
 	}
-	ingestJSON(w, r, enqueue, commit)
+	ingestJSON(w, r, h.b)
 }
 
 // replyIngest writes an ingest reply, running the durability barrier first
-// whenever the reply would acknowledge records.
-func replyIngest(w http.ResponseWriter, status int, reply ingestReply, commit func(int) error) {
-	if commit != nil && reply.Accepted > 0 {
-		if err := commit(reply.Accepted); err != nil {
+// whenever the reply would acknowledge records. A barrier failure turns the
+// reply into a 500 with zero accepted — nothing is acknowledged that did
+// not reach stable storage.
+func replyIngest(w http.ResponseWriter, status int, reply ingestReply, b Backend) {
+	if reply.Accepted > 0 {
+		if err := b.Commit(reply.Accepted); err != nil {
 			writeJSON(w, http.StatusInternalServerError, ingestReply{
 				Error: "durability barrier failed, nothing acknowledged: " + err.Error(),
 			})
@@ -123,7 +166,7 @@ func replyIngest(w http.ResponseWriter, status int, reply ingestReply, commit fu
 
 // ingestNDJSON streams one record per line into the queue without holding
 // the whole body in memory.
-func ingestNDJSON(w http.ResponseWriter, r *http.Request, enqueue func(qlog.Record) error, commit func(int) error) {
+func ingestNDJSON(w http.ResponseWriter, r *http.Request, b Backend) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	accepted := 0
@@ -139,127 +182,69 @@ func ingestNDJSON(w http.ResponseWriter, r *http.Request, enqueue func(qlog.Reco
 			replyIngest(w, http.StatusBadRequest, ingestReply{
 				Accepted: accepted,
 				Error:    fmt.Sprintf("line %d: %v", line, err),
-			}, commit)
+			}, b)
 			return
 		}
-		if err := enqueue(rec); err != nil {
-			ingestRejected(w, accepted, err, commit)
+		if err := b.Enqueue(rec); err != nil {
+			ingestRejected(w, accepted, err, b)
 			return
 		}
 		accepted++
 	}
 	if err := sc.Err(); err != nil {
-		replyIngest(w, http.StatusBadRequest, ingestReply{Accepted: accepted, Error: err.Error()}, commit)
+		replyIngest(w, http.StatusBadRequest, ingestReply{Accepted: accepted, Error: err.Error()}, b)
 		return
 	}
-	replyIngest(w, http.StatusAccepted, ingestReply{Accepted: accepted}, commit)
+	replyIngest(w, http.StatusAccepted, ingestReply{Accepted: accepted}, b)
 }
 
 // ingestJSON handles an application/json body: an array of records or one
-// record object.
-func ingestJSON(w http.ResponseWriter, r *http.Request, enqueue func(qlog.Record) error, commit func(int) error) {
-	dec := json.NewDecoder(r.Body)
+// record object. Every record decodes before any is admitted, so a
+// malformed body admits nothing.
+func ingestJSON(w http.ResponseWriter, r *http.Request, b Backend) {
+	var raw json.RawMessage
+	err := json.NewDecoder(r.Body).Decode(&raw)
 	var recs []qlog.Record
-	tok, err := dec.Token()
+	switch {
+	case err != nil:
+	case raw[0] == '[':
+		err = json.Unmarshal(raw, &recs)
+	case raw[0] == '{':
+		recs = make([]qlog.Record, 1)
+		err = json.Unmarshal(raw, &recs[0])
+	default:
+		err = errors.New("body must be a JSON array, object, or NDJSON stream")
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ingestReply{Error: err.Error()})
 		return
 	}
-	if d, ok := tok.(json.Delim); ok && d == '[' {
-		for dec.More() {
-			var rec qlog.Record
-			if err := dec.Decode(&rec); err != nil {
-				writeJSON(w, http.StatusBadRequest, ingestReply{Error: err.Error()})
-				return
-			}
-			recs = append(recs, rec)
-		}
-	} else {
-		// Re-decode the whole body as one object: the first token consumed
-		// '{', so rebuild from the delimiter onward is messy — instead we
-		// require objects to arrive via NDJSON when streamed, and accept the
-		// common single-object case by buffering here.
-		if d, ok := tok.(json.Delim); !ok || d != '{' {
-			writeJSON(w, http.StatusBadRequest, ingestReply{Error: "body must be a JSON array, object, or NDJSON stream"})
-			return
-		}
-		var rec qlog.Record
-		if err := decodeObjectRest(dec, &rec); err != nil {
-			writeJSON(w, http.StatusBadRequest, ingestReply{Error: err.Error()})
-			return
-		}
-		recs = append(recs, rec)
-	}
 	accepted := 0
 	for i := range recs {
-		if err := enqueue(recs[i]); err != nil {
-			ingestRejected(w, accepted, err, commit)
+		if err := b.Enqueue(recs[i]); err != nil {
+			ingestRejected(w, accepted, err, b)
 			return
 		}
 		accepted++
 	}
-	replyIngest(w, http.StatusAccepted, ingestReply{Accepted: accepted}, commit)
+	replyIngest(w, http.StatusAccepted, ingestReply{Accepted: accepted}, b)
 }
 
-// decodeObjectRest fills rec from a decoder positioned just past the
-// object's opening brace.
-func decodeObjectRest(dec *json.Decoder, rec *qlog.Record) error {
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "seq":
-			if err := dec.Decode(&rec.Seq); err != nil {
-				return err
-			}
-		case "time":
-			if err := dec.Decode(&rec.Time); err != nil {
-				return err
-			}
-		case "user":
-			if err := dec.Decode(&rec.User); err != nil {
-				return err
-			}
-		case "sql":
-			if err := dec.Decode(&rec.SQL); err != nil {
-				return err
-			}
-		case "class":
-			if err := dec.Decode(&rec.Class); err != nil {
-				return err
-			}
-		default:
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := dec.Token() // closing brace
-	return err
-}
-
-func ingestRejected(w http.ResponseWriter, accepted int, err error, commit func(int) error) {
+func ingestRejected(w http.ResponseWriter, accepted int, err error, b Backend) {
 	status := http.StatusTooManyRequests
 	if err == ErrClosed {
 		status = http.StatusServiceUnavailable
 	}
-	replyIngest(w, status, ingestReply{Accepted: accepted, Dropped: 1, Error: err.Error()}, commit)
+	replyIngest(w, status, ingestReply{Accepted: accepted, Dropped: 1, Error: err.Error()}, b)
 }
 
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
+func (h *handlers) flush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	s.Flush()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"distinct_areas": s.inc.Distinct(),
-		"epochs":         s.epochs.Load(),
-	})
+	h.b.Flush()
+	writeJSON(w, http.StatusOK, h.b.FlushJSON())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -381,9 +366,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// NegotiateFormat picks the report encoding: ?format= wins, then Accept.
-// Exported so the shard coordinator's merged /report negotiates identically.
-func NegotiateFormat(r *http.Request) (report.Format, error) {
+// negotiateFormat picks the report encoding: ?format= wins, then Accept.
+func negotiateFormat(r *http.Request) (report.Format, error) {
 	if f := r.URL.Query().Get("format"); f != "" {
 		return report.ParseFormat(f)
 	}
@@ -404,57 +388,61 @@ var contentTypes = map[report.Format]string{
 	report.JSON: "application/json",
 }
 
-// FormatContentType returns the Content-Type header value for a report
-// format (companion to NegotiateFormat for embedders).
-func FormatContentType(f report.Format) string { return contentTypes[f] }
+// classParam validates ?class=: 409 when the backend mines no traffic
+// classes, 400 for an unknown class. ok is false once an error was written.
+func (h *handlers) classParam(w http.ResponseWriter, r *http.Request) (class string, ok bool) {
+	class = r.URL.Query().Get("class")
+	if class == "" {
+		return "", true
+	}
+	if !h.b.TrafficEnabled() {
+		http.Error(w, "traffic mining not configured", http.StatusConflict)
+		return "", false
+	}
+	if !traffic.ValidClass(class) {
+		http.Error(w, "class must be bot, human or admin", http.StatusBadRequest)
+		return "", false
+	}
+	return class, true
+}
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+func (h *handlers) report(w http.ResponseWriter, r *http.Request) {
 	sp := reportStage.Start()
 	defer sp.End()
-	format, err := NegotiateFormat(r)
+	format, err := negotiateFormat(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	class := r.URL.Query().Get("class")
-	if class != "" {
-		if s.traffic == nil {
-			http.Error(w, "traffic mining not configured", http.StatusConflict)
-			return
-		}
-		if !traffic.ValidClass(class) {
-			http.Error(w, "class must be bot, human or admin", http.StatusBadRequest)
-			return
-		}
+	class, ok := h.classParam(w, r)
+	if !ok {
+		return
 	}
-	var res *core.Result
-	var gen int64
-	if class != "" {
-		res, gen = s.LatestClass(class)
-	} else {
-		res, gen = s.latest()
-	}
+	res, gen, stale := h.b.Latest(class)
 	if res == nil {
 		http.Error(w, "no epoch has run yet — POST /flush or keep ingesting", http.StatusServiceUnavailable)
 		return
 	}
-	top := s.cfg.ReportTop
+	opts := h.opts
 	if t := r.URL.Query().Get("top"); t != "" {
 		n, err := strconv.Atoi(t)
 		if err != nil || n < 0 {
 			http.Error(w, "top must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		top = n
+		opts.Top = n
 	}
-	// The report body is a pure function of (epoch generation, class,
-	// format, top), so that tuple is the entity tag; polling clients send
-	// If-None-Match and skip re-downloading an unchanged Table-1 view. The
-	// classless tag keeps its original shape.
-	etag := fmt.Sprintf(`"r%d-%s-%d"`, gen, format, top)
-	if class != "" {
-		etag = fmt.Sprintf(`"r%d-%s-%s-%d"`, gen, class, format, top)
+	if len(stale) > 0 {
+		w.Header().Set("X-Stale-Shards", strings.Join(stale, ","))
 	}
+	if m, ok := h.b.(interface{ MergeIsExact() bool }); ok {
+		w.Header().Set("X-Merge-Exact", strconv.FormatBool(m.MergeIsExact()))
+	}
+	// The report body is a pure function of (generation, class, format,
+	// top, stale set), so that tuple is the entity tag: polling clients send
+	// If-None-Match and skip re-downloading an unchanged Table-1 view, and a
+	// shard recovering (fewer stale shards) invalidates cached copies.
+	etag := fmt.Sprintf(`"r%d-%s-%s-%d-%s"`, gen, class, format, opts.Top, strings.Join(stale, "+"))
 	w.Header().Set("ETag", etag)
 	if match := r.Header.Get("If-None-Match"); match != "" {
 		for _, cand := range strings.Split(match, ",") {
@@ -467,19 +455,141 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", contentTypes[format])
-	_ = report.Write(w, res, format, report.Options{Top: top, Coverage: s.cfg.Coverage != nil})
+	_ = report.Write(w, res, format, opts)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.statsSnapshot()
+// drift serves GET /drift: the deterministic per-class interest-drift
+// event log (?class=bot|human|admin filters).
+func (h *handlers) drift(w http.ResponseWriter, r *http.Request) {
+	if !h.b.TrafficEnabled() {
+		http.Error(w, "traffic mining not configured", http.StatusConflict)
+		return
+	}
+	class, ok := h.classParam(w, r)
+	if !ok {
+		return
+	}
+	events := h.b.DriftEvents(class)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"pipeline":       st,
+		"events": events,
+		"count":  len(events),
+	})
+}
+
+// interfaces serves GET /interfaces: the top-K hottest statement
+// fingerprints rendered as parameterized query interfaces (?top=N, default
+// 10).
+func (h *handlers) interfaces(w http.ResponseWriter, r *http.Request) {
+	if !h.b.TrafficEnabled() {
+		http.Error(w, "traffic mining not configured", http.StatusConflict)
+		return
+	}
+	top := 10
+	if q := r.URL.Query().Get("top"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n <= 0 {
+			http.Error(w, "top must be a positive integer", http.StatusBadRequest)
+			return
+		}
+		top = n
+	}
+	ifaces, tracked := h.b.Interfaces(top)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"interfaces": ifaces,
+		"tracked":    tracked,
+	})
+}
+
+// metrics serves the backend's flat JSON counter map; ?format=prom renders
+// the backend's registry plus the process-wide Default registry (stage
+// histograms, package counters) in Prometheus text exposition format.
+func (h *handlers) metrics(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "prom" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if h.reg != nil {
+			_ = h.reg.WritePrometheus(w)
+		}
+		_ = obs.Default().WritePrometheus(w)
+		return
+	}
+	writeJSON(w, http.StatusOK, h.b.MetricsJSON())
+}
+
+// slowlogEntry is the JSON shape of one /debug/slowlog row; the fingerprint
+// renders as fixed-width hex so it lines up with log-mining tooling.
+type slowlogEntry struct {
+	Fingerprint string  `json:"fingerprint"`
+	Stage       string  `json:"stage"`
+	Seconds     float64 `json:"seconds"`
+	UnixNano    int64   `json:"unix_nano"`
+}
+
+// handleSlowlog serves the top-K slowest recorded operations (ranked by
+// extraction+execution time, identified by statement fingerprint — raw SQL
+// never appears here). ?k=N caps the rows (default 20, 0 = everything
+// resident in the ring).
+func handleSlowlog(w http.ResponseWriter, r *http.Request) {
+	k := 20
+	if q := r.URL.Query().Get("k"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 0 {
+			http.Error(w, "k must be a non-negative integer", http.StatusBadRequest)
+			return
+		}
+		k = n
+	}
+	top := obs.DefaultSlowLog.TopK(k)
+	out := make([]slowlogEntry, len(top))
+	for i, e := range top {
+		out[i] = slowlogEntry{
+			Fingerprint: fmt.Sprintf("%016x", e.Fingerprint),
+			Stage:       e.Stage,
+			Seconds:     e.Seconds,
+			UnixNano:    e.UnixNano,
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"entries": out})
+}
+
+func (h *handlers) healthz(w http.ResponseWriter, r *http.Request) {
+	if h.b.Closed() {
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// The single node as a Backend.
+
+// Enqueue admits one record (see enqueue).
+func (s *Server) Enqueue(rec qlog.Record) error { return s.enqueue(rec) }
+
+// Closed reports whether Shutdown (or Abort) has begun.
+func (s *Server) Closed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// FlushJSON is the /flush reply body.
+func (s *Server) FlushJSON() map[string]any {
+	return map[string]any{
+		"distinct_areas": s.inc.Distinct(),
+		"epochs":         s.epochs.Load(),
+	}
+}
+
+// StatsJSON is the /stats reply body.
+func (s *Server) StatsJSON() map[string]any {
+	return map[string]any{
+		"pipeline":       s.statsSnapshot(),
 		"distinct_areas": s.inc.Distinct(),
 		"accepted":       s.accepted.Load(),
 		"rejected":       s.rejected.Load(),
 		"processed":      s.processedCount(),
 		"epochs":         s.epochs.Load(),
-	})
+	}
 }
 
 func (s *Server) processedCount() int64 {
@@ -488,29 +598,14 @@ func (s *Server) processedCount() int64 {
 	return s.processed
 }
 
-// handleMetrics serves the registry. The default view is the legacy flat
-// JSON map (keys unchanged since the first serve release); ?format=prom
-// renders the server registry plus the process-wide Default registry (stage
-// histograms, package counters) in Prometheus text exposition format.
-//
-// Every value is snapshotted OUTSIDE the server mutex: statsSnapshot takes
-// s.mu only long enough to copy the cumulative pipeline stats, and
-// everything else reads atomics. Neither view holds any lock while the
-// reply is built or written, so a slow client can never stall ingest or an
-// epoch flush (TestMetricsConcurrentWithFlush hammers this under -race).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WritePrometheus(w)
-		_ = obs.Default().WritePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.legacyMetrics())
-}
-
-// legacyMetrics assembles the original flat counter map — now a JSON view
-// over the same atomics the registry's function-backed metrics read.
-func (s *Server) legacyMetrics() map[string]any {
+// MetricsJSON is the /metrics reply body: the flat counter map (keys
+// unchanged since the first serve release), a JSON view over the same
+// atomics the registry's function-backed metrics read. Every value is
+// snapshotted outside the server mutex — statsSnapshot takes s.mu only long
+// enough to copy the cumulative pipeline stats, everything else reads
+// atomics — so a slow /metrics client never stalls ingest or an epoch flush
+// (TestMetricsConcurrentWithFlush hammers this under -race).
+func (s *Server) MetricsJSON() map[string]any {
 	st := s.statsSnapshot()
 	uptime := time.Since(s.start).Seconds()
 	accepted := s.accepted.Load()
@@ -589,52 +684,4 @@ func (s *Server) legacyMetrics() map[string]any {
 		metrics["traffic_interfaces_tracked"] = t.trackedInterfaces()
 	}
 	return metrics
-}
-
-// slowlogEntry is the JSON shape of one /debug/slowlog row; the fingerprint
-// renders as fixed-width hex so it lines up with log-mining tooling.
-type slowlogEntry struct {
-	Fingerprint string  `json:"fingerprint"`
-	Stage       string  `json:"stage"`
-	Seconds     float64 `json:"seconds"`
-	UnixNano    int64   `json:"unix_nano"`
-}
-
-// handleSlowlog serves the top-K slowest recorded operations (ranked by
-// extraction+execution time, identified by statement fingerprint — raw SQL
-// never appears here). ?k=N caps the rows (default 20, 0 = everything
-// resident in the ring).
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if q := r.URL.Query().Get("k"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			http.Error(w, "k must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		k = n
-	}
-	top := obs.DefaultSlowLog.TopK(k)
-	out := make([]slowlogEntry, len(top))
-	for i, e := range top {
-		out[i] = slowlogEntry{
-			Fingerprint: fmt.Sprintf("%016x", e.Fingerprint),
-			Stage:       e.Stage,
-			Seconds:     e.Seconds,
-			UnixNano:    e.UnixNano,
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": out})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }

@@ -45,7 +45,7 @@ func (s *Server) handleRemine(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "re-mining not configured (no -wal-dir)", http.StatusConflict)
 		return
 	}
-	format, err := NegotiateFormat(r)
+	format, err := negotiateFormat(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

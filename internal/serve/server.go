@@ -166,7 +166,7 @@ type Server struct {
 	// wal is the durable ingest log (nil unless Config.WALDir is set).
 	wal *wal.WAL
 	// walHigh is one past the offset of the last record this server
-	// appended (under s.mu). commitWAL reads it right after a caller's
+	// appended (under s.mu). Commit reads it right after a caller's
 	// final enqueue, so the durability barrier targets the caller's own
 	// records and free-rides on group commits instead of chasing the
 	// ever-advancing global append frontier.
@@ -374,7 +374,7 @@ var (
 
 // enqueue admits one record or reports why it could not. With a WAL
 // configured, admission also appends the record to the log (asynchronously —
-// durability is enforced by commitWAL before any acknowledgement). The queue
+// durability is enforced by Commit before any acknowledgement). The queue
 // send and the WAL append happen under one mutex hold, so WAL order is
 // exactly processing order and replay reproduces the live run.
 func (s *Server) enqueue(rec qlog.Record) error {
@@ -407,7 +407,7 @@ func (s *Server) enqueue(rec qlog.Record) error {
 		if s.wal != nil {
 			// Append cannot report a closed WAL here: the WAL closes only
 			// after s.closed is set, which this mutex hold just ruled out.
-			// Write errors surface at the commitWAL fsync barrier.
+			// Write errors surface at the Commit fsync barrier.
 			if off, err := s.wal.Append(rec, fp); err == nil {
 				s.walHigh = off + 1
 			}
@@ -491,10 +491,10 @@ func fingerprintFull(sql string) (uint64, []sqlparser.Literal, bool) {
 	return fp, lits, true
 }
 
-// commitWAL is the durability barrier: it blocks until every record
-// appended so far is fsynced. Callers invoke it before acknowledging
-// accepted records; with no WAL configured it is free.
-func (s *Server) commitWAL(accepted int) error {
+// Commit is the durability barrier: it blocks until every record appended
+// so far is fsynced. Callers invoke it before acknowledging accepted
+// records; with no WAL configured it is free.
+func (s *Server) Commit(accepted int) error {
 	if s.wal == nil || accepted == 0 {
 		return nil
 	}
@@ -521,7 +521,7 @@ func (s *Server) IngestRecords(recs []qlog.Record) (int, error) {
 			break
 		}
 	}
-	if err := s.commitWAL(accepted); err != nil {
+	if err := s.Commit(accepted); err != nil {
 		// Nothing is durably acknowledged when the fsync fails: the caller
 		// must treat the whole call as refused and re-send.
 		return 0, err
@@ -671,18 +671,19 @@ func (s *Server) statsGeneration() uint64 {
 	return 0
 }
 
-// latest returns the most recent epoch's result and its generation (nil, 0
-// before the first epoch).
-func (s *Server) latest() (*core.Result, int64) {
+// Latest returns the most recent epoch's result for one traffic class ("" =
+// the global clustering) and its generation (nil before the first epoch, or
+// for a class with traffic mining off). A single node has no stale shards.
+// Callers must treat the Result as immutable — it is shared with every
+// /report in flight.
+func (s *Server) Latest(class string) (*core.Result, int64, []string) {
 	s.resMu.RLock()
 	defer s.resMu.RUnlock()
-	return s.res, s.resGen
+	if class == "" {
+		return s.res, s.resGen, nil
+	}
+	return s.classRes[class], s.resGen, nil
 }
-
-// Latest exposes the most recent epoch's result and generation to embedders
-// (the shard coordinator merges these). Callers must treat the Result as
-// immutable — it is shared with every /report in flight.
-func (s *Server) Latest() (*core.Result, int64) { return s.latest() }
 
 // StatsSnapshot exposes a copy of the cumulative pipeline statistics.
 func (s *Server) StatsSnapshot() *qlog.Stats { return s.statsSnapshot() }

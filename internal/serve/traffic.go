@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -155,15 +153,6 @@ func (s *Server) reclusterClasses(force bool) map[string]*core.Result {
 // TrafficEnabled reports whether the server mines per traffic class.
 func (s *Server) TrafficEnabled() bool { return s.traffic != nil }
 
-// LatestClass exposes the most recent epoch's clustering for one traffic
-// class (nil before the first epoch or with traffic mining off). Like
-// Latest, the Result must be treated as immutable.
-func (s *Server) LatestClass(class string) (*core.Result, int64) {
-	s.resMu.RLock()
-	defer s.resMu.RUnlock()
-	return s.classRes[class], s.resGen
-}
-
 // DriftEvents returns the retained drift-event log, optionally filtered to
 // one class ("" = all). The slice is a copy.
 func (s *Server) DriftEvents(class string) []traffic.Event {
@@ -175,25 +164,22 @@ func (s *Server) DriftEvents(class string) []traffic.Event {
 	return s.traffic.drift.Events(class)
 }
 
-// RenderInterfaces renders the top-K hottest statement templates as
-// parameterized query interfaces (nil with traffic mining off).
-func (s *Server) RenderInterfaces(top int) []traffic.Interface {
+// Interfaces renders the top-K hottest statement templates as
+// parameterized query interfaces (top <= 0 = every tracked one) and reports
+// how many fingerprints the interface miner tracks (nil, 0 with traffic
+// mining off).
+func (s *Server) Interfaces(top int) ([]traffic.Interface, int) {
 	t := s.traffic
 	if t == nil {
-		return nil
+		return nil, 0
 	}
 	t.tmu.Lock()
 	defer t.tmu.Unlock()
-	return t.ifaces.Render(top, s.pipe.Cache)
-}
-
-// TrackedInterfaces reports how many distinct statement fingerprints the
-// interface miner tracks (0 with traffic mining off).
-func (s *Server) TrackedInterfaces() int {
-	if s.traffic == nil {
-		return 0
+	tracked := t.ifaces.Len()
+	if top <= 0 {
+		top = tracked
 	}
-	return s.traffic.trackedInterfaces()
+	return t.ifaces.Render(top, s.pipe.Cache), tracked
 }
 
 // TrafficUserClasses returns every tracked user's final class — the
@@ -206,49 +192,6 @@ func (s *Server) TrafficUserClasses() map[string]string {
 	t.tmu.Lock()
 	defer t.tmu.Unlock()
 	return t.classifier.UserClasses()
-}
-
-// handleDrift serves GET /drift: the deterministic per-class interest-drift
-// event log (?class=bot|human|admin filters).
-func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	if s.traffic == nil {
-		http.Error(w, "traffic mining not configured", http.StatusConflict)
-		return
-	}
-	class := r.URL.Query().Get("class")
-	if class != "" && !traffic.ValidClass(class) {
-		http.Error(w, "class must be bot, human or admin", http.StatusBadRequest)
-		return
-	}
-	events := s.DriftEvents(class)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"events": events,
-		"count":  len(events),
-	})
-}
-
-// handleInterfaces serves GET /interfaces: the top-K hottest statement
-// fingerprints rendered as parameterized query interfaces (?top=N, default
-// 10).
-func (s *Server) handleInterfaces(w http.ResponseWriter, r *http.Request) {
-	if s.traffic == nil {
-		http.Error(w, "traffic mining not configured", http.StatusConflict)
-		return
-	}
-	top := 10
-	if q := r.URL.Query().Get("top"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n <= 0 {
-			http.Error(w, "top must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		top = n
-	}
-	ifaces := s.RenderInterfaces(top)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"interfaces": ifaces,
-		"tracked":    s.TrackedInterfaces(),
-	})
 }
 
 func (t *trafficState) trackedInterfaces() int {

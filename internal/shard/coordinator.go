@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"encoding/json"
+	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/qlog"
+	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/traffic"
 )
@@ -179,8 +183,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 
 // Enqueue routes one record and admits it to the owning shard's queue (or,
 // during the router's warmup, to the per-key staging buffer). Errors are
-// serve's admission sentinels so serve.IngestHTTP maps them to the same
-// status codes a single server would answer.
+// serve's admission sentinels, so the shared /ingest handler answers the
+// same status codes a single server would.
 func (c *Coordinator) Enqueue(rec qlog.Record) error {
 	shardIdx, key := c.router.Route(rec)
 	c.ingestMu.Lock()
@@ -366,7 +370,7 @@ func (c *Coordinator) forward(i int, batch []qlog.Record) {
 			time.Sleep(time.Millisecond)
 		default:
 			c.down[i].Store(true)
-			if c.isClosed() && attempts > 20 {
+			if c.Closed() && attempts > 20 {
 				c.dropped[i].Add(int64(len(batch)))
 				return
 			}
@@ -376,7 +380,8 @@ func (c *Coordinator) forward(i int, batch []qlog.Record) {
 	c.down[i].Store(false)
 }
 
-func (c *Coordinator) isClosed() bool {
+// Closed reports whether Close has begun.
+func (c *Coordinator) Closed() bool {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
 	return c.closed
@@ -468,34 +473,10 @@ func (c *Coordinator) Flush() {
 		wg.Add(1)
 		go func(i int, node Node) {
 			defer wg.Done()
-			if err := node.Flush(); err != nil {
+			if err := node.Flush(); err != nil || !c.fetch(i, false) {
 				c.down[i].Store(true)
 				return
 			}
-			res, _, err := node.Result()
-			if err != nil {
-				c.down[i].Store(true)
-				return
-			}
-			st, err := node.Stats()
-			if err != nil {
-				c.down[i].Store(true)
-				return
-			}
-			var tr *WireTraffic
-			if c.cfg.Traffic {
-				if tr, err = node.Traffic(); err != nil {
-					c.down[i].Store(true)
-					return
-				}
-			}
-			c.mergeMu.Lock()
-			c.lastResults[i] = res
-			c.lastStats[i] = st
-			if tr != nil {
-				c.lastTraffic[i] = tr
-			}
-			c.mergeMu.Unlock()
 			fresh[i] = true
 		}(i, node)
 	}
@@ -532,6 +513,35 @@ func (c *Coordinator) remerge(fresh []bool) {
 	c.gen++
 }
 
+// fetch refreshes shard i's cached result, stats and (with traffic mining)
+// traffic bundle. It caches nothing and returns false when a fetch fails
+// or, with needResult, when the shard has no epoch yet.
+func (c *Coordinator) fetch(i int, needResult bool) bool {
+	node := c.nodes[i]
+	res, _, err := node.Result()
+	if err != nil || (needResult && res == nil) {
+		return false
+	}
+	st, err := node.Stats()
+	if err != nil {
+		return false
+	}
+	var tr *WireTraffic
+	if c.cfg.Traffic {
+		if tr, err = node.Traffic(); err != nil {
+			return false
+		}
+	}
+	c.mergeMu.Lock()
+	c.lastResults[i] = res
+	c.lastStats[i] = st
+	if tr != nil {
+		c.lastTraffic[i] = tr
+	}
+	c.mergeMu.Unlock()
+	return true
+}
+
 // SeedMerge primes the merged view from shards that already hold an epoch
 // result — i.e. after a restart where every shard restored its snapshot.
 // Without it a restarted coordinator answers 503 on /report until the next
@@ -543,43 +553,27 @@ func (c *Coordinator) SeedMerge() {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	fresh := make([]bool, len(c.nodes))
-	any := false
-	for i, node := range c.nodes {
-		res, _, err := node.Result()
-		if err != nil || res == nil {
-			continue
+	seeded := false
+	for i := range c.nodes {
+		if c.fetch(i, true) {
+			fresh[i], seeded = true, true
 		}
-		st, err := node.Stats()
-		if err != nil {
-			continue
-		}
-		var tr *WireTraffic
-		if c.cfg.Traffic {
-			if tr, err = node.Traffic(); err != nil {
-				continue
-			}
-		}
-		c.mergeMu.Lock()
-		c.lastResults[i] = res
-		c.lastStats[i] = st
-		if tr != nil {
-			c.lastTraffic[i] = tr
-		}
-		c.mergeMu.Unlock()
-		fresh[i] = true
-		any = true
 	}
-	if any {
+	if seeded {
 		c.remerge(fresh)
 	}
 }
 
-// Merged returns the latest merged result, its generation, and the names of
-// shards whose contribution is stale (nil result, 0 before the first merge).
-func (c *Coordinator) Merged() (*core.Result, int64, []string) {
+// Latest returns one traffic class's merged clustering ("" = the global
+// merge), the merge generation, and the names of shards whose contribution
+// is stale (nil result, 0 before the first merge).
+func (c *Coordinator) Latest(class string) (*core.Result, int64, []string) {
 	c.mergeMu.RLock()
 	defer c.mergeMu.RUnlock()
-	return c.merged, c.gen, c.stale
+	if class == "" {
+		return c.merged, c.gen, c.stale
+	}
+	return c.mergedClass[class], c.gen, c.stale
 }
 
 // MergeIsExact reports whether relation-set sharding provably reproduced a
@@ -652,16 +646,6 @@ func (c *Coordinator) Status() []ShardStatus {
 	return out
 }
 
-// Accepted and Rejected expose the coordinator's own admission counters.
-func (c *Coordinator) Accepted() int64 { return c.accepted.Load() }
-func (c *Coordinator) Rejected() int64 { return c.rejected.Load() }
-
-// Retries counts forwarded-batch retries (backpressure plus failures).
-func (c *Coordinator) Retries() int64 { return c.retries.Load() }
-
-// Router exposes the router (for metrics and state persistence).
-func (c *Coordinator) Router() *Router { return c.router }
-
 // Close stops admission, binds and delivers any still-staged records, lets
 // the senders deliver (or, for shards that stay down, abandon) the buffered
 // backlog, stops the health loop, closes every node — LocalNodes drain and
@@ -728,4 +712,117 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	return nil
+}
+
+// Handler returns the coordinator's HTTP surface: serve's shared handler set
+// (serve.NewMux — /ingest, /flush, /report, /drift, /interfaces, /stats,
+// /metrics, /debug/slowlog, /healthz), so clients (loggen, curl scripts,
+// dashboards) work unchanged against a single node or a coordinator, plus
+//
+//	GET  /shard/status  per-shard liveness and delivery state
+//
+// /report additionally carries X-Stale-Shards (shards serving last-known
+// results) and X-Merge-Exact (the equivalence guarantee). /query, /remine
+// and /snapshot stay single-node.
+func (c *Coordinator) Handler() http.Handler {
+	mux := serve.NewMux(c, nil, report.Options{Top: c.cfg.ReportTop, Coverage: c.cfg.Coverage != nil})
+	mux.HandleFunc("/shard/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(map[string]any{"shards": c.Status()})
+	})
+	return mux
+}
+
+// Commit is a no-op: the coordinator logs nothing; each shard runs its own
+// durability barrier before acknowledging a forwarded batch.
+func (c *Coordinator) Commit(int) error { return nil }
+
+// FlushJSON is the /flush reply body.
+func (c *Coordinator) FlushJSON() map[string]any {
+	merged, gen, stale := c.Latest("")
+	reply := map[string]any{"generation": gen, "stale_shards": stale}
+	if merged != nil {
+		reply["distinct_areas"] = merged.DistinctAreas
+		reply["clusters"] = len(merged.Clusters)
+	}
+	return reply
+}
+
+// StatsJSON is the /stats reply body: merged pipeline statistics plus the
+// per-shard breakdown from the last flush.
+func (c *Coordinator) StatsJSON() map[string]any {
+	merged, gen, _ := c.Latest("")
+	perShard := make(map[string]any, len(c.nodes))
+	c.mergeMu.RLock()
+	for i, node := range c.nodes {
+		if c.lastStats[i] != nil {
+			perShard[node.Name()] = c.lastStats[i]
+		}
+	}
+	c.mergeMu.RUnlock()
+	reply := map[string]any{
+		"pipeline":   c.MergedStats(),
+		"generation": gen,
+		"accepted":   c.accepted.Load(),
+		"rejected":   c.rejected.Load(),
+		"per_shard":  perShard,
+	}
+	if merged != nil {
+		reply["distinct_areas"] = merged.DistinctAreas
+	}
+	return reply
+}
+
+// MetricsJSON is the /metrics reply body: admission, routing overhead,
+// merge state and per-shard queue counters.
+func (c *Coordinator) MetricsJSON() map[string]any {
+	uptime := time.Since(c.start).Seconds()
+	accepted := c.accepted.Load()
+	rate := 0.0
+	if uptime > 0 {
+		rate = float64(accepted) / uptime
+	}
+	routed := c.router.Routed()
+	routeNS := c.router.RouteNanos()
+	perRecord := 0.0
+	if routed > 0 {
+		perRecord = float64(routeNS) / float64(routed)
+	}
+	_, gen, stale := c.Latest("")
+	metrics := map[string]any{
+		"uptime_seconds":        uptime,
+		"ingest_accepted":       accepted,
+		"ingest_rejected":       c.rejected.Load(),
+		"ingest_rate_per_sec":   rate,
+		"shards":                len(c.nodes),
+		"merge_generation":      gen,
+		"stale_shards":          len(stale),
+		"merge_exact":           c.MergeIsExact(),
+		"forward_retries":       c.retries.Load(),
+		"route_records":         routed,
+		"route_total_ns":        routeNS,
+		"route_ns_per_record":   perRecord,
+		"route_full_parses":     c.router.FullParses(),
+		"route_max_relations":   c.router.MaxRels(),
+		"template_cache_len":    c.router.Cache().Len(),
+		"template_cache_hits":   c.router.Cache().Hits(),
+		"template_cache_misses": c.router.Cache().Misses(),
+	}
+	if c.cfg.Traffic {
+		c.mergeMu.RLock()
+		metrics["traffic_drift_events"] = len(c.mergedDrift)
+		metrics["traffic_interfaces_tracked"] = c.ifaceTracked
+		c.mergeMu.RUnlock()
+	}
+	for _, st := range c.Status() {
+		prefix := "shard_" + strconv.Itoa(st.Index) + "_"
+		metrics[prefix+"queue_depth"] = st.QueueDepth
+		metrics[prefix+"enqueued"] = st.Enqueued
+		metrics[prefix+"forwarded"] = st.Forwarded
+		metrics[prefix+"down"] = st.Down
+		metrics[prefix+"routed_load"] = st.Load
+	}
+	return metrics
 }

@@ -26,7 +26,7 @@ func buildDurableCluster(t *testing.T, n int, dir string) (*Coordinator, []*serv
 	db := testDB()
 	stats := seededStats(db)
 	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), 0, tcache, 0)
+	router := NewRouter(n, skyserver.Schema(), tcache, 0)
 	nodes := make([]Node, n)
 	servers := make([]*serve.Server, n)
 	for i := 0; i < n; i++ {

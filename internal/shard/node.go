@@ -84,7 +84,7 @@ func (n *LocalNode) Flush() error {
 }
 
 func (n *LocalNode) Result() (*core.Result, int64, error) {
-	res, gen := n.srv.Latest()
+	res, gen, _ := n.srv.Latest("")
 	return res, gen, nil
 }
 
@@ -294,7 +294,7 @@ func ResultHandler(s *serve.Server) http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		res, gen := s.Latest()
+		res, gen, _ := s.Latest("")
 		body := shardStatusBody{
 			Result:    EncodeResult(res, gen),
 			Stats:     s.StatsSnapshot(),

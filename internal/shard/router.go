@@ -93,7 +93,7 @@ const DefaultWarmup = 1024
 // DefaultWarmup, negative disables staging (every key binds least-loaded the
 // moment it is first seen — the blind policy, kept for single-shard routers
 // where packing is moot).
-func NewRouter(n int, sch *schema.Schema, predCap int, cache *extract.TemplateCache, warmup int) *Router {
+func NewRouter(n int, sch *schema.Schema, cache *extract.TemplateCache, warmup int) *Router {
 	if n < 1 {
 		n = 1
 	}
@@ -113,7 +113,7 @@ func NewRouter(n int, sch *schema.Schema, predCap int, cache *extract.TemplateCa
 	return &Router{
 		n:      n,
 		cache:  cache,
-		ex:     &extract.Extractor{Schema: sch, PredCap: predCap, Stats: nil},
+		ex:     &extract.Extractor{Schema: sch},
 		warmup: warmup,
 		assign: make(map[string]int),
 		load:   make([]int64, n),

@@ -110,7 +110,7 @@ func newInProcessCluster(t *testing.T, n int, db *memdb.DB, routerStatePath stri
 	t.Helper()
 	stats := seededStats(db)
 	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), 0, tcache, 0)
+	router := NewRouter(n, skyserver.Schema(), tcache, 0)
 	nodes := make([]Node, n)
 	for i := 0; i < n; i++ {
 		s, err := serve.NewServer(serve.Config{
@@ -177,8 +177,8 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s report status %d", f, code)
 		}
-		if ct := hdr.Get("Content-Type"); ct != serve.FormatContentType(f) {
-			t.Errorf("%s content-type %q, want %q", f, ct, serve.FormatContentType(f))
+		if ct := hdr.Get("Content-Type"); ct != formatContentType(f) {
+			t.Errorf("%s content-type %q, want %q", f, ct, formatContentType(f))
 		}
 		if hdr.Get("X-Merge-Exact") != "true" {
 			t.Errorf("%s X-Merge-Exact = %q, want true", f, hdr.Get("X-Merge-Exact"))
@@ -257,7 +257,7 @@ func TestShardDownDegradesGracefully(t *testing.T) {
 	defer s1.Close()
 	defer ts0.Close()
 
-	router := NewRouter(2, skyserver.Schema(), 0, nil, 0)
+	router := NewRouter(2, skyserver.Schema(), nil, 0)
 	coord, err := NewCoordinator(Config{
 		Router: router,
 		Nodes: []Node{
@@ -385,7 +385,7 @@ func TestWireResultRoundTrip(t *testing.T) {
 // is about the bound assignment.)
 func TestRouterStatePersistence(t *testing.T) {
 	recs := synthRecords(400, 11)
-	r1 := NewRouter(4, skyserver.Schema(), 0, nil, -1)
+	r1 := NewRouter(4, skyserver.Schema(), nil, -1)
 	want := make([]int, len(recs))
 	for i, rec := range recs {
 		want[i], _ = r1.Route(rec)
@@ -395,7 +395,7 @@ func TestRouterStatePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2 := NewRouter(4, skyserver.Schema(), 0, nil, -1)
+	r2 := NewRouter(4, skyserver.Schema(), nil, -1)
 	if err := r2.LoadState(path); err != nil {
 		t.Fatal(err)
 	}
@@ -410,17 +410,17 @@ func TestRouterStatePersistence(t *testing.T) {
 		t.Errorf("restored maxRels %d, want %d", r2.MaxRels(), r1.MaxRels())
 	}
 
-	r3 := NewRouter(8, skyserver.Schema(), 0, nil, -1)
+	r3 := NewRouter(8, skyserver.Schema(), nil, -1)
 	if err := r3.LoadState(path); err == nil {
 		t.Fatal("loading a 4-shard assignment into an 8-shard router must fail")
 	}
-	if err := NewRouter(4, skyserver.Schema(), 0, nil, -1).LoadState(filepath.Join(t.TempDir(), "absent.json")); err != nil {
+	if err := NewRouter(4, skyserver.Schema(), nil, -1).LoadState(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatalf("missing state file is a cold start, not an error: %v", err)
 	}
 
 	// A restored router must not stage: its keys route immediately even when
 	// it was constructed with warmup enabled.
-	r4 := NewRouter(4, skyserver.Schema(), 0, nil, 0)
+	r4 := NewRouter(4, skyserver.Schema(), nil, 0)
 	if err := r4.LoadState(path); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestRouterStatePersistence(t *testing.T) {
 // routing is sticky to those assignments.
 func TestRouterWarmupBinding(t *testing.T) {
 	recs := synthRecords(2000, 42)
-	r := NewRouter(4, skyserver.Schema(), 0, nil, 64)
+	r := NewRouter(4, skyserver.Schema(), nil, 64)
 
 	staged := 0
 	keyOf := make(map[int]string)

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"net/http"
 	"sort"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -40,14 +38,13 @@ func encodeTraffic(s *serve.Server) *WireTraffic {
 		return &WireTraffic{}
 	}
 	wt := &WireTraffic{
-		Enabled:    true,
-		Classes:    make(map[string]*WireResult, len(traffic.Classes)),
-		Drift:      s.DriftEvents(""),
-		Interfaces: s.RenderInterfaces(s.TrackedInterfaces()),
-		Tracked:    s.TrackedInterfaces(),
+		Enabled: true,
+		Classes: make(map[string]*WireResult, len(traffic.Classes)),
+		Drift:   s.DriftEvents(""),
 	}
+	wt.Interfaces, wt.Tracked = s.Interfaces(0)
 	for _, cls := range traffic.Classes {
-		if res, gen := s.LatestClass(cls); res != nil {
+		if res, gen, _ := s.Latest(cls); res != nil {
 			wt.Classes[cls] = EncodeResult(res, gen)
 		}
 	}
@@ -140,18 +137,9 @@ func (c *Coordinator) mergeTrafficLocked() {
 	c.ifaceTracked = tracked
 }
 
-// TrafficOn reports whether the coordinator serves the class-aware surfaces
-// (Config.Traffic — the shards were started with traffic mining).
-func (c *Coordinator) TrafficOn() bool { return c.cfg.Traffic }
-
-// MergedClass returns one class's merged clustering plus the merge
-// generation and stale-shard names — the per-class sibling of Merged (nil
-// before the first flush).
-func (c *Coordinator) MergedClass(class string) (*core.Result, int64, []string) {
-	c.mergeMu.RLock()
-	defer c.mergeMu.RUnlock()
-	return c.mergedClass[class], c.gen, c.stale
-}
+// TrafficEnabled reports whether the coordinator serves the class-aware
+// surfaces (Config.Traffic — the shards were started with traffic mining).
+func (c *Coordinator) TrafficEnabled() bool { return c.cfg.Traffic }
 
 // DriftEvents returns the merged drift log, optionally filtered to one class
 // ("" = all). The slice is a copy.
@@ -177,46 +165,4 @@ func (c *Coordinator) Interfaces(top int) ([]traffic.Interface, int) {
 		out = out[:top]
 	}
 	return append([]traffic.Interface(nil), out...), c.ifaceTracked
-}
-
-// handleDrift serves the coordinator's GET /drift with the same semantics as
-// a single server's: 409 without traffic mining, ?class= filter.
-func (c *Coordinator) handleDrift(w http.ResponseWriter, r *http.Request) {
-	if !c.cfg.Traffic {
-		http.Error(w, "traffic mining not configured", http.StatusConflict)
-		return
-	}
-	class := r.URL.Query().Get("class")
-	if class != "" && !traffic.ValidClass(class) {
-		http.Error(w, "class must be bot, human or admin", http.StatusBadRequest)
-		return
-	}
-	events := c.DriftEvents(class)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"events": events,
-		"count":  len(events),
-	})
-}
-
-// handleInterfaces serves the coordinator's GET /interfaces: the merged
-// top-K (?top=N, default 10) across every shard's interface miner.
-func (c *Coordinator) handleInterfaces(w http.ResponseWriter, r *http.Request) {
-	if !c.cfg.Traffic {
-		http.Error(w, "traffic mining not configured", http.StatusConflict)
-		return
-	}
-	top := 10
-	if q := r.URL.Query().Get("top"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n <= 0 {
-			http.Error(w, "top must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		top = n
-	}
-	ifaces, tracked := c.Interfaces(top)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"interfaces": ifaces,
-		"tracked":    tracked,
-	})
 }

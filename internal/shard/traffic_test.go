@@ -35,7 +35,7 @@ func newTrafficCluster(t *testing.T, n int, db *memdb.DB) *Coordinator {
 	t.Helper()
 	stats := seededStats(db)
 	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), 0, tcache, 0)
+	router := NewRouter(n, skyserver.Schema(), tcache, 0)
 	nodes := make([]Node, n)
 	for i := 0; i < n; i++ {
 		s, err := serve.NewServer(serve.Config{
