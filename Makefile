@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test vet lint racecheck fuzz fuzz-regression bench bench-check \
 	quick-identity repro-check serve-smoke semcache-smoke shard-smoke \
-	wal-smoke traffic-smoke ci clean
+	wal-smoke traffic-smoke perfbench-test ci clean
 
 build:
 	$(GO) build ./...
@@ -171,13 +171,20 @@ repro-check:
 	GOMAXPROCS=1 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
 	GOMAXPROCS=2 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
 
+# perfbench-test vets and tests the benchmark harness. perfbench/ is its own
+# Go module (its go.mod points repro at ..), so the root ./... patterns never
+# reach it; this keeps a change to the miner from breaking the benchmark's
+# build unnoticed. Its tests run every workload at a tiny scale (~30 s).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # ci mirrors .github/workflows/ci.yml locally: build, lint (gofmt + vet +
-# staticcheck when present), unit tests, race detector, fuzz seed-corpus
-# regression, the per-PR semcache identity gate, the paper-reproduction
-# golden, and the end-to-end smokes.
+# staticcheck when present), unit tests, the benchmark module's vet and
+# tests, race detector, fuzz seed-corpus regression, the per-PR semcache
+# identity gate, the paper-reproduction golden, and the end-to-end smokes.
 # The nightly bench-drift job (make bench-check) is not part of ci — it
 # takes minutes, not seconds.
-ci: build lint test racecheck fuzz-regression quick-identity repro-check serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke
+ci: build lint test perfbench-test racecheck fuzz-regression quick-identity repro-check serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke
 	@echo "ci: all gates green"
 
 clean:

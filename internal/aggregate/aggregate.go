@@ -32,6 +32,40 @@ type Item struct {
 	// Key is the interned Area.Key(), under the same convention: set by
 	// the accumulator that deduplicated the item, derived when empty.
 	Key string
+	// Hulls is AreaHulls(Area), set when the item is clustered from the
+	// list its distinct area shares with every miner; nil means "not yet
+	// derived" (an area without numeric bounds has an empty, non-nil list).
+	Hulls []ColumnHull
+}
+
+// ColumnHull is the hull of one column's bound set in an access area: the
+// lower and upper bound samples the aggregated box is built from.
+type ColumnHull struct {
+	Col    string
+	Lo, Hi float64
+}
+
+// AreaHulls returns the non-empty per-column hulls of an area's bounds,
+// sorted by column. An area's CNF never changes, so callers derive the list
+// once per distinct area and share it. The result is never nil.
+func AreaHulls(a *extract.AccessArea) []ColumnHull {
+	bounds := a.Bounds()
+	out := make([]ColumnHull, 0, len(bounds))
+	for col, set := range bounds {
+		if h := set.Hull(); !h.IsEmpty() {
+			out = append(out, ColumnHull{Col: col, Lo: h.Lo, Hi: h.Hi})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Col < out[j].Col })
+	return out
+}
+
+// columnHulls returns the item's hulls, deriving them when not set.
+func (it *Item) columnHulls() []ColumnHull {
+	if it.Hulls != nil {
+		return it.Hulls
+	}
+	return AreaHulls(it.Area)
 }
 
 // AreaKey returns the item's area key, deriving it when not interned.
@@ -189,21 +223,30 @@ func representatives(items []*Item, n int) []string {
 		it  *Item
 		key string
 	}
-	sorted := make([]keyed, len(items))
-	for i, it := range items {
-		sorted[i] = keyed{it, it.AreaKey()}
+	before := func(a, b keyed) bool {
+		if a.it.Weight != b.it.Weight {
+			return a.it.Weight > b.it.Weight
+		}
+		return a.key < b.key
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].it.Weight != sorted[j].it.Weight {
-			return sorted[i].it.Weight > sorted[j].it.Weight
+	// Keep only the n best seen so far, in order: a cluster's members are
+	// many, its representatives few, so this beats sorting every member.
+	best := make([]keyed, 0, n+1)
+	for _, it := range items {
+		k := keyed{it, it.AreaKey()}
+		i := sort.Search(len(best), func(i int) bool { return before(k, best[i]) })
+		if i >= n {
+			continue
 		}
-		return sorted[i].key < sorted[j].key
-	})
+		best = append(best, keyed{})
+		copy(best[i+1:], best[i:])
+		best[i] = k
+		if len(best) > n {
+			best = best[:n]
+		}
+	}
 	var out []string
-	for _, k := range sorted {
-		if len(out) >= n {
-			break
-		}
+	for _, k := range best {
 		out = append(out, k.it.Area.IntermediateSQL())
 	}
 	return out
@@ -230,15 +273,11 @@ func numericBox(items []*Item, totalWeight int, opts Options) *interval.Box {
 		if w <= 0 {
 			w = 1
 		}
-		for col, set := range it.Area.Bounds() {
-			h := set.Hull()
-			if h.IsEmpty() {
-				continue
-			}
-			bs, ok := byCol[col]
+		for _, h := range it.columnHulls() {
+			bs, ok := byCol[h.Col]
 			if !ok {
 				bs = &boundSamples{}
-				byCol[col] = bs
+				byCol[h.Col] = bs
 			}
 			bs.support += w
 			if math.IsInf(h.Lo, -1) {

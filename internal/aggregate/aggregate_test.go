@@ -1,7 +1,11 @@
 package aggregate
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -333,5 +337,84 @@ func TestRepresentatives(t *testing.T) {
 	}
 	if !strings.Contains(s.Representatives[0], "T.u = 2") {
 		t.Errorf("first representative = %q, want the heaviest", s.Representatives[0])
+	}
+}
+
+// randomArea builds an access area over a few columns of one or two
+// relations: closed, one-sided, disjunctive and contradictory ranges,
+// not-equal sets, string equalities and a join predicate.
+func randomArea(r *rand.Rand) *extract.AccessArea {
+	cols := []string{"T.a", "T.b", "T.c", "U.d"}
+	ops := []predicate.Op{predicate.Lt, predicate.Le, predicate.Eq, predicate.Ge, predicate.Gt, predicate.Ne}
+	var cnf predicate.CNF
+	for _, col := range cols {
+		switch r.Intn(6) {
+		case 0: // unconstrained
+		case 1:
+			lo := float64(r.Intn(100))
+			cnf = append(cnf,
+				predicate.Clause{predicate.CC(col, predicate.Ge, predicate.Number(lo))},
+				predicate.Clause{predicate.CC(col, predicate.Le, predicate.Number(lo+float64(r.Intn(50))))})
+		case 2:
+			cnf = append(cnf, predicate.Clause{predicate.CC(col, ops[r.Intn(len(ops))], predicate.Number(float64(r.Intn(100))))})
+		case 3: // disjunction on one column: the hull spans both pieces
+			cnf = append(cnf, predicate.Clause{
+				predicate.CC(col, predicate.Lt, predicate.Number(float64(r.Intn(40)))),
+				predicate.CC(col, predicate.Gt, predicate.Number(float64(60+r.Intn(40)))),
+			})
+		case 4: // contradictory range: an empty hull, dropped
+			cnf = append(cnf,
+				predicate.Clause{predicate.CC(col, predicate.Gt, predicate.Number(50))},
+				predicate.Clause{predicate.CC(col, predicate.Lt, predicate.Number(10))})
+		case 5:
+			cnf = append(cnf, predicate.Clause{predicate.CC(col, predicate.Eq, predicate.Str([]string{"x", "y", "z"}[r.Intn(3)]))})
+		}
+	}
+	if r.Intn(4) == 0 {
+		cnf = append(cnf, predicate.Clause{predicate.Cols("T.a", predicate.Eq, "U.d")})
+	}
+	rels := []string{"T"}
+	if r.Intn(3) == 0 {
+		rels = []string{"T", "U"}
+	}
+	return &extract.AccessArea{Relations: rels, CNF: cnf, Exact: true}
+}
+
+// boundsHulls is the member projection numericBox sampled before hulls were
+// cached: every column's bound-set hull from Area.Bounds, empty ones
+// skipped, in column order.
+func boundsHulls(a *extract.AccessArea) []ColumnHull {
+	out := []ColumnHull{}
+	for col, set := range a.Bounds() {
+		if h := set.Hull(); !h.IsEmpty() {
+			out = append(out, ColumnHull{col, h.Lo, h.Hi})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Col < out[j].Col })
+	return out
+}
+
+// Summaries built from cached hulls must equal, field for field, the ones
+// built by deriving every member's bounds from its CNF: same samples in the
+// same order, so the same float arithmetic.
+func TestSummarizeWithHullsMatchesDerived(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(12)
+		derived := make([]*Item, n)
+		cached := make([]*Item, n)
+		for i := range derived {
+			area := randomArea(r)
+			users := map[string]struct{}{fmt.Sprint("u", r.Intn(4)): {}}
+			derived[i] = &Item{Area: area, Weight: 1 + r.Intn(5), Users: users}
+			cached[i] = &Item{Area: area, Weight: derived[i].Weight, Users: users, Hulls: AreaHulls(area)}
+			if got, want := cached[i].Hulls, boundsHulls(area); got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: AreaHulls = %v, want %v", trial, got, want)
+			}
+		}
+		opts := Options{SigmaRule: []float64{0, -1, 1}[r.Intn(3)]}
+		if got, want := Summarize(trial, cached, opts), Summarize(trial, derived, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: summary from cached hulls\n%+v\nwant\n%+v", trial, got, want)
+		}
 	}
 }

@@ -257,11 +257,13 @@ func (m *Miner) mineItems(items []*aggregate.Item, res *Result) {
 // epoch: eps selection, relation-set partitioning, then per partition
 // DBSCAN from the substrate's eps-neighbour graph (dbscan.ClusterGraph) or
 // OPTICS through Substrate.dist, folded into res. slots[i] is items[i]'s
-// substrate slot, already synced. Clusters are left unordered for
-// finalizeClusters; DistanceEvals and DistanceCacheHits report the
-// substrate's lifetime counters.
+// substrate slot, already synced; each item is handed its slot's hull list
+// for Summarize. Clusters are left unordered for finalizeClusters;
+// DistanceEvals and DistanceCacheHits report the substrate's lifetime
+// counters.
 func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, res *Result) {
 	res.ClusteredAreas = len(items)
+	sub.attachHulls(items, slots)
 	dist := func(i, j int) float64 { return sub.dist(slots[i], slots[j]) }
 	eps := m.cfg.Eps
 	if m.cfg.AutoEps && len(items) > 1 {

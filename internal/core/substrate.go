@@ -49,11 +49,13 @@ type Substrate struct {
 	// caught by the next sync.
 	gen  uint64
 	kern *distance.Kernel
-	// byKey maps an area key to its slot; areas and relKeys hold each
-	// slot's area and relation-set key.
+	// byKey maps an area key to its slot; areas, relKeys and hulls hold
+	// each slot's area, relation-set key and aggregate.AreaHulls list — the
+	// one hull list every sharing miner summarises that area from.
 	byKey   map[string]int
 	areas   []*extract.AccessArea
 	relKeys []string
+	hulls   [][]aggregate.ColumnHull
 	// readers maps a column to the slots whose profile reads its access(a).
 	readers map[string][]int32
 	// maxTables is the largest relation set interned (at least 1), the
@@ -190,6 +192,17 @@ func (s *Substrate) sync(items []*aggregate.Item) []int {
 	return out
 }
 
+// attachHulls sets every item's Hulls to its slot's shared list, so each
+// Summarize reads hulls derived once per distinct area instead of
+// re-deriving every member's bounds from its CNF.
+func (s *Substrate) attachHulls(items []*aggregate.Item, slots []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, it := range items {
+		it.Hulls = s.hulls[slots[i]]
+	}
+}
+
 // intern returns the slot of the area with the given Key(), compiling its
 // profile on first sight. Identical areas map to the same slot from every
 // sharing miner. The caller holds mu.
@@ -201,6 +214,7 @@ func (s *Substrate) intern(key string, a *extract.AccessArea) int {
 	s.byKey[key] = slot
 	s.areas = append(s.areas, a)
 	s.relKeys = append(s.relKeys, extract.RelationSetKey(a.Relations))
+	s.hulls = append(s.hulls, aggregate.AreaHulls(a))
 	if len(a.Relations) > s.maxTables {
 		s.maxTables = len(a.Relations)
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/aggregate"
 	"repro/internal/qlog"
+	"repro/internal/schema"
 	"repro/internal/skyserver"
 )
 
@@ -190,4 +193,63 @@ func TestEpochsRebuildOnEpsChangeAndRestore(t *testing.T) {
 			t.Fatal("log too short to reach the post-restore epoch")
 		}
 	})
+}
+
+// Every clustered item summarises from its slot's hull list: one list per
+// distinct area, equal to aggregate.AreaHulls, whichever miner on the
+// substrate interned it — and a miner restored through ExportState /
+// RestoreState gets one for every item.
+func TestClusteredItemsCarrySharedHulls(t *testing.T) {
+	m := NewMiner(Config{Schema: skyserver.Schema(), Seed: 9, Stats: seededStats()})
+	sub := m.Substrate()
+	a, b := m.IncrementalShared(sub), m.IncrementalShared(sub)
+	areaRecs, _ := m.pipeline().Run(synthRecords(1500, 9))
+	for i := range areaRecs {
+		a.Add(&areaRecs[i])
+		if i%3 == 0 {
+			b.Add(&areaRecs[i])
+		}
+	}
+	a.Recluster()
+	b.Recluster()
+	checkHulls := func(name string, inc *Incremental) {
+		t.Helper()
+		if len(inc.sub.hulls) != inc.sub.Slots() {
+			t.Fatalf("%s: %d hull lists for %d slots", name, len(inc.sub.hulls), inc.sub.Slots())
+		}
+		items, _ := inc.snapshotItems()
+		if len(inc.slots) != len(items) {
+			t.Fatalf("%s: %d slots for %d items", name, len(inc.slots), len(items))
+		}
+		for i, it := range items {
+			got := inc.sub.hulls[inc.slots[i]]
+			if want := aggregate.AreaHulls(it.Area); got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: item %d hulls %v, want %v", name, i, got, want)
+			}
+		}
+	}
+	checkHulls("a", a)
+	checkHulls("b", b)
+
+	// A batch mine hands the hull lists to the items it clusters.
+	acc := newItemAccum()
+	for i := range areaRecs {
+		acc.add(&areaRecs[i])
+	}
+	m.mineItems(acc.items, &Result{})
+	for i, it := range acc.items {
+		if it.Hulls == nil || !reflect.DeepEqual(it.Hulls, aggregate.AreaHulls(it.Area)) {
+			t.Fatalf("batch item %d hulls %v", i, it.Hulls)
+		}
+	}
+
+	restoredStats := schema.NewStats()
+	restoredStats.RestoreSnapshot(m.Stats().Snapshot())
+	m2 := NewMiner(Config{Schema: skyserver.Schema(), Seed: 9, Stats: restoredStats})
+	r := m2.Incremental()
+	if err := r.RestoreState(a.ExportState()); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	sameMining(t, a.Recluster(), r.Recluster())
+	checkHulls("restored", r)
 }

@@ -265,7 +265,9 @@ func (db *DB) SampleColumn(column string, n int) []float64 {
 // ObjectFraction implements aggregate.DataSource: the fraction of objects
 // of the given relations inside box and matching the categorical
 // equalities. For a multi-relation area the per-relation fractions multiply
-// (the universal relation is the product space).
+// (the universal relation is the product space). The region is compiled
+// against each table once (compileFilter), so the row loop neither
+// allocates nor resolves a column name.
 func (db *DB) ObjectFraction(relations []string, box *interval.Box, categorical map[string][]string) float64 {
 	frac := 1.0
 	for _, rel := range relations {
@@ -273,9 +275,10 @@ func (db *DB) ObjectFraction(relations []string, box *interval.Box, categorical 
 		if t == nil || len(t.Rows) == 0 {
 			continue
 		}
+		f := compileFilter(t, box, categorical)
 		matched := 0
 		for _, row := range t.Rows {
-			if rowMatches(t, row, box, categorical) {
+			if f.match(row) {
 				matched++
 			}
 		}
@@ -317,9 +320,10 @@ func (db *DB) RestrictIndexed(relations []string, box *interval.Box, categorical
 		}
 		nt := out.CreateTable(t.Name, t.Columns...)
 		key := strings.ToLower(t.Name)
+		f := compileFilter(t, box, categorical)
 		positions := []int{}
 		for ri, row := range t.Rows {
-			if rowMatches(t, row, box, categorical) {
+			if f.match(row) {
 				nt.Rows = append(nt.Rows, row)
 				positions = append(positions, ri)
 			}
@@ -329,36 +333,70 @@ func (db *DB) RestrictIndexed(relations []string, box *interval.Box, categorical
 	return out, idx
 }
 
-func rowMatches(t *Table, row []Value, box *interval.Box, categorical map[string][]string) bool {
+// rowFilter is a region's box and categorical constraints resolved against
+// one table: the position of every column they constrain and what its cell
+// must hold. Constraints on other relations, or on columns the table lacks,
+// are dropped when compiling — the same entries a region test ignores.
+type rowFilter struct {
+	nums []numConstraint
+	strs []strConstraint
+}
+
+// numConstraint admits a cell only if it is a number inside iv.
+type numConstraint struct {
+	col int
+	iv  interval.Interval
+}
+
+// strConstraint admits a cell only if it is a string equal, ignoring case,
+// to one of vals.
+type strConstraint struct {
+	col  int
+	vals []string
+}
+
+// compileFilter resolves box and categorical against t. Relation names
+// match case-insensitively, as do column names (Table.ColumnIndex).
+func compileFilter(t *Table, box *interval.Box, categorical map[string][]string) rowFilter {
+	var f rowFilter
 	for _, col := range box.Dims() {
-		rel, cname, ok := splitQualified(col)
-		if !ok || !strings.EqualFold(rel, t.Name) {
-			continue
-		}
-		ci, ok := t.ColumnIndex(cname)
-		if !ok {
-			continue
-		}
-		v := row[ci]
-		if v.Kind != Num || !box.Get(col).Contains(v.Num) {
-			return false
+		if ci, ok := t.qualifiedIndex(col); ok {
+			f.nums = append(f.nums, numConstraint{ci, box.Get(col)})
 		}
 	}
 	for col, vals := range categorical {
-		rel, cname, ok := splitQualified(col)
-		if !ok || !strings.EqualFold(rel, t.Name) {
-			continue
+		if ci, ok := t.qualifiedIndex(col); ok {
+			f.strs = append(f.strs, strConstraint{ci, vals})
 		}
-		ci, ok := t.ColumnIndex(cname)
-		if !ok {
-			continue
+	}
+	return f
+}
+
+// qualifiedIndex resolves a "Table.column" name against t: ok is false when
+// the name is unqualified, names another relation or an unknown column.
+func (t *Table) qualifiedIndex(name string) (int, bool) {
+	rel, col, ok := splitQualified(name)
+	if !ok || !strings.EqualFold(rel, t.Name) {
+		return 0, false
+	}
+	return t.ColumnIndex(col)
+}
+
+// match reports whether row satisfies every compiled constraint.
+func (f *rowFilter) match(row []Value) bool {
+	for _, c := range f.nums {
+		v := row[c.col]
+		if v.Kind != Num || !c.iv.Contains(v.Num) {
+			return false
 		}
-		v := row[ci]
+	}
+	for _, c := range f.strs {
+		v := row[c.col]
 		if v.Kind != Str {
 			return false
 		}
 		found := false
-		for _, want := range vals {
+		for _, want := range c.vals {
 			if strings.EqualFold(v.Str, want) {
 				found = true
 				break

@@ -659,7 +659,7 @@ func TestRestrict(t *testing.T) {
 	box.Set("T.v", interval.Closed(15, 35))
 	box.Set("Other.x", interval.Point(1)) // foreign relation: ignored
 	sub := db.Restrict([]string{"T", "S", "Missing"}, box, map[string][]string{
-		"S.w": {"A", "c"}, // case-insensitive match, mirroring rowMatches
+		"S.w": {"A", "c"}, // case-insensitive match, mirroring query evaluation
 	})
 	tt := sub.Table("T")
 	if tt == nil || len(tt.Rows) != 2 || tt.Rows[0][0].Num != 2 || tt.Rows[1][0].Num != 3 {

@@ -172,9 +172,10 @@ func TestMetricsConcurrentWithFlush(t *testing.T) {
 }
 
 // TestSlowlogEndpoint drives queries through POST /query and checks
-// /debug/slowlog ranks them without exposing raw SQL.
+// /debug/slowlog ranks them without exposing raw SQL. The slow log is
+// process-wide and ingest extractions land in it too, so it is cleared only
+// after Flush has drained ingest: the ranked entries are then the queries'.
 func TestSlowlogEndpoint(t *testing.T) {
-	obs.DefaultSlowLog.Reset()
 	db := testDB()
 	s, err := NewServer(Config{Miner: minerConfig(db), QueryDB: db})
 	if err != nil {
@@ -186,9 +187,15 @@ func TestSlowlogEndpoint(t *testing.T) {
 
 	postNDJSON(t, ts.URL, synthRecords(100, 42))
 	s.Flush()
-	sql := "SELECT TOP 5 objid FROM Photoz WHERE objid BETWEEN 1 AND 9"
-	if code, _, reply := postQuery(t, ts.URL, "text/plain", sql); code != 200 {
-		t.Fatalf("query status %d: %+v", code, reply)
+	obs.DefaultSlowLog.Reset()
+	for _, sql := range []string{
+		"SELECT TOP 5 objid FROM Photoz WHERE objid BETWEEN 1 AND 9",
+		"SELECT TOP 5 objid, z FROM Photoz WHERE z BETWEEN 0.1 AND 0.2",
+		"SELECT TOP 5 objid FROM PhotoObjAll WHERE ra BETWEEN 190 AND 200",
+	} {
+		if code, _, reply := postQuery(t, ts.URL, "text/plain", sql); code != 200 {
+			t.Fatalf("query status %d: %+v", code, reply)
+		}
 	}
 
 	code, _, body := get(t, ts.URL+"/debug/slowlog?k=5", "")
@@ -203,6 +210,9 @@ func TestSlowlogEndpoint(t *testing.T) {
 	}
 	if len(reply.Entries) == 0 {
 		t.Fatal("slowlog empty after a /query")
+	}
+	if len(reply.Entries) != 3 {
+		t.Errorf("slowlog holds %d entries after three queries: %+v", len(reply.Entries), reply.Entries)
 	}
 	foundQuery := false
 	for i, e := range reply.Entries {
