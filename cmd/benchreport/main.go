@@ -5,38 +5,33 @@
 // Usage:
 //
 //	benchreport [-scale 20000] [-seed 42] [-exp all|list|<experiment>]
-//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-obs]
+//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	benchreport -compare old.json new.json [-tol 0.15]
 //
 // `-exp list` prints the available experiments with one-line descriptions.
-// `-obs` adds a "metrics" key to every BENCH_*.json written, holding a
-// snapshot of the process observability registry (internal/obs) taken after
-// the experiment ran. `-compare` diffs two BENCH_*.json records and exits
-// non-zero when a deterministic counter metric regressed beyond -tol
-// (see internal/benchcmp); wall-clock fields are ignored.
+// `-compare` diffs two BENCH_*.json records and exits non-zero when a
+// deterministic counter metric regressed beyond -tol (see
+// internal/benchcmp); wall-clock fields are ignored.
 // The clusterperf experiment additionally writes its before/after numbers
 // (brute-force vs pivot-index clustering) to -benchjson (default
 // BENCH_clustering.json), pipelineperf writes its uncached-vs-cached
-// extraction numbers to -pipejson (default BENCH_pipeline.json), serveperf
-// writes the online-service load numbers (throughput, backpressure latency,
-// cross-epoch reuse) to -servejson (default BENCH_serve.json), shardperf
-// writes the sharded-coordinator scaling numbers (throughput and epoch wall
-// at 1/2/4/8 shards) to -shardjson (default BENCH_shard.json), and
-// semcacheperf writes the semantic-result-cache numbers (hit ratio, speedup,
-// staleness window) to -semjson (default BENCH_semcache.json), and walperf
-// writes the durability numbers (WAL fsync overhead, replay rate, windowed
-// re-mine speedup) to -waljson (default BENCH_wal.json), and trafficperf
-// writes the traffic-class mining numbers (classifier precision/recall,
-// partition and drift-determinism gates, ingest overhead) to -trafficjson
-// (default BENCH_traffic.json), so successive changes have a perf
-// trajectory. -cpuprofile/-memprofile capture stdlib
-// pprof profiles of the selected experiments.
+// extraction numbers to -pipejson (default BENCH_pipeline.json),
+// semcacheperf writes the semantic-result-cache numbers (hit ratio,
+// speedup, staleness window) to -semjson (default BENCH_semcache.json), and
+// kernelperf writes the flat-kernel microbenchmark to -kerneljson (default
+// BENCH_kernel.json), so successive changes have a counter trajectory.
+// -cpuprofile/-memprofile capture stdlib pprof profiles of the selected
+// experiments. The exit status is 2 on a usage error (bad flag, unknown
+// experiment, bad -kernelscales entry) and 1 when a selected experiment
+// fails or its record cannot be written.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -45,7 +40,6 @@ import (
 
 	"repro/internal/benchcmp"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -54,7 +48,7 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "-compare" {
 		os.Exit(runCompare(os.Args[2:]))
 	}
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // runCompare implements `benchreport -compare old.json new.json [-tol x]
@@ -144,55 +138,70 @@ func runCompare(args []string) int {
 type experiment struct {
 	name string
 	desc string
-	fn   func() string
+	fn   func() (string, error)
 }
 
-func listExperiments(w *os.File, exps []experiment) {
+func listExperiments(w io.Writer, exps []experiment) {
 	fmt.Fprintln(w, "available experiments (select with -exp <name>, or -exp all):")
 	for _, e := range exps {
 		fmt.Fprintf(w, "  %-14s %s\n", e.name, e.desc)
 	}
 }
 
+// parseScales reads the -kernelscales list: comma-separated area counts,
+// each above 1. An empty list selects kernelperf's defaults.
+func parseScales(list string) ([]int, error) {
+	var scales []int
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 1 {
+			return nil, fmt.Errorf("bad -kernelscales entry %q", s)
+		}
+		scales = append(scales, n)
+	}
+	return scales, nil
+}
+
 // run is main's body with a plain exit code so deferred profile writers run
 // before the process exits.
-func run() int {
-	scale := flag.Int("scale", 20000, "number of log queries to generate")
-	seed := flag.Int64("seed", 42, "generator seed")
-	exp := flag.String("exp", "all", "experiment id, \"all\", or \"list\" to enumerate them")
-	benchJSON := flag.String("benchjson", "BENCH_clustering.json", "output path for the clusterperf JSON record")
-	pipeJSON := flag.String("pipejson", "BENCH_pipeline.json", "output path for the pipelineperf JSON record")
-	serveJSON := flag.String("servejson", "BENCH_serve.json", "output path for the serveperf JSON record")
-	shardJSON := flag.String("shardjson", "BENCH_shard.json", "output path for the shardperf JSON record")
-	semJSON := flag.String("semjson", "BENCH_semcache.json", "output path for the semcacheperf JSON record")
-	walJSON := flag.String("waljson", "BENCH_wal.json", "output path for the walperf JSON record")
-	trafficJSON := flag.String("trafficjson", "BENCH_traffic.json", "output path for the trafficperf JSON record")
-	kernelJSON := flag.String("kerneljson", "BENCH_kernel.json", "output path for the kernelperf JSON record")
-	kernelScales := flag.String("kernelscales", "", "comma-separated area counts for kernelperf (default \"20000,100000\")")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
-	obsDump := flag.Bool("obs", false, "embed an observability registry snapshot under a \"metrics\" key in each BENCH_*.json")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 20000, "number of log queries to generate")
+	seed := fs.Int64("seed", 42, "generator seed")
+	exp := fs.String("exp", "all", "experiment id, \"all\", or \"list\" to enumerate them")
+	benchJSON := fs.String("benchjson", "BENCH_clustering.json", "output path for the clusterperf JSON record")
+	pipeJSON := fs.String("pipejson", "BENCH_pipeline.json", "output path for the pipelineperf JSON record")
+	semJSON := fs.String("semjson", "BENCH_semcache.json", "output path for the semcacheperf JSON record")
+	kernelJSON := fs.String("kerneljson", "BENCH_kernel.json", "output path for the kernelperf JSON record")
+	kernelScales := fs.String("kernelscales", "", "comma-separated area counts for kernelperf (default \"20000,100000\")")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	scales, err := parseScales(*kernelScales)
+	if err != nil {
+		fmt.Fprintf(stderr, "kernelperf: %v\n", err)
+		return 2
+	}
 
-	writeJSON := func(path string, v any) {
-		if *obsDump {
-			// Round-trip the typed result through JSON so the snapshot can
-			// ride along without changing any experiment result type.
-			if raw, err := json.Marshal(v); err == nil {
-				doc := map[string]any{}
-				if json.Unmarshal(raw, &doc) == nil {
-					doc["metrics"] = obs.Default().Snapshot()
-					v = doc
-				}
-			}
+	writeJSON := func(path string, v any) error {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
 		}
-		if data, err := json.MarshalIndent(v, "", "  "); err == nil {
-			if werr := os.WriteFile(path, append(data, '\n'), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %v\n", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-			}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			return err
 		}
+		fmt.Fprintf(stderr, "wrote %s\n", path)
+		return nil
 	}
 
 	// The substrate is built lazily so `-exp list` and unknown-id errors
@@ -205,102 +214,61 @@ func run() int {
 		return env
 	}
 
-	semcacheFailed := false
 	exps := []experiment{
 		{"table1", "paper Table 1: per-template access-area extraction accuracy",
-			func() string { return getEnv().RunTable1().Report }},
+			func() (string, error) { return getEnv().RunTable1().Report, nil }},
 		{"fig1a", "paper Figure 1a: cluster count vs minPts",
-			func() string { return getEnv().RunFigure1('a').Report }},
+			func() (string, error) { return getEnv().RunFigure1('a').Report, nil }},
 		{"fig1b", "paper Figure 1b: cluster count vs epsilon",
-			func() string { return getEnv().RunFigure1('b').Report }},
+			func() (string, error) { return getEnv().RunFigure1('b').Report, nil }},
 		{"fig1c", "paper Figure 1c: clustered-query fraction vs epsilon",
-			func() string { return getEnv().RunFigure1('c').Report }},
+			func() (string, error) { return getEnv().RunFigure1('c').Report, nil }},
 		{"coverage", "share of the log covered by mined interest areas",
-			func() string { return getEnv().RunCoverage().Report }},
+			func() (string, error) { return getEnv().RunCoverage().Report, nil }},
 		{"olapclus", "OLAP-style rollup over exact extracted areas",
-			func() string { return getEnv().RunOLAPClusExact().Report }},
+			func() (string, error) { return getEnv().RunOLAPClusExact().Report, nil }},
 		{"olapclusraw", "OLAP-style rollup over raw (unfiltered) areas",
-			func() string { return getEnv().RunOLAPClusRaw().Report }},
+			func() (string, error) { return getEnv().RunOLAPClusRaw().Report, nil }},
 		{"efficiency", "extraction + clustering wall-clock efficiency",
-			func() string { return getEnv().RunEfficiency().Report }},
+			func() (string, error) { return getEnv().RunEfficiency().Report, nil }},
 		{"requery", "re-query rate: how often users revisit mined areas",
-			func() string { return getEnv().RunRequery().Report }},
+			func() (string, error) { return getEnv().RunRequery().Report, nil }},
 		{"ablation", "pipeline ablation: drop one stage at a time",
-			func() string { return getEnv().RunAblation().Report }},
+			func() (string, error) { return getEnv().RunAblation().Report, nil }},
 		{"ablationsigma", "sigma-expansion ablation for approximate areas",
-			func() string { return getEnv().RunAblationSigma().Report }},
+			func() (string, error) { return getEnv().RunAblationSigma().Report, nil }},
 		{"density", "cluster density profile across the data space",
-			func() string { return getEnv().RunDensity().Report }},
+			func() (string, error) { return getEnv().RunDensity().Report, nil }},
 		{"scaling", "mining throughput as the log scale grows",
-			func() string { return getEnv().RunScaling().Report }},
+			func() (string, error) { return getEnv().RunScaling().Report, nil }},
 		{"clusterperf", "brute-force vs pivot-index clustering benchmark (writes -benchjson)",
-			func() string {
+			func() (string, error) {
 				res := getEnv().RunClusterPerf()
-				writeJSON(*benchJSON, res)
-				return res.Report
+				return res.Report, writeJSON(*benchJSON, res)
 			}},
 		{"pipelineperf", "uncached vs template-cached extraction benchmark (writes -pipejson)",
-			func() string {
+			func() (string, error) {
 				res := getEnv().RunPipelinePerf()
-				writeJSON(*pipeJSON, res)
-				return res.Report
-			}},
-		{"serveperf", "online-service load benchmark: throughput, backpressure, reuse (writes -servejson)",
-			func() string {
-				res := getEnv().RunServePerf()
-				writeJSON(*serveJSON, res)
-				return res.Report
-			}},
-		{"shardperf", "sharded coordinator: throughput + epoch wall at 1/2/4/8 shards (writes -shardjson)",
-			func() string {
-				res := getEnv().RunShardPerf()
-				writeJSON(*shardJSON, res)
-				return res.Report
+				return res.Report, writeJSON(*pipeJSON, res)
 			}},
 		{"semcacheperf", "semantic result cache: oracle, hit ratio, speedup, staleness (writes -semjson)",
-			func() string {
+			func() (string, error) {
 				res, err := experiments.RunSemCachePerf(*scale, *seed)
 				if err != nil {
-					semcacheFailed = true
-					return fmt.Sprintf("semcacheperf: %v\n", err)
+					return "", err
 				}
-				writeJSON(*semJSON, res)
-				return res.Report
-			}},
-		{"walperf", "durable ingest WAL: fsync overhead, replay rate, windowed re-mine (writes -waljson)",
-			func() string {
-				res := getEnv().RunWALPerf()
-				writeJSON(*walJSON, res)
-				return res.Report
-			}},
-		{"trafficperf", "traffic-class mining: classifier accuracy, partition + drift gates, ingest cost (writes -trafficjson)",
-			func() string {
-				res := getEnv().RunTrafficPerf()
-				writeJSON(*trafficJSON, res)
-				return res.Report
+				return res.Report, writeJSON(*semJSON, res)
 			}},
 		{"kernelperf", "flat SoA distance kernel vs pointer profiles microbenchmark (writes -kerneljson)",
-			func() string {
-				var scales []int
-				for _, s := range strings.Split(*kernelScales, ",") {
-					if s = strings.TrimSpace(s); s == "" {
-						continue
-					}
-					n, err := strconv.Atoi(s)
-					if err != nil || n <= 1 {
-						return fmt.Sprintf("kernelperf: bad -kernelscales entry %q\n", s)
-					}
-					scales = append(scales, n)
-				}
+			func() (string, error) {
 				res := experiments.RunKernelPerf(*seed, scales...)
-				writeJSON(*kernelJSON, res)
-				return res.Report
+				return res.Report, writeJSON(*kernelJSON, res)
 			}},
 	}
 
 	want := strings.ToLower(*exp)
 	if want == "list" {
-		listExperiments(os.Stdout, exps)
+		listExperiments(stdout, exps)
 		return 0
 	}
 	known := want == "all"
@@ -311,49 +279,52 @@ func run() int {
 		}
 	}
 	if !known {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n\n", *exp)
-		listExperiments(os.Stderr, exps)
+		fmt.Fprintf(stderr, "unknown experiment %q\n\n", *exp)
+		listExperiments(stderr, exps)
 		return 2
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
 
+	status := 0
 	for _, e := range exps {
 		if want != "all" && want != e.name {
 			continue
 		}
-		fmt.Println(strings.Repeat("=", 100))
-		fmt.Print(e.fn())
-		fmt.Println()
+		fmt.Fprintln(stdout, strings.Repeat("=", 100))
+		rep, err := e.fn()
+		fmt.Fprint(stdout, rep)
+		fmt.Fprintln(stdout)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			status = 1
+		}
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			return 2
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			return 2
 		}
 	}
-	if semcacheFailed {
-		return 1
-	}
-	return 0
+	return status
 }

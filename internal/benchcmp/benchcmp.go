@@ -41,16 +41,6 @@ var gated = map[string]struct {
 	// a deterministic replay of the seeded pair schedule, so a drop means the
 	// kernel stopped recognising equal constraint lists.
 	"early_exit_ratio": {dirHigherBetter, false},
-	// The WAL segment index: on the seeded workload the re-mine window maps
-	// to a fixed set of segments, so scanning more (or skipping fewer) means
-	// the inline fingerprint/time-range index stopped pruning.
-	"window_segments_scanned": {dirLowerBetter, true},
-	"window_segments_skipped": {dirHigherBetter, true},
-	// The traffic classifier scores a deterministic replay of the seeded
-	// mixed workload against its generator's ground truth, so any drop means
-	// the heuristics (not the machine) got worse.
-	"classifier_precision": {dirHigherBetter, false},
-	"classifier_recall":    {dirHigherBetter, false},
 	// Semantic-cache v2: the budget curve is a deterministic replay, so the
 	// hit ratio at the half-residency budget moves only with admission code.
 	"hit_ratio_at_half_budget": {dirHigherBetter, false},
@@ -275,9 +265,7 @@ func basename(path string) string {
 }
 
 // flatten walks a decoded JSON document into dotted-path leaf maps, numbers
-// and booleans separately. The benchreport "metrics" snapshot subtree is
-// excluded: it holds process-cumulative observability counters whose values
-// depend on which experiments ran before, not on the experiment itself.
+// and booleans separately.
 func flatten(doc map[string]any) (map[string]float64, map[string]bool) {
 	nums := map[string]float64{}
 	bools := map[string]bool{}
@@ -289,9 +277,6 @@ func flatten(doc map[string]any) (map[string]float64, map[string]bool) {
 				p := k
 				if prefix != "" {
 					p = prefix + "." + k
-				}
-				if prefix == "" && k == "metrics" {
-					continue
 				}
 				walk(p, child)
 			}

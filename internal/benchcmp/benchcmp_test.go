@@ -163,25 +163,6 @@ func TestMissingMetricFails(t *testing.T) {
 	}
 }
 
-func TestMetricsSubtreeExcluded(t *testing.T) {
-	// A "metrics" snapshot (benchreport -obs) holds process-cumulative
-	// observability counters; they must not enter the gate.
-	withObs := strings.Replace(baseline, `"seed": 42,`,
-		`"seed": 42, "metrics": {"skyaccess_qlog_cache_hits_total": 5},`, 1)
-	rep, err := Compare([]byte(withObs), []byte(baseline), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range rep.Findings {
-		if strings.HasPrefix(f.Path, "metrics.") {
-			t.Errorf("metrics subtree compared: %+v", f)
-		}
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("obs snapshot perturbed the gate: %+v", regs)
-	}
-}
-
 func TestBadJSONErrors(t *testing.T) {
 	if _, err := Compare([]byte("{"), []byte(baseline), 0.15); err == nil {
 		t.Error("truncated old record accepted")

@@ -90,8 +90,8 @@ func (inc *Incremental) Distinct() int {
 
 // DistanceEvals and DistanceCacheHits expose the substrate's lifetime
 // counters: kernel evaluations, and neighbour-graph entries reused instead
-// of evaluated. Both only grow, across registry moves included; per-epoch
-// deltas give the reuse ratio serveperf reports.
+// of evaluated. Both only grow, across registry moves included, so the
+// difference of two readings is the work and reuse of the epochs between.
 func (inc *Incremental) DistanceEvals() int64 { return inc.sub.Evals() }
 
 func (inc *Incremental) DistanceCacheHits() int64 { return inc.sub.Hits() }

@@ -3,8 +3,7 @@
 // atomic hot paths), lightweight stage spans for the mining pipeline, and a
 // ring-buffer slow-query log. The registry renders itself in Prometheus
 // text exposition format (stable ordering, escaped help strings, cumulative
-// histogram buckets) and as a flat float snapshot for JSON views and the
-// BENCH_*.json "metrics" key the bench-drift gate compares.
+// histogram buckets) and as a flat float snapshot for JSON views.
 //
 // Two registries matter in practice: the package Default registry holds
 // process-wide instruments (per-stage latency histograms, package counters

@@ -142,6 +142,6 @@ func (s *Server) initRegistry() {
 	}
 }
 
-// Registry exposes the server's private metrics registry (tests and the
-// benchreport -obs snapshot).
+// Registry exposes the server's private metrics registry (tests and
+// skyserved's debug listener).
 func (s *Server) Registry() *obs.Registry { return s.reg }

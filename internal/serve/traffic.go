@@ -183,7 +183,7 @@ func (s *Server) Interfaces(top int) ([]traffic.Interface, int) {
 }
 
 // TrafficUserClasses returns every tracked user's final class — the
-// per-user judgement the perf harness scores against ground truth.
+// per-user judgement tests score against ground truth.
 func (s *Server) TrafficUserClasses() map[string]string {
 	t := s.traffic
 	if t == nil {

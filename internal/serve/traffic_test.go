@@ -13,6 +13,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/report"
 	"repro/internal/skyserver"
+	"repro/internal/sqlparser"
 	"repro/internal/traffic"
 )
 
@@ -38,93 +39,154 @@ func flushServer(t *testing.T, url string) {
 	}
 }
 
+// mixedRecords is an untagged bot/human/admin workload (70/25/5%) whose
+// ground truth is the user-name prefix (skyserver.ClassOf).
+func mixedRecords(n int, seed int64) []qlog.Record {
+	entries := skyserver.GenerateMixedLog(skyserver.WorkloadConfig{Queries: n, Seed: seed},
+		skyserver.ClassMix{Bot: 0.70, Human: 0.25, Admin: 0.05})
+	recs := make([]qlog.Record, len(entries))
+	for i, e := range entries {
+		recs[i] = qlog.Record{Seq: e.Seq, Time: e.Time, User: e.User, SQL: e.SQL}
+	}
+	return recs
+}
+
 // The partition gate: each class's served report must be byte-for-byte what
 // a batch mine of that class's records produces — with the registry and
 // template evolution of the FULL workload, which is what the server sees
-// (the per-class miners partition one shared extraction stream).
+// (the per-class miners partition one shared extraction stream). Records
+// arrive either tagged or untagged; untagged ones take the class a
+// reference classifier replayed over the same stream in order assigns, and
+// the server's final per-user verdicts must then clear the 0.95
+// precision/recall bar against the user-name ground truth.
 func TestTrafficPartitionIdentity(t *testing.T) {
 	db := testDB()
-	recs := taggedRecords(2000, 42)
-
-	// Reference: one pipeline pass over the whole workload, each class's
-	// areas fed to a private incremental miner in stream order.
-	m := core.NewMiner(minerConfig(db))
-	pipe := &qlog.Pipeline{Extractor: &extract.Extractor{Schema: skyserver.Schema(), Stats: m.Stats()}}
-	areaRecs, _ := pipe.Run(recs)
-	classTotal := make(map[string]int)
-	for i := range recs {
-		classTotal[recs[i].Class]++
-	}
-	want := make(map[string][]byte)
-	for _, cls := range traffic.Classes {
-		inc := m.Incremental()
-		extracted := 0
-		for i := range areaRecs {
-			if areaRecs[i].Record.Class == cls {
-				inc.Add(&areaRecs[i])
-				extracted++
+	for _, tc := range []struct {
+		name       string
+		recs       []qlog.Record
+		classified bool
+	}{
+		{"tagged", taggedRecords(2000, 42), false},
+		{"classified", mixedRecords(2000, 42), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := tc.recs
+			ref := recs
+			if tc.classified {
+				ref = make([]qlog.Record, len(recs))
+				clf := traffic.NewClassifier(traffic.Config{})
+				for i, r := range recs {
+					fp, _, err := sqlparser.Fingerprint(r.SQL)
+					if err != nil {
+						fp = 0
+					}
+					ref[i] = r
+					ref[i].Class = clf.Observe(r.User, r.Time, fp, r.SQL)
+				}
 			}
-		}
-		res := inc.Recluster()
-		res.PipelineStats = &qlog.Stats{Total: classTotal[cls], Extracted: extracted}
-		res.AttachCoverage(db)
-		var buf bytes.Buffer
-		if err := report.Write(&buf, res, report.JSON, report.Options{Coverage: true}); err != nil {
-			t.Fatal(err)
-		}
-		want[cls] = buf.Bytes()
-	}
 
-	s, err := NewServer(Config{Miner: minerConfig(db), Coverage: db, BatchSize: 64, Traffic: &traffic.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	for lo := 0; lo < len(recs); lo += 250 {
-		hi := lo + 250
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		postNDJSON(t, ts.URL, recs[lo:hi])
-	}
-	flushServer(t, ts.URL)
+			// Reference: one pipeline pass over the whole workload, each
+			// class's areas fed to a private incremental miner in stream
+			// order.
+			m := core.NewMiner(minerConfig(db))
+			pipe := &qlog.Pipeline{Extractor: &extract.Extractor{Schema: skyserver.Schema(), Stats: m.Stats()}}
+			areaRecs, _ := pipe.Run(ref)
+			classTotal := make(map[string]int)
+			for i := range ref {
+				classTotal[ref[i].Class]++
+			}
+			want := make(map[string][]byte)
+			for _, cls := range traffic.Classes {
+				inc := m.Incremental()
+				extracted := 0
+				for i := range areaRecs {
+					if areaRecs[i].Record.Class == cls {
+						inc.Add(&areaRecs[i])
+						extracted++
+					}
+				}
+				res := inc.Recluster()
+				res.PipelineStats = &qlog.Stats{Total: classTotal[cls], Extracted: extracted}
+				res.AttachCoverage(db)
+				var buf bytes.Buffer
+				if err := report.Write(&buf, res, report.JSON, report.Options{Coverage: true}); err != nil {
+					t.Fatal(err)
+				}
+				want[cls] = buf.Bytes()
+			}
 
-	sawClusters := false
-	for _, cls := range traffic.Classes {
-		code, hdr, got := get(t, ts.URL+"/report?class="+cls+"&format=json", "")
-		if code != http.StatusOK {
-			t.Fatalf("class %s report status %d: %s", cls, code, got)
-		}
-		if etag := hdr.Get("ETag"); etag == "" {
-			t.Errorf("class %s report has no ETag", cls)
-		}
-		if !bytes.Equal(got, want[cls]) {
-			t.Errorf("class %s report diverged from batch partition:\n got: %s\nwant: %s", cls, got, want[cls])
-		}
-		if bytes.Contains(got, []byte(`"id"`)) {
-			sawClusters = true
-		}
-	}
-	if !sawClusters {
-		t.Fatal("no class produced any cluster — the partition gate tested nothing")
-	}
+			s, err := NewServer(Config{Miner: minerConfig(db), Coverage: db, BatchSize: 64, Traffic: &traffic.Config{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for lo := 0; lo < len(recs); lo += 250 {
+				postNDJSON(t, ts.URL, recs[lo:min(lo+250, len(recs))])
+			}
+			flushServer(t, ts.URL)
 
-	// The classless report must be exactly what a traffic-off server (and
-	// hence the batch miner) serves: per-class mining is a pure addition.
-	batch := core.NewMiner(minerConfig(db)).MineRecords(recs)
-	batch.AttachCoverage(db)
-	var wantGlobal bytes.Buffer
-	if err := report.Write(&wantGlobal, batch, report.JSON, report.Options{Coverage: true}); err != nil {
-		t.Fatal(err)
-	}
-	code, _, got := get(t, ts.URL+"/report?format=json", "")
-	if code != http.StatusOK {
-		t.Fatalf("global report status %d", code)
-	}
-	if !bytes.Equal(got, wantGlobal.Bytes()) {
-		t.Errorf("classless report changed with traffic mining on:\n got: %s\nwant: %s", got, wantGlobal.Bytes())
+			sawClusters := false
+			for _, cls := range traffic.Classes {
+				code, hdr, got := get(t, ts.URL+"/report?class="+cls+"&format=json", "")
+				if code != http.StatusOK {
+					t.Fatalf("class %s report status %d: %s", cls, code, got)
+				}
+				if etag := hdr.Get("ETag"); etag == "" {
+					t.Errorf("class %s report has no ETag", cls)
+				}
+				if !bytes.Equal(got, want[cls]) {
+					t.Errorf("class %s report diverged from batch partition:\n got: %s\nwant: %s", cls, got, want[cls])
+				}
+				if bytes.Contains(got, []byte(`"id"`)) {
+					sawClusters = true
+				}
+			}
+			if !sawClusters {
+				t.Fatal("no class produced any cluster — the partition gate tested nothing")
+			}
+
+			// The classless report must be exactly what a traffic-off server
+			// (and hence the batch miner) serves: per-class mining is a pure
+			// addition.
+			batch := core.NewMiner(minerConfig(db)).MineRecords(recs)
+			batch.AttachCoverage(db)
+			var wantGlobal bytes.Buffer
+			if err := report.Write(&wantGlobal, batch, report.JSON, report.Options{Coverage: true}); err != nil {
+				t.Fatal(err)
+			}
+			code, _, got := get(t, ts.URL+"/report?format=json", "")
+			if code != http.StatusOK {
+				t.Fatalf("global report status %d", code)
+			}
+			if !bytes.Equal(got, wantGlobal.Bytes()) {
+				t.Errorf("classless report changed with traffic mining on:\n got: %s\nwant: %s", got, wantGlobal.Bytes())
+			}
+
+			if !tc.classified {
+				return
+			}
+			tp, fp, fn := map[string]int{}, map[string]int{}, map[string]int{}
+			for user, got := range s.TrafficUserClasses() {
+				if truth := skyserver.ClassOf(user); got == truth {
+					tp[truth]++
+				} else {
+					fp[got]++
+					fn[truth]++
+				}
+			}
+			for _, cls := range traffic.Classes {
+				if tp[cls] == 0 {
+					t.Fatalf("class %s: no user classified correctly (fp=%d fn=%d)", cls, fp[cls], fn[cls])
+				}
+				prec := float64(tp[cls]) / float64(tp[cls]+fp[cls])
+				rec := float64(tp[cls]) / float64(tp[cls]+fn[cls])
+				if prec < 0.95 || rec < 0.95 {
+					t.Errorf("class %s: precision %.3f recall %.3f, want >= 0.95", cls, prec, rec)
+				}
+			}
+		})
 	}
 }
 
@@ -203,20 +265,22 @@ func runDriftScript(t *testing.T, cfg Config, recs []qlog.Record) []byte {
 
 // The drift determinism gate: the same workload, ingested twice through the
 // same flush script (but different burst sizes are exercised by the two
-// halves), emits byte-identical /drift logs.
+// halves), emits byte-identical /drift logs — with tagged records and with
+// classes the server's classifier assigns.
 func TestTrafficDriftDeterministic(t *testing.T) {
 	db := testDB()
-	recs := taggedRecords(1600, 7)
 	mk := func() Config {
 		return Config{Miner: minerConfig(db), BatchSize: 64, Traffic: &traffic.Config{}}
 	}
-	a := runDriftScript(t, mk(), recs)
-	b := runDriftScript(t, mk(), recs)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("drift logs diverged between identical runs:\n a: %s\n b: %s", a, b)
-	}
-	if bytes.Contains(a, []byte(`"count": 0`)) || !bytes.Contains(a, []byte(`"appeared"`)) {
-		t.Fatalf("drift log is trivial — the determinism gate tested nothing: %s", a)
+	for _, recs := range [][]qlog.Record{taggedRecords(1600, 7), mixedRecords(1600, 7)} {
+		a := runDriftScript(t, mk(), recs)
+		b := runDriftScript(t, mk(), recs)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("drift logs diverged between identical runs:\n a: %s\n b: %s", a, b)
+		}
+		if bytes.Contains(a, []byte(`"count": 0`)) || !bytes.Contains(a, []byte(`"appeared"`)) {
+			t.Fatalf("drift log is trivial — the determinism gate tested nothing: %s", a)
+		}
 	}
 }
 

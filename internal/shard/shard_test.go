@@ -51,7 +51,7 @@ func ndjsonBody(recs []qlog.Record) *bytes.Buffer {
 }
 
 // postUntilAccepted replays one burst, re-sending the tail a 429 did not
-// admit — the loggen/serveperf client behaviour.
+// admit — the loggen -replay client behaviour.
 func postUntilAccepted(t *testing.T, url string, recs []qlog.Record) {
 	t.Helper()
 	for len(recs) > 0 {

@@ -506,7 +506,7 @@ type ClassMix struct {
 
 // ClassOf returns a mixed-log record's ground-truth class from its user
 // name: GenerateMixedLog names bots bot##, admins adm## and everyone else
-// u###### — the evaluation key the traffic-perf harness scores the online
+// u###### — the evaluation key the traffic-class tests score the online
 // classifier against.
 func ClassOf(user string) string {
 	switch {

@@ -226,8 +226,8 @@ func (c *Classifier) decide(st *userState) string {
 }
 
 // FinalClass returns the class the user's full observed history resolves
-// to — the per-user ground-truth comparison the perf harness measures
-// precision/recall on. Unknown users default to human; overrides win.
+// to — the per-user verdict that tests score for precision/recall against
+// ground truth. Unknown users default to human; overrides win.
 func (c *Classifier) FinalClass(user string) string {
 	if cls, ok := c.cfg.Overrides[user]; ok && ValidClass(cls) {
 		return cls

@@ -870,8 +870,8 @@ func (w *WAL) ReadWindow(from, to int64, fps []uint64, fn func(rec qlog.Record, 
 }
 
 // ReadWindowScanAll is ReadWindow without the segment index — every segment
-// is opened and scanned. It exists so the perf harness can measure the
-// index's skip win against an honest full-scan baseline.
+// is opened and scanned. Tests use it as the reference oracle: the index
+// must yield exactly the records a full scan does.
 func (w *WAL) ReadWindowScanAll(from, to int64, fps []uint64, fn func(rec qlog.Record, fp uint64) error) (WindowStats, error) {
 	return w.readWindow(from, to, fps, fn, false)
 }

@@ -228,8 +228,14 @@ func TestReadWindowIndexSkips(t *testing.T) {
 			t.Fatalf("window record %d has seq %d", i, rec.Seq)
 		}
 	}
-	if st.SegmentsSkipped == 0 {
-		t.Fatalf("index skipped no segments: %+v", st)
+	// Rotating every 100 time units puts times 100k..100k+96 in segment k
+	// of 8, so the window overlaps segment 1 alone: the index must open it
+	// and skip the other 7.
+	if n := len(w.Segments()); n != 8 {
+		t.Fatalf("layout: %d segments, want 8", n)
+	}
+	if st.SegmentsScanned != 1 || st.SegmentsSkipped != 7 {
+		t.Fatalf("index scanned %d and skipped %d segments, want 1 and 7", st.SegmentsScanned, st.SegmentsSkipped)
 	}
 	all, err := w.ReadWindowScanAll(100, 200, nil, func(qlog.Record, uint64) error { return nil })
 	if err != nil {
