@@ -202,9 +202,12 @@ func (inc *Incremental) ExportState() *State {
 }
 
 // RestoreState rebuilds the accumulator from an exported state by
-// re-extracting each representative statement in order. It must be called
-// on a fresh Incremental whose Stats registry has already been restored.
-func (inc *Incremental) RestoreState(st *State) error {
+// re-extracting each representative statement in order through pipe, whose
+// extractor must observe into the miner's registry. A server passes its own
+// pipeline, so the global and class restores share one exact-statement memo
+// and re-extract each representative text once. It must be called on a
+// fresh Incremental whose Stats registry has already been restored.
+func (inc *Incremental) RestoreState(st *State, pipe *qlog.Pipeline) error {
 	if st == nil {
 		return nil
 	}
@@ -215,7 +218,7 @@ func (inc *Incremental) RestoreState(st *State) error {
 	for i, it := range st.Items {
 		recs[i] = qlog.Record{Seq: it.Seq, Time: it.Time, User: it.User, SQL: it.SQL}
 	}
-	areaRecs, _ := inc.m.pipeline().Run(recs)
+	areaRecs, _ := pipe.Run(recs)
 	if len(areaRecs) != len(st.Items) {
 		return fmt.Errorf("core: restore re-extracted %d of %d representatives", len(areaRecs), len(st.Items))
 	}

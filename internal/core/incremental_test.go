@@ -151,7 +151,7 @@ func TestIncrementalStateRoundTrip(t *testing.T) {
 	restoredStats.RestoreSnapshot(statsSnap)
 	m2 := NewMiner(Config{Schema: skyserver.Schema(), Seed: 3, Stats: restoredStats})
 	inc2 := m2.Incremental()
-	if err := inc2.RestoreState(st); err != nil {
+	if err := inc2.RestoreState(st, m2.pipeline()); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	if got, want := inc2.Distinct(), inc.Distinct(); got != want {
@@ -184,10 +184,10 @@ func TestIncrementalRestoreGuards(t *testing.T) {
 		t.Fatal("no areas extracted")
 	}
 	inc.Add(&areaRecs[0])
-	if err := inc.RestoreState(&State{Items: []ItemState{{SQL: "select 1"}}}); err == nil {
+	if err := inc.RestoreState(&State{Items: []ItemState{{SQL: "select 1"}}}, nil); err == nil {
 		t.Fatal("RestoreState on non-empty state did not fail")
 	}
-	if err := m.Incremental().RestoreState(nil); err != nil {
+	if err := m.Incremental().RestoreState(nil, nil); err != nil {
 		t.Fatalf("nil state restore: %v", err)
 	}
 }

@@ -247,7 +247,7 @@ func TestClusteredItemsCarrySharedHulls(t *testing.T) {
 	restoredStats.RestoreSnapshot(m.Stats().Snapshot())
 	m2 := NewMiner(Config{Schema: skyserver.Schema(), Seed: 9, Stats: restoredStats})
 	r := m2.Incremental()
-	if err := r.RestoreState(a.ExportState()); err != nil {
+	if err := r.RestoreState(a.ExportState(), m2.pipeline()); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	sameMining(t, a.Recluster(), r.Recluster())

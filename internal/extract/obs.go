@@ -19,4 +19,9 @@ var (
 		"cached templates re-instantiated with fresh literals")
 	templateRebindFails = obs.NewCounter("skyaccess_extract_template_rebind_fails_total",
 		"rebinds rejected by a per-record guard (record took the slow path)")
+
+	memoHitsTotal = obs.NewCounter("skyaccess_extract_memo_hits_total",
+		"exact-statement memo lookups that found the text's entry")
+	memoMissesTotal = obs.NewCounter("skyaccess_extract_memo_misses_total",
+		"exact-statement memo lookups that lexed a text not seen before")
 )

@@ -14,7 +14,7 @@ import (
 	"io"
 	"strconv"
 
-	"repro/internal/sqlparser"
+	"repro/internal/extract"
 )
 
 // Record is one query-log line.
@@ -23,12 +23,6 @@ type Record struct {
 	Time int64  `json:"time"`
 	User string `json:"user"`
 	SQL  string `json:"sql"`
-
-	// Precomputed fingerprint pass, populated by an upstream stage that has
-	// already lexed the statement (WAL admission fingerprints every record
-	// for the segment index). When FPValid is set the pipeline reuses FP and
-	// Lits instead of lexing SQL a second time. Never serialised: a decoded
-	// or replayed record re-derives them.
 	// Class is the traffic class the record belongs to ("bot", "human",
 	// "admin", or "" when unclassified). Explicit tags survive JSON ingest
 	// and the WAL; untagged records are classified at admission when the
@@ -36,9 +30,12 @@ type Record struct {
 	// paper-log format, so the class never round-trips through WriteCSV.
 	Class string `json:"class,omitempty"`
 
-	FPValid bool                `json:"-"`
-	FP      uint64              `json:"-"`
-	Lits    []sqlparser.Literal `json:"-"`
+	// Stmt is the statement's exact-text memo entry (lexer pass and, once
+	// extracted, outcome), attached by an upstream stage that already looked
+	// the text up — WAL admission fingerprints every record for the segment
+	// index — so the pipeline does not look it up a second time. Never
+	// serialised: a decoded or replayed record looks it up afresh.
+	Stmt *extract.Stmt `json:"-"`
 }
 
 // WriteCSV serialises records with a header row.

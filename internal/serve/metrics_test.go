@@ -48,6 +48,11 @@ func TestMetricsProm(t *testing.T) {
 		"# TYPE skyaccess_semcache_hits_total counter",
 		"# TYPE skyaccess_stage_sqlparser_parse_seconds histogram",
 		"skyaccess_qlog_records_total",
+		"# TYPE skyaccess_extract_memo_hits_total counter",
+		"# TYPE skyaccess_extract_memo_misses_total counter",
+		"# TYPE skyaccess_serve_memo_entries gauge",
+		"skyaccess_serve_memo_off 0",
+		"# TYPE skyaccess_serve_handler_panics_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom output missing %q", want)

@@ -15,6 +15,9 @@ var (
 	reportStage      = obs.NewStage("serve_report")
 	queryServeStage  = obs.NewStage("serve_query")
 	remineStage      = obs.NewStage("serve_remine")
+
+	handlerPanics = obs.NewCounter("skyaccess_serve_handler_panics_total",
+		"HTTP handler panics Guard recovered and answered 500")
 )
 
 // initRegistry builds the server's private metrics registry: every legacy
@@ -62,6 +65,12 @@ func (s *Server) initRegistry() {
 	r.NewCounterFunc("skyaccess_serve_template_full_parses_total",
 		"pipeline records that took the full parse path",
 		func() float64 { return float64(s.statsSnapshot().FullParses) })
+	r.NewGaugeFunc("skyaccess_serve_memo_entries",
+		"exact-statement memo entries resident in the pipeline's cache",
+		func() float64 { return float64(s.pipe.Cache.MemoLen()) })
+	r.NewGaugeFunc("skyaccess_serve_memo_off",
+		"1 once probation has switched the exact-statement memo off",
+		func() float64 { return b2f(s.pipe.Cache.MemoOff()) })
 	r.NewCounterFunc("skyaccess_serve_distance_evals_total",
 		"kernel distance evaluations across all epochs (lifetime; never resets)",
 		func() float64 { return float64(s.inc.DistanceEvals()) })
@@ -145,3 +154,10 @@ func (s *Server) initRegistry() {
 // Registry exposes the server's private metrics registry (tests and
 // skyserved's debug listener).
 func (s *Server) Registry() *obs.Registry { return s.reg }
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/memdb"
 	"repro/internal/obs"
 	"repro/internal/qlog"
-	"repro/internal/sqlparser"
 	"repro/internal/traffic"
 	"repro/internal/wal"
 )
@@ -171,16 +170,6 @@ type Server struct {
 	// records and free-rides on group commits instead of chasing the
 	// ever-advancing global append frontier.
 	walHigh uint64
-	// fpc caches statement fingerprints for the WAL append path. SkyServer
-	// traffic is dominated by bots re-issuing identical statements, so
-	// admission almost never pays the lexer twice for the same text. On
-	// workloads with no text reuse the cache turns itself off (fpcOff)
-	// once the probation window shows a negligible hit rate.
-	fpcMu     sync.Mutex
-	fpc       map[string]fpEntry
-	fpcHits   int64
-	fpcMisses int64
-	fpcOff    atomic.Bool
 
 	accepted atomic.Int64
 	rejected atomic.Int64
@@ -384,14 +373,15 @@ func (s *Server) enqueue(rec qlog.Record) error {
 		// part, and the WAL's segment index is keyed by it (0 = unparseable,
 		// compaction's drop marker). Doing it here — on the ingest goroutine,
 		// which otherwise idles on backpressure — keeps it off the WAL
-		// writer's sync-barrier critical path. The pass is carried on the
-		// record so the pipeline reuses it instead of lexing again.
-		var lits []sqlparser.Literal
-		var valid bool
-		fp, lits, valid = s.fingerprint(rec.SQL)
-		if valid {
-			rec.FPValid, rec.FP, rec.Lits = true, fp, lits
+		// writer's sync-barrier critical path. The lexer pass comes from the
+		// exact-statement memo, so a re-issued text is not lexed again, and
+		// the entry rides on the record so the pipeline reuses it (and, once
+		// the text was extracted, its whole outcome). An in-process shard
+		// coordinator has attached the entry already.
+		if rec.Stmt == nil {
+			rec.Stmt = s.pipe.Cache.Stmt(rec.SQL)
 		}
+		fp, _, _ = rec.Stmt.Fingerprint()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -418,77 +408,6 @@ func (s *Server) enqueue(rec qlog.Record) error {
 		s.rejected.Add(1)
 		return ErrQueueFull
 	}
-}
-
-// fpcProbation is how many cache misses the fingerprint cache tolerates
-// before judging the workload: if fewer than 1/16 of lookups hit by then,
-// admission is paying map inserts (and the GC cost of a growing string map)
-// for texts that never recur, and the cache turns itself off. Bot traffic
-// shows hits within the first few hundred statements, so a short probation
-// does not mis-judge it.
-const fpcProbation = 1024
-
-// fpEntry is one fingerprint-cache value: the template hash plus the
-// literal pass for the exact statement text (identical text ⇒ identical
-// literals, so caching them together is sound).
-type fpEntry struct {
-	fp   uint64
-	lits []sqlparser.Literal
-}
-
-// fingerprint returns the WAL index fingerprint for a statement, cached by
-// exact text (0 = unparseable, compaction's drop marker). SkyServer bot
-// traffic re-issues identical statements, so the cache usually keeps
-// admission from paying the lexer twice — but a workload of all-distinct
-// texts (every literal unique) would pay the map without ever hitting it,
-// so the cache disables itself when the observed hit rate stays negligible.
-// The cache resets at 32k distinct statements, bounding memory.
-func (s *Server) fingerprint(sql string) (uint64, []sqlparser.Literal, bool) {
-	if s.fpcOff.Load() {
-		return fingerprintFull(sql)
-	}
-	s.fpcMu.Lock()
-	ent, ok := s.fpc[sql]
-	if ok {
-		s.fpcHits++
-		s.fpcMu.Unlock()
-		return ent.fp, ent.lits, true
-	}
-	s.fpcMisses++
-	if s.fpcMisses >= fpcProbation && s.fpcHits*16 < s.fpcMisses {
-		s.fpc = nil
-		s.fpcMu.Unlock()
-		s.fpcOff.Store(true)
-		return fingerprintFull(sql)
-	}
-	s.fpcMu.Unlock()
-	fp, lits, valid := fingerprintFull(sql)
-	if !valid {
-		return fp, lits, valid
-	}
-	s.fpcMu.Lock()
-	if len(s.fpc) >= 32<<10 {
-		s.fpc = nil
-	}
-	if s.fpc == nil {
-		s.fpc = make(map[string]fpEntry, 1024)
-	}
-	s.fpc[sql] = fpEntry{fp: fp, lits: lits}
-	s.fpcMu.Unlock()
-	return fp, lits, valid
-}
-
-// fingerprintFull lexes sql once for both consumers of the pass: the WAL's
-// segment index (fp) and the mining pipeline's template cache (fp + lits,
-// carried on the record so the pipeline skips its own lexer pass). An
-// unlexable statement reports valid=false with fp 0 — the WAL's drop marker;
-// the pipeline re-derives (and records) the failure itself.
-func fingerprintFull(sql string) (uint64, []sqlparser.Literal, bool) {
-	fp, lits, err := sqlparser.Fingerprint(sql)
-	if err != nil {
-		return 0, nil, false
-	}
-	return fp, lits, true
 }
 
 // Commit is the durability barrier: it blocks until every record appended

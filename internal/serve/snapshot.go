@@ -137,7 +137,12 @@ func (s *Server) restoreSnapshot(path string) (*Snapshot, error) {
 	// Registry first: re-extraction of the representatives must see the
 	// exact access(a) state the areas were mined under.
 	s.miner.Stats().RestoreSnapshot(snap.Registry)
-	if err := s.inc.RestoreState(snap.Mining); err != nil {
+	// The global and class restores re-extract through the server's own
+	// pipeline, so a text shared by several miners is extracted once; the
+	// representatives must not count toward the memo's probation.
+	resume := s.pipe.Cache.SuspendProbation()
+	defer resume()
+	if err := s.inc.RestoreState(snap.Mining, s.pipe); err != nil {
 		return nil, fmt.Errorf("serve: snapshot %s: %w", path, err)
 	}
 	if err := s.restoreTraffic(snap.Traffic); err != nil {

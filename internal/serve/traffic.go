@@ -71,29 +71,24 @@ func newTrafficState(cfg traffic.Config, miner *core.Miner) *trafficState {
 // order, before the batch enters the pipeline. Explicitly tagged records
 // keep their tag but are still observed — the classifier's state must be a
 // function of the full processed sequence for WAL replay to reproduce it.
-// Records arriving without the admission-time fingerprint pass (no WAL, or
-// WAL replay) are fingerprinted here; the pipeline reuses the pass.
+// Records arriving without the admission-time memo entry (no WAL, or WAL
+// replay) look their text up here; the pipeline reuses the entry.
 func (s *Server) classifyBatch(batch []qlog.Record) {
 	t := s.traffic
 	t.tmu.Lock()
 	defer t.tmu.Unlock()
 	for i := range batch {
 		rec := &batch[i]
-		if !rec.FPValid {
-			if fp, lits, ok := s.fingerprint(rec.SQL); ok {
-				rec.FPValid, rec.FP, rec.Lits = true, fp, lits
-			}
+		if rec.Stmt == nil {
+			rec.Stmt = s.pipe.Cache.Stmt(rec.SQL)
 		}
-		var fp uint64
-		if rec.FPValid {
-			fp = rec.FP
-		}
+		fp, lits, lexed := rec.Stmt.Fingerprint()
 		cls := t.classifier.Observe(rec.User, rec.Time, fp, rec.SQL)
 		if !traffic.ValidClass(rec.Class) {
 			rec.Class = cls
 		}
-		if rec.FPValid {
-			t.ifaces.Observe(rec.FP, rec.SQL, rec.Lits)
+		if lexed {
+			t.ifaces.Observe(fp, rec.SQL, lits)
 		}
 		t.counts[rec.Class].total.Add(1)
 	}
@@ -270,7 +265,7 @@ func (s *Server) restoreTraffic(snap *TrafficSnapshot) error {
 	t.driftEpochs = snap.DriftEpochs
 	for _, cls := range traffic.Classes {
 		if st := snap.Mining[cls]; st != nil {
-			if err := t.incs[cls].RestoreState(st); err != nil {
+			if err := t.incs[cls].RestoreState(st, s.pipe); err != nil {
 				return err
 			}
 		}

@@ -321,5 +321,5 @@ func ResultHandler(s *serve.Server) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(encodeTraffic(s))
 	})
-	return mux
+	return serve.Guard(mux)
 }

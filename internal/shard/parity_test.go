@@ -74,6 +74,8 @@ func TestTopologyParity(t *testing.T) {
 		{method: "GET", path: "/flush", want: http.StatusMethodNotAllowed},
 		{method: "POST", path: "/ingest", body: "{not json", want: http.StatusBadRequest},
 		{method: "POST", path: "/ingest", body: "42", want: http.StatusBadRequest},
+		// Both surfaces sit behind serve.Guard's body limit.
+		{method: "POST", path: "/ingest", body: "[" + strings.Repeat(" ", serve.MaxBodyBytes) + "]", want: http.StatusRequestEntityTooLarge},
 		{method: "GET", path: "/report", want: http.StatusOK},
 		{method: "GET", path: "/report?top=-1", want: http.StatusBadRequest},
 		{method: "GET", path: "/report?top=x", want: http.StatusBadRequest},
