@@ -388,7 +388,7 @@ func TestRouterStatePersistence(t *testing.T) {
 	r1 := NewRouter(4, skyserver.Schema(), nil, -1)
 	want := make([]int, len(recs))
 	for i, rec := range recs {
-		want[i], _ = r1.Route(rec)
+		want[i], _ = r1.Route(&rec)
 	}
 	path := filepath.Join(t.TempDir(), "router.json")
 	if err := r1.SaveState(path); err != nil {
@@ -401,7 +401,7 @@ func TestRouterStatePersistence(t *testing.T) {
 	}
 	got := make([]int, len(recs))
 	for i, rec := range recs {
-		got[i], _ = r2.Route(rec)
+		got[i], _ = r2.Route(&rec)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restored router routes records differently")
@@ -425,7 +425,7 @@ func TestRouterStatePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		s, _ := r4.Route(rec)
+		s, _ := r4.Route(&rec)
 		if s == ShardStaged {
 			t.Fatalf("restored router staged record %d", i)
 		}
@@ -443,7 +443,7 @@ func TestRouterWarmupBinding(t *testing.T) {
 	keyOf := make(map[int]string)
 	var bound map[string]int
 	for i, rec := range recs {
-		s, key := r.Route(rec)
+		s, key := r.Route(&rec)
 		if s == ShardStaged {
 			staged++
 			keyOf[i] = key
