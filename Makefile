@@ -23,7 +23,9 @@ lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipped"; fi
 
-# The parallel region-query and pivot-index code paths must stay race-clean; qlog covers the streaming worker pool and the template cache,
+# The parallel region-query and pivot-index code paths must stay race-clean;
+# par covers the shared parallel-for, qlog the slot-addressed pipeline
+# batches and the template cache,
 # extract the concurrent template rebinds, sqlparser the fingerprint pass,
 # serve the ingest queue / epoch worker / shutdown interleavings, core the
 # concurrent Add vs Recluster paths of the incremental miner, interestcache
@@ -36,7 +38,7 @@ lint:
 # the classifier and interface miner (the pump writes them while /interfaces
 # and snapshots read them).
 racecheck:
-	$(GO) test -race ./internal/dbscan/... ./internal/distance/... \
+	$(GO) test -race ./internal/par/... ./internal/dbscan/... ./internal/distance/... \
 		./internal/qlog/... ./internal/extract/... ./internal/sqlparser/... \
 		./internal/serve/... ./internal/core/... ./internal/interestcache/... \
 		./internal/memdb/... ./internal/shard/... ./internal/wal/... \
@@ -99,13 +101,15 @@ shard-smoke:
 	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestShardDownDegradesGracefully' -v ./internal/shard/
 
 # wal-smoke is the end-to-end durability gate: kill a server mid-ingest
-# (clean restart and torn-tail variants), reopen on the same WAL dir, and
-# require the recovered /report to be byte-identical to an uninterrupted
-# run; TestRemineWindowEquivalence proves POST /remine over a [from,to)
-# window matches batch-mining the same slice, and the shard variant proves
-# per-shard WALs recover under the coordinator. All under -race.
+# (clean restart and torn-tail variants), or shut it down past its
+# deadline with acknowledged records still queued, reopen on the same WAL
+# dir, and require the recovered /report to be byte-identical to an
+# uninterrupted run; TestRemineWindowEquivalence proves POST /remine over a
+# [from,to) window matches batch-mining the same slice, and the shard
+# variant proves per-shard WALs recover under the coordinator. All under
+# -race.
 wal-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestRemineWindowEquivalence' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence' -v ./internal/serve/
 	$(GO) test -race -count=1 -run TestShardedCrashRecovery -v ./internal/shard/
 
 # traffic-smoke is the end-to-end gate for traffic-class mining: the serve

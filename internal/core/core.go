@@ -146,12 +146,12 @@ func (m *Miner) MineRecords(recs []qlog.Record) *Result {
 	return m.mine(areaRecs, stats)
 }
 
-// MineStream runs the full pipeline over a record stream. Extraction is
-// bounded-memory (see qlog.Pipeline.RunStream); the extracted areas are then
-// deduplicated and clustered as in MineRecords, so the whole run's footprint
-// is dominated by the distinct-area count rather than the log length.
-// Cancelling ctx stops extraction mid-stream; the records admitted before
-// cancellation are still deduplicated and clustered.
+// MineStream runs the full pipeline over a record stream. Extraction holds
+// at most one chunk of raw records at a time (see qlog.Pipeline.RunStream),
+// so the log need not fit in memory; the extracted area records are
+// collected and then deduplicated and clustered as in MineRecords.
+// Cancelling ctx stops the pulls from src; the records pulled before
+// cancellation are still extracted, deduplicated and clustered.
 func (m *Miner) MineStream(ctx context.Context, src qlog.RecordSource) *Result {
 	var areaRecs []qlog.AreaRecord
 	stats := m.pipeline().RunStream(ctx, src, func(ar qlog.AreaRecord) {

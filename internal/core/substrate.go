@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/dbscan"
 	"repro/internal/distance"
 	"repro/internal/extract"
+	"repro/internal/par"
 	"repro/internal/schema"
 )
 
@@ -282,7 +282,7 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 			touched[grp] = append(touched[grp], int(g.pos[slot]))
 		}
 	}
-	workers := resolveWorkers(s.m.cfg.Workers)
+	workers := par.Workers(s.m.cfg.Workers)
 	for grp, staleLocal := range touched {
 		gdist := s.groupDist(grp)
 		switch {
@@ -326,7 +326,7 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 		}
 		found[k] = out
 	}
-	parallelFor(len(dirty), workers, scan)
+	par.For(len(dirty), workers, scan)
 
 	// Drop dirty slots from clean lists, then merge every found pair into
 	// both endpoints' lists.
@@ -434,28 +434,6 @@ func mergeAscending(a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
-// parallelFor runs fn(0..n-1) on up to workers goroutines.
-func parallelFor(n, workers int, fn func(k int)) {
-	if workers <= 1 || n < 64 {
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // mapRegion is the DBSCAN region source for one partition of one miner:
 // local index i's neighbourhood is its slot's graph list restricted to the
 // partition, mapped into partition-local indices, with i itself inserted.
@@ -519,13 +497,4 @@ func (r *mapRegion) region(i int) []int {
 	}
 	r.buf = out
 	return out
-}
-
-// resolveWorkers maps a Workers setting to a goroutine count (0 = one per
-// processor, like dbscan's own resolution).
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }

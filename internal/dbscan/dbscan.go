@@ -7,9 +7,9 @@
 package dbscan
 
 import (
-	"runtime"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Noise is the label assigned to points not belonging to any cluster.
@@ -68,7 +68,6 @@ func (r *Result) NoiseCount() int {
 // goroutines and must be safe for concurrent use.
 func Cluster(n int, dist func(i, j int) float64, cfg Config) *Result {
 	e := newEngine(n, dist, cfg)
-	defer e.close()
 	return e.run(e.regionQuery)
 }
 
@@ -88,21 +87,6 @@ func ClusterGraph(n int, region func(i int) []int, cfg Config) *Result {
 
 const unclassified = -2
 
-// resolveWorkers clamps a Workers setting to [1, n] with 0 meaning
-// GOMAXPROCS.
-func resolveWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // weightOf sums the weights of a neighbourhood (cardinality when no weights
 // are configured).
 func (e *engine) weightOf(idx []int) int {
@@ -116,24 +100,13 @@ func (e *engine) weightOf(idx []int) int {
 	return total
 }
 
-// newEngine prepares the labels and, for large parallel runs, the worker
-// pool; callers that start a pool must close the engine.
+// newEngine prepares the labels for one clustering run.
 func newEngine(n int, dist func(i, j int) float64, cfg Config) *engine {
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = unclassified
 	}
-	e := &engine{n: n, dist: dist, cfg: cfg, labels: labels, workers: resolveWorkers(cfg.Workers, n)}
-	if dist != nil && e.workers > 1 && n >= parallelCutoff {
-		e.pool = newWorkerPool(e.workers)
-	}
-	return e
-}
-
-func (e *engine) close() {
-	if e.pool != nil {
-		e.pool.close()
-	}
+	return &engine{n: n, dist: dist, cfg: cfg, labels: labels, workers: par.Workers(cfg.Workers)}
 }
 
 // run is the one DBSCAN label-propagation loop every entry point shares:
@@ -164,94 +137,53 @@ type engine struct {
 	cfg     Config
 	labels  []int
 	workers int
-	// pool, when non-nil, is the persistent per-Cluster-call worker pool
-	// parallel region queries run on. DBSCAN issues one region query per
-	// point; spawning `workers` fresh goroutines inside each (the previous
-	// design) meant n·workers goroutine launches per clustering run —
-	// billions at the 1M-area scale. The pool starts its goroutines once.
-	pool *workerPool
-}
-
-// workerPool is a fixed set of goroutines consuming closures from a
-// channel. Submitters never run tasks inline and tasks never submit,
-// so there is no nesting deadlock; close() tears the goroutines down.
-type workerPool struct {
-	tasks chan func()
-	done  sync.WaitGroup
-}
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{tasks: make(chan func(), workers)}
-	p.done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.done.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *workerPool) close() {
-	close(p.tasks)
-	p.done.Wait()
-}
-
-// runChunks splits [0, n) into one chunk per worker and executes
-// fn(w, lo, hi) for each on the pool, blocking until all complete.
-func (p *workerPool) runChunks(n, workers int, fn func(w, lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		w, lo, hi := w, lo, hi
-		p.tasks <- func() {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}
-	}
-	wg.Wait()
 }
 
 // regionQuery returns all points within Eps of point i (including i),
-// scanning in parallel on the engine's worker pool.
+// scanning one contiguous chunk per worker in parallel.
 func (e *engine) regionQuery(i int) []int {
 	sp := regionQueryStage.Start()
 	defer sp.End()
 	regionQueriesTotal.Inc()
-	if e.pool == nil || e.workers == 1 || e.n < parallelCutoff {
-		var out []int
-		for j := 0; j < e.n; j++ {
-			if j == i || e.dist(i, j) <= e.cfg.Eps {
-				out = append(out, j)
-			}
-		}
-		return out
+	k := chunks(e.n, e.workers)
+	if k == 1 {
+		return e.scan(i, 0, e.n)
 	}
-	parts := make([][]int, e.workers)
-	e.pool.runChunks(e.n, e.workers, func(w, lo, hi int) {
-		var out []int
-		for j := lo; j < hi; j++ {
-			if j == i || e.dist(i, j) <= e.cfg.Eps {
-				out = append(out, j)
-			}
-		}
-		parts[w] = out
+	parts := make([][]int, k)
+	par.For(k, k, func(c int) {
+		lo, hi := chunkBounds(e.n, k, c)
+		parts[c] = e.scan(i, lo, hi)
 	})
 	var out []int
 	for _, p := range parts {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// scan returns the points of [lo, hi) within Eps of point i, i included.
+func (e *engine) scan(i, lo, hi int) []int {
+	var out []int
+	for j := lo; j < hi; j++ {
+		if j == i || e.dist(i, j) <= e.cfg.Eps {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// chunks is how many contiguous chunks a parallel scan over n points splits
+// into: one per worker, or one when n is under parallelCutoff.
+func chunks(n, workers int) int {
+	if n < parallelCutoff {
+		return 1
+	}
+	return workers
+}
+
+// chunkBounds returns chunk c of k near-equal contiguous chunks of [0, n).
+func chunkBounds(n, k, c int) (lo, hi int) {
+	return c * n / k, (c + 1) * n / k
 }
 
 // expand grows cluster id from core point i using the classic seed-set
@@ -404,7 +336,7 @@ func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *
 	if k < 1 {
 		k = 1
 	}
-	workers = resolveWorkers(workers, n)
+	nc := chunks(n, par.Workers(workers))
 	idx := &PivotIndex{dist: dist}
 	minDist := make([]float64, n)
 	for i := range minDist {
@@ -414,35 +346,15 @@ func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *
 	for len(idx.pivots) < k {
 		idx.pivots = append(idx.pivots, next)
 		row := make([]float64, n)
-		fill := func(lo, hi int) {
+		par.For(nc, nc, func(c int) {
+			lo, hi := chunkBounds(n, nc, c)
 			for i := lo; i < hi; i++ {
 				row[i] = dist(next, i)
 				if row[i] < minDist[i] {
 					minDist[i] = row[i]
 				}
 			}
-		}
-		if workers == 1 || n < parallelCutoff {
-			fill(0, n)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (n + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo, hi := w*chunk, (w+1)*chunk
-				if hi > n {
-					hi = n
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					fill(lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
+		})
 		idx.table = append(idx.table, row)
 		// Farthest point from all chosen pivots becomes the next pivot.
 		best, bestD := 0, -1.0

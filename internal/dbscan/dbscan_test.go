@@ -486,10 +486,9 @@ func TestKDistancesBoundary(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolReuse exercises the persistent per-Cluster worker pool
-// directly: many region scans through one pool must match the serial scan,
-// and the pool must shut down cleanly.
-func TestWorkerPoolReuse(t *testing.T) {
+// TestParallelRegionQueryMatchesSerial: many region scans split across
+// workers must match the serial scan point for point, in order.
+func TestParallelRegionQueryMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	n := parallelCutoff + 500
 	pts := make([]float64, n)
@@ -498,19 +497,18 @@ func TestWorkerPoolReuse(t *testing.T) {
 	}
 	d := euclid1D(pts)
 
-	pool := newWorkerPool(8)
-	defer pool.close()
-	e := &engine{n: n, dist: d, cfg: Config{Eps: 0.3, MinPts: 4}, workers: 8, pool: pool}
-	es := &engine{n: n, dist: d, cfg: Config{Eps: 0.3, MinPts: 4}, workers: 1}
+	cfg := Config{Eps: 0.3, MinPts: 4}
+	e := &engine{n: n, dist: d, cfg: cfg, workers: 8}
+	es := &engine{n: n, dist: d, cfg: cfg, workers: 1}
 	for q := 0; q < 50; q++ {
 		want := es.regionQuery(q)
 		got := e.regionQuery(q)
 		if len(got) != len(want) {
-			t.Fatalf("q=%d: pooled region size %d, serial %d", q, len(got), len(want))
+			t.Fatalf("q=%d: parallel region size %d, serial %d", q, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("q=%d: pooled region[%d] = %d, serial %d", q, i, got[i], want[i])
+				t.Fatalf("q=%d: parallel region[%d] = %d, serial %d", q, i, got[i], want[i])
 			}
 		}
 	}

@@ -13,13 +13,12 @@ import (
 
 // PipelinePerfRun is one extraction pass of the pipeline perf harness.
 type PipelinePerfRun struct {
-	Mode         string  `json:"mode"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	Throughput   float64 `json:"queries_per_sec"`
-	FullParses   int     `json:"full_parses"`
-	CacheHits    int     `json:"cache_hits"`
-	Areas        int     `json:"areas"`
-	PeakInFlight int     `json:"peak_in_flight"`
+	Mode       string  `json:"mode"`
+	ElapsedMS  float64 `json:"elapsed_ms"`
+	Throughput float64 `json:"queries_per_sec"`
+	FullParses int     `json:"full_parses"`
+	CacheHits  int     `json:"cache_hits"`
+	Areas      int     `json:"areas"`
 }
 
 // PipelinePerfResult is the outcome of the extraction-pipeline perf
@@ -64,13 +63,12 @@ func (e *Env) RunPipelinePerf() *PipelinePerfResult {
 		}
 		elapsed := time.Since(t0)
 		return PipelinePerfRun{
-			Mode:         mode,
-			ElapsedMS:    float64(elapsed.Microseconds()) / 1e3,
-			Throughput:   float64(st.Total) / elapsed.Seconds(),
-			FullParses:   st.FullParses,
-			CacheHits:    st.CacheHits,
-			Areas:        len(areas),
-			PeakInFlight: st.PeakInFlight,
+			Mode:       mode,
+			ElapsedMS:  float64(elapsed.Microseconds()) / 1e3,
+			Throughput: float64(st.Total) / elapsed.Seconds(),
+			FullParses: st.FullParses,
+			CacheHits:  st.CacheHits,
+			Areas:      len(areas),
 		}, areas, st
 	}
 	uncached, uncachedAreas, uncachedStats := run("uncached", true, false)
@@ -103,8 +101,8 @@ func (e *Env) RunPipelinePerf() *PipelinePerfResult {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Pipeline perf — template cache + streaming front end vs uncached (%d queries)\n", out.Queries)
 	row := func(r PipelinePerfRun) {
-		fmt.Fprintf(&b, "  %-14s %10.1f ms   %8.0f q/s   %7d full parses   %7d cache hits   %6d areas   peak in-flight %d\n",
-			r.Mode, r.ElapsedMS, r.Throughput, r.FullParses, r.CacheHits, r.Areas, r.PeakInFlight)
+		fmt.Fprintf(&b, "  %-14s %10.1f ms   %8.0f q/s   %7d full parses   %7d cache hits   %6d areas\n",
+			r.Mode, r.ElapsedMS, r.Throughput, r.FullParses, r.CacheHits, r.Areas)
 	}
 	row(uncached)
 	row(cached)
@@ -142,7 +140,7 @@ func sameAreas(a, b []qlog.AreaRecord) bool {
 }
 
 // sameSemanticStats compares the deterministic pipeline counters. FullParses,
-// CacheHits, PeakInFlight and the stage timings are scheduling telemetry and
+// CacheHits and the stage timings are scheduling telemetry and
 // deliberately excluded.
 func sameSemanticStats(a, b *qlog.Stats) bool {
 	if a.Total != b.Total || a.Parsed != b.Parsed || a.Extracted != b.Extracted ||

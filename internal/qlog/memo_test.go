@@ -68,9 +68,8 @@ func requireSameAreas(t *testing.T, label string, cold, memo []AreaRecord) {
 }
 
 // seededRegistry returns a stats registry seeded from db, as a server's is.
-// Seeding fixes every column's content(a); observations then only grow
-// access hulls and sets, whose final state does not depend on the order
-// in which concurrent workers observe.
+// Observations only grow access hulls and sets, whose final state does not
+// depend on the order in which concurrent workers observe.
 func seededRegistry(db *memdb.DB) *schema.Stats {
 	st := schema.NewStats()
 	skyserver.SeedStats(db, st)

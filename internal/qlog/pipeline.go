@@ -3,12 +3,11 @@ package qlog
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/extract"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sqlparser"
 )
 
@@ -97,11 +96,6 @@ type Stats struct {
 	// deterministic regardless.
 	FullParses int
 	CacheHits  int
-	// PeakInFlight is the largest number of records resident in the
-	// streaming pool at any sampled instant. It is bounded by construction:
-	// the feeder admits a record only while fewer than Workers + Buffer
-	// records are unretired.
-	PeakInFlight int
 
 	Parse       StageTime
 	Extract     StageTime
@@ -123,10 +117,10 @@ func (s *Stats) Coverage() float64 {
 // Merge folds another run's statistics into this one: counters add, failure
 // categories add key-wise, stage timings merge range-wise, and Elapsed
 // accumulates (two sequential batches took the sum of their wall clocks;
-// for overlapping runs the sum is total busy time, not wall time).
-// PeakInFlight takes the maximum. Merge is NOT safe for concurrent use —
-// a server merging per-batch stats from concurrently-finishing pipeline
-// runs must serialise calls with its own lock (see internal/serve).
+// for overlapping runs the sum is total busy time, not wall time). Merge
+// is NOT safe for concurrent use — a server merging per-batch stats from
+// concurrently-finishing pipeline runs must serialise calls with its own
+// lock (see internal/serve).
 func (s *Stats) Merge(o *Stats) {
 	if o == nil {
 		return
@@ -140,9 +134,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.EmptyAreas += o.EmptyAreas
 	s.FullParses += o.FullParses
 	s.CacheHits += o.CacheHits
-	if o.PeakInFlight > s.PeakInFlight {
-		s.PeakInFlight = o.PeakInFlight
-	}
 	if len(o.ParseFailures) > 0 && s.ParseFailures == nil {
 		s.ParseFailures = make(map[string]int)
 	}
@@ -179,10 +170,6 @@ type Pipeline struct {
 	Extractor *extract.Extractor
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Buffer is the capacity of the pool's job and result channels; 0 means
-	// 2×Workers. The feeder admits at most Workers+Buffer unretired records,
-	// which bounds RunStream's record residency.
-	Buffer int
 	// NoCache disables the template cache: every record takes the full
 	// parse → extract → CNF → consolidate path. Required when per-statement
 	// stage timings must reflect real work (the §6.6 efficiency experiment).
@@ -193,144 +180,93 @@ type Pipeline struct {
 	Cache *extract.TemplateCache
 }
 
+// streamChunk is how many records RunStream pulls before extracting and
+// emitting them: a stream's record residency, whatever its length.
+const streamChunk = 256
+
 // Run processes all records, returning the successful extractions in input
 // order and the aggregate statistics.
 func (p *Pipeline) Run(recs []Record) ([]AreaRecord, *Stats) {
+	start := time.Now()
 	out := make([]AreaRecord, 0, len(recs))
-	st := p.stream(context.Background(), SliceSource(recs), func(ar AreaRecord) { out = append(out, ar) })
+	st := newStats()
+	p.batch(recs, p.cache(), st, func(ar AreaRecord) { out = append(out, ar) })
+	st.Elapsed = time.Since(start)
 	return out, st
 }
 
-// RunStream processes a record stream with bounded memory: at most
-// Workers+Buffer records are resident at once, independent of stream length
-// (plus one cached template per distinct statement shape). emit is called
-// for every successful extraction, in input order, from the calling
-// goroutine; it may be nil when only the statistics matter.
+// RunStream processes a record stream with bounded memory: it pulls at most
+// streamChunk records, extracts them as one batch, emits them and repeats,
+// so at most streamChunk records are resident at once, independent of
+// stream length (plus one memo entry and cached template per distinct
+// statement). emit is called for every successful extraction, in input
+// order, from the calling goroutine; it may be nil when only the statistics
+// matter.
 //
-// Cancelling ctx stops the run mid-stream: the feeder stops pulling from
-// src, in-flight records finish extraction and are emitted, and the
-// returned Stats cover exactly the records admitted before cancellation.
-// Callers distinguish a drained source from a cancelled one via ctx.Err().
+// ctx is checked before every pull. Cancelling it stops the pulls; the
+// records already pulled are extracted and emitted, and the returned Stats
+// cover exactly those. Callers distinguish a drained source from a
+// cancelled one via ctx.Err().
 func (p *Pipeline) RunStream(ctx context.Context, src RecordSource, emit func(AreaRecord)) *Stats {
-	return p.stream(ctx, src, emit)
-}
-
-type poolJob struct {
-	ord int
-	rec Record
-}
-
-type poolResult struct {
-	ord int
-	ar  *AreaRecord
-}
-
-// stream runs the work-stealing worker pool: a feeder admits records under a
-// residency window, workers pull from a shared job channel (fast records
-// drain past slow ones instead of waiting behind a static chunk boundary),
-// and the collector reorders completions back to input order.
-func (p *Pipeline) stream(ctx context.Context, src RecordSource, emit func(AreaRecord)) *Stats {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	buffer := p.Buffer
-	if buffer <= 0 {
-		buffer = 2 * workers
-	}
-	var cache *extract.TemplateCache
-	if !p.NoCache {
-		cache = p.Cache
-		if cache == nil {
-			cache = &extract.TemplateCache{}
-		}
-	}
-
 	start := time.Now()
-	jobs := make(chan poolJob, buffer)
-	results := make(chan poolResult, buffer)
-	// window admission: one token per unretired record. len(window) is the
-	// current residency, so PeakInFlight ≤ workers+buffer by construction.
-	window := make(chan struct{}, workers+buffer)
-	partStats := make([]*Stats, workers)
-
-	go func() {
-		defer close(jobs)
-		done := ctx.Done()
-		ord := 0
-		for {
-			// A cancelled context stops the feed before the next pull, so a
-			// blocked server shutdown never drains the rest of the source.
-			select {
-			case <-done:
-				return
-			default:
-			}
-			rec, ok := src()
-			if !ok {
-				return
-			}
-			select {
-			case window <- struct{}{}:
-			case <-done:
-				return
-			}
-			jobs <- poolJob{ord: ord, rec: rec}
-			ord++
+	cache := p.cache()
+	st := newStats()
+	pull := func() (Record, bool) {
+		if ctx.Err() != nil {
+			return Record{}, false
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := newStats()
-			partStats[w] = st
-			for j := range jobs {
-				results <- poolResult{ord: j.ord, ar: p.processOne(j.rec, st, cache)}
-			}
-		}(w)
+		return src()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Collector: retire completions in input order. pending holds at most
-	// window-many out-of-order completions.
-	pending := make(map[int]*AreaRecord)
-	next := 0
-	peak := 0
-	for res := range results {
-		if n := len(window); n > peak {
-			peak = n
-		}
-		pending[res.ord] = res.ar
-		for {
-			ar, ok := pending[next]
-			if !ok {
+	chunk := make([]Record, 0, streamChunk)
+	for more := true; more; {
+		chunk = chunk[:0]
+		var rec Record
+		for len(chunk) < streamChunk {
+			if rec, more = pull(); !more {
 				break
 			}
-			delete(pending, next)
-			next++
-			if ar != nil && emit != nil {
-				emit(*ar)
-			}
-			<-window
+			chunk = append(chunk, rec)
+		}
+		p.batch(chunk, cache, st, emit)
+	}
+	st.Elapsed = time.Since(start)
+	return st
+}
+
+// cache is the template cache one run extracts through: none under
+// NoCache, else the configured cache or a fresh per-run one.
+func (p *Pipeline) cache() *extract.TemplateCache {
+	if p.NoCache {
+		return nil
+	}
+	if p.Cache != nil {
+		return p.Cache
+	}
+	return &extract.TemplateCache{}
+}
+
+// result is one record's extraction, written into the record's own slot by
+// whichever worker processed it.
+type result struct {
+	o     *extract.Outcome
+	parse time.Duration
+	tm    extract.Timings
+	hit   bool // served by the memo or a template rebind, not a full parse
+}
+
+// batch extracts recs in parallel, each into its own result slot, then
+// accounts the slots into st and emits the extractions in input order on
+// the calling goroutine, so workers never share a Stats.
+func (p *Pipeline) batch(recs []Record, cache *extract.TemplateCache, st *Stats, emit func(AreaRecord)) {
+	res := make([]result, len(recs))
+	par.For(len(recs), par.Workers(p.Workers), func(i int) {
+		res[i] = p.processOne(recs[i], cache)
+	})
+	for i := range res {
+		if ar := p.account(recs[i], &res[i], st); ar != nil && emit != nil {
+			emit(*ar)
 		}
 	}
-
-	total := newStats()
-	for _, ps := range partStats {
-		total.Merge(ps)
-	}
-	total.PeakInFlight = peak
-	total.Elapsed = time.Since(start)
-	return total
 }
 
 func newStats() *Stats {
@@ -346,14 +282,10 @@ func newStats() *Stats {
 // makes parse success itself value-dependent, so such records bypass the
 // template cache entirely — no lookup, no store — though their exact text is
 // still memoised.
-func (p *Pipeline) processOne(rec Record, st *Stats, cache *extract.TemplateCache) *AreaRecord {
-	st.Total++
-	recordsTotal.Inc()
+func (p *Pipeline) processOne(rec Record, cache *extract.TemplateCache) result {
 	if cache == nil {
-		st.FullParses++
-		fullParsesTotal.Inc()
 		o, parse, tm := p.slowPath(rec.SQL, nil, 0)
-		return p.account(rec, o, parse, tm, st)
+		return result{o: o, parse: parse, tm: tm}
 	}
 	t0 := time.Now()
 	stmt := rec.Stmt
@@ -364,15 +296,9 @@ func (p *Pipeline) processOne(rec Record, st *Stats, cache *extract.TemplateCach
 		// The registry must grow through THIS pipeline's extractor exactly
 		// as a cold extraction would (it may not be the one that stored o).
 		p.Extractor.Observe(o.Area)
-		st.CacheHits++
-		cacheHitsTotal.Inc()
-		return p.account(rec, o, time.Since(t0), extract.Timings{}, st)
+		return result{o: o, parse: time.Since(t0), hit: true}
 	}
-	var (
-		o     *extract.Outcome
-		parse time.Duration
-		tm    extract.Timings
-	)
+	var r result
 	fp, lits, lexed := stmt.Fingerprint()
 	usable := lexed && !anyBadNum(lits)
 	var t *extract.AreaTemplate
@@ -380,26 +306,22 @@ func (p *Pipeline) processOne(rec Record, st *Stats, cache *extract.TemplateCach
 		t, _ = cache.Get(fp)
 	}
 	if t != nil {
-		parse = time.Since(t0)
-		o, tm = p.applyTemplate(t, lits)
+		r.parse = time.Since(t0)
+		r.o, r.tm = p.applyTemplate(t, lits)
+		r.hit = r.o != nil
 	}
-	if o != nil {
-		st.CacheHits++
-		cacheHitsTotal.Inc()
-	} else {
+	if r.o == nil {
 		// A template miss stores the class's template; an uncacheable shape
 		// or a failed per-record guard takes the slow path without
 		// re-storing, and so does a record the template cache must bypass.
-		st.FullParses++
-		fullParsesTotal.Inc()
 		store := cache
 		if t != nil || !usable {
 			store, fp = nil, 0
 		}
-		o, parse, tm = p.slowPath(rec.SQL, store, fp)
+		r.o, r.parse, r.tm = p.slowPath(rec.SQL, store, fp)
 	}
-	stmt.SetOutcome(o)
-	return p.account(rec, o, parse, tm, st)
+	stmt.SetOutcome(r.o)
+	return r
 }
 
 func anyBadNum(lits []sqlparser.Literal) bool {
@@ -477,15 +399,25 @@ func (p *Pipeline) slowPath(sql string, cache *extract.TemplateCache, fp uint64)
 	return &extract.Outcome{Area: area, Key: area.Key()}, parse, tm
 }
 
-// account records one record's outcome in st — the bookkeeping shared by
+// account records one record's result in st — the bookkeeping shared by
 // the slow path, template rebinds and memo hits, so the semantic counters
 // cannot depend on which path served the record. Every record observes the
 // Parse stage (on cached paths the lookup time stands in for it); the three
 // extraction stages are observed for exactly the extracted records, so a
 // failed extraction never leaves the stage Counts disagreeing in the §6.6
 // report.
-func (p *Pipeline) account(rec Record, o *extract.Outcome, parse time.Duration, tm extract.Timings, st *Stats) *AreaRecord {
-	observeParse(st, parse)
+func (p *Pipeline) account(rec Record, r *result, st *Stats) *AreaRecord {
+	st.Total++
+	recordsTotal.Inc()
+	if r.hit {
+		st.CacheHits++
+		cacheHitsTotal.Inc()
+	} else {
+		st.FullParses++
+		fullParsesTotal.Inc()
+	}
+	observeParse(st, r.parse)
+	o, tm := r.o, r.tm
 	if o.ParseFailCat != "" {
 		st.ParseFailures[o.ParseFailCat]++
 		return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/extract"
+	"repro/internal/schema"
 	"repro/internal/skyserver"
 )
 
@@ -40,7 +41,7 @@ func requireSameOutput(t *testing.T, label string, a, b []AreaRecord) {
 }
 
 // requireSameSemantics asserts the deterministic Stats counters agree
-// (FullParses/CacheHits/PeakInFlight are scheduling telemetry and excluded).
+// (FullParses/CacheHits are scheduling telemetry and excluded).
 func requireSameSemantics(t *testing.T, label string, a, b *Stats) {
 	t.Helper()
 	if a.Total != b.Total || a.Parsed != b.Parsed || a.Extracted != b.Extracted ||
@@ -103,7 +104,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	p1 := &Pipeline{Extractor: extract.New(sch)}
 	areas, stats := p1.Run(recs)
 
-	p2 := &Pipeline{Extractor: extract.New(sch), Workers: 4, Buffer: 8}
+	p2 := &Pipeline{Extractor: extract.New(sch), Workers: 4}
 	var streamed []AreaRecord
 	sStats := p2.RunStream(context.Background(), SliceSource(recs), func(ar AreaRecord) {
 		streamed = append(streamed, ar)
@@ -113,23 +114,49 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	requireSameSemantics(t, "stream vs run", stats, sStats)
 }
 
-// The feeder's admission window bounds how many records are resident at
-// once: PeakInFlight can never exceed Workers+Buffer regardless of stream
-// length, which is what makes RunStream O(workers + cache) memory.
+// RunStream holds at most one chunk of records: the source is never pulled
+// more than streamChunk records ahead of emit, whatever the stream length,
+// which is what makes RunStream O(streamChunk + cache) memory.
 func TestRunStreamBoundedResidency(t *testing.T) {
 	recs := workloadRecords(t, 3000)
-	const workers, buffer = 2, 3
-	p := &Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: workers, Buffer: buffer}
-	st := p.RunStream(context.Background(), SliceSource(recs), nil)
+	for i := range recs {
+		recs[i].Seq = i + 1 // a record's Seq is its pull count
+	}
+	p := &Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: 2}
+	pulled, ahead := 0, 0
+	src := func() (Record, bool) {
+		if pulled == len(recs) {
+			return Record{}, false
+		}
+		pulled++
+		return recs[pulled-1], true
+	}
+	st := p.RunStream(context.Background(), src, func(ar AreaRecord) {
+		ahead = max(ahead, pulled-ar.Record.Seq+1)
+	})
 	if st.Total != len(recs) {
 		t.Fatalf("total = %d, want %d", st.Total, len(recs))
 	}
-	if st.PeakInFlight > workers+buffer {
-		t.Errorf("peak in-flight %d exceeds window %d", st.PeakInFlight, workers+buffer)
+	if ahead > streamChunk {
+		t.Errorf("source pulled %d records ahead of emit, bound is %d", ahead, streamChunk)
 	}
-	if st.PeakInFlight == 0 {
-		t.Error("peak in-flight never sampled")
+	if ahead < streamChunk/2 {
+		t.Errorf("source ran at most %d records ahead of emit: chunking not exercised", ahead)
 	}
+}
+
+// An unseeded registry filled by several workers ends the same whatever
+// order they observe in: access hulls and sets are order-free, and an
+// observation never sets content(a).
+func TestUnseededRegistrySameAcrossRuns(t *testing.T) {
+	recs := workloadRecords(t, 3000)
+	sch := skyserver.Schema()
+	run := func() *schema.Stats {
+		reg := schema.NewStats()
+		(&Pipeline{Extractor: &extract.Extractor{Schema: sch, Stats: reg}, Workers: 4, NoCache: true}).Run(recs)
+		return reg
+	}
+	requireSameRegistry(t, "two workers-4 runs", run(), run(), false)
 }
 
 // A shared cache carries templates across runs: the second run over the same

@@ -2,6 +2,7 @@ package qlog
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,23 +143,16 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	}
 }
 
+// Run's output and semantic stats do not depend on the worker count: every
+// record fills its own slot and the slots are accounted in input order.
 func TestPipelineSerialMatchesParallel(t *testing.T) {
-	entries := skyserver.GenerateLog(skyserver.WorkloadConfig{Queries: 800, Seed: 7})
-	recs := make([]Record, len(entries))
-	for i, e := range entries {
-		recs[i] = Record{Seq: e.Seq, User: e.User, SQL: e.SQL}
-	}
-	p1 := &Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: 1}
-	p8 := &Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: 8}
-	a1, s1 := p1.Run(recs)
-	a8, s8 := p8.Run(recs)
-	if len(a1) != len(a8) || s1.Extracted != s8.Extracted {
-		t.Fatalf("serial %d vs parallel %d", len(a1), len(a8))
-	}
-	for i := range a1 {
-		if a1[i].Area.Key() != a8[i].Area.Key() {
-			t.Fatalf("area %d differs", i)
-		}
+	recs := workloadRecords(t, 2000)
+	a1, s1 := (&Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: 1}).Run(recs)
+	for _, w := range []int{2, 4, 8} {
+		aw, sw := (&Pipeline{Extractor: extract.New(skyserver.Schema()), Workers: w}).Run(recs)
+		label := fmt.Sprintf("workers 1 vs %d", w)
+		requireSameOutput(t, label, a1, aw)
+		requireSameSemantics(t, label, s1, sw)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/extract"
+	"repro/internal/par"
 	"repro/internal/skyserver"
 )
 
@@ -115,20 +116,14 @@ func TestStatsMergeConcurrentEpochs(t *testing.T) {
 	var (
 		mu    sync.Mutex
 		total Stats
-		wg    sync.WaitGroup
 	)
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := &Pipeline{Extractor: extract.New(sch), Workers: 2, Cache: shared}
-			st := p.RunStream(context.Background(), SliceSource(recs), nil)
-			mu.Lock()
-			total.Merge(st)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+	par.For(runs, runs, func(int) {
+		p := &Pipeline{Extractor: extract.New(sch), Workers: 2, Cache: shared}
+		st := p.RunStream(context.Background(), SliceSource(recs), nil)
+		mu.Lock()
+		total.Merge(st)
+		mu.Unlock()
+	})
 
 	if total.Total != runs*len(recs) {
 		t.Fatalf("merged total = %d, want %d", total.Total, runs*len(recs))

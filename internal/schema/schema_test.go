@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +120,9 @@ func TestStatsObserveGrowsAccessNotContent(t *testing.T) {
 	}
 }
 
+// An observation says nothing about the data: an unseeded column's access
+// grows from the constant but its content stays empty, also across a
+// snapshot round trip.
 func TestStatsObserveUnseededColumn(t *testing.T) {
 	st := NewStats()
 	st.ObserveNumeric("T.new", 7)
@@ -125,8 +130,31 @@ func TestStatsObserveUnseededColumn(t *testing.T) {
 	if !ok || !acc.Equal(interval.Point(7)) {
 		t.Errorf("access = %v ok=%v", acc, ok)
 	}
+	if cnt, ok := st.NumericContent("T.new"); !ok || !cnt.IsEmpty() {
+		t.Errorf("content = %v ok=%v, want empty", cnt, ok)
+	}
 	if _, ok := st.NumericAccess("T.other"); ok {
 		t.Error("unknown column should report !ok")
+	}
+
+	raw, err := json.Marshal(st.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap StatsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStats()
+	restored.RestoreSnapshot(&snap)
+	if cnt, ok := restored.NumericContent("T.new"); !ok || !cnt.IsEmpty() {
+		t.Errorf("restored content = %v ok=%v, want empty", cnt, ok)
+	}
+	if acc, _ := restored.NumericAccess("T.new"); !acc.Equal(interval.Point(7)) {
+		t.Errorf("restored access = %v, want [7,7]", acc)
+	}
+	if !reflect.DeepEqual(restored.Snapshot(), st.Snapshot()) {
+		t.Errorf("snapshot does not round-trip:\n%+v\n%+v", restored.Snapshot(), st.Snapshot())
 	}
 }
 

@@ -108,7 +108,10 @@ func (s *Stats) SeedCategorical(column string, values []string) {
 }
 
 // ObserveNumeric records that a query referred to constant v on column a,
-// growing access(a) if v falls outside it.
+// growing access(a) if v falls outside it. An unseeded column's content(a)
+// stays empty, as ObserveCategorical leaves it: queries say nothing about
+// the data, and a content taken from the first constant observed would
+// depend on which of several concurrent extractions observed first.
 func (s *Stats) ObserveNumeric(column string, v float64) {
 	if !isFinite(v) {
 		return
@@ -117,7 +120,7 @@ func (s *Stats) ObserveNumeric(column string, v float64) {
 	defer s.mu.Unlock()
 	ns, ok := s.numeric[column]
 	if !ok {
-		ns = &numericStat{content: interval.Point(v), access: interval.Point(v)}
+		ns = &numericStat{content: interval.Empty(), access: interval.Point(v)}
 		s.numeric[column] = ns
 		s.bump(column)
 		return

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -170,6 +173,75 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	more := synthRecords(50, 7)
 	if n, err := s2.IngestRecords(more); n != len(more) || err != nil {
 		t.Fatalf("post-recovery ingest: %d, %v", n, err)
+	}
+}
+
+// A Shutdown whose deadline has passed gives up on draining, but it must not
+// lose acknowledged records: the pump stops between batches, processed —
+// and with it the snapshot's WAL offset — counts only the batches it mined,
+// and the restart replays the rest. The pump is held inside its first batch
+// until Shutdown has cancelled it, so the deadline always lands mid-drain.
+func TestDeadlineShutdownReplaysUnmined(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(3000, 42)
+	dir := t.TempDir()
+	base := Config{Miner: minerConfig(db), Coverage: db, BatchSize: 64}
+
+	batch := core.NewMiner(minerConfig(db)).MineRecords(recs)
+	batch.AttachCoverage(db)
+
+	s1, err := NewServer(crashConfig(dir, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.snapMu.Lock() // runBatch waits here with the first batch in hand
+	if n, err := s1.IngestRecords(recs); n != len(recs) || err != nil {
+		s1.snapMu.Unlock()
+		t.Fatalf("ingest: %d, %v", n, err)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- s1.Shutdown(expired) }()
+	for s1.baseCtx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	s1.snapMu.Unlock()
+	if err := <-shut; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown past its deadline = %v, want context.Canceled", err)
+	}
+	if got := s1.Telemetry().Processed; got >= int64(len(recs)) {
+		t.Fatalf("pump processed all %d records after its deadline", got)
+	}
+
+	s2, err := NewServer(crashConfig(dir, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	s2.Flush()
+	if got := s2.Telemetry(); got.Processed != int64(len(recs)) || got.Accepted != int64(len(recs)) {
+		t.Fatalf("after restart: processed %d accepted %d, want %d", got.Processed, got.Accepted, len(recs))
+	}
+	if st := s2.StatsSnapshot(); st.Total != len(recs) || st.Extracted != batch.PipelineStats.Extracted {
+		t.Fatalf("after restart: pipeline stats cover %d records (%d extracted), want %d (%d)",
+			st.Total, st.Extracted, len(recs), batch.PipelineStats.Extracted)
+	}
+
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
+		var want bytes.Buffer
+		if err := report.Write(&want, batch, f, report.Options{Coverage: true}); err != nil {
+			t.Fatal(err)
+		}
+		code, _, got := get(t, ts.URL+"/report?format="+string(f), "")
+		if code != 200 {
+			t.Fatalf("%s report status %d", f, code)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s report after a deadline-bound shutdown differs from the batch run.\nrestarted:\n%s\nbatch:\n%s", f, got, want.Bytes())
+		}
 	}
 }
 

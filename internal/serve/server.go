@@ -140,8 +140,8 @@ type Server struct {
 	inc   *core.Incremental
 	pipe  *qlog.Pipeline
 
-	// baseCtx cancels the in-flight pipeline run when a deadline-bound
-	// Shutdown gives up on draining.
+	// baseCtx stops the pump at the next batch boundary when a
+	// deadline-bound Shutdown gives up on draining (or Abort crashes).
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
@@ -449,7 +449,7 @@ func (s *Server) IngestRecords(recs []qlog.Record) (int, error) {
 }
 
 // pump is the single queue consumer: it drains records in batches through
-// the streaming pipeline (template cache warm across batches) and feeds
+// the extraction pipeline (template cache warm across batches) and feeds
 // extractions to the incremental miner.
 func (s *Server) pump() {
 	defer close(s.pumpDone)
@@ -473,6 +473,12 @@ func (s *Server) pump() {
 			default:
 				break collect
 			}
+		}
+		// A cancelled baseCtx stops the pump between batches, never inside
+		// one: processed then counts only mined records, so a snapshot's WAL
+		// offset leaves the unmined rest to replay.
+		if s.baseCtx.Err() != nil {
+			return
 		}
 		s.runBatch(batch)
 		if !open {
@@ -671,9 +677,11 @@ func (s *Server) Flush() {
 // Shutdown gracefully stops the server: intake closes (handlers answer
 // 503), the queue drains through extraction, the epoch worker stops, a
 // final epoch covers everything accepted, and — when configured — a
-// snapshot is written. If ctx expires while draining, the in-flight
-// pipeline run is cancelled (in-flight records finish, the rest of the
-// queue is abandoned) and the final epoch covers what was extracted.
+// snapshot is written. If ctx expires while draining, the pump stops after
+// its current batch (the rest of the queue is abandoned, and counted
+// neither as processed nor in the pipeline stats) and the final epoch
+// covers what was extracted; with a WAL, the snapshot's offset leaves the
+// abandoned records to replay on restart.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -689,7 +697,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.pumpDone:
 	case <-ctx.Done():
-		s.cancel() // stop the in-flight pipeline feeder
+		s.cancel() // stop the pump after its current batch
 		<-s.pumpDone
 	}
 	close(s.stopEpoch)
@@ -709,8 +717,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Abort simulates a crash for recovery tests: the queue closes, the
-// in-flight pipeline run is cancelled, workers stop — but no final epoch
+// Abort simulates a crash for recovery tests: the queue closes, the pump
+// stops after its current batch, workers stop — but no final epoch
 // runs and no snapshot is written. Whatever the WAL fsynced is all that
 // survives, exactly as after a kill -9.
 func (s *Server) Abort() {

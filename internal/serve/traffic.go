@@ -102,17 +102,20 @@ func (s *Server) extractBatch(batch []qlog.Record) *qlog.Stats {
 	if s.traffic != nil {
 		s.classifyBatch(batch)
 	}
-	return s.pipe.RunStream(s.baseCtx, qlog.SliceSource(batch), func(ar qlog.AreaRecord) {
-		if s.inc.Add(&ar) {
+	areas, st := s.pipe.Run(batch)
+	for i := range areas {
+		ar := &areas[i]
+		if s.inc.Add(ar) {
 			s.newSinceEpoch.Add(1)
 		}
 		if t := s.traffic; t != nil {
 			if cinc := t.incs[ar.Record.Class]; cinc != nil {
-				cinc.Add(&ar)
+				cinc.Add(ar)
 				t.counts[ar.Record.Class].extracted.Add(1)
 			}
 		}
-	})
+	}
+	return st
 }
 
 // reclusterClasses runs the per-class slice of one epoch. Caller holds
