@@ -87,9 +87,12 @@ serve-smoke:
 # mine a 5k-query log through the HTTP ingest path, prefetch regions at the
 # epoch flush, replay every statement through POST /query with the
 # byte-identity oracle on, and require zero oracle failures and a ≥0.5 hit
-# ratio (TestSemCacheSmoke).
+# ratio (TestSemCacheSmoke); and prove POST /query never writes the mining
+# registry: queries between two epochs leave its generation still and the
+# next /report byte-identical to the batch miner's in every format
+# (TestQueryLeavesReportUnchanged).
 semcache-smoke:
-	$(GO) test -race -count=1 -run TestSemCacheSmoke -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestSemCacheSmoke|TestQueryLeavesReportUnchanged' -v ./internal/serve/
 
 # shard-smoke is the end-to-end gate for the sharded topology: a 4-shard
 # in-process cluster (same routing/merge code path as multi-node) ingests a

@@ -372,7 +372,12 @@ func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *
 }
 
 // parallelCutoff is the point count below which region queries and pivot
-// rows stay single-threaded (goroutine overhead dominates under it).
+// rows stay single-threaded (goroutine overhead dominates under it). It
+// counts points, not distance cost: a cheap distance (1-D points) scans
+// serially faster than fanned out even above it, but the fan-out pays where
+// a brute scan is costly — OLAPClus's profile distance at 20k queries
+// (benchreport -exp olapclus -scale 20000, GOMAXPROCS 2, 2-vCPU VM) took
+// 11.7-17.5 s fanned out against 18.7-20.9 s forced serial.
 const parallelCutoff = 2048
 
 // N returns the number of points the index currently covers.

@@ -103,7 +103,7 @@ func RunSemCachePerf(scale int, seed int64) (*SemCachePerfResult, error) {
 	newCache := func(verify bool, budget int64) *interestcache.Cache {
 		return interestcache.New(interestcache.Config{
 			DB:          env.DB,
-			Extractor:   &extract.Extractor{Schema: env.Schema, Stats: miner.Stats()},
+			Extractor:   &extract.Extractor{Schema: env.Schema},
 			Templates:   &extract.TemplateCache{},
 			Exec:        opts,
 			Verify:      verify,

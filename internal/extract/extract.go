@@ -76,7 +76,7 @@ func (ex *Extractor) ExtractWithTimings(sel *sqlparser.SelectStatement) (*Access
 }
 
 // extractFull runs the three extraction stages and additionally returns the
-// pre-CNF constraint and the extraction state, which ExtractTemplate turns
+// pre-CNF constraint and the extraction state, which extractTemplate turns
 // into a reusable area template.
 func (ex *Extractor) extractFull(sel *sqlparser.SelectStatement) (*AccessArea, Timings, predicate.Expr, *state, error) {
 	var tm Timings

@@ -72,12 +72,11 @@ type AreaTemplate struct {
 // (and therefore contributes only summed counters, routable anywhere).
 func (t *AreaTemplate) RouteKey() string { return t.routeKey }
 
-// ExtractTemplate is ExtractWithTimings plus construction of the statement
-// shape's reusable template. The template is non-nil even on extraction
-// error (recording the error as the class outcome); it is nil only when the
-// caller should not cache, which never happens here — Uncacheable shapes get
-// an explicit sentinel so the class skips template construction next time.
-func (ex *Extractor) ExtractTemplate(sel *sqlparser.SelectStatement) (*AccessArea, Timings, *AreaTemplate, error) {
+// extractTemplate is ExtractWithTimings plus construction of the statement
+// shape's reusable template. The template is never nil: on extraction error
+// it records the error as the class outcome, and Uncacheable shapes get an
+// explicit sentinel so the class skips template construction next time.
+func (ex *Extractor) extractTemplate(sel *sqlparser.SelectStatement) (*AccessArea, Timings, *AreaTemplate, error) {
 	area, tm, expr, st, err := ex.extractFull(sel)
 	if err != nil {
 		return nil, tm, &AreaTemplate{ExtractErr: err}, err
@@ -358,10 +357,10 @@ func (c *TemplateCache) Get(fp uint64) (*AreaTemplate, bool) {
 	return v.(*AreaTemplate), true
 }
 
-// Put stores the template for fp unless the size limit is reached; the first
-// stored template wins when two workers race.
-func (c *TemplateCache) Put(fp uint64, t *AreaTemplate) {
-	if t == nil {
+// put stores the template for fp unless the cache is nil or the size limit is
+// reached; the first stored template wins when two workers race.
+func (c *TemplateCache) put(fp uint64, t *AreaTemplate) {
+	if c == nil {
 		return
 	}
 	if c.Limit > 0 && c.size.Load() >= int64(c.Limit) {

@@ -36,7 +36,7 @@ func TestTemplateUncacheableShapes(t *testing.T) {
 	}
 	ex := New(testSchema())
 	for _, c := range cases {
-		_, _, tmpl, err := ex.ExtractTemplate(parseSel(t, c.src))
+		_, _, tmpl, err := ex.extractTemplate(parseSel(t, c.src))
 		if err != nil {
 			t.Errorf("%q: unexpected error %v", c.src, err)
 			continue
@@ -55,7 +55,7 @@ func TestTemplateUncacheableShapes(t *testing.T) {
 // rebindable template.
 func cacheableTemplate(t *testing.T, ex *Extractor, src string) (*AccessArea, *AreaTemplate) {
 	t.Helper()
-	area, _, tmpl, err := ex.ExtractTemplate(parseSel(t, src))
+	area, _, tmpl, err := ex.extractTemplate(parseSel(t, src))
 	if err != nil {
 		t.Fatalf("extract %q: %v", src, err)
 	}
@@ -249,7 +249,7 @@ func TestTemplateRebindMatchesSlowPathOnWorkload(t *testing.T) {
 		}
 		c := classes[fp]
 		if c == nil {
-			_, _, tmpl, _ := ex.ExtractTemplate(sel)
+			_, _, tmpl, _ := ex.extractTemplate(sel)
 			classes[fp] = &class{tmpl: tmpl}
 			continue
 		}

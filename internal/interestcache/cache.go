@@ -32,11 +32,13 @@ type Config struct {
 	// DB is the authoritative database: the prefetch source and the
 	// fall-through execution target.
 	DB *memdb.DB
-	// Extractor maps statements to access areas. Share the miner's
-	// extractor so cache decisions see the same schema and statistics.
+	// Extractor maps statements to access areas; give it the miner's schema
+	// and predicate cap. Its Stats registry, if any, is ignored: queries
+	// never observe into access(a).
 	Extractor *extract.Extractor
-	// Templates is the fingerprint → extraction-template cache. Share the
-	// pipeline's instance so templates warmed by ingestion serve queries.
+	// Templates is the exact-statement memo and fingerprint → template
+	// cache. Share the pipeline's instance so statements and templates
+	// warmed by ingestion serve queries.
 	Templates *extract.TemplateCache
 	// Exec is applied identically to region-store and direct execution.
 	Exec memdb.ExecOptions
@@ -143,6 +145,14 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.ComposeMax == 0 {
 		cfg.ComposeMax = 4
+	}
+	if cfg.Extractor != nil {
+		// Answering a query must not grow access(a): the registry is the
+		// miner's, fed only by logged statements (§5.3), so the cache
+		// extracts through a copy that observes nothing.
+		ex := *cfg.Extractor
+		ex.Stats = nil
+		cfg.Extractor = &ex
 	}
 	c := &Cache{cfg: cfg, book: newHeatBook()}
 	c.budget.Store(cfg.BudgetBytes)
@@ -575,75 +585,46 @@ func (c *Cache) miss(sql string, info Info, reason string) (*memdb.ResultSet, In
 	return rs, info, err
 }
 
-// lookupArea resolves sql to an access area through the shared template
-// cache: fingerprint → cached template → rebind, with a one-time slow path
-// (parse + classify + extract + template store) per statement shape. A
-// non-empty reason means the statement cannot be served from this path; the
-// special reason "agg" routes the statement to the aggregate path instead.
-// The statement fingerprint is returned either way (0 when fingerprinting
-// itself failed) so the caller can label slow-log entries.
+// lookupArea resolves sql to an access area through the shared extraction
+// ladder (extract.TemplateCache.Resolve: memo, template rebind, full
+// extraction), after the statement's shape verdict — parsed once per
+// fingerprint — admits it. A non-empty reason means the statement cannot be
+// served from this path; the special reason "agg" routes the statement to
+// the aggregate path instead. The statement fingerprint is returned either
+// way (0 when the lexer rejected it) so the caller can label slow-log
+// entries.
 func (c *Cache) lookupArea(sql string) (*extract.AccessArea, uint64, string) {
-	fp, lits, err := sqlparser.Fingerprint(sql)
-	if err != nil || anyBadNum(lits) {
+	stmt := c.cfg.Templates.Stmt(sql)
+	fp, _, lexed := stmt.Fingerprint()
+	if !lexed {
 		return nil, fp, "fingerprint"
 	}
-	shapeV, shapeKnown := c.shapes.Load(fp)
-	var area *extract.AccessArea
-	if shapeKnown {
-		switch shapeV.(shapeClass) {
-		case shapeAgg:
-			return nil, fp, "agg"
-		case shapeUnsafe:
-			return nil, fp, "shape"
-		}
-	}
-	if t, ok := c.cfg.Templates.Get(fp); ok && shapeKnown {
-		a, _, ok := t.Rebind(c.cfg.Extractor, lits)
-		if !ok {
-			return nil, fp, "uncacheable"
-		}
-		area = a
-	} else {
-		stmt, perr := sqlparser.Parse(sql)
-		if perr != nil {
+	class, ok := c.shapes.Load(fp)
+	if !ok {
+		parsed, err := sqlparser.Parse(sql)
+		if err != nil {
 			return nil, fp, "parse"
 		}
-		sel, ok := stmt.(*sqlparser.SelectStatement)
-		if !ok {
+		sel, isSel := parsed.(*sqlparser.SelectStatement)
+		if !isSel {
 			return nil, fp, "parse"
 		}
-		class := shapeClassOf(sel)
+		class = shapeClassOf(sel)
 		c.shapes.Store(fp, class)
-		if t, ok := c.cfg.Templates.Get(fp); ok {
-			switch class {
-			case shapeAgg:
-				return nil, fp, "agg"
-			case shapeUnsafe:
-				return nil, fp, "shape"
-			}
-			a, _, rok := t.Rebind(c.cfg.Extractor, lits)
-			if !rok {
-				return nil, fp, "uncacheable"
-			}
-			area = a
-		} else {
-			a, _, t, xerr := c.cfg.Extractor.ExtractTemplate(sel)
-			if t != nil {
-				c.cfg.Templates.Put(fp, t)
-			}
-			switch class {
-			case shapeAgg:
-				return nil, fp, "agg"
-			case shapeUnsafe:
-				return nil, fp, "shape"
-			}
-			if xerr != nil || a == nil {
-				return nil, fp, "uncacheable"
-			}
-			area = a
-		}
 	}
+	switch class.(shapeClass) {
+	case shapeAgg:
+		return nil, fp, "agg"
+	case shapeUnsafe:
+		return nil, fp, "shape"
+	}
+	o, _, _, _ := c.cfg.Templates.Resolve(c.cfg.Extractor, sql, stmt)
+	area := o.Area
 	switch {
+	case o.ParseFailCat != "":
+		return nil, fp, "parse"
+	case area == nil:
+		return nil, fp, "uncacheable"
 	case !area.Exact || area.Truncated:
 		return nil, fp, "inexact"
 	case area.IsEmpty():
@@ -842,15 +823,6 @@ func exprHasSubquery(e sqlparser.Expr) bool {
 	default:
 		return false
 	}
-}
-
-func anyBadNum(lits []sqlparser.Literal) bool {
-	for _, l := range lits {
-		if l.BadNum {
-			return true
-		}
-	}
-	return false
 }
 
 // Metrics is a point-in-time counter snapshot.

@@ -1,6 +1,7 @@
 package interestcache
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/interval"
 	"repro/internal/memdb"
+	"repro/internal/schema"
 	"repro/internal/sqlparser"
 )
 
@@ -205,6 +207,52 @@ func TestQueryTemplateReuse(t *testing.T) {
 	}
 	if m := c.Metrics(); m.VerifyFailed != 0 {
 		t.Fatalf("verify failures: %+v", m)
+	}
+}
+
+// Query extracts without observing: a Config.Extractor carrying a stats
+// registry leaves that registry untouched on every lookup path — first
+// sight, the memo, a template rebind, a refused rebind's fallback, an
+// unsafe shape and the aggregate path — and the caller's extractor keeps
+// its registry.
+func TestQueryLeavesRegistryUntouched(t *testing.T) {
+	reg := schema.NewStats()
+	ex := &extract.Extractor{Stats: reg}
+	c := New(Config{DB: testDB(), Extractor: ex, Templates: &extract.TemplateCache{}, Verify: true})
+	c.Install(1, []*aggregate.Summary{
+		summary(1, []string{"T"}, map[string]interval.Interval{"T.u": interval.Closed(0, 100)}, nil),
+		summary(2, []string{"S"}, nil, map[string][]string{"S.w": {"a", "b", "c"}}),
+	})
+	before, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := reg.Generation()
+	for _, q := range []string{
+		"SELECT v FROM T WHERE u = 5",
+		"SELECT v FROM T WHERE u = 5",
+		"SELECT v FROM T WHERE u = 9999",
+		"SELECT u FROM S WHERE w LIKE 'a'",
+		"SELECT u FROM S WHERE w LIKE 'zz%'",
+		"SELECT x.u FROM (SELECT u FROM T WHERE u < -7) x",
+		"SELECT u FROM T WHERE u > -40 GROUP BY u HAVING COUNT(*) > 0",
+	} {
+		if _, _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	after, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Generation() != gen || string(after) != string(before) {
+		t.Fatalf("queries wrote the registry: generation %d → %d\n  before %s\n  after  %s", gen, reg.Generation(), before, after)
+	}
+	if ex.Stats != reg {
+		t.Fatal("New changed the caller's extractor")
+	}
+	if m := c.Metrics(); m.Hits == 0 || m.VerifyFailed != 0 {
+		t.Fatalf("metrics = %+v", m)
 	}
 }
 

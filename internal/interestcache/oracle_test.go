@@ -28,7 +28,7 @@ func TestWorkloadOracle(t *testing.T) {
 	opts := memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
 	cache := interestcache.New(interestcache.Config{
 		DB:        env.DB,
-		Extractor: &extract.Extractor{Schema: env.Schema, Stats: miner.Stats()},
+		Extractor: &extract.Extractor{Schema: env.Schema},
 		Templates: &extract.TemplateCache{},
 		Exec:      opts,
 		Verify:    true,
@@ -86,7 +86,7 @@ func TestComposedWorkloadOracle(t *testing.T) {
 	opts := memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
 	cache := interestcache.New(interestcache.Config{
 		DB:        env.DB,
-		Extractor: &extract.Extractor{Schema: env.Schema, Stats: miner.Stats()},
+		Extractor: &extract.Extractor{Schema: env.Schema},
 		Templates: &extract.TemplateCache{},
 		Exec:      opts,
 		Verify:    true,

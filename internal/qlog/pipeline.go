@@ -2,13 +2,11 @@ package qlog
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/extract"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sqlparser"
 )
 
 // observeParse records one parse-stage duration in both the run's StageTime
@@ -273,130 +271,24 @@ func newStats() *Stats {
 	return &Stats{ParseFailures: make(map[string]int)}
 }
 
-// processOne classifies and extracts one record. With a cache, the record's
-// exact text is looked up in the memo first (unless an upstream stage
-// attached its entry already): a text extracted before replays its outcome
-// without fingerprinting, template lookup, rebind, CNF or consolidation.
-// Otherwise the entry's fingerprint is tried against the template cache. Any
-// literal the lexer accepted but strconv.ParseFloat rejects (e.g. "1e999")
-// makes parse success itself value-dependent, so such records bypass the
-// template cache entirely — no lookup, no store — though their exact text is
-// still memoised.
+// processOne extracts one record through the cache's extraction ladder
+// (extract.TemplateCache.Resolve), reusing the memo entry an upstream stage
+// attached. A full parse through a cache lands in the slow log under the
+// "ingest-extract" stage by fingerprint, so a class that keeps missing the
+// cache shows up there.
 func (p *Pipeline) processOne(rec Record, cache *extract.TemplateCache) result {
-	if cache == nil {
-		o, parse, tm := p.slowPath(rec.SQL, nil, 0)
-		return result{o: o, parse: parse, tm: tm}
-	}
-	t0 := time.Now()
 	stmt := rec.Stmt
-	if stmt == nil {
+	if stmt == nil && cache != nil {
 		stmt = cache.Stmt(rec.SQL)
 	}
-	if o := stmt.Outcome(); o != nil {
-		// The registry must grow through THIS pipeline's extractor exactly
-		// as a cold extraction would (it may not be the one that stored o).
-		p.Extractor.Observe(o.Area)
-		return result{o: o, parse: time.Since(t0), hit: true}
-	}
-	var r result
-	fp, lits, lexed := stmt.Fingerprint()
-	usable := lexed && !anyBadNum(lits)
-	var t *extract.AreaTemplate
-	if usable {
-		t, _ = cache.Get(fp)
-	}
-	if t != nil {
-		r.parse = time.Since(t0)
-		r.o, r.tm = p.applyTemplate(t, lits)
-		r.hit = r.o != nil
-	}
-	if r.o == nil {
-		// A template miss stores the class's template; an uncacheable shape
-		// or a failed per-record guard takes the slow path without
-		// re-storing, and so does a record the template cache must bypass.
-		store := cache
-		if t != nil || !usable {
-			store, fp = nil, 0
-		}
-		r.o, r.parse, r.tm = p.slowPath(rec.SQL, store, fp)
-	}
-	stmt.SetOutcome(r.o)
-	return r
-}
-
-func anyBadNum(lits []sqlparser.Literal) bool {
-	for _, l := range lits {
-		if l.BadNum {
-			return true
-		}
-	}
-	return false
-}
-
-// applyTemplate derives a record's outcome from its class's cached template.
-// It returns nil when the record must take the slow path instead: the shape
-// is Uncacheable or a per-record guard failed.
-func (p *Pipeline) applyTemplate(t *extract.AreaTemplate, lits []sqlparser.Literal) (*extract.Outcome, extract.Timings) {
-	switch {
-	case t.Uncacheable:
-		return nil, extract.Timings{}
-	case t.ParseFailCat != "":
-		return &extract.Outcome{ParseFailCat: t.ParseFailCat}, extract.Timings{}
-	case t.NonSelect:
-		return &extract.Outcome{ParseFailCat: "non-select"}, extract.Timings{}
-	case t.ExtractErr != nil:
-		return &extract.Outcome{ExtractErr: t.ExtractErr}, extract.Timings{}
-	}
-	area, tm, ok := t.Rebind(p.Extractor, lits)
-	if !ok {
-		return nil, tm
-	}
-	return &extract.Outcome{Area: area, Key: area.Key()}, tm
-}
-
-// slowPath is the full parse → extract path; it returns the outcome, the
-// parse duration and the extraction stage timings. When cache is non-nil the
-// outcome — including failures, which are as value-independent as successes
-// — is stored under fp for the rest of the fingerprint class.
-func (p *Pipeline) slowPath(sql string, cache *extract.TemplateCache, fp uint64) (*extract.Outcome, time.Duration, extract.Timings) {
 	t0 := time.Now()
-	stmt, err := sqlparser.Parse(sql)
-	parse := time.Since(t0)
-	// Slow-path extractions carry a fingerprint only when they seed the
-	// template cache; those are the ones worth surfacing — a class that
-	// keeps missing the cache shows up here by fingerprint.
-	if fp != 0 {
-		defer func() { obs.DefaultSlowLog.Record("ingest-extract", fp, time.Since(t0)) }()
+	var r result
+	r.o, r.parse, r.tm, r.hit = cache.Resolve(p.Extractor, rec.SQL, stmt)
+	if cache != nil && !r.hit {
+		fp, _, _ := stmt.Fingerprint()
+		obs.DefaultSlowLog.Record("ingest-extract", fp, time.Since(t0))
 	}
-	if err != nil {
-		cat := classifyParseError(err)
-		if cache != nil {
-			cache.Put(fp, &extract.AreaTemplate{ParseFailCat: cat})
-		}
-		return &extract.Outcome{ParseFailCat: cat}, parse, extract.Timings{}
-	}
-	sel, ok := stmt.(*sqlparser.SelectStatement)
-	if !ok {
-		if cache != nil {
-			cache.Put(fp, &extract.AreaTemplate{NonSelect: true})
-		}
-		return &extract.Outcome{ParseFailCat: "non-select"}, parse, extract.Timings{}
-	}
-	var (
-		area *extract.AccessArea
-		tm   extract.Timings
-	)
-	if cache != nil {
-		var tmpl *extract.AreaTemplate
-		area, tm, tmpl, err = p.Extractor.ExtractTemplate(sel)
-		cache.Put(fp, tmpl)
-	} else {
-		area, tm, err = p.Extractor.ExtractWithTimings(sel)
-	}
-	if err != nil {
-		return &extract.Outcome{ExtractErr: err}, parse, tm
-	}
-	return &extract.Outcome{Area: area, Key: area.Key()}, parse, tm
+	return r
 }
 
 // account records one record's result in st — the bookkeeping shared by
@@ -445,16 +337,4 @@ func (p *Pipeline) account(rec Record, r *result, st *Stats) *AreaRecord {
 		st.EmptyAreas++
 	}
 	return &AreaRecord{Record: rec, Area: area, Key: o.Key}
-}
-
-func classifyParseError(err error) string {
-	var pe *sqlparser.ParseError
-	if errors.As(err, &pe) {
-		return pe.Category.String()
-	}
-	var le *sqlparser.LexError
-	if errors.As(err, &le) {
-		return "lex"
-	}
-	return "other"
 }

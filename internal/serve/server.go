@@ -257,12 +257,13 @@ func NewServer(cfg Config) (*Server, error) {
 		Cache:     tcache,
 	}
 	if cfg.QueryDB != nil {
-		// The cache shares the pipeline's template cache and an extractor
-		// with the same schema/stats, so templates warmed by ingestion
-		// serve POST /query without re-extraction.
+		// The cache shares the pipeline's memo and template cache and an
+		// extractor with the same schema and predicate cap, so statements
+		// and templates warmed by ingestion serve POST /query without
+		// re-extraction.
 		s.qcache = interestcache.New(interestcache.Config{
 			DB:          cfg.QueryDB,
-			Extractor:   &extract.Extractor{Schema: cfg.Miner.Schema, PredCap: cfg.Miner.PredCap, Stats: miner.Stats()},
+			Extractor:   &extract.Extractor{Schema: cfg.Miner.Schema, PredCap: cfg.Miner.PredCap},
 			Templates:   s.pipe.Cache,
 			Exec:        cfg.QueryExec,
 			Verify:      cfg.QueryVerify,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/qlog"
 	"repro/internal/schema"
-	"repro/internal/sqlparser"
 )
 
 // Router maps each ingested record to the shard that owns its relation set.
@@ -23,10 +22,11 @@ import (
 // a statement shape's FROM clause is literal-independent, so once any record
 // of a fingerprint class has been extracted, every later record of the class
 // routes on the cached template's precomputed RouteKey — a fingerprint plus
-// one map lookup, no parse. Cache misses pay one full parse and WARM the
-// cache (in the in-process topology the very cache the owning shard's
-// pipeline reads, so the shard then rebinds from the template instead of
-// re-parsing).
+// one map lookup, no parse — and a text already extracted routes on its
+// memoised area. A miss runs the shared extraction ladder
+// (extract.TemplateCache.Resolve), which WARMS the cache: in the in-process
+// topology it is the very cache the owning shard's pipeline reads, so the
+// shard then replays the memoised outcome instead of re-parsing.
 //
 // Relation-set keys bind to shards in two phases. Binding a key the moment
 // it is first seen is blind — every heavy key appears within the first few
@@ -136,7 +136,9 @@ func (r *Router) Shards() int { return r.n }
 // The router lexes through the exact-statement memo and attaches the entry
 // to rec (unless it carries one already): an in-process shard, which shares
 // the router's cache, admits and extracts it without looking the text up
-// again.
+// again. A text with a memoised outcome routes on its area, a fingerprint
+// with a cached template on the template's RouteKey; any other record runs
+// the shared extraction ladder, whose outcome the shard then replays.
 func (r *Router) Route(rec *qlog.Record) (int, string) {
 	t0 := time.Now()
 	defer func() {
@@ -146,7 +148,7 @@ func (r *Router) Route(rec *qlog.Record) (int, string) {
 	if rec.Stmt == nil {
 		rec.Stmt = r.cache.Stmt(rec.SQL)
 	}
-	fp, lits, lexed := rec.Stmt.Fingerprint()
+	fp, _, lexed := rec.Stmt.Fingerprint()
 	if !lexed {
 		// Lexically broken statement: counter-only, any shard. Hash the text
 		// itself so the choice is deterministic for a given record.
@@ -154,45 +156,28 @@ func (r *Router) Route(rec *qlog.Record) (int, string) {
 		_, _ = h.Write([]byte(rec.SQL))
 		return int(h.Sum64() % uint64(r.n)), ""
 	}
-	if t, ok := r.cache.Get(fp); ok {
-		if key := t.RouteKey(); key != "" {
-			return r.byKey(key), key
+	o := rec.Stmt.Outcome()
+	if o == nil {
+		if t, ok := r.cache.Get(fp); ok {
+			return r.byRouteKey(t.RouteKey(), fp)
 		}
-		return int(fp % uint64(r.n)), ""
+		r.fullParses.Add(1)
+		o, _, _, _ = r.cache.Resolve(r.ex, rec.SQL, rec.Stmt)
 	}
-	// Cache miss: one full parse + template extraction, cached for both the
-	// rest of the class's routing and the owning shard's rebind path.
-	r.fullParses.Add(1)
-	stmt, err := sqlparser.Parse(rec.SQL)
-	if err != nil {
-		// Leave classification (and caching) to the shard's slow path so the
-		// failure-category logic lives in exactly one place.
-		return int(fp % uint64(r.n)), ""
+	key := ""
+	if o.Area != nil {
+		key = extract.RelationSetKey(o.Area.Relations)
 	}
-	sel, ok := stmt.(*sqlparser.SelectStatement)
-	if !ok {
-		return int(fp % uint64(r.n)), ""
-	}
-	area, _, tmpl, xerr := r.ex.ExtractTemplate(sel)
-	if !anyBadNum(lits) {
-		// Mirror the pipeline's badnum rule: a statement whose literals
-		// overflowed float64 parsing must not seed the class template.
-		r.cache.Put(fp, tmpl)
-	}
-	if xerr != nil || area == nil || len(area.Relations) == 0 {
-		return int(fp % uint64(r.n)), ""
-	}
-	key := extract.RelationSetKey(area.Relations)
-	return r.byKey(key), key
+	return r.byRouteKey(key, fp)
 }
 
-func anyBadNum(lits []sqlparser.Literal) bool {
-	for _, l := range lits {
-		if l.BadNum {
-			return true
-		}
+// byRouteKey routes an area-bearing record by its relation-set key and a
+// record without one (key "") by fingerprint hash.
+func (r *Router) byRouteKey(key string, fp uint64) (int, string) {
+	if key == "" {
+		return int(fp % uint64(r.n)), ""
 	}
-	return false
+	return r.byKey(key), key
 }
 
 // byKey resolves the sticky assignment for one relation-set key, staging the
