@@ -109,11 +109,14 @@ shard-smoke:
 # dir, and require the recovered /report to be byte-identical to an
 # uninterrupted run; TestRemineWindowEquivalence proves POST /remine over a
 # [from,to) window matches batch-mining the same slice, and the shard
-# variant proves per-shard WALs recover under the coordinator. All under
-# -race.
+# variant proves per-shard WALs recover under the coordinator. The wal
+# package's statement-table tests prove a def torn off the active segment
+# is defined afresh after recovery, and that a clean reopen keeps writing
+# refs to texts defined before it. All under -race.
 wal-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence' -v ./internal/serve/
 	$(GO) test -race -count=1 -run TestShardedCrashRecovery -v ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestTornDefinitionRedefined|TestReopenKeepsStatementTable' -v ./internal/wal/
 
 # traffic-smoke is the end-to-end gate for traffic-class mining: the serve
 # partition tests prove every per-class /report is byte-identical to batch

@@ -97,7 +97,9 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 		return err
 	}
 
-	// Pass 2: rewrite. Singles stay plain record entries; families of two
+	// Pass 2: rewrite. Singles go through the statement-table encoder, so a
+	// text shared by several singles (different users or classes) is stored
+	// once and the rewritten segment stays self-contained; families of two
 	// or more become one group entry.
 	tmp := m.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -111,6 +113,8 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 		maxT    int64
 		fpset   = make(map[uint64]struct{})
 		buf     []byte
+		enc     []byte
+		table   stmtTable
 		deduped = 0
 	)
 	seeTime := func(t int64) {
@@ -131,7 +135,8 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 			rec := qlog.Record{Seq: fam.seqs[0], Time: fam.times[0], User: fam.key.user, SQL: fam.key.sql, Class: fam.key.class}
 			seeTime(rec.Time)
 			records++
-			buf = frame(buf[:0], encodeRecord(nil, &rec, fam.key.fp))
+			enc, _ = table.encode(enc[:0], &rec, fam.key.fp)
+			buf = frame(buf[:0], enc)
 		} else {
 			g := group{fp: fam.key.fp, user: fam.key.user, sql: fam.key.sql, class: fam.key.class, seqs: fam.seqs, times: fam.times}
 			for _, t := range fam.times {

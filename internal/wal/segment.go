@@ -18,19 +18,38 @@ import (
 //	u32 LE  CRC-32C (Castagnoli) of the payload
 //	payload [1 byte kind][kind-specific body]
 //
-// Three entry kinds exist. Record entries carry one ingested query-log
-// record plus its statement fingerprint (0 when the statement does not
-// lex — the WAL's "parse failed" marker). Group entries are produced by
-// compaction: one (user, sql) pair that occurred n times, with every
-// occurrence's (seq, time) delta-coded so expansion is lossless. Footer
-// entries close a sealed segment with its index — record span, time range
-// and the sorted distinct fingerprints — followed by a fixed trailer
-// locating the footer, so opening a sealed segment reads the index without
-// scanning the data.
+// Five entry kinds exist. Three carry one ingested query-log record:
+//
+//   - inline (kindRecord): seq, time, statement fingerprint (0 when the
+//     statement does not lex — the WAL's "parse failed" marker), user,
+//     text and an optional class. It defines nothing, so segments written
+//     before the statement table existed decode unchanged.
+//   - def (kindDef): the inline body, and the (text, fingerprint) pair
+//     takes the next id in this segment's statement table (0, 1, 2, ...).
+//   - ref (kindRef): seq, time, a varint table id in place of both the
+//     text and the fingerprint, user and the optional class.
+//
+// The statement table is per segment: every ref points at a def earlier in
+// the same file, so replay, windowed reads, torn-tail truncation and
+// compaction each work on one segment alone. A ref to an id not defined
+// yet ends a scan exactly like a failed checksum. The writer keys its
+// table on the exact text and bounds it (maxStmtIDs); a text past the
+// bound, or a text whose fingerprint differs from the one its id stores,
+// is written inline. Readers apply no bound: they define an id for every
+// def they verify.
+//
+// Group entries are produced by compaction: one (user, sql) pair that
+// occurred n times, with every occurrence's (seq, time) delta-coded so
+// expansion is lossless. Footer entries close a sealed segment with its
+// index — record span, time range and the sorted distinct fingerprints —
+// followed by a fixed trailer locating the footer, so opening a sealed
+// segment reads the index without scanning the data.
 const (
 	kindRecord = 1
 	kindFooter = 2
 	kindGroup  = 3
+	kindDef    = 4
+	kindRef    = 5
 
 	// maxEntryBytes bounds a decoded payload: a corrupt length prefix must
 	// not drive a giant allocation. Generous next to the ingest path's own
@@ -39,6 +58,11 @@ const (
 
 	// entryHeader is the framing overhead per entry.
 	entryHeader = 8
+
+	// maxStmtIDs bounds the writer's per-segment statement table — the
+	// exact-statement memo's bound, so a log of mostly distinct texts holds
+	// at most that many table keys per segment.
+	maxStmtIDs = 1 << 15
 )
 
 // footerMagic trails every sealed segment:
@@ -73,7 +97,11 @@ func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v)
 // non-empty, so classless logs stay byte-identical to the original format
 // and old segments decode with Class "".
 func encodeRecord(b []byte, rec *qlog.Record, fp uint64) []byte {
-	b = append(b, kindRecord)
+	return appendInline(append(b, kindRecord), rec, fp)
+}
+
+// appendInline appends the body shared by inline and def entries.
+func appendInline(b []byte, rec *qlog.Record, fp uint64) []byte {
 	b = appendUvarint(b, uint64(rec.Seq))
 	b = appendVarint(b, rec.Time)
 	b = appendUvarint(b, fp)
@@ -81,11 +109,60 @@ func encodeRecord(b []byte, rec *qlog.Record, fp uint64) []byte {
 	b = append(b, rec.User...)
 	b = appendUvarint(b, uint64(len(rec.SQL)))
 	b = append(b, rec.SQL...)
-	if rec.Class != "" {
-		b = appendUvarint(b, uint64(len(rec.Class)))
-		b = append(b, rec.Class...)
+	return appendClass(b, rec.Class)
+}
+
+// appendClass appends the optional trailing class field.
+func appendClass(b []byte, class string) []byte {
+	if class != "" {
+		b = appendUvarint(b, uint64(len(class)))
+		b = append(b, class...)
 	}
 	return b
+}
+
+// stmt is one statement-table entry: a defined text and the fingerprint
+// stored with it.
+type stmt struct {
+	sql string
+	fp  uint64
+}
+
+// stmtTable is one segment's statement dictionary. stmts is indexed by id
+// in definition order; readers fill it as they verify def entries. ids is
+// the writer's exact-text index over it, built lazily on the first encode.
+type stmtTable struct {
+	stmts []stmt
+	ids   map[string]uint32
+}
+
+// encode appends rec's payload (no framing) to b against the table and
+// returns it with the entry kind chosen: a ref when the text is defined
+// with the same fingerprint, a def (taking the next id) when the text is
+// new and the table has room, inline otherwise.
+func (t *stmtTable) encode(b []byte, rec *qlog.Record, fp uint64) ([]byte, byte) {
+	if t.ids == nil {
+		t.ids = make(map[string]uint32, len(t.stmts))
+		for id, s := range t.stmts {
+			t.ids[s.sql] = uint32(id)
+		}
+	}
+	id, ok := t.ids[rec.SQL]
+	switch {
+	case ok && t.stmts[id].fp == fp:
+		b = append(b, kindRef)
+		b = appendUvarint(b, uint64(rec.Seq))
+		b = appendVarint(b, rec.Time)
+		b = appendUvarint(b, uint64(id))
+		b = appendUvarint(b, uint64(len(rec.User)))
+		b = append(b, rec.User...)
+		return appendClass(b, rec.Class), kindRef
+	case !ok && len(t.stmts) < maxStmtIDs:
+		t.ids[rec.SQL] = uint32(len(t.stmts))
+		t.stmts = append(t.stmts, stmt{sql: rec.SQL, fp: fp})
+		return appendInline(append(b, kindDef), rec, fp), kindDef
+	}
+	return encodeRecord(b, rec, fp), kindRecord
 }
 
 // group is one compacted duplicate family: the same user issuing the same
@@ -117,11 +194,7 @@ func encodeGroup(b []byte, g *group) []byte {
 		b = appendVarint(b, g.times[i]-prevT)
 		prevSeq, prevT = int64(g.seqs[i]), g.times[i]
 	}
-	if g.class != "" {
-		b = appendUvarint(b, uint64(len(g.class)))
-		b = append(b, g.class...)
-	}
-	return b
+	return appendClass(b, g.class)
 }
 
 // footer is a sealed segment's inline index.
@@ -149,22 +222,19 @@ func encodeFooter(b []byte, f *footer) []byte {
 	return b
 }
 
-// frame wraps a payload with its length + CRC header.
-func frame(dst, payload []byte) []byte {
+// frameHeader returns the length + CRC header for a payload.
+func frameHeader(payload []byte) [entryHeader]byte {
 	var hdr [entryHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return hdr
 }
 
-// frameInPlace fills the header of a buffer whose first entryHeader bytes
-// were reserved and whose payload follows — the copy-free twin of frame.
-func frameInPlace(buf []byte) []byte {
-	payload := buf[entryHeader:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	return buf
+// frame wraps a payload with its length + CRC header.
+func frame(dst, payload []byte) []byte {
+	hdr := frameHeader(payload)
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
 }
 
 // entryReader decodes framed entries from a stream, stopping cleanly at a
@@ -237,7 +307,20 @@ func readBytes(b []byte) (string, []byte, error) {
 	return string(b[:ln]), b[ln:], nil
 }
 
-// decodeRecord parses a kindRecord payload (kind byte already consumed).
+// readClass reads the optional trailing class field, which must end the
+// payload.
+func readClass(b []byte) (string, error) {
+	if len(b) == 0 {
+		return "", nil
+	}
+	class, b, err := readBytes(b)
+	if err == nil && len(b) != 0 {
+		err = ErrCorrupt
+	}
+	return class, err
+}
+
+// decodeRecord parses an inline or def payload (kind byte already consumed).
 func decodeRecord(b []byte) (record, error) {
 	var r record
 	seq, b, err := readUvarint(b)
@@ -260,17 +343,46 @@ func decodeRecord(b []byte) (record, error) {
 	if err != nil {
 		return r, err
 	}
-	var class string
-	if len(b) != 0 {
-		if class, b, err = readBytes(b); err != nil {
-			return r, err
-		}
-	}
-	if len(b) != 0 {
-		return r, ErrCorrupt
+	class, err := readClass(b)
+	if err != nil {
+		return r, err
 	}
 	r.rec = qlog.Record{Seq: int(seq), Time: t, User: user, SQL: sql, Class: class}
 	r.fp = fp
+	return r, nil
+}
+
+// decodeRef parses a kindRef payload (kind byte already consumed) against
+// the segment's table so far. An id the table does not hold yet — a ref
+// ahead of its def, or past every def — is corrupt: the scan stops there.
+func decodeRef(b []byte, t *stmtTable) (record, error) {
+	var r record
+	seq, b, err := readUvarint(b)
+	if err != nil {
+		return r, err
+	}
+	t0, b, err := readVarint(b)
+	if err != nil {
+		return r, err
+	}
+	id, b, err := readUvarint(b)
+	if err != nil {
+		return r, err
+	}
+	if id >= uint64(len(t.stmts)) {
+		return r, ErrCorrupt
+	}
+	user, b, err := readBytes(b)
+	if err != nil {
+		return r, err
+	}
+	class, err := readClass(b)
+	if err != nil {
+		return r, err
+	}
+	s := t.stmts[id]
+	r.rec = qlog.Record{Seq: int(seq), Time: t0, User: user, SQL: s.sql, Class: class}
+	r.fp = s.fp
 	return r, nil
 }
 
@@ -307,15 +419,8 @@ func decodeGroup(b []byte) (group, error) {
 		g.seqs = append(g.seqs, int(prevSeq))
 		g.times = append(g.times, prevT)
 	}
-	if len(b) != 0 {
-		if g.class, b, err = readBytes(b); err != nil {
-			return g, err
-		}
-	}
-	if len(b) != 0 {
-		return g, ErrCorrupt
-	}
-	return g, nil
+	g.class, err = readClass(b)
+	return g, err
 }
 
 // decodeFooter parses a kindFooter payload (kind byte already consumed).
@@ -367,8 +472,9 @@ type scanResult struct {
 	maxT      int64
 	fps       map[uint64]struct{}
 	footer    *footer
-	goodOff   int64 // file offset just past the last verified entry
-	truncated bool  // hit a torn/corrupt tail before EOF
+	table     stmtTable // statements defined in the verified prefix
+	goodOff   int64     // file offset just past the last verified entry
+	truncated bool      // hit a torn/corrupt tail before EOF
 }
 
 // scanSegment walks every entry of one segment stream, invoking onRecord
@@ -378,17 +484,17 @@ type scanResult struct {
 func scanSegment(r io.Reader, onRecord func(rec qlog.Record, fp uint64) error) (*scanResult, error) {
 	er := newEntryReader(r)
 	res := &scanResult{fps: make(map[uint64]struct{})}
-	seeTime := func(t int64) {
+	see := func(t int64, fp uint64) {
 		if res.records == 0 {
 			res.minT, res.maxT = t, t
-			return
-		}
-		if t < res.minT {
+		} else if t < res.minT {
 			res.minT = t
-		}
-		if t > res.maxT {
+		} else if t > res.maxT {
 			res.maxT = t
 		}
+		res.records++
+		res.span++
+		res.fps[fp] = struct{}{}
 	}
 	for {
 		payload, err := er.next()
@@ -401,35 +507,34 @@ func scanSegment(r io.Reader, onRecord func(rec qlog.Record, fp uint64) error) (
 			res.truncated = true
 			return res, nil
 		}
+		var derr error
 		switch payload[0] {
-		case kindRecord:
-			rec, derr := decodeRecord(payload[1:])
-			if derr != nil {
-				res.goodOff = er.off - int64(entryHeader) - int64(len(payload))
-				res.truncated = true
-				return res, nil
+		case kindRecord, kindDef, kindRef:
+			var rec record
+			if payload[0] == kindRef {
+				rec, derr = decodeRef(payload[1:], &res.table)
+			} else {
+				rec, derr = decodeRecord(payload[1:])
 			}
-			seeTime(rec.rec.Time)
-			res.records++
-			res.span++
-			res.fps[rec.fp] = struct{}{}
+			if derr != nil {
+				break
+			}
+			if payload[0] == kindDef {
+				res.table.stmts = append(res.table.stmts, stmt{sql: rec.rec.SQL, fp: rec.fp})
+			}
+			see(rec.rec.Time, rec.fp)
 			if onRecord != nil {
 				if cerr := onRecord(rec.rec, rec.fp); cerr != nil {
 					return res, cerr
 				}
 			}
 		case kindGroup:
-			g, derr := decodeGroup(payload[1:])
-			if derr != nil {
-				res.goodOff = er.off - int64(entryHeader) - int64(len(payload))
-				res.truncated = true
-				return res, nil
+			var g group
+			if g, derr = decodeGroup(payload[1:]); derr != nil {
+				break
 			}
-			res.fps[g.fp] = struct{}{}
 			for i := range g.seqs {
-				seeTime(g.times[i])
-				res.records++
-				res.span++
+				see(g.times[i], g.fp)
 				if onRecord != nil {
 					rec := qlog.Record{Seq: g.seqs[i], Time: g.times[i], User: g.user, SQL: g.sql, Class: g.class}
 					if cerr := onRecord(rec, g.fp); cerr != nil {
@@ -438,16 +543,18 @@ func scanSegment(r io.Reader, onRecord func(rec qlog.Record, fp uint64) error) (
 				}
 			}
 		case kindFooter:
-			f, derr := decodeFooter(payload[1:])
-			if derr != nil {
-				res.goodOff = er.off - int64(entryHeader) - int64(len(payload))
-				res.truncated = true
-				return res, nil
+			var f footer
+			if f, derr = decodeFooter(payload[1:]); derr == nil {
+				res.footer = &f
 			}
-			res.footer = &f
 		default:
 			// Unknown kind: a future format or corruption that happened to
-			// checksum — stop here, keeping the verified prefix.
+			// checksum.
+			derr = ErrCorrupt
+		}
+		if derr != nil {
+			// Stop before the entry that does not decode, keeping the
+			// verified prefix.
 			res.goodOff = er.off - int64(entryHeader) - int64(len(payload))
 			res.truncated = true
 			return res, nil

@@ -1,17 +1,20 @@
 // Package wal is a durable, segmented write-ahead log for ingested
 // query-log records. Entries are length-prefixed and CRC-32C checksummed
-// and pool in a mutex-staged buffer drained by a single writer goroutine:
-// plain appends wake the writer only when staging reaches the batch
-// target, sync barriers wake it immediately, and one fsync makes every
-// staged record durable (group commit) — the ingest hot path pays one
-// pooled encode and a mutex-guarded stage while durability is amortised
-// across every record in flight. Segments rotate by size and by record-time window, and each
-// sealed segment carries an inline index — record span, time range, and the
-// distinct statement fingerprints it contains — so re-mining a time window
-// or a template family opens only the segments that can match. Cold
-// segments (those wholly covered by a snapshot) are compacted in place:
-// parse-failed records are dropped and duplicate statements are collapsed
-// to delta-coded groups that expand losslessly on read.
+// and records pool in a mutex-staged buffer drained by a single writer
+// goroutine: plain appends wake the writer only when staging reaches the
+// batch target, sync barriers wake it immediately, and one fsync makes
+// every staged record durable (group commit) — the ingest hot path pays a
+// mutex-guarded stage while encoding and durability are amortised across
+// every record in flight. The writer encodes each record against its
+// segment's statement table, so a text repeated within a segment costs a
+// varint id instead of the text. Segments rotate by size and by
+// record-time window, and each sealed segment carries an inline index —
+// record span, time range, and the distinct statement fingerprints it
+// contains — so re-mining a time window or a template family opens only
+// the segments that can match. Cold segments (those wholly covered by a
+// snapshot) are compacted in place: parse-failed records are dropped and
+// duplicate statements are collapsed to delta-coded groups that expand
+// losslessly on read.
 //
 // The durability contract the serving layer builds on: a record is
 // acknowledged to a client only after Sync returns for an offset past it,
@@ -132,20 +135,17 @@ func (m *segMeta) overlaps(from, to int64, fps []uint64) bool {
 	return false
 }
 
-// walOp is one unit of work for the writer goroutine: either a framed
-// record entry to append, or a sync barrier to acknowledge once everything
+// walOp is one unit of work for the writer goroutine: either a record to
+// encode and append, or a sync barrier to acknowledge once everything
 // before it is durable. Ops travel through a mutex-staged slice the writer
 // swaps out wholesale — cheaper per record than a channel send, and the
 // swap forms the group-commit batch for free.
 type walOp struct {
-	// entry is the pooled box holding the framed bytes; nil for a sync
-	// barrier. The box travels with the op so the writer can return it to
-	// entryPool without re-boxing (a fresh allocation per record otherwise).
-	entry *[]byte
-	off   uint64 // record offset (entry ops)
-	t     int64  // record time (entry ops)
-	fp    uint64 // statement fingerprint (entry ops)
-	sync  chan error
+	rec qlog.Record // record ops
+	off uint64      // record offset (record ops)
+	fp  uint64      // statement fingerprint (record ops)
+	// sync is the barrier's reply channel; nil for a record op.
+	sync chan error
 	// target is the durable frontier the barrier waits for. A barrier whose
 	// target an earlier group commit already covered is acknowledged without
 	// another fsync — the free ride that keeps concurrent committers from
@@ -209,6 +209,11 @@ type WAL struct {
 	wsize    int64
 	wpending []chan error // sync barriers awaiting the next fsync
 	whighOff uint64       // one past the highest offset written (not yet necessarily synced)
+	// wtable is the active segment's statement table; rotate resets it and
+	// recover rebuilds it from the active segment's verified prefix.
+	wtable stmtTable
+	wenc   []byte // encode buffer, reused across records
+	whdr   [entryHeader]byte
 }
 
 // Open recovers (or creates) a WAL in dir. The last segment on disk becomes
@@ -248,7 +253,7 @@ func (w *WAL) recover() error {
 		path := filepath.Join(w.dir, name)
 		base, _ := parseSegmentName(name)
 		last := i == len(names)-1
-		meta, truncateAt, err := loadSegment(path, base, last)
+		meta, truncateAt, table, err := loadSegment(path, base, last)
 		if err != nil {
 			return err
 		}
@@ -262,6 +267,7 @@ func (w *WAL) recover() error {
 				replayTruncated.Inc()
 			}
 			w.active = meta
+			w.wtable = table
 		} else {
 			meta.sealed = true
 			w.sealed = append(w.sealed, meta)
@@ -297,24 +303,26 @@ func (w *WAL) recover() error {
 
 // loadSegment reads one segment's index. Sealed segments (footer present)
 // load from the trailer without a data scan. For the candidate active
-// segment (last on disk), a full verifying scan builds the meta and reports
-// where to truncate a torn tail (-1 = no truncation needed).
-func loadSegment(path string, base uint64, last bool) (*segMeta, int64, error) {
+// segment (last on disk), a full verifying scan builds the meta, reports
+// where to truncate a torn tail (-1 = no truncation needed) and returns the
+// statement table its verified prefix defines — a def lost to the torn
+// tail is not in it, so its text is defined afresh on the next append.
+func loadSegment(path string, base uint64, last bool) (*segMeta, int64, stmtTable, error) {
 	if !last {
 		if f, ok, err := readFooterTrailer(path); err != nil {
-			return nil, -1, err
+			return nil, -1, stmtTable{}, err
 		} else if ok {
-			return footerMeta(path, base, f), -1, nil
+			return footerMeta(path, base, f), -1, stmtTable{}, nil
 		}
 	}
 	rf, err := os.Open(path)
 	if err != nil {
-		return nil, -1, err
+		return nil, -1, stmtTable{}, err
 	}
 	defer rf.Close()
 	res, err := scanSegment(rf, nil)
 	if err != nil {
-		return nil, -1, err
+		return nil, -1, stmtTable{}, err
 	}
 	meta := &segMeta{
 		path: path, base: base,
@@ -327,12 +335,12 @@ func loadSegment(path string, base uint64, last bool) (*segMeta, int64, error) {
 		// which a scan cannot reconstruct once compaction dropped records.
 		meta.span = res.footer.span
 		meta.sealed = true
-		return meta, -1, nil
+		return meta, -1, stmtTable{}, nil
 	}
 	if res.truncated {
-		return meta, res.goodOff, nil
+		return meta, res.goodOff, res.table, nil
 	}
-	return meta, -1, nil
+	return meta, -1, res.table, nil
 }
 
 // footerMeta converts a decoded footer into a segment meta.
@@ -451,28 +459,13 @@ func (w *WAL) NextOffset() uint64 {
 // survives a crash.
 func (w *WAL) DurableOffset() uint64 { return w.durable.Load() }
 
-// entryPool recycles Append's encode buffers: the writer hands a buffer
-// back once bufio has copied it into the segment stream, so steady-state
-// ingest allocates no per-record entry memory at all.
-var entryPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// Append encodes one record and hands it to the writer, returning the
-// record's offset (the k-th record ever appended has offset k). It does not
-// wait for durability — call SyncTo(off+1) before acknowledging the record.
-// Append blocks only when the staging buffer is full (the disk is behind).
+// Append hands one record to the writer, which encodes it against the
+// active segment's statement table, returning the record's offset (the
+// k-th record ever appended has offset k). It does not wait for durability
+// — call SyncTo(off+1) before acknowledging the record. Append blocks only
+// when the staging buffer is full (the disk is behind).
 func (w *WAL) Append(rec qlog.Record, fp uint64) (uint64, error) {
-	// Encode the payload after a reserved header slot, then frame in place —
-	// a pooled buffer and no copy.
-	bp := entryPool.Get().(*[]byte)
-	buf := *bp
-	if need := entryHeader + 64 + len(rec.User) + len(rec.SQL) + len(rec.Class); cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	buf = encodeRecord(buf[:entryHeader], &rec, fp)
-	*bp = frameInPlace(buf)
+	rec.Stmt = nil // never serialised; do not pin the memo entry in staging
 	w.mu.Lock()
 	// Wait for space BEFORE taking an offset, so blocked appenders cannot
 	// stage out of offset order when they resume.
@@ -485,7 +478,7 @@ func (w *WAL) Append(rec qlog.Record, fp uint64) (uint64, error) {
 	}
 	off := w.next
 	w.next++
-	w.staged = append(w.staged, walOp{entry: bp, off: off, t: rec.Time, fp: fp})
+	w.staged = append(w.staged, walOp{rec: rec, off: off, fp: fp})
 	// Records pool in staging until a barrier arrives or a full batch forms;
 	// the durability contract is Sync's, so nothing is owed to disk yet.
 	if len(w.staged) >= w.batchTarget && !w.kick {
@@ -599,7 +592,7 @@ func (w *WAL) writer() {
 		w.mu.Unlock()
 		w.processBatch(batch)
 		for i := range batch {
-			batch[i] = walOp{} // drop entry/chan refs so spare doesn't pin them
+			batch[i] = walOp{} // drop record/chan refs so spare doesn't pin them
 		}
 		spare = batch
 	}
@@ -611,7 +604,7 @@ func (w *WAL) processBatch(batch []walOp) {
 	sp := appendStage.Start()
 	for i := range batch {
 		op := &batch[i]
-		if op.entry == nil {
+		if op.sync != nil {
 			// A barrier staged after the fsync that covered its target (the
 			// committer raced the frontier check) needs nothing from this
 			// batch: acknowledge it without charging another fsync.
@@ -622,10 +615,7 @@ func (w *WAL) processBatch(batch []walOp) {
 			w.wpending = append(w.wpending, op.sync)
 			continue
 		}
-		err := w.writeEntry(op)
-		*op.entry = (*op.entry)[:0]
-		entryPool.Put(op.entry)
-		if err != nil {
+		if err := w.writeRecord(op); err != nil {
 			w.fail(err)
 			sp.End()
 			w.ackPending()
@@ -641,35 +631,56 @@ func (w *WAL) processBatch(batch []walOp) {
 	}
 }
 
-// writeEntry appends one framed entry, rotating first when the active
-// segment is over its size or time budget.
-func (w *WAL) writeEntry(op *walOp) error {
-	entry := *op.entry
+// writeRecord encodes one record against the active segment's statement
+// table and appends it, rotating first when the active segment is over its
+// size or time budget — and then encoding again, since the fresh segment's
+// table is empty.
+func (w *WAL) writeRecord(op *walOp) error {
+	payload, kind := w.wtable.encode(w.wenc[:0], &op.rec, op.fp)
+	size := int64(entryHeader + len(payload))
 	w.segMu.Lock()
 	needRotate := w.active.records > 0 &&
-		(w.wsize+int64(len(entry)) > w.opt.SegmentBytes ||
-			(w.opt.SegmentWindow > 0 && op.t-w.active.minT >= w.opt.SegmentWindow))
+		(w.wsize+size > w.opt.SegmentBytes ||
+			(w.opt.SegmentWindow > 0 && op.rec.Time-w.active.minT >= w.opt.SegmentWindow))
 	w.segMu.Unlock()
 	if needRotate {
 		if err := w.rotate(); err != nil {
 			return err
 		}
+		payload, kind = w.wtable.encode(w.wenc[:0], &op.rec, op.fp)
+		size = int64(entryHeader + len(payload))
 	}
-	if _, err := w.wbuf.Write(entry); err != nil {
+	w.wenc = payload
+	// The header lives in the WAL, not on the stack: bufio may hand the
+	// slice to the file's Write, which would move a local array to the heap
+	// on every record.
+	w.whdr = frameHeader(payload)
+	if _, err := w.wbuf.Write(w.whdr[:]); err != nil {
 		return err
 	}
-	w.wsize += int64(len(entry))
+	if _, err := w.wbuf.Write(payload); err != nil {
+		return err
+	}
+	switch kind {
+	case kindDef:
+		dictDefs.Inc()
+	case kindRef:
+		dictRefs.Inc()
+	}
+	bytesWritten.Add(size)
+	w.wsize += size
 	w.whighOff = op.off + 1
 	w.segMu.Lock()
 	m := w.active
+	t := op.rec.Time
 	if m.records == 0 {
-		m.minT, m.maxT = op.t, op.t
+		m.minT, m.maxT = t, t
 	} else {
-		if op.t < m.minT {
-			m.minT = op.t
+		if t < m.minT {
+			m.minT = t
 		}
-		if op.t > m.maxT {
-			m.maxT = op.t
+		if t > m.maxT {
+			m.maxT = t
 		}
 	}
 	m.records++
@@ -701,6 +712,7 @@ func (w *WAL) rotate() error {
 	if _, err := w.wbuf.Write(trailer[:]); err != nil {
 		return err
 	}
+	bytesWritten.Add(int64(len(entry) + len(trailer)))
 	if err := w.wbuf.Flush(); err != nil {
 		return err
 	}
@@ -723,6 +735,7 @@ func (w *WAL) rotate() error {
 	}
 	w.wf, w.wsize = f, 0
 	w.wbuf.Reset(f)
+	w.wtable = stmtTable{}
 
 	w.segMu.Lock()
 	m.sealed = true
