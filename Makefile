@@ -90,9 +90,13 @@ serve-smoke:
 # ratio (TestSemCacheSmoke); and prove POST /query never writes the mining
 # registry: queries between two epochs leave its generation still and the
 # next /report byte-identical to the batch miner's in every format
-# (TestQueryLeavesReportUnchanged).
+# (TestQueryLeavesReportUnchanged). TestInstallCarriesUnchangedRegions
+# proves a region whose mined area is unchanged keeps its store across
+# epochs, only a moved region is rebuilt, and every hit equals direct
+# execution.
 semcache-smoke:
 	$(GO) test -race -count=1 -run 'TestSemCacheSmoke|TestQueryLeavesReportUnchanged' -v ./internal/serve/
+	$(GO) test -race -count=1 -run TestInstallCarriesUnchangedRegions -v ./internal/interestcache/
 
 # shard-smoke is the end-to-end gate for the sharded topology: a 4-shard
 # in-process cluster (same routing/merge code path as multi-node) ingests a
@@ -112,11 +116,13 @@ shard-smoke:
 # variant proves per-shard WALs recover under the coordinator. The wal
 # package's statement-table tests prove a def torn off the active segment
 # is defined afresh after recovery, and that a clean reopen keeps writing
-# refs to texts defined before it. All under -race.
+# refs to texts defined before it, and TestSealedSegmentScansClean that a
+# sealed segment scans clean while one cut in its footer scans as torn.
+# All under -race.
 wal-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence' -v ./internal/serve/
 	$(GO) test -race -count=1 -run TestShardedCrashRecovery -v ./internal/shard/
-	$(GO) test -race -count=1 -run 'TestTornDefinitionRedefined|TestReopenKeepsStatementTable' -v ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestTornDefinitionRedefined|TestReopenKeepsStatementTable|TestSealedSegmentScansClean' -v ./internal/wal/
 
 # traffic-smoke is the end-to-end gate for traffic-class mining: the serve
 # partition tests prove every per-class /report is byte-identical to batch

@@ -174,7 +174,6 @@ func main() {
 	top := flag.Int("top", 0, "default cluster cap for /report (0 = all)")
 	queryVerify := flag.Bool("query-verify", false, "check every cache-served /query result against direct execution (oracle; slow)")
 	cacheBudget := flag.Int64("cache-budget", 0, "semantic-cache resident-bytes budget: regions admitted best-heat-first, coldest evicted under pressure (0 = unlimited)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "per-region staleness bound: unchanged regions keep their store across epochs while younger than this, older stores miss as stale (0 = rebuild every epoch)")
 	cacheComposeMax := flag.Int("cache-compose-max", 4, "max regions a composed /query answer may union (negative = disable composition)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
@@ -309,7 +308,6 @@ func main() {
 			QueryDB:          db,
 			QueryVerify:      *queryVerify,
 			CacheBudget:      *cacheBudget,
-			CacheTTL:         *cacheTTL,
 			CacheComposeMax:  *cacheComposeMax,
 			Traffic:          trafficCfg,
 		}

@@ -24,13 +24,16 @@ var (
 	prefetchStage = obs.NewStage("interestcache_prefetch")
 
 	prefetchRegionsTotal = obs.NewCounter("skyaccess_interestcache_prefetch_regions_total",
-		"regions prefetched across all Install calls")
+		"region stores Install built from the database")
+	prefetchCarriedTotal = obs.NewCounter("skyaccess_interestcache_prefetch_regions_carried_total",
+		"resident regions Install carried with their store because their identity was unchanged")
 )
 
 // Config wires a Cache to its data source and extraction path.
 type Config struct {
 	// DB is the authoritative database: the prefetch source and the
-	// fall-through execution target.
+	// fall-through execution target. Region stores share its rows, so it
+	// must not be written while the cache serves.
 	DB *memdb.DB
 	// Extractor maps statements to access areas; give it the miner's schema
 	// and predicate cap. Its Stats registry, if any, is ignored: queries
@@ -58,12 +61,6 @@ type Config struct {
 	// HeatDecay is the per-install aging factor applied to the heat book
 	// (default 0.5).
 	HeatDecay float64
-	// RegionTTL bounds per-region staleness. 0 keeps the v1 behaviour:
-	// every Install rebuilds every admitted store. When positive, a region
-	// whose identity survives re-mining keeps its store across Install
-	// while younger than the TTL, and a hit's store age is surfaced as
-	// Info.Staleness; stores older than the TTL miss with reason "stale".
-	RegionTTL time.Duration
 	// ComposeMax caps the covering-set size for multi-region composition
 	// (default 4; negative disables composition).
 	ComposeMax int
@@ -117,7 +114,6 @@ type Cache struct {
 	aggHits         atomic.Int64
 	preaggHits      atomic.Int64
 	nearMisses      atomic.Int64
-	staleMisses     atomic.Int64
 	evicted         atomic.Int64
 	reused          atomic.Int64
 	probationAdmits atomic.Int64
@@ -162,10 +158,13 @@ func New(cfg Config) *Cache {
 
 // Install folds the previous generation's access heat into the book, plans
 // admission of the clusters' regions best-heat-first under the byte budget,
-// materialises (or, within the TTL, carries over) the admitted stores, and
-// atomically replaces the served snapshot. Non-admitted candidates stay as
-// shadows collecting near-miss heat. Clusters with no relations or an unset
-// box are skipped (they describe nothing prefetchable).
+// prefetches the admitted stores, and atomically replaces the served
+// snapshot. A resident region whose identity is unchanged is carried with
+// its store: the identity fixes the row set, and DB is never written while
+// the cache serves, so the carried store is exactly what a rebuild would
+// produce. Non-admitted candidates stay as shadows collecting near-miss
+// heat. Clusters with no relations or an unset box are skipped (they
+// describe nothing prefetchable).
 func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 	sp := prefetchStage.Start()
 	defer sp.End()
@@ -194,7 +193,7 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 		cn := candidate{cl: cl, identity: identityOf(cl.Relations, cl.Box, cl.Categorical)}
 		cn.heat = c.book.heat(cn.identity)
 		size := c.book.knownBytes(cn.identity)
-		if p, ok := prevResident[cn.identity]; ok && c.cfg.RegionTTL > 0 && p.Staleness() < c.cfg.RegionTTL {
+		if p, ok := prevResident[cn.identity]; ok {
 			cn.carry = p
 			size = p.Bytes
 		}
@@ -222,8 +221,10 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 		if cn.carry != nil {
 			r = carryRegion(cn.carry, cn.cl.ID, generation)
 			c.reused.Add(1)
+			prefetchCarriedTotal.Add(1)
 		} else {
 			r = newRegion(c.cfg.DB, generation, cn.cl)
+			prefetchRegionsTotal.Add(1)
 		}
 		c.book.setBytes(cn.identity, r.Bytes)
 		if ad.probation {
@@ -263,7 +264,6 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 			c.evicted.Add(1)
 		}
 	}
-	prefetchRegionsTotal.Add(int64(len(snap.regions)))
 	snap.index = buildIndex(snap.regions)
 	for _, p := range c.registeredPlans() {
 		for _, r := range snap.regions {
@@ -345,15 +345,11 @@ type Info struct {
 	// aggregate statement on one containing region), "preagg" (partial
 	// aggregates combined across a covering set).
 	Path string
-	// Staleness is the maximum age of the serving stores (hits only;
-	// non-zero only with a RegionTTL configured, since otherwise stores
-	// are rebuilt each generation).
-	Staleness time.Duration
 	// Generation is the region-set generation consulted.
 	Generation int64
 	// Reason explains a miss: "no-regions", "fingerprint", "parse",
 	// "shape", "uncacheable", "inexact", "empty-area", "no-region",
-	// "store-error", "stale", "verify-failed".
+	// "store-error", "verify-failed".
 	Reason string
 }
 
@@ -392,10 +388,6 @@ func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 	}
 	shape := newQueryShape(area)
 	if region := snap.index.lookup(shape); region != nil {
-		if c.regionsStale(region) {
-			c.staleMisses.Add(1)
-			return c.miss(sql, info, "stale")
-		}
 		rs, err := region.store.ExecuteSQL(sql, c.cfg.Exec)
 		if err != nil {
 			// The store is a subset view; any store-side failure (row limit,
@@ -405,10 +397,6 @@ func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 		return c.finishHit(sql, rs, info, "single", region)
 	}
 	if cv := snap.index.findCover(shape, c.cfg.ComposeMax); cv != nil {
-		if c.regionsStale(cv.regions...) {
-			c.staleMisses.Add(1)
-			return c.miss(sql, info, "stale")
-		}
 		if store, err := snap.unionStore(cv); err == nil {
 			rs, err := store.ExecuteSQL(sql, c.cfg.Exec)
 			if err != nil {
@@ -453,10 +441,6 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 	}
 	shape := newQueryShape(area)
 	if region := snap.index.lookup(shape); region != nil {
-		if c.regionsStale(region) {
-			c.staleMisses.Add(1)
-			return c.miss(sql, info, "stale")
-		}
 		rs, err := region.store.ExecuteSQL(sql, c.cfg.Exec)
 		if err != nil {
 			return c.miss(sql, info, "store-error")
@@ -464,10 +448,6 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 		return c.finishHit(sql, rs, info, "agg", region)
 	}
 	if cv := snap.index.findCover(shape, c.cfg.ComposeMax); cv != nil {
-		if c.regionsStale(cv.regions...) {
-			c.staleMisses.Add(1)
-			return c.miss(sql, info, "stale")
-		}
 		if rs, ok := combinePreagg(cv, plan, area, shape, c.cfg.Exec.RowLimit); ok {
 			return c.finishHit(sql, rs, info, "preagg", cv.regions...)
 		}
@@ -481,20 +461,6 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 	}
 	c.creditShadows(snap, shape)
 	return c.miss(sql, info, "no-region")
-}
-
-// regionsStale reports whether any serving store is older than the
-// configured TTL (never with no TTL set).
-func (c *Cache) regionsStale(regions ...*Region) bool {
-	if c.cfg.RegionTTL <= 0 {
-		return false
-	}
-	for _, r := range regions {
-		if r.Staleness() > c.cfg.RegionTTL {
-			return true
-		}
-	}
-	return false
 }
 
 // finishHit verifies (when configured), credits counters, and fills Info
@@ -532,13 +498,6 @@ func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path strin
 	info.RegionID = regions[0].ID
 	for _, r := range regions {
 		info.Regions = append(info.Regions, r.ID)
-	}
-	if c.cfg.RegionTTL > 0 {
-		for _, r := range regions {
-			if s := r.Staleness(); s > info.Staleness {
-				info.Staleness = s
-			}
-		}
 	}
 	return rs, info, nil
 }
@@ -841,7 +800,6 @@ type Metrics struct {
 	AggHits         int64           `json:"agg_hits"`
 	PreaggHits      int64           `json:"preagg_hits"`
 	NearMisses      int64           `json:"near_misses"`
-	StaleMisses     int64           `json:"stale_misses"`
 	Evicted         int64           `json:"evicted"`
 	Reused          int64           `json:"reused"`
 	ProbationAdmits int64           `json:"probation_admits"`
@@ -849,8 +807,8 @@ type Metrics struct {
 }
 
 // RegionMetrics are the per-region serving counters of the CURRENT region
-// set; counters reset naturally on Install because regions are rebuilt
-// (heat persists in the book, surfaced here).
+// set; counters reset on Install, which gives built and carried regions
+// fresh ones (heat persists in the book, surfaced here).
 type RegionMetrics struct {
 	ID          int     `json:"id"`
 	Rows        int     `json:"rows"`
@@ -879,7 +837,6 @@ func (c *Cache) Metrics() Metrics {
 		AggHits:         c.aggHits.Load(),
 		PreaggHits:      c.preaggHits.Load(),
 		NearMisses:      c.nearMisses.Load(),
-		StaleMisses:     c.staleMisses.Load(),
 		Evicted:         c.evicted.Load(),
 		Reused:          c.reused.Load(),
 		ProbationAdmits: c.probationAdmits.Load(),
@@ -889,7 +846,7 @@ func (c *Cache) Metrics() Metrics {
 			ID: r.ID, Rows: r.Rows, Bytes: r.Bytes,
 			Hits: r.Hits(), BytesServed: r.BytesServed(),
 			Heat:       c.book.heat(r.identity),
-			AgeSeconds: r.Staleness().Seconds(),
+			AgeSeconds: r.Age().Seconds(),
 		})
 	}
 	return m
@@ -946,14 +903,21 @@ func resultBytes(rs *memdb.ResultSet) int64 {
 	}
 	var n int64
 	for _, row := range rs.Rows {
-		for _, v := range row {
-			n++ // kind tag
-			switch v.Kind {
-			case memdb.Num:
-				n += 8
-			case memdb.Str:
-				n += int64(len(v.Str))
-			}
+		n += rowBytes(row)
+	}
+	return n
+}
+
+// rowBytes is a row's logical cell size: a 1-byte kind tag per cell, plus
+// 8 per number and the length of each string.
+func rowBytes(row []memdb.Value) int64 {
+	n := int64(len(row))
+	for _, v := range row {
+		switch v.Kind {
+		case memdb.Num:
+			n += 8
+		case memdb.Str:
+			n += int64(len(v.Str))
 		}
 	}
 	return n

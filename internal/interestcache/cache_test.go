@@ -66,11 +66,17 @@ func TestRegionPrefetch(t *testing.T) {
 	if r.Bytes != 4*2*9 {
 		t.Fatalf("bytes = %d, want %d", r.Bytes, 4*2*9)
 	}
-	// The store is a copy: mutating the source must not change it.
-	db.Table("T").Rows[4][1] = memdb.N(-1)
-	rs, err := r.store.ExecuteSQL("SELECT v FROM T", memdb.ExecOptions{})
-	if err != nil || len(rs.Rows) != 4 || rs.Rows[0][0].Num != 50 {
-		t.Fatalf("store rows = %v, %v", rs, err)
+	// The store shares the source rows: each store row is the source row at
+	// its position in rowIdx, not a copy of it.
+	src, pos := db.Table("T").Rows, r.rowIdx["t"]
+	rows := r.store.Table("T").Rows
+	if len(pos) != len(rows) {
+		t.Fatalf("rowIdx %v for %d store rows", pos, len(rows))
+	}
+	for i, row := range rows {
+		if &row[0] != &src[pos[i]][0] {
+			t.Fatalf("store row %d is not source row %d", i, pos[i])
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package interestcache is the semantic result cache the paper's access-area
 // mining motivates: mined clusters describe where in the data space users are
 // interested, so the rows inside each cluster's aggregated access area are
-// prefetched into per-region column stores and queries whose own access area
+// prefetched into per-region stores and queries whose own access area
 // is contained in a cached region are answered from the region's store
 // instead of the full database (DESIGN.md §11).
 package interestcache
@@ -21,10 +21,10 @@ import (
 )
 
 // Region is one prefetched cluster: the aggregated access area (relations,
-// hyper-rectangle, categorical value lists) plus a sealed sub-database
-// holding exactly the rows of the source database inside the area. The store
-// is immutable after construction; hit counters are atomic so the serving
-// path never takes a lock.
+// hyper-rectangle, categorical value lists) plus a sub-database holding
+// exactly the rows of the source database inside the area. The store's
+// tables share the source's row slices and are never written; hit counters
+// are atomic so the serving path never takes a lock.
 type Region struct {
 	ID          int
 	Generation  int64
@@ -37,9 +37,10 @@ type Region struct {
 	// source-row positions of its rows, so composed covers can merge two
 	// region stores back into global source order (compose.go).
 	rowIdx map[string][]int
-	// Rows and Bytes size the prefetched column store: total row count and
-	// the byte footprint of its cells (8 bytes per number, len+1 per
-	// string, 1 per null — the kind tag).
+	// Rows and Bytes size the store: its row count and the logical size of
+	// its cells (a 1-byte kind tag per cell, plus 8 per number and the
+	// length of each string). The cells are shared with the source, so
+	// Bytes is the budget's admission weight, not memory the region owns.
 	Rows  int
 	Bytes int64
 
@@ -48,10 +49,8 @@ type Region struct {
 	// heat survives epoch re-mining: the same interest area gets new cluster
 	// IDs each epoch but the same identity.
 	identity string
-	// materializedAt stamps when the store was built; with a per-region TTL
-	// configured, stores younger than the TTL are carried into the next
-	// generation instead of being rebuilt, and the age is surfaced as the
-	// hit's staleness bound.
+	// materializedAt stamps when the store was built; a carried region
+	// keeps it, so Age is the time since the identity was first prefetched.
 	materializedAt time.Time
 	// shadow regions keep the area metadata with no store: they exist only
 	// to collect near-miss heat for regions the budget excluded.
@@ -93,22 +92,20 @@ func (s *queryShape) hull(dim string) interval.Interval {
 }
 
 // newRegion prefetches the rows of db inside the cluster's aggregated access
-// area into a per-region column store. The restricted view is re-materialised
-// column by column into fresh row slices so the region store stays valid even
-// if the source tables are later mutated.
+// area. The store is db's restricted view as it is: its tables hold the
+// source's own row slices, in source order (the property that makes
+// TOP/ORDER BY-free enumeration from a region a subsequence of direct
+// enumeration), so nothing is copied and db must not be written while the
+// region is served.
 func newRegion(db *memdb.DB, generation int64, c *aggregate.Summary) *Region {
 	r := newShadowRegion(generation, c)
 	r.shadow = false
-	view, rowIdx := db.RestrictIndexed(r.Relations, r.Box, r.Categorical)
-	r.rowIdx = rowIdx
-	r.store = memdb.New(db.Schema)
-	for _, name := range view.Tables() {
-		src := view.Table(name)
-		cols := columnize(src)
-		dst := r.store.CreateTable(src.Name, src.Columns...)
-		dst.Rows = cols.rows()
-		r.Rows += len(dst.Rows)
-		r.Bytes += cols.bytes
+	r.store, r.rowIdx = db.RestrictIndexed(r.Relations, r.Box, r.Categorical)
+	for _, name := range r.store.Tables() {
+		for _, row := range r.store.Table(name).Rows {
+			r.Rows++
+			r.Bytes += rowBytes(row)
+		}
 	}
 	r.materializedAt = time.Now()
 	return r
@@ -209,68 +206,6 @@ func boundMark(open bool, openMark string) string {
 	return "]"
 }
 
-// columns is a per-table column store: one typed vector per column, cells
-// addressed row-major on read-out. It exists to own the region's copy of the
-// data (decoupled from the source DB) and to account bytes per cell.
-type columns struct {
-	kinds [][]memdb.ValueKind
-	nums  [][]float64
-	strs  [][]string
-	n     int
-	bytes int64
-}
-
-func columnize(t *memdb.Table) *columns {
-	c := &columns{
-		kinds: make([][]memdb.ValueKind, len(t.Columns)),
-		nums:  make([][]float64, len(t.Columns)),
-		strs:  make([][]string, len(t.Columns)),
-		n:     len(t.Rows),
-	}
-	for i := range t.Columns {
-		c.kinds[i] = make([]memdb.ValueKind, len(t.Rows))
-		c.nums[i] = make([]float64, len(t.Rows))
-		c.strs[i] = make([]string, len(t.Rows))
-	}
-	for ri, row := range t.Rows {
-		for ci, v := range row {
-			c.kinds[ci][ri] = v.Kind
-			c.bytes++ // kind tag
-			switch v.Kind {
-			case memdb.Num:
-				c.nums[ci][ri] = v.Num
-				c.bytes += 8
-			case memdb.Str:
-				c.strs[ci][ri] = v.Str
-				c.bytes += int64(len(v.Str))
-			}
-		}
-	}
-	return c
-}
-
-// rows seals the column store back into row form for the executor,
-// preserving the source row order (the property that makes TOP/ORDER
-// BY-free enumeration from a region a subsequence of direct enumeration).
-func (c *columns) rows() [][]memdb.Value {
-	out := make([][]memdb.Value, c.n)
-	for ri := range out {
-		row := make([]memdb.Value, len(c.kinds))
-		for ci := range c.kinds {
-			switch c.kinds[ci][ri] {
-			case memdb.Num:
-				row[ci] = memdb.N(c.nums[ci][ri])
-			case memdb.Str:
-				row[ci] = memdb.S(c.strs[ci][ri])
-			default:
-				row[ci] = memdb.NullValue()
-			}
-		}
-		out[ri] = row
-	}
-	return out
-}
-
 // Contains reports whether every row the query's access area can touch is
 // present in the region's store, i.e. whether the query may be answered from
 // the region. The rule (DESIGN.md §11):
@@ -335,8 +270,9 @@ func (r *Region) containsShape(s *queryShape, skipDim, skipCat string) bool {
 	return true
 }
 
-// Staleness is the age of the region's materialised store.
-func (r *Region) Staleness() time.Duration {
+// Age is the time since the region's identity was prefetched; a region
+// carried across installs keeps its first build time.
+func (r *Region) Age() time.Duration {
 	if r.materializedAt.IsZero() {
 		return 0
 	}

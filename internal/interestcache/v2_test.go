@@ -2,7 +2,6 @@ package interestcache
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/extract"
@@ -267,44 +266,79 @@ func TestPreaggSumSpanningGroupFallsBack(t *testing.T) {
 	}
 }
 
-func TestRegionTTLCarryAcrossInstall(t *testing.T) {
-	c := budgetCache(Config{RegionTTL: time.Hour})
-	c.Install(1, []*aggregate.Summary{tSummary(1, interval.Closed(5, 8))})
-	if _, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8"); err != nil || !info.Hit {
-		t.Fatalf("gen1 hit: %+v %v", info, err)
+// Installing clusters whose identities are unchanged carries every region
+// with its store; a region whose box moved is the only one rebuilt, and
+// every hit still equals direct execution.
+func TestInstallCarriesUnchangedRegions(t *testing.T) {
+	c := budgetCache(Config{})
+	clusters := func(id0 int, tHi float64) []*aggregate.Summary {
+		return []*aggregate.Summary{
+			tSummary(id0, interval.Closed(5, tHi)),
+			tSummary(id0+1, interval.Closed(11, 14)),
+			summary(id0+2, []string{"S"}, map[string]interval.Interval{"S.u": interval.Closed(1, 10)},
+				map[string][]string{"S.w": {"a", "b"}}),
+		}
 	}
-	// Same area re-mined under a new cluster ID: the store is carried, not
-	// rebuilt, and the hit reports its (non-zero) age.
-	c.Install(2, []*aggregate.Summary{tSummary(9, interval.Closed(5, 8))})
-	if m := c.Metrics(); m.Reused != 1 {
-		t.Fatalf("expected carried region: %+v", m)
+	stores := func() map[string]*memdb.DB {
+		out := map[string]*memdb.DB{}
+		for _, r := range c.Regions() {
+			out[r.identity] = r.store
+		}
+		return out
 	}
-	_, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8")
-	if err != nil || !info.Hit || info.RegionID != 9 || info.Staleness <= 0 {
-		t.Fatalf("gen2 carried hit: %+v %v", info, err)
+	queries := []string{
+		"SELECT v FROM T WHERE u >= 5 AND u <= 8",
+		"SELECT v FROM T WHERE u >= 11 AND u <= 14",
+		"SELECT u FROM S WHERE u BETWEEN 2 AND 9 AND w = 'a'",
 	}
-}
+	// Query i is served by cluster id0+i of generation gen.
+	hitAll := func(gen int64, id0 int) {
+		t.Helper()
+		for i, q := range queries {
+			if _, info, err := c.Query(q); err != nil || !info.Hit || info.Generation != gen || info.RegionID != id0+i {
+				t.Fatalf("gen %d %q: %+v %v", gen, q, info, err)
+			}
+		}
+	}
 
-func TestRegionTTLStaleMiss(t *testing.T) {
-	c := budgetCache(Config{RegionTTL: 30 * time.Millisecond})
-	c.Install(1, []*aggregate.Summary{tSummary(1, interval.Closed(5, 8))})
-	q := "SELECT v FROM T WHERE u >= 5 AND u <= 8"
-	if _, info, err := c.Query(q); err != nil || !info.Hit {
-		t.Fatalf("fresh hit: %+v %v", info, err)
+	c.Install(1, clusters(1, 8))
+	hitAll(1, 1)
+	first := stores()
+	carried0 := prefetchCarriedTotal.Value()
+
+	// Same areas re-mined under new cluster IDs: every region is carried.
+	c.Install(2, clusters(11, 8))
+	if m := c.Metrics(); m.Reused != 3 || m.Regions != 3 || m.BytesResident != 8*tRowBytes+7*(9+2) {
+		t.Fatalf("carry all: %+v", m)
 	}
-	time.Sleep(50 * time.Millisecond)
-	if _, info, err := c.Query(q); err != nil || info.Hit || info.Reason != "stale" {
-		t.Fatalf("stale miss expected: %+v %v", info, err)
+	if d := prefetchCarriedTotal.Value() - carried0; d != 3 {
+		t.Fatalf("carried counter moved by %d, want 3", d)
 	}
-	if m := c.Metrics(); m.StaleMisses != 1 {
-		t.Fatalf("metrics: %+v", m)
+	for id, st := range stores() {
+		if first[id] != st {
+			t.Fatalf("region %s rebuilt, want carried", id)
+		}
 	}
-	// The next install rebuilds (store too old to carry) and serving resumes.
-	c.Install(2, []*aggregate.Summary{tSummary(9, interval.Closed(5, 8))})
-	if m := c.Metrics(); m.Reused != 0 {
-		t.Fatalf("expired store must not be carried: %+v", m)
+	hitAll(2, 11)
+
+	// One box moves: only that region is rebuilt.
+	c.Install(3, clusters(21, 9))
+	if m := c.Metrics(); m.Reused != 5 || m.Regions != 3 {
+		t.Fatalf("carry two: %+v", m)
 	}
-	if _, info, err := c.Query(q); err != nil || !info.Hit {
-		t.Fatalf("rebuilt hit: %+v %v", info, err)
+	rebuilt := 0
+	for id, st := range stores() {
+		if prev, ok := first[id]; !ok {
+			rebuilt++
+		} else if prev != st {
+			t.Fatalf("region %s rebuilt, want carried", id)
+		}
+	}
+	if rebuilt != 1 {
+		t.Fatalf("%d regions rebuilt, want 1", rebuilt)
+	}
+	hitAll(3, 21)
+	if m := c.Metrics(); m.VerifyChecked != 3*int64(len(queries)) || m.VerifyFailed != 0 {
+		t.Fatalf("oracle: %+v", m)
 	}
 }

@@ -2,8 +2,10 @@ package memdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sqlparser"
 )
@@ -76,14 +78,40 @@ type binding struct {
 	row   []Value // nil for the padded side of an outer join
 }
 
+// matches reports whether qualifier names the binding, ignoring case. An
+// ASCII qualifier is compared against the lowercased names in place, so
+// the per-row column lookup does not allocate; any other qualifier is
+// lowercased first, as names were.
 func (b *binding) matches(qualifier string) bool {
-	q := strings.ToLower(qualifier)
+	for i := 0; i < len(qualifier); i++ {
+		if qualifier[i] >= utf8.RuneSelf {
+			return slices.Contains(b.names, strings.ToLower(qualifier))
+		}
+	}
 	for _, n := range b.names {
-		if n == q {
+		if equalLowerASCII(n, qualifier) {
 			return true
 		}
 	}
 	return false
+}
+
+// equalLowerASCII reports whether lower equals the ASCII string s with its
+// upper-case letters lowered.
+func equalLowerASCII(lower, s string) bool {
+	if len(lower) != len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if lower[i] != c {
+			return false
+		}
+	}
+	return true
 }
 
 // env is one candidate tuple of the universal relation during evaluation.

@@ -2,6 +2,8 @@ package memdb
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/interval"
@@ -680,5 +682,30 @@ func TestRestrict(t *testing.T) {
 	rs := mustExec(t, sub, "SELECT u FROM T")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("exec over restricted db: %v", rs.Rows)
+	}
+}
+
+// A qualified column lookup resolves an ASCII qualifier in any case without
+// allocating, and matches exactly what lowercasing the qualifier matches.
+func TestQualifiedLookupAllocs(t *testing.T) {
+	tbl := New(nil).CreateTable("PhotoObjAll", "objid", "ra")
+	b := &binding{names: bindingNames("dbo.PhotoObjAll", "p", tbl.Name), table: tbl, row: []Value{N(7), N(185.5)}}
+	e := &env{bindings: []*binding{b}}
+	for _, q := range []string{"P", "p", "PHOTOOBJALL", "photoObjAll", "DBO.PhotoObjAll"} {
+		if v, ok := e.lookup(q, "ra"); !ok || v.Num != 185.5 {
+			t.Fatalf("lookup(%q, ra) = %v, %v", q, v, ok)
+		}
+		if n := testing.AllocsPerRun(100, func() { e.lookup(q, "ra") }); n != 0 {
+			t.Errorf("lookup(%q, ra): %v allocs, want 0", q, n)
+		}
+	}
+	// Every qualifier, ASCII or not, matches as its lowercased form would;
+	// "K" (Kelvin sign) lowercases to an ASCII "k".
+	k := &binding{names: bindingNames("K", "ärm", "k")}
+	for _, q := range []string{"k", "K", "K", "ÄRM", "ärm", "arm", "Ä", "kk", "", "p"} {
+		want := slices.Contains(k.names, strings.ToLower(q))
+		if got := k.matches(q); got != want {
+			t.Errorf("matches(%q) = %v, want %v", q, got, want)
+		}
 	}
 }

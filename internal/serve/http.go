@@ -319,13 +319,12 @@ type queryReply struct {
 	Rows     [][]any  `json:"rows,omitempty"`
 	RowCount int      `json:"row_count"`
 	Cache    struct {
-		Hit              bool    `json:"hit"`
-		Region           int     `json:"region,omitempty"`
-		Regions          []int   `json:"regions,omitempty"`
-		Path             string  `json:"path,omitempty"`
-		StalenessSeconds float64 `json:"staleness_seconds,omitempty"`
-		Generation       int64   `json:"generation"`
-		Reason           string  `json:"reason,omitempty"`
+		Hit        bool   `json:"hit"`
+		Region     int    `json:"region,omitempty"`
+		Regions    []int  `json:"regions,omitempty"`
+		Path       string `json:"path,omitempty"`
+		Generation int64  `json:"generation"`
+		Reason     string `json:"reason,omitempty"`
 	} `json:"cache"`
 	Error string `json:"error,omitempty"`
 }
@@ -333,7 +332,7 @@ type queryReply struct {
 // handleQuery executes one SELECT through the semantic result cache: the
 // statement's access area is extracted (via the shared template cache) and,
 // when a prefetched region provably contains it, answered from the region's
-// column store; otherwise it falls through to direct execution. The body is
+// store; otherwise it falls through to direct execution. The body is
 // either raw SQL or a JSON object {"sql": "..."}.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp := queryServeStage.Start()
@@ -372,7 +371,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reply.Cache.Region = info.RegionID
 	reply.Cache.Regions = info.Regions
 	reply.Cache.Path = info.Path
-	reply.Cache.StalenessSeconds = info.Staleness.Seconds()
 	reply.Cache.Generation = info.Generation
 	reply.Cache.Reason = info.Reason
 	cacheHeader := "MISS"
@@ -387,7 +385,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("X-Cache-Regions", strings.Join(ids, ","))
 		}
-		w.Header().Set("X-Cache-Staleness", strconv.FormatFloat(info.Staleness.Seconds(), 'f', 3, 64))
 	}
 	w.Header().Set("X-Cache", cacheHeader)
 	w.Header().Set("X-Cache-Generation", strconv.FormatInt(info.Generation, 10))
@@ -713,7 +710,6 @@ func (s *Server) MetricsJSON() map[string]any {
 		metrics["semcache_agg_hits"] = m.AggHits
 		metrics["semcache_preagg_hits"] = m.PreaggHits
 		metrics["semcache_near_misses"] = m.NearMisses
-		metrics["semcache_stale_misses"] = m.StaleMisses
 		metrics["semcache_evicted"] = m.Evicted
 		metrics["semcache_reused"] = m.Reused
 		metrics["semcache_probation_admits"] = m.ProbationAdmits

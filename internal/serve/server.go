@@ -88,6 +88,9 @@ type Config struct {
 	// QueryDB, when set, enables POST /query: statements are answered by
 	// the interest-driven semantic cache (regions prefetched from this
 	// database after every epoch) with fall-through to direct execution.
+	// The DB must not be written while the server runs: region stores
+	// share its rows, and a region whose mined area is unchanged keeps its
+	// store across epochs.
 	QueryDB *memdb.DB
 	// QueryExec is applied to both cache and direct execution (zero value:
 	// RowLimit 500000, StrictTSQL, matching SkyServer's limits).
@@ -99,8 +102,6 @@ type Config struct {
 	// CacheBudget caps the semantic cache's resident region bytes
 	// (<= 0 = unlimited; see interestcache heat-based admission).
 	CacheBudget int64
-	// CacheTTL bounds per-region staleness (0 = rebuild every epoch).
-	CacheTTL time.Duration
 	// CacheComposeMax caps multi-region composition covers (0 = default 4,
 	// negative disables composition).
 	CacheComposeMax int
@@ -268,7 +269,6 @@ func NewServer(cfg Config) (*Server, error) {
 			Exec:        cfg.QueryExec,
 			Verify:      cfg.QueryVerify,
 			BudgetBytes: cfg.CacheBudget,
-			RegionTTL:   cfg.CacheTTL,
 			ComposeMax:  cfg.CacheComposeMax,
 		})
 	}

@@ -156,19 +156,7 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 	// Footer + trailer: span is the ORIGINAL logical count — the offset
 	// arithmetic contract — while records reflects what is physically left.
 	ft := &footer{span: m.span, records: records, minT: minT, maxT: maxT, fps: sortedFps(fpset)}
-	entry := frame(nil, encodeFooter(nil, ft))
-	var trailer [12]byte
-	trailer[0] = byte(len(entry))
-	trailer[1] = byte(len(entry) >> 8)
-	trailer[2] = byte(len(entry) >> 16)
-	trailer[3] = byte(len(entry) >> 24)
-	copy(trailer[4:], footerMagic[:])
-	if _, err := bw.Write(entry); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := bw.Write(trailer[:]); err != nil {
+	if _, err := bw.Write(sealBytes(ft)); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -262,6 +262,44 @@ var activeGoldenRecords = []qlog.Record{
 	{Seq: 5, Time: 15, User: "carol", SQL: "SELECT objid FROM Galaxy WHERE g < 17", Class: "human"},
 }
 
+// A sealed segment scans clean to its last byte; one cut inside its footer
+// entry or its trailer scans as truncated, with the verified prefix ending
+// before the cut.
+func TestSealedSegmentScansClean(t *testing.T) {
+	sealed, err := os.ReadFile("testdata/v1_sealed.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(sealed) - trailerLen
+	footerAt := end - int(binary.LittleEndian.Uint32(sealed[end:]))
+	cases := []struct {
+		name      string
+		n         int // bytes kept
+		truncated bool
+		goodOff   int
+		footer    bool
+	}{
+		{"sealed", len(sealed), false, len(sealed), true},
+		{"cut in footer entry", footerAt + entryHeader + 3, true, footerAt, false},
+		{"cut in trailer", len(sealed) - 5, true, end, true},
+		{"no trailer", end, true, end, true},
+	}
+	for _, c := range cases {
+		records := 0
+		res, err := scanSegment(bytes.NewReader(sealed[:c.n]), func(qlog.Record, uint64) error {
+			records++
+			return nil
+		})
+		if err != nil || res.truncated != c.truncated || res.goodOff != int64(c.goodOff) || (res.footer != nil) != c.footer {
+			t.Fatalf("%s: err %v, truncated %v at %d, footer %v; want %v at %d, footer %v",
+				c.name, err, res.truncated, res.goodOff, res.footer != nil, c.truncated, c.goodOff, c.footer)
+		}
+		if records != len(goldenRecords) {
+			t.Fatalf("%s: %d records, want %d", c.name, records, len(goldenRecords))
+		}
+	}
+}
+
 // Segments written in the inline format still read back whole, and a WAL
 // opened on an inline-format active segment keeps appending to it.
 func TestOldFormatSegments(t *testing.T) {
@@ -276,9 +314,8 @@ func TestOldFormatSegments(t *testing.T) {
 		fps = append(fps, fp)
 		return nil
 	})
-	// The scan's verified prefix ends at the trailer, which is not an entry.
-	if err != nil || res.goodOff != int64(len(sealed)-12) {
-		t.Fatalf("scan: err %v, verified prefix %d of %d bytes", err, res.goodOff, len(sealed))
+	if err != nil || res.truncated || res.goodOff != int64(len(sealed)) {
+		t.Fatalf("scan: err %v, truncated %v, verified prefix %d of %d bytes", err, res.truncated, res.goodOff, len(sealed))
 	}
 	if !reflect.DeepEqual(got, goldenRecords) || !reflect.DeepEqual(fps, []uint64{7, 0, 9, 7, 7}) {
 		t.Fatalf("records %+v fps %v", got, fps)

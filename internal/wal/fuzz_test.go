@@ -10,15 +10,7 @@ import (
 
 // seal appends a footer entry and the trailer locating it.
 func seal(buf *bytes.Buffer, ft *footer) {
-	entry := frame(nil, encodeFooter(nil, ft))
-	buf.Write(entry)
-	var trailer [12]byte
-	trailer[0] = byte(len(entry))
-	trailer[1] = byte(len(entry) >> 8)
-	trailer[2] = byte(len(entry) >> 16)
-	trailer[3] = byte(len(entry) >> 24)
-	copy(trailer[4:], footerMagic[:])
-	buf.Write(trailer[:])
+	buf.Write(sealBytes(ft))
 }
 
 // seedSegment builds a small well-formed segment image in the inline

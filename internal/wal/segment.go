@@ -70,9 +70,20 @@ const (
 //	u32 LE  total footer entry length (header + payload)
 //	8 byte  magic
 //
-// Reading the last 12 bytes of a sealed file locates the footer entry; its
-// CRC then vouches for the index.
+// Reading the last trailerLen bytes of a sealed file locates the footer
+// entry; its CRC then vouches for the index.
 var footerMagic = [8]byte{'W', 'A', 'L', 'F', 'O', 'O', 'T', '1'}
+
+// trailerLen is the size of the trailer that follows a footer entry.
+const trailerLen = 4 + 8
+
+// sealBytes is what seals a segment: ft framed as a footer entry, then the
+// trailer locating it.
+func sealBytes(ft *footer) []byte {
+	b := frame(nil, encodeFooter(nil, ft))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(b)))
+	return append(b, footerMagic[:]...)
+}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -282,6 +293,15 @@ func (er *entryReader) next() ([]byte, error) {
 	return payload, nil
 }
 
+// trailer reports whether the rest of the stream is exactly the trailer of
+// a footer entry of entryLen bytes.
+func (er *entryReader) trailer(entryLen int) bool {
+	var tr [trailerLen + 1]byte
+	n, _ := io.ReadFull(er.r, tr[:])
+	return n == trailerLen && binary.LittleEndian.Uint32(tr[:4]) == uint32(entryLen) &&
+		[8]byte(tr[4:]) == footerMagic
+}
+
 // uvarint / varint helpers over a payload slice.
 func readUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
@@ -473,14 +493,16 @@ type scanResult struct {
 	fps       map[uint64]struct{}
 	footer    *footer
 	table     stmtTable // statements defined in the verified prefix
-	goodOff   int64     // file offset just past the last verified entry
-	truncated bool      // hit a torn/corrupt tail before EOF
+	goodOff   int64     // file offset just past the last verified entry (or the trailer)
+	truncated bool      // hit a torn/corrupt tail before EOF or the trailer
 }
 
 // scanSegment walks every entry of one segment stream, invoking onRecord
 // for each logical record (group entries are expanded in stored order).
 // A torn or corrupt tail ends the scan without error — the result reports
-// truncated=true and where the verified prefix ends. onRecord may be nil.
+// truncated=true and where the verified prefix ends. A footer ends the
+// segment: the scan is clean, with goodOff at the end of the stream, only
+// when exactly the footer's trailer follows it. onRecord may be nil.
 func scanSegment(r io.Reader, onRecord func(rec qlog.Record, fp uint64) error) (*scanResult, error) {
 	er := newEntryReader(r)
 	res := &scanResult{fps: make(map[uint64]struct{})}
@@ -546,6 +568,13 @@ func scanSegment(r io.Reader, onRecord func(rec qlog.Record, fp uint64) error) (
 			var f footer
 			if f, derr = decodeFooter(payload[1:]); derr == nil {
 				res.footer = &f
+				res.goodOff = er.off
+				if er.trailer(entryHeader + len(payload)) {
+					res.goodOff += trailerLen
+				} else {
+					res.truncated = true
+				}
+				return res, nil
 			}
 		default:
 			// Unknown kind: a future format or corruption that happened to

@@ -369,7 +369,6 @@ func readFooterTrailer(path string) (*footer, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	const trailerLen = 4 + 8
 	if st.Size() < trailerLen {
 		return nil, false, nil
 	}
@@ -377,7 +376,7 @@ func readFooterTrailer(path string) (*footer, bool, error) {
 	if _, err := f.ReadAt(tr[:], st.Size()-trailerLen); err != nil {
 		return nil, false, nil
 	}
-	if [8]byte(tr[4:12]) != footerMagic {
+	if [8]byte(tr[4:]) != footerMagic {
 		return nil, false, nil
 	}
 	entryLen := int64(uint32(tr[0]) | uint32(tr[1])<<8 | uint32(tr[2])<<16 | uint32(tr[3])<<24)
@@ -698,21 +697,11 @@ func (w *WAL) rotate() error {
 	ft := &footer{span: m.span, records: m.records, minT: m.minT, maxT: m.maxT, fps: sortedFps(m.fps)}
 	w.segMu.Unlock()
 
-	payload := encodeFooter(nil, ft)
-	entry := frame(nil, payload)
-	var trailer [12]byte
-	trailer[0] = byte(len(entry))
-	trailer[1] = byte(len(entry) >> 8)
-	trailer[2] = byte(len(entry) >> 16)
-	trailer[3] = byte(len(entry) >> 24)
-	copy(trailer[4:], footerMagic[:])
-	if _, err := w.wbuf.Write(entry); err != nil {
+	seal := sealBytes(ft)
+	if _, err := w.wbuf.Write(seal); err != nil {
 		return err
 	}
-	if _, err := w.wbuf.Write(trailer[:]); err != nil {
-		return err
-	}
-	bytesWritten.Add(int64(len(entry) + len(trailer)))
+	bytesWritten.Add(int64(len(seal)))
 	if err := w.wbuf.Flush(); err != nil {
 		return err
 	}
