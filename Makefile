@@ -90,13 +90,18 @@ serve-smoke:
 # ratio (TestSemCacheSmoke); and prove POST /query never writes the mining
 # registry: queries between two epochs leave its generation still and the
 # next /report byte-identical to the batch miner's in every format
-# (TestQueryLeavesReportUnchanged). TestInstallCarriesUnchangedRegions
-# proves a region whose mined area is unchanged keeps its store across
-# epochs, only a moved region is rebuilt, and every hit equals direct
-# execution.
+# (TestQueryLeavesReportUnchanged). TestSemCacheSmokeV2 serves a band from
+# one region, answers spanning reads (which no one region contains) as
+# direct misses, and evicts under a byte budget.
+# TestInstallCarriesUnchangedRegions proves a region whose mined area is
+# unchanged keeps its store across epochs, only a moved region is rebuilt,
+# and every hit equals direct execution. TestHeldOutBudgetOracle replays
+# statements the miner never saw at full, half and quarter budget (eviction
+# and shadow near-miss crediting in play) and requires zero oracle failures
+# and hits at every budget.
 semcache-smoke:
 	$(GO) test -race -count=1 -run 'TestSemCacheSmoke|TestQueryLeavesReportUnchanged' -v ./internal/serve/
-	$(GO) test -race -count=1 -run TestInstallCarriesUnchangedRegions -v ./internal/interestcache/
+	$(GO) test -race -count=1 -run 'TestInstallCarriesUnchangedRegions|TestHeldOutBudgetOracle' -v ./internal/interestcache/
 
 # shard-smoke is the end-to-end gate for the sharded topology: a 4-shard
 # in-process cluster (same routing/merge code path as multi-node) ingests a

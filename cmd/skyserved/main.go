@@ -174,7 +174,6 @@ func main() {
 	top := flag.Int("top", 0, "default cluster cap for /report (0 = all)")
 	queryVerify := flag.Bool("query-verify", false, "check every cache-served /query result against direct execution (oracle; slow)")
 	cacheBudget := flag.Int64("cache-budget", 0, "semantic-cache resident-bytes budget: regions admitted best-heat-first, coldest evicted under pressure (0 = unlimited)")
-	cacheComposeMax := flag.Int("cache-compose-max", 4, "max regions a composed /query answer may union (negative = disable composition)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
 	shards := flag.Int("shards", 1, "in-process shard miners behind one router (1 = unsharded)")
@@ -308,7 +307,6 @@ func main() {
 			QueryDB:          db,
 			QueryVerify:      *queryVerify,
 			CacheBudget:      *cacheBudget,
-			CacheComposeMax:  *cacheComposeMax,
 			Traffic:          trafficCfg,
 		}
 		if *role == "shard" {

@@ -207,7 +207,7 @@ const semBaseline = `{
   "hit_ratio": 0.87,
   "hit_ratio_at_half_budget": 0.80,
   "identical_single_region": true,
-  "identical_composed": true
+  "identical_agg": true
 }`
 
 func TestZeroStayZeroAcrossScales(t *testing.T) {
@@ -260,13 +260,13 @@ func TestCompareIdentityIgnoresCountersGatesBooleans(t *testing.T) {
 	}
 
 	// But an identity boolean flipping still fails.
-	flip := strings.Replace(quick, `"identical_composed": true`, `"identical_composed": false`, 1)
+	flip := strings.Replace(quick, `"identical_agg": true`, `"identical_agg": false`, 1)
 	rep, err = CompareIdentity([]byte(semBaseline), []byte(flip))
 	if err != nil {
 		t.Fatal(err)
 	}
 	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Path != "identical_composed" {
+	if len(regs) != 1 || regs[0].Path != "identical_agg" {
 		t.Fatalf("identity flip not flagged: %+v", regs)
 	}
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -34,12 +36,9 @@ type BudgetPoint struct {
 // miss-path overhead, (5) a staleness probe — regions mined from the first
 // half of the log serving the second half, then re-mined at full coverage,
 // (6) aggregate pushdown — derived HAVING probes answered whole from one
-// region, (7) composition — every splittable cluster bisected into two
-// half-regions, the full workload replayed over covering sets and the
-// HAVING probes answered by partial-aggregate combine, all under the byte
-// oracle, and (8) the budget curve — residency vs hit ratio at full, half
-// and quarter budget with heat-based admission. cmd/benchreport serialises
-// it to BENCH_semcache.json.
+// region under the byte oracle, and (7) the budget curve — residency vs hit
+// ratio at full, half and quarter budget with heat-based admission.
+// cmd/benchreport serialises it to BENCH_semcache.json.
 type SemCachePerfResult struct {
 	Queries int   `json:"queries"`
 	Seed    int64 `json:"seed"`
@@ -64,21 +63,14 @@ type SemCachePerfResult struct {
 	StaleHitRatio float64 `json:"stale_hit_ratio"`
 	FreshHitRatio float64 `json:"fresh_hit_ratio"`
 
-	// Composition and aggregate pushdown (v2). ComposedChecked counts the
-	// byte-oracle comparisons of the split-region replay; the identical_*
-	// booleans are the deterministic CI gates — each true only when the
-	// path actually served traffic AND never diverged from direct
-	// execution.
-	AggProbes       int     `json:"agg_probes"`
-	AggHits         int64   `json:"agg_hits"`
-	PreaggHits      int64   `json:"preagg_hits"`
-	ComposedChecked int64   `json:"composed_checked"`
-	ComposedHits    int64   `json:"composed_hits"`
-	ComposedRatio   float64 `json:"composed_ratio"`
+	// Aggregate pushdown (v2). The identical_* booleans are the
+	// deterministic CI gates — each true only when the rung actually served
+	// traffic AND never diverged from direct execution.
+	AggProbes int   `json:"agg_probes"`
+	AggHits   int64 `json:"agg_hits"`
 
 	IdenticalSingleRegion bool `json:"identical_single_region"`
-	IdenticalComposed     bool `json:"identical_composed"`
-	IdenticalPreagg       bool `json:"identical_preagg"`
+	IdenticalAgg          bool `json:"identical_agg"`
 
 	// Budget curve (v2): bytes-resident vs hit-ratio at full, half and
 	// quarter of the unlimited residency, after a half-log heat warmup.
@@ -90,8 +82,8 @@ type SemCachePerfResult struct {
 }
 
 // RunSemCachePerf mines the workload, installs the clusters into the cache,
-// and measures correctness, hit ratio, speedup, staleness, composition,
-// aggregate pushdown and budget behaviour.
+// and measures correctness, hit ratio, speedup, staleness, aggregate
+// pushdown and budget behaviour.
 func RunSemCachePerf(scale int, seed int64) (*SemCachePerfResult, error) {
 	env := NewEnvRows(scale, seed, 800)
 	miner := env.Miner()
@@ -207,38 +199,13 @@ func RunSemCachePerf(scale int, seed int64) (*SemCachePerfResult, error) {
 	res.AggHits = am.AggHits
 	res.OracleChecked += am.VerifyChecked
 	res.OracleFailed += am.VerifyFailed
-
-	// Phase 7 — composition: every splittable cluster bisected into two
-	// half-regions, so the workload's former single-region hits now need a
-	// covering set (positional-dedup union stores) and the HAVING probes
-	// need the partial-aggregate combine. The whole replay runs under the
-	// byte oracle.
-	splitCache := newCache(true, 0)
-	splitCache.Install(1, SplitClusters(full.Clusters))
-	for _, rec := range env.Records {
-		splitCache.Query(rec.SQL)
-	}
-	for _, sql := range probes {
-		splitCache.Query(sql)
-	}
-	pm := splitCache.Metrics()
-	res.ComposedChecked = pm.VerifyChecked
-	res.ComposedHits = pm.ComposedHits
-	res.PreaggHits = pm.PreaggHits
-	if total := pm.Hits + pm.Misses; total > 0 {
-		res.ComposedRatio = float64(pm.ComposedHits) / float64(total)
-	}
-	res.OracleChecked += pm.VerifyChecked
-	res.OracleFailed += pm.VerifyFailed
-	res.IdenticalComposed = pm.VerifyFailed == 0 && pm.ComposedHits > 0
-	res.IdenticalPreagg = pm.VerifyFailed == 0 && am.VerifyFailed == 0 &&
-		pm.PreaggHits > 0 && am.AggHits > 0
+	res.IdenticalAgg = am.VerifyFailed == 0 && am.AggHits > 0
 
 	if res.OracleFailed != 0 {
 		return nil, fmt.Errorf("semcacheperf: %d oracle failures", res.OracleFailed)
 	}
 
-	// Phase 8 — budget curve: rebuild the cache under full, half and
+	// Phase 7 — budget curve: rebuild the cache under full, half and
 	// quarter of the unlimited residency. Each point cold-installs, warms
 	// heat on the first half of the log (hits on residents, near-misses on
 	// shadows), re-installs heat-ordered, then replays the full log.
@@ -284,16 +251,86 @@ func (r *SemCachePerfResult) render() string {
 	fmt.Fprintf(&b, "latency: direct %.2fs, cached %.2fs — speedup %.2fx\n", r.DirectSeconds, r.CachedSeconds, r.Speedup)
 	fmt.Fprintf(&b, "miss path: %.2fs vs %.2fs direct — overhead ratio %.3f\n", r.MissSeconds, r.DirectSeconds, r.MissOverheadRatio)
 	fmt.Fprintf(&b, "staleness: half-log regions answer %.3f of the second half; re-mined regions answer %.3f\n", r.StaleHitRatio, r.FreshHitRatio)
-	fmt.Fprintf(&b, "aggregate pushdown: %d HAVING probes, %d full-aggregate hits; split regions: %d partial-aggregate combines\n",
-		r.AggProbes, r.AggHits, r.PreaggHits)
-	fmt.Fprintf(&b, "composition: %d composed hits over split regions (%.3f of replay), %d byte-oracle checks\n",
-		r.ComposedHits, r.ComposedRatio, r.ComposedChecked)
-	fmt.Fprintf(&b, "identity gates: single=%v composed=%v preagg=%v\n",
-		r.IdenticalSingleRegion, r.IdenticalComposed, r.IdenticalPreagg)
+	fmt.Fprintf(&b, "aggregate pushdown: %d HAVING probes, %d full-aggregate hits\n", r.AggProbes, r.AggHits)
+	fmt.Fprintf(&b, "identity gates: single=%v agg=%v\n", r.IdenticalSingleRegion, r.IdenticalAgg)
 	fmt.Fprintf(&b, "budget curve (full residency %d bytes):\n", r.FullResidencyBytes)
 	for _, pt := range r.BudgetCurve {
 		fmt.Fprintf(&b, "  budget %-12d resident %-12d regions %-4d hit ratio %.3f (%d/%d)\n",
 			pt.BudgetBytes, pt.BytesResident, pt.RegionsResident, pt.HitRatio, pt.Hits, pt.Hits+pt.Misses)
 	}
 	return b.String()
+}
+
+// AggProbes derives deterministic aggregate statements from the mined
+// clusters — the safeShape-rejected HAVING class the aggregate path serves.
+// Each probe groups a single-relation numeric cluster by its widest finite
+// column over the cluster's full box, so it fits the cluster's own region
+// and is answered by full aggregate pushdown:
+//
+//	SELECT c, COUNT(*), MIN(c), MAX(c) FROM R
+//	WHERE <closed conjunction over every box dim> GROUP BY c
+//	HAVING COUNT(*) >= 1
+//
+// Clusters with categorical pins, multiple relations, or any infinite box
+// endpoint are skipped.
+func AggProbes(clusters []*aggregate.Summary) []string {
+	var probes []string
+	for _, c := range clusters {
+		if len(c.Relations) != 1 || len(c.Categorical) > 0 {
+			continue
+		}
+		d := widestFiniteDim(c)
+		if d == "" {
+			continue
+		}
+		rel := c.Relations[0]
+		ok := true
+		var conj []string
+		for _, dim := range c.Box.Dims() {
+			r, col, found := strings.Cut(dim, ".")
+			if !found || r != rel {
+				ok = false
+				break
+			}
+			iv := c.Box.Get(dim)
+			if math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
+				ok = false
+				break
+			}
+			conj = append(conj, fmt.Sprintf("%s >= %s AND %s <= %s",
+				col, sqlNum(iv.Lo), col, sqlNum(iv.Hi)))
+		}
+		if !ok || len(conj) == 0 {
+			continue
+		}
+		_, gcol, _ := strings.Cut(d, ".")
+		probes = append(probes, fmt.Sprintf(
+			"SELECT %s, COUNT(*), MIN(%s), MAX(%s) FROM %s WHERE %s GROUP BY %s HAVING COUNT(*) >= 1",
+			gcol, gcol, gcol, rel, strings.Join(conj, " AND "), gcol))
+	}
+	return probes
+}
+
+// widestFiniteDim is the widest dimension of the cluster's box with finite
+// endpoints on both sides, or "" when none qualifies (point boxes,
+// half-open boxes, categorical-only clusters).
+func widestFiniteDim(c *aggregate.Summary) string {
+	best, bestW := "", 0.0
+	for _, d := range c.Box.Dims() {
+		iv := c.Box.Get(d)
+		if math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
+			continue
+		}
+		if w := iv.Hi - iv.Lo; w > bestW {
+			best, bestW = d, w
+		}
+	}
+	return best
+}
+
+// sqlNum renders a float64 as a plain decimal SQL literal (no exponent —
+// 'f' with -1 precision is the shortest decimal that round-trips, so the
+// parsed constant is bit-identical to the box endpoint).
+func sqlNum(v float64) string {
+	return strconv.FormatFloat(v, 'f', -1, 64)
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// HeatDecay is the per-install aging factor applied to the heat book
 	// (default 0.5).
 	HeatDecay float64
-	// ComposeMax caps the covering-set size for multi-region composition
-	// (default 4; negative disables composition).
-	ComposeMax int
 }
 
 // snapshot is one epoch's immutable region set. Queries load it once and use
@@ -76,8 +73,6 @@ type snapshot struct {
 	// without stores, scanned on miss to credit near-miss heat.
 	shadows []*Region
 	index   *containmentIndex
-	// composed caches union stores per cover (coverKey → *memdb.DB).
-	composed sync.Map
 	// bytesResident totals the admitted stores' byte footprint.
 	bytesResident int64
 }
@@ -100,19 +95,12 @@ type Cache struct {
 	// shape-level, so it is shared by all statements with the fingerprint.
 	shapes sync.Map // uint64 → shapeClass
 
-	// plans registers distinct aggregate-plan signatures seen by the agg
-	// path so Install can pre-build the per-region group books.
-	plansMu sync.Mutex
-	plans   []*aggPlan
-
 	hits            atomic.Int64
 	misses          atomic.Int64
 	bytesServed     atomic.Int64
 	verifyChecked   atomic.Int64
 	verifyFailed    atomic.Int64
-	composedHits    atomic.Int64
 	aggHits         atomic.Int64
-	preaggHits      atomic.Int64
 	nearMisses      atomic.Int64
 	evicted         atomic.Int64
 	reused          atomic.Int64
@@ -138,9 +126,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.HeatDecay <= 0 || cfg.HeatDecay >= 1 {
 		cfg.HeatDecay = 0.5
-	}
-	if cfg.ComposeMax == 0 {
-		cfg.ComposeMax = 4
 	}
 	if cfg.Extractor != nil {
 		// Answering a query must not grow access(a): the registry is the
@@ -265,11 +250,6 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 		}
 	}
 	snap.index = buildIndex(snap.regions)
-	for _, p := range c.registeredPlans() {
-		for _, r := range snap.regions {
-			r.books.get(r, p)
-		}
-	}
 	c.snap.Store(snap)
 }
 
@@ -335,15 +315,11 @@ func (c *Cache) Budget() int64 { return c.budget.Load() }
 type Info struct {
 	// Hit is true when the result came from cached region stores.
 	Hit bool
-	// RegionID is the (first) serving region's cluster ID (hits only).
+	// RegionID is the serving region's cluster ID (hits only).
 	RegionID int
-	// Regions lists every serving region's cluster ID (hits only; length
-	// > 1 on composed and partial-aggregate hits).
-	Regions []int
-	// Path labels how a hit was assembled: "single" (one containing
-	// region), "composed" (union store over a covering set), "agg" (full
-	// aggregate statement on one containing region), "preagg" (partial
-	// aggregates combined across a covering set).
+	// Path labels how a hit was answered: "single" (the statement on one
+	// containing region) or "agg" (a HAVING aggregate statement on one
+	// region containing its WHERE-only area).
 	Path string
 	// Generation is the region-set generation consulted.
 	Generation int64
@@ -353,13 +329,13 @@ type Info struct {
 	Reason string
 }
 
-// Query answers sql from the cached regions when containment proves it
-// sound — a single containing region, a composed covering set, or the
-// aggregate path for the HAVING class — falling through to direct execution
-// otherwise. The result is identical to direct execution either way
-// (enforced by the Verify oracle when enabled). Errors mirror direct
-// execution: a statement that fails directly fails here with the same
-// error.
+// Query answers sql from a cached region when containment proves it sound —
+// one region containing the statement's access area, or, for the HAVING
+// class, one region containing its WHERE-only area — falling through to
+// direct execution otherwise. The result is identical to direct execution
+// either way (enforced by the Verify oracle when enabled). Errors mirror
+// direct execution: a statement that fails directly fails here with the
+// same error.
 func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 	sp := queryStage.Start()
 	t0 := time.Now()
@@ -396,15 +372,6 @@ func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 		}
 		return c.finishHit(sql, rs, info, "single", region)
 	}
-	if cv := snap.index.findCover(shape, c.cfg.ComposeMax); cv != nil {
-		if store, err := snap.unionStore(cv); err == nil {
-			rs, err := store.ExecuteSQL(sql, c.cfg.Exec)
-			if err != nil {
-				return c.miss(sql, info, "store-error")
-			}
-			return c.finishHit(sql, rs, info, "composed", cv.regions...)
-		}
-	}
 	c.creditShadows(snap, shape)
 	return c.miss(sql, info, "no-region")
 }
@@ -422,10 +389,6 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 	sel, ok := stmt.(*sqlparser.SelectStatement)
 	if !ok {
 		return c.miss(sql, info, "parse")
-	}
-	plan := buildAggPlan(sel)
-	if plan != nil {
-		c.registerPlan(plan)
 	}
 	whereOnly := *sel
 	whereOnly.Having = nil
@@ -447,25 +410,13 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 		}
 		return c.finishHit(sql, rs, info, "agg", region)
 	}
-	if cv := snap.index.findCover(shape, c.cfg.ComposeMax); cv != nil {
-		if rs, ok := combinePreagg(cv, plan, area, shape, c.cfg.Exec.RowLimit); ok {
-			return c.finishHit(sql, rs, info, "preagg", cv.regions...)
-		}
-		if store, err := snap.unionStore(cv); err == nil {
-			rs, err := store.ExecuteSQL(sql, c.cfg.Exec)
-			if err != nil {
-				return c.miss(sql, info, "store-error")
-			}
-			return c.finishHit(sql, rs, info, "composed", cv.regions...)
-		}
-	}
 	c.creditShadows(snap, shape)
 	return c.miss(sql, info, "no-region")
 }
 
 // finishHit verifies (when configured), credits counters, and fills Info
-// for a hit assembled from the given regions via the given path.
-func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path string, regions ...*Region) (*memdb.ResultSet, Info, error) {
+// for a hit the region answered via the given path.
+func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path string, region *Region) (*memdb.ResultSet, Info, error) {
 	if c.cfg.Verify {
 		c.verifyChecked.Add(1)
 		direct, derr := c.cfg.DB.ExecuteSQL(sql, c.cfg.Exec)
@@ -477,28 +428,16 @@ func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path strin
 		}
 	}
 	n := resultBytes(rs)
-	for i, r := range regions {
-		r.hits.Add(1)
-		if i == 0 {
-			r.bytesServed.Add(n)
-		}
-	}
+	region.hits.Add(1)
+	region.bytesServed.Add(n)
 	c.hits.Add(1)
 	c.bytesServed.Add(n)
-	switch path {
-	case "composed":
-		c.composedHits.Add(1)
-	case "agg":
+	if path == "agg" {
 		c.aggHits.Add(1)
-	case "preagg":
-		c.preaggHits.Add(1)
 	}
 	info.Hit = true
 	info.Path = path
-	info.RegionID = regions[0].ID
-	for _, r := range regions {
-		info.Regions = append(info.Regions, r.ID)
-	}
+	info.RegionID = region.ID
 	return rs, info, nil
 }
 
@@ -507,34 +446,11 @@ func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path strin
 // readmission.
 func (c *Cache) creditShadows(snap *snapshot, shape *queryShape) {
 	for _, r := range snap.shadows {
-		if r.containsShape(shape, "", "") {
+		if r.containsShape(shape) {
 			r.nearMisses.Add(1)
 			c.nearMisses.Add(1)
 		}
 	}
-}
-
-// registerPlan records a distinct aggregate-plan signature (bounded) for
-// install-time book precomputation.
-func (c *Cache) registerPlan(p *aggPlan) {
-	c.plansMu.Lock()
-	defer c.plansMu.Unlock()
-	if len(c.plans) >= 32 {
-		return
-	}
-	key := p.planKey()
-	for _, q := range c.plans {
-		if q.planKey() == key {
-			return
-		}
-	}
-	c.plans = append(c.plans, p)
-}
-
-func (c *Cache) registeredPlans() []*aggPlan {
-	c.plansMu.Lock()
-	defer c.plansMu.Unlock()
-	return append([]*aggPlan(nil), c.plans...)
 }
 
 func (c *Cache) miss(sql string, info Info, reason string) (*memdb.ResultSet, Info, error) {
@@ -796,9 +712,7 @@ type Metrics struct {
 	BytesServed     int64           `json:"bytes_served"`
 	VerifyChecked   int64           `json:"verify_checked"`
 	VerifyFailed    int64           `json:"verify_failed"`
-	ComposedHits    int64           `json:"composed_hits"`
 	AggHits         int64           `json:"agg_hits"`
-	PreaggHits      int64           `json:"preagg_hits"`
 	NearMisses      int64           `json:"near_misses"`
 	Evicted         int64           `json:"evicted"`
 	Reused          int64           `json:"reused"`
@@ -833,9 +747,7 @@ func (c *Cache) Metrics() Metrics {
 		BytesServed:     c.bytesServed.Load(),
 		VerifyChecked:   c.verifyChecked.Load(),
 		VerifyFailed:    c.verifyFailed.Load(),
-		ComposedHits:    c.composedHits.Load(),
 		AggHits:         c.aggHits.Load(),
-		PreaggHits:      c.preaggHits.Load(),
 		NearMisses:      c.nearMisses.Load(),
 		Evicted:         c.evicted.Load(),
 		Reused:          c.reused.Load(),

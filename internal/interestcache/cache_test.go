@@ -66,17 +66,26 @@ func TestRegionPrefetch(t *testing.T) {
 	if r.Bytes != 4*2*9 {
 		t.Fatalf("bytes = %d, want %d", r.Bytes, 4*2*9)
 	}
-	// The store shares the source rows: each store row is the source row at
-	// its position in rowIdx, not a copy of it.
-	src, pos := db.Table("T").Rows, r.rowIdx["t"]
+	// The store shares the source rows: its rows are exactly the source
+	// rows with u in [5,8], in source order, each the source's own slice
+	// (same backing array), not a copy.
+	var want [][]memdb.Value
+	for _, row := range db.Table("T").Rows {
+		if u := row[0].Num; u >= 5 && u <= 8 {
+			want = append(want, row)
+		}
+	}
 	rows := r.store.Table("T").Rows
-	if len(pos) != len(rows) {
-		t.Fatalf("rowIdx %v for %d store rows", pos, len(rows))
+	if len(rows) != len(want) {
+		t.Fatalf("store holds %d rows, filter admits %d", len(rows), len(want))
 	}
 	for i, row := range rows {
-		if &row[0] != &src[pos[i]][0] {
-			t.Fatalf("store row %d is not source row %d", i, pos[i])
+		if &row[0] != &want[i][0] {
+			t.Fatalf("store row %d is not the %d-th admitted source row", i, i)
 		}
+	}
+	if tables := r.store.Tables(); len(tables) != 1 {
+		t.Fatalf("store tables %v, want only T", tables)
 	}
 }
 

@@ -84,7 +84,7 @@ func FuzzContainmentIndex(f *testing.F) {
 
 			var want *Region
 			for _, r := range regions {
-				if !r.containsShape(shape, "", "") {
+				if !r.containsShape(shape) {
 					continue
 				}
 				if want == nil || r.Rows < want.Rows || (r.Rows == want.Rows && r.ID < want.ID) {

@@ -106,7 +106,7 @@ func (g *regionGroup) build() {
 func (idx *containmentIndex) lookup(shape *queryShape) *Region {
 	var best *Region
 	consider := func(r *Region) {
-		if !r.containsShape(shape, "", "") {
+		if !r.containsShape(shape) {
 			return
 		}
 		if best == nil || r.Rows < best.Rows || (r.Rows == best.Rows && r.ID < best.ID) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/interestcache"
 	"repro/internal/memdb"
+	"repro/internal/skyserver"
 )
 
 // TestWorkloadOracle is the correctness gate of ISSUE 4: mine the Table-1
@@ -67,67 +68,75 @@ func TestWorkloadOracle(t *testing.T) {
 	}
 }
 
-// TestComposedWorkloadOracle replays the same workload against a region set
-// where every splittable cluster is bisected into two half-regions, so
-// statements that used to be single-region hits must be assembled from
-// covering sets (positional-dedup union stores) and aggregate probes from
-// partial-aggregate combines. Every served result — whatever the path —
-// must stay byte-identical to direct execution.
-func TestComposedWorkloadOracle(t *testing.T) {
+// TestHeldOutBudgetOracle replays statements the miner never saw — a fresh
+// GenerateLog and a fresh GenerateMixedLog — against regions mined from
+// another log, at full, half and quarter of the full residency, with the
+// byte-identity oracle on. Each budget point warms the heat book on the
+// first half of the replay, re-installs heat-ordered (so the reduced
+// budgets evict regions to shadows that collect near-miss heat), then
+// replays everything. Every cache-served result must equal direct
+// execution, and every budget point must serve hits.
+func TestHeldOutBudgetOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-workload oracle is slow")
+		t.Skip("held-out budget oracle is slow")
 	}
-	env := experiments.NewEnvRows(2500, 11, 400)
-	miner := env.Miner()
-	res := miner.MineRecords(env.Records)
+	env := experiments.NewEnvRows(5000, 42, 800)
+	res := env.Miner().MineRecords(env.Records)
 	if len(res.Clusters) == 0 {
 		t.Fatal("mining produced no clusters")
 	}
+	var stmts []string
+	for _, e := range skyserver.GenerateLog(skyserver.WorkloadConfig{Queries: 1000, Seed: 7}) {
+		stmts = append(stmts, e.SQL)
+	}
+	for _, e := range skyserver.GenerateMixedLog(skyserver.WorkloadConfig{Queries: 1000, Seed: 9}, skyserver.ClassMix{}) {
+		stmts = append(stmts, e.SQL)
+	}
 	opts := memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
-	cache := interestcache.New(interestcache.Config{
-		DB:        env.DB,
-		Extractor: &extract.Extractor{Schema: env.Schema},
-		Templates: &extract.TemplateCache{},
-		Exec:      opts,
-		Verify:    true,
-	})
-	split := experiments.SplitClusters(res.Clusters)
-	if len(split) <= len(res.Clusters) {
-		t.Fatalf("no cluster was splittable: %d -> %d", len(res.Clusters), len(split))
+	newCache := func(budget int64) *interestcache.Cache {
+		return interestcache.New(interestcache.Config{
+			DB:          env.DB,
+			Extractor:   &extract.Extractor{Schema: env.Schema},
+			Templates:   &extract.TemplateCache{},
+			Exec:        opts,
+			Verify:      true,
+			BudgetBytes: budget,
+		})
 	}
-	cache.Install(1, split)
-
-	probes := experiments.AggProbes(res.Clusters)
-	statements := make([]string, 0, len(env.Records)+len(probes))
-	for _, rec := range env.Records {
-		statements = append(statements, rec.SQL)
+	unlimited := newCache(0)
+	unlimited.Install(1, res.Clusters)
+	full := unlimited.Metrics().BytesResident
+	if full == 0 {
+		t.Fatal("no regions prefetched")
 	}
-	statements = append(statements, probes...)
-	for _, sql := range statements {
-		rs, info, err := cache.Query(sql)
-		direct, derr := env.DB.ExecuteSQL(sql, opts)
-		if (err == nil) != (derr == nil) {
-			t.Fatalf("error mismatch for %q: cache=%v direct=%v", sql, err, derr)
+	for _, budget := range []int64{full, full / 2, full / 4} {
+		c := newCache(budget)
+		c.Install(1, res.Clusters)
+		for _, sql := range stmts[:len(stmts)/2] {
+			c.Query(sql)
 		}
-		if err != nil {
-			continue
+		c.Install(2, res.Clusters)
+		m0 := c.Metrics()
+		for _, sql := range stmts {
+			c.Query(sql)
 		}
-		if string(interestcache.EncodeResultSet(rs)) != string(interestcache.EncodeResultSet(direct)) {
-			t.Fatalf("result mismatch (hit=%v path=%s regions=%v) for %q",
-				info.Hit, info.Path, info.Regions, sql)
+		m := c.Metrics()
+		hits := m.Hits - m0.Hits
+		t.Logf("budget %d: resident %d in %d regions (%d shadows), hits=%d agg=%d misses=%d near_misses=%d verify_checked=%d",
+			budget, m.BytesResident, m.Regions, m.ShadowRegions, hits, m.AggHits-m0.AggHits,
+			m.Misses-m0.Misses, m.NearMisses, m.VerifyChecked)
+		if m.VerifyFailed != 0 {
+			t.Fatalf("budget %d: %d oracle failures", budget, m.VerifyFailed)
+		}
+		if hits == 0 {
+			t.Fatalf("budget %d: no cache hits", budget)
+		}
+		if m.BytesResident > budget {
+			t.Fatalf("budget %d: %d bytes resident", budget, m.BytesResident)
+		}
+		if budget < full && (m.ShadowRegions == 0 || m.NearMisses == 0) {
+			t.Fatalf("budget %d: %d shadows credited %d near-misses; eviction not exercised",
+				budget, m.ShadowRegions, m.NearMisses)
 		}
 	}
-	m := cache.Metrics()
-	if m.VerifyFailed != 0 {
-		t.Fatalf("oracle failures: %+v", m)
-	}
-	if m.ComposedHits == 0 {
-		t.Fatal("split regions produced no composed hits")
-	}
-	if len(probes) > 0 && m.PreaggHits == 0 {
-		t.Errorf("aggregate probes produced no partial-aggregate combines (agg=%d preagg=%d)",
-			m.AggHits, m.PreaggHits)
-	}
-	t.Logf("hits=%d misses=%d composed=%d preagg=%d agg=%d verify_checked=%d regions=%d",
-		m.Hits, m.Misses, m.ComposedHits, m.PreaggHits, m.AggHits, m.VerifyChecked, m.Regions)
 }

@@ -33,10 +33,6 @@ type Region struct {
 	Categorical map[string][]string
 
 	store *memdb.DB
-	// rowIdx maps each store table (lowercased canonical name) to the sorted
-	// source-row positions of its rows, so composed covers can merge two
-	// region stores back into global source order (compose.go).
-	rowIdx map[string][]int
 	// Rows and Bytes size the store: its row count and the logical size of
 	// its cells (a 1-byte kind tag per cell, plus 8 per number and the
 	// length of each string). The cells are shared with the source, so
@@ -59,15 +55,12 @@ type Region struct {
 	hits        atomic.Int64
 	bytesServed atomic.Int64
 	nearMisses  atomic.Int64
-
-	books bookCache
 }
 
 // queryShape is a query's access area projected into the containment test's
 // vocabulary: referenced relations, per-column numeric bound sets, and
 // per-column pinned string values. Computing it once per query lets region
-// containment, index lookup, cover search, and shadow near-miss crediting
-// share the work.
+// containment, index lookup and shadow near-miss crediting share the work.
 type queryShape struct {
 	relations []string
 	bounds    map[string]interval.Set
@@ -100,7 +93,7 @@ func (s *queryShape) hull(dim string) interval.Interval {
 func newRegion(db *memdb.DB, generation int64, c *aggregate.Summary) *Region {
 	r := newShadowRegion(generation, c)
 	r.shadow = false
-	r.store, r.rowIdx = db.RestrictIndexed(r.Relations, r.Box, r.Categorical)
+	r.store = db.Restrict(r.Relations, r.Box, r.Categorical)
 	for _, name := range r.store.Tables() {
 		for _, row := range r.store.Table(name).Rows {
 			r.Rows++
@@ -128,9 +121,8 @@ func newShadowRegion(generation int64, c *aggregate.Summary) *Region {
 }
 
 // carryRegion re-wraps a prior generation's region under a new generation,
-// sharing the immutable store, row index, and pre-aggregate books but with
-// fresh serving counters (the old counters have already been folded into the
-// heat book by Install).
+// sharing the immutable store but with fresh serving counters (the old
+// counters have already been folded into the heat book by Install).
 func carryRegion(prev *Region, id int, generation int64) *Region {
 	return &Region{
 		ID:             id,
@@ -139,12 +131,10 @@ func carryRegion(prev *Region, id int, generation int64) *Region {
 		Box:            prev.Box,
 		Categorical:    prev.Categorical,
 		store:          prev.store,
-		rowIdx:         prev.rowIdx,
 		Rows:           prev.Rows,
 		Bytes:          prev.Bytes,
 		identity:       prev.identity,
 		materializedAt: prev.materializedAt,
-		books:          bookCache{byKey: prev.books.snapshot()},
 	}
 }
 
@@ -222,25 +212,18 @@ func boundMark(open bool, openMark string) string {
 // Dimensions on relations the query never reads are irrelevant: the
 // restriction they induce removes rows of other tables only.
 func (r *Region) Contains(area *extract.AccessArea) bool {
-	return r.containsShape(newQueryShape(area), "", "")
+	return r.containsShape(newQueryShape(area))
 }
 
 // containsShape is the containment test proper, shared by Contains, the
-// index lookup, and the cover search. skipDim (a box dimension) and skipCat
-// (a categorical column) name the one axis a composed cover is allowed to
-// split along: the test ignores that axis, certifying the region contains
-// the query on every OTHER axis, and the cover search separately proves the
-// skipped axis is covered by the union of the set's projections.
-func (r *Region) containsShape(s *queryShape, skipDim, skipCat string) bool {
+// index lookup and shadow near-miss crediting.
+func (r *Region) containsShape(s *queryShape) bool {
 	for _, rel := range s.relations {
 		if !containsFold(r.Relations, rel) {
 			return false
 		}
 	}
 	for _, dim := range r.Box.Dims() {
-		if dim == skipDim {
-			continue
-		}
 		rel, _, ok := splitQualified(dim)
 		if !ok || !containsFold(s.relations, rel) {
 			continue
@@ -250,9 +233,6 @@ func (r *Region) containsShape(s *queryShape, skipDim, skipCat string) bool {
 		}
 	}
 	for col, regionVals := range r.Categorical {
-		if col == skipCat {
-			continue
-		}
 		rel, _, ok := splitQualified(col)
 		if !ok || !containsFold(s.relations, rel) {
 			continue
@@ -280,9 +260,8 @@ func (r *Region) Age() time.Duration {
 }
 
 // Hits, BytesServed, and NearMisses expose the per-region serving counters.
-// NearMisses counts queries this region would have contained but could not
-// serve (shadow regions, or resident regions a composed cover passed over);
-// it feeds the heat book alongside hits.
+// NearMisses counts queries a shadow region would have contained but could
+// not serve; it feeds the heat book alongside hits.
 func (r *Region) Hits() int64        { return r.hits.Load() }
 func (r *Region) BytesServed() int64 { return r.bytesServed.Load() }
 func (r *Region) NearMisses() int64  { return r.nearMisses.Load() }

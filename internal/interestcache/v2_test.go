@@ -135,50 +135,6 @@ func TestHeatCarryThreeGenerations(t *testing.T) {
 	}
 }
 
-func TestComposedQueryByteIdentical(t *testing.T) {
-	// Two overlapping regions tile [5,15]; row u=10 is in both, so the
-	// union store must dedup it positionally. Verify is on: byte identity
-	// with direct execution is enforced on every composed hit.
-	c := budgetCache(Config{})
-	c.Install(1, []*aggregate.Summary{
-		tSummary(1, interval.Closed(1, 10)),
-		tSummary(2, interval.Closed(10, 20)),
-	})
-	q := "SELECT v FROM T WHERE u >= 5 AND u <= 15"
-	rs, info, err := c.Query(q)
-	if err != nil || !info.Hit || info.Path != "composed" || len(info.Regions) != 2 {
-		t.Fatalf("composed hit expected: %+v %v", info, err)
-	}
-	if len(rs.Rows) != 11 {
-		t.Fatalf("rows = %d, want 11 (dedup failed?)", len(rs.Rows))
-	}
-	// Repeat: the union store is cached on the snapshot.
-	if _, info, err := c.Query(q); err != nil || info.Path != "composed" {
-		t.Fatalf("second composed hit: %+v %v", info, err)
-	}
-	m := c.Metrics()
-	if m.ComposedHits != 2 || m.VerifyFailed != 0 {
-		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-func TestComposedGapMisses(t *testing.T) {
-	// (8,12) is uncovered; the cover search must refuse rather than serve
-	// a hole.
-	c := budgetCache(Config{})
-	c.Install(1, []*aggregate.Summary{
-		tSummary(1, interval.Closed(1, 8)),
-		tSummary(2, interval.Closed(12, 20)),
-	})
-	_, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 15")
-	if err != nil || info.Hit || info.Reason != "no-region" {
-		t.Fatalf("gap must miss: %+v %v", info, err)
-	}
-	if m := c.Metrics(); m.VerifyFailed != 0 {
-		t.Fatalf("metrics: %+v", m)
-	}
-}
-
 func TestAggSingleRegion(t *testing.T) {
 	// HAVING statements are rejected by safeShape but served by the agg
 	// path: containment on the WHERE-only area, full statement executed on
@@ -199,69 +155,6 @@ func TestAggSingleRegion(t *testing.T) {
 	}
 	m := c.Metrics()
 	if m.AggHits != 2 || m.VerifyFailed != 0 {
-		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-func TestPreaggCombine(t *testing.T) {
-	// Two position-disjoint halves tile [1,20]; COUNT/MIN/MAX merge from
-	// the per-region books without materialising the union store.
-	c := budgetCache(Config{})
-	c.Install(1, []*aggregate.Summary{
-		tSummary(1, interval.Closed(1, 10)),
-		tSummary(2, interval.Interval{Lo: 10, LoOpen: true, Hi: 20}),
-	})
-	q := "SELECT u, COUNT(*), MIN(v), MAX(v) FROM T WHERE u >= 1 AND u <= 20 GROUP BY u HAVING COUNT(*) >= 1"
-	rs, info, err := c.Query(q)
-	if err != nil || !info.Hit || info.Path != "preagg" || len(info.Regions) != 2 {
-		t.Fatalf("preagg hit expected: %+v %v", info, err)
-	}
-	if len(rs.Rows) != 20 {
-		t.Fatalf("rows = %d, want 20", len(rs.Rows))
-	}
-	if m := c.Metrics(); m.PreaggHits != 1 || m.VerifyFailed != 0 {
-		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-// spanDB has a group column whose groups span both halves of the x range.
-func spanDB() *memdb.DB {
-	db := memdb.New(nil)
-	db.CreateTable("T2", "g", "x")
-	for i := 1; i <= 20; i++ {
-		db.Insert("T2", memdb.N(float64(i%2)), memdb.N(float64(i)))
-	}
-	return db
-}
-
-func t2Summary(id int, iv interval.Interval) *aggregate.Summary {
-	return summary(id, []string{"T2"}, map[string]interval.Interval{"T2.x": iv}, nil)
-}
-
-func TestPreaggSumSpanningGroupFallsBack(t *testing.T) {
-	// SUM is float-order-sensitive: a group spanning two members must not
-	// be merged from partials — the query falls back to the union store
-	// ("composed"), which is still a hit and still byte-identical.
-	c := budgetCache(Config{DB: spanDB()})
-	c.Install(1, []*aggregate.Summary{
-		t2Summary(1, interval.Closed(1, 10)),
-		t2Summary(2, interval.Interval{Lo: 10, LoOpen: true, Hi: 20}),
-	})
-	qSum := "SELECT g, SUM(x) FROM T2 WHERE x >= 1 AND x <= 20 GROUP BY g HAVING COUNT(*) >= 1"
-	_, info, err := c.Query(qSum)
-	if err != nil || !info.Hit || info.Path != "composed" {
-		t.Fatalf("SUM must fall back to the union store: %+v %v", info, err)
-	}
-	// COUNT merges associatively even across spanning groups.
-	qCount := "SELECT g, COUNT(*) FROM T2 WHERE x >= 1 AND x <= 20 GROUP BY g HAVING COUNT(*) > 1"
-	rs, info, err := c.Query(qCount)
-	if err != nil || !info.Hit || info.Path != "preagg" {
-		t.Fatalf("COUNT must combine: %+v %v", info, err)
-	}
-	if len(rs.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rs.Rows))
-	}
-	if m := c.Metrics(); m.VerifyFailed != 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
 }

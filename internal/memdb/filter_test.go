@@ -2,7 +2,6 @@ package memdb_test
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 	"repro/internal/skyserver"
 )
 
-// oracleMatch is the per-row region test ObjectFraction and RestrictIndexed
+// oracleMatch is the per-row region test ObjectFraction and Restrict
 // ran before filters were compiled per table: it resolves every box
 // dimension and categorical column against the table on every row. The
 // compiled filter must admit exactly the rows it admits.
@@ -83,9 +82,11 @@ func oracleFraction(db *memdb.DB, relations []string, box *interval.Box, categor
 	return frac
 }
 
-// oraclePositions is RestrictIndexed's position index under oracleMatch.
-func oraclePositions(db *memdb.DB, relations []string, box *interval.Box, categorical map[string][]string) map[string][]int {
-	out := map[string][]int{}
+// oracleRows is Restrict's tables under oracleMatch: per restricted table
+// (keyed by the lowercased name), the source rows it admits, in source
+// order.
+func oracleRows(db *memdb.DB, relations []string, box *interval.Box, categorical map[string][]string) map[string][][]memdb.Value {
+	out := map[string][][]memdb.Value{}
 	for _, rel := range relations {
 		t := db.Table(rel)
 		if t == nil {
@@ -95,13 +96,13 @@ func oraclePositions(db *memdb.DB, relations []string, box *interval.Box, catego
 		if _, done := out[key]; done {
 			continue
 		}
-		positions := []int{}
-		for ri, row := range t.Rows {
+		rows := [][]memdb.Value{}
+		for _, row := range t.Rows {
 			if oracleMatch(t, row, box, categorical) {
-				positions = append(positions, ri)
+				rows = append(rows, row)
 			}
 		}
-		out[key] = positions
+		out[key] = rows
 	}
 	return out
 }
@@ -231,9 +232,10 @@ func randomRegion(r *rand.Rand, db *memdb.DB) ([]string, *interval.Box, map[stri
 	return relations, box, categorical
 }
 
-// TestCompiledFilterMatchesOracle checks ObjectFraction and RestrictIndexed
-// against the per-row oracle over seeded random regions: same fraction, same
-// admitted positions, and the restricted rows are the source rows.
+// TestCompiledFilterMatchesOracle checks ObjectFraction and Restrict against
+// the per-row oracle over seeded random regions: same fraction, and each
+// restricted table holds exactly the source rows the oracle admits, in
+// source order, sharing their backing arrays.
 func TestCompiledFilterMatchesOracle(t *testing.T) {
 	db := filterDB(t, 400)
 	r := rand.New(rand.NewSource(21))
@@ -244,23 +246,20 @@ func TestCompiledFilterMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: ObjectFraction = %v, oracle %v (relations %v, box %s, categorical %v)",
 				trial, got, want, relations, box, categorical)
 		}
-		view, idx := db.RestrictIndexed(relations, box, categorical)
-		want := oraclePositions(db, relations, box, categorical)
-		if !reflect.DeepEqual(idx, want) {
-			t.Fatalf("trial %d: positions %v, oracle %v (relations %v, box %s, categorical %v)",
-				trial, idx, want, relations, box, categorical)
-		}
-		for key, positions := range want {
-			src, got := db.Table(key), view.Table(key)
-			if got == nil || len(got.Rows) != len(positions) {
-				t.Fatalf("trial %d: table %s restricted to %v, want %d rows", trial, key, got, len(positions))
+		view := db.Restrict(relations, box, categorical)
+		want := oracleRows(db, relations, box, categorical)
+		for key, rows := range want {
+			got := view.Table(key)
+			if got == nil || len(got.Rows) != len(rows) {
+				t.Fatalf("trial %d: table %s restricted to %v, want %d rows (relations %v, box %s, categorical %v)",
+					trial, key, got, len(rows), relations, box, categorical)
 			}
-			for i, p := range positions {
-				if &got.Rows[i][0] != &src.Rows[p][0] {
-					t.Fatalf("trial %d: %s row %d is not source row %d", trial, key, i, p)
+			for i, row := range rows {
+				if &got.Rows[i][0] != &row[0] {
+					t.Fatalf("trial %d: %s row %d is not the oracle's source row", trial, key, i)
 				}
 			}
-			admitted += len(positions)
+			admitted += len(rows)
 		}
 		if len(view.Tables()) != len(want) {
 			t.Fatalf("trial %d: view tables %v, want %d", trial, view.Tables(), len(want))

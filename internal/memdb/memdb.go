@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/interval"
 	"repro/internal/schema"
@@ -104,9 +105,28 @@ type Table struct {
 	Rows    [][]Value
 }
 
-// ColumnIndex returns the position of the (case-insensitive) column.
+// ColumnIndex returns the position of the (case-insensitive) column. An
+// ASCII name of up to 64 bytes is lowered into a stack buffer, so the
+// lookup does not allocate; other names go through strings.ToLower.
 func (t *Table) ColumnIndex(name string) (int, bool) {
-	i, ok := t.colIdx[strings.ToLower(name)]
+	var buf [64]byte
+	if len(name) > len(buf) {
+		i, ok := t.colIdx[strings.ToLower(name)]
+		return i, ok
+	}
+	low := buf[:len(name)]
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			ci, ok := t.colIdx[strings.ToLower(name)]
+			return ci, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low[i] = c
+	}
+	i, ok := t.colIdx[string(low)]
 	return i, ok
 }
 
@@ -287,50 +307,32 @@ func (db *DB) ObjectFraction(relations []string, box *interval.Box, categorical 
 	return frac
 }
 
-// Restrict materialises the sub-database covering an aggregated access area:
+// Restrict returns the sub-database covering an aggregated access area:
 // for each listed relation present in db, a table holding exactly the rows
 // whose numeric columns fall inside box and whose categorical columns match
 // one of the given values (case-insensitively, mirroring query evaluation).
 // Box dimensions and categorical columns are qualified "Table.column";
 // entries for other relations or unknown columns are ignored, exactly as in
-// ObjectFraction. Row order is preserved and row slices are shared with db —
-// the result is a read-only view for the semantic cache's prefetcher, not an
-// independent copy. Relations absent from db are skipped.
+// ObjectFraction. Relations absent from db are skipped. The tables hold
+// db's own row slices, in source order, so nothing is copied: the result is
+// the read-only view a semantic-cache region serves from, and db must not
+// be written while it is in use.
 func (db *DB) Restrict(relations []string, box *interval.Box, categorical map[string][]string) *DB {
-	out, _ := db.RestrictIndexed(relations, box, categorical)
-	return out
-}
-
-// RestrictIndexed is Restrict plus, per restricted table (keyed by the
-// lowercased canonical table name), the sorted positions each admitted row
-// occupied in the source table. The position lists let callers union two
-// restrictions of the same source without re-sorting: merging by position
-// reproduces global source order, which is what makes composed region
-// stores byte-identical to direct execution.
-func (db *DB) RestrictIndexed(relations []string, box *interval.Box, categorical map[string][]string) (*DB, map[string][]int) {
 	out := New(db.Schema)
-	idx := make(map[string][]int, len(relations))
 	for _, rel := range relations {
 		t := db.Table(rel)
-		if t == nil {
-			continue
-		}
-		if out.Table(t.Name) != nil {
+		if t == nil || out.Table(t.Name) != nil {
 			continue
 		}
 		nt := out.CreateTable(t.Name, t.Columns...)
-		key := strings.ToLower(t.Name)
 		f := compileFilter(t, box, categorical)
-		positions := []int{}
-		for ri, row := range t.Rows {
+		for _, row := range t.Rows {
 			if f.match(row) {
 				nt.Rows = append(nt.Rows, row)
-				positions = append(positions, ri)
 			}
 		}
-		idx[key] = positions
 	}
-	return out, idx
+	return out
 }
 
 // rowFilter is a region's box and categorical constraints resolved against

@@ -699,6 +699,15 @@ func TestQualifiedLookupAllocs(t *testing.T) {
 			t.Errorf("lookup(%q, ra): %v allocs, want 0", q, n)
 		}
 	}
+	// A mixed-case ASCII column name resolves without allocating too.
+	for _, qc := range [][2]string{{"p", "objID"}, {"P", "RA"}} {
+		if _, ok := e.lookup(qc[0], qc[1]); !ok {
+			t.Fatalf("lookup(%q, %q) not found", qc[0], qc[1])
+		}
+		if n := testing.AllocsPerRun(100, func() { e.lookup(qc[0], qc[1]) }); n != 0 {
+			t.Errorf("lookup(%q, %q): %v allocs, want 0", qc[0], qc[1], n)
+		}
+	}
 	// Every qualifier, ASCII or not, matches as its lowercased form would;
 	// "K" (Kelvin sign) lowercases to an ASCII "k".
 	k := &binding{names: bindingNames("K", "ärm", "k")}

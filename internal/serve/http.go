@@ -321,7 +321,6 @@ type queryReply struct {
 	Cache    struct {
 		Hit        bool   `json:"hit"`
 		Region     int    `json:"region,omitempty"`
-		Regions    []int  `json:"regions,omitempty"`
 		Path       string `json:"path,omitempty"`
 		Generation int64  `json:"generation"`
 		Reason     string `json:"reason,omitempty"`
@@ -369,7 +368,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var reply queryReply
 	reply.Cache.Hit = info.Hit
 	reply.Cache.Region = info.RegionID
-	reply.Cache.Regions = info.Regions
 	reply.Cache.Path = info.Path
 	reply.Cache.Generation = info.Generation
 	reply.Cache.Reason = info.Reason
@@ -378,13 +376,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cacheHeader = "HIT"
 		w.Header().Set("X-Cache-Region", strconv.Itoa(info.RegionID))
 		w.Header().Set("X-Cache-Path", info.Path)
-		if len(info.Regions) > 1 {
-			ids := make([]string, len(info.Regions))
-			for i, id := range info.Regions {
-				ids[i] = strconv.Itoa(id)
-			}
-			w.Header().Set("X-Cache-Regions", strings.Join(ids, ","))
-		}
 	}
 	w.Header().Set("X-Cache", cacheHeader)
 	w.Header().Set("X-Cache-Generation", strconv.FormatInt(info.Generation, 10))
@@ -706,9 +697,7 @@ func (s *Server) MetricsJSON() map[string]any {
 		metrics["semcache_shadow_regions"] = m.ShadowRegions
 		metrics["semcache_bytes_resident"] = m.BytesResident
 		metrics["semcache_budget"] = m.Budget
-		metrics["semcache_composed_hits"] = m.ComposedHits
 		metrics["semcache_agg_hits"] = m.AggHits
-		metrics["semcache_preagg_hits"] = m.PreaggHits
 		metrics["semcache_near_misses"] = m.NearMisses
 		metrics["semcache_evicted"] = m.Evicted
 		metrics["semcache_reused"] = m.Reused

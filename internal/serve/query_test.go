@@ -264,13 +264,13 @@ func TestSemCacheSmoke(t *testing.T) {
 }
 
 // TestSemCacheSmokeV2 is the v2 half of the semcache-smoke gate: the cache's
-// new serving paths and the byte budget exercised end-to-end over HTTP. Two
+// serving rungs and the byte budget exercised end-to-end over HTTP. Two
 // half-regions tile Photoz.objid, so a band probe inside one half must be a
-// single-region hit, a spanning probe must compose both (X-Cache-Regions
-// lists them), and a spanning HAVING probe must combine partial aggregates. A second server under a budget of
-// one region's bytes must evict the other and keep serving its own band.
-// The byte-identity oracle is on throughout: zero verify failures proves
-// every path reproduced direct execution.
+// single-region hit, while a spanning band and a spanning HAVING probe fit
+// no one region and must miss ("no-region") with the direct result. A
+// second server under a budget of one region's bytes must evict the other
+// and keep serving its own band. The byte-identity oracle is on throughout:
+// zero verify failures proves every hit reproduced direct execution.
 func TestSemCacheSmokeV2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke gate is slow")
@@ -311,31 +311,20 @@ func TestSemCacheSmokeV2(t *testing.T) {
 			status, hdr.Get("X-Cache"), reply.Cache.Path, reply.Cache.Reason)
 	}
 
-	// Spanning band: no single half contains it; the covering set must
-	// compose both and say so in X-Cache-Regions.
-	status, hdr, reply = postQuery(t, ts.URL, "text/plain", band(iv.Lo+w/16, iv.Hi-w/16))
-	if status != http.StatusOK || hdr.Get("X-Cache") != "HIT" || reply.Cache.Path != "composed" {
-		t.Fatalf("spanning probe: status %d, X-Cache %q, path %q (reason %q)",
-			status, hdr.Get("X-Cache"), reply.Cache.Path, reply.Cache.Reason)
-	}
-	if got := hdr.Get("X-Cache-Regions"); got != "1,2" {
-		t.Fatalf("X-Cache-Regions = %q, want \"1,2\"", got)
-	}
-
-	// Spanning aggregate: the HAVING class, answered by partial-aggregate
-	// combine across the same cover. The WHERE spans both halves whole —
-	// the combine only fires when every member row satisfies the WHERE, so
-	// partial counts are exact.
+	// Spanning band and spanning aggregate (the HAVING class): no single
+	// half contains either, so both miss and answer directly.
 	agg := fmt.Sprintf(
 		"SELECT objid, COUNT(*), MIN(objid), MAX(objid) FROM Photoz WHERE objid >= %s AND objid <= %s GROUP BY objid HAVING COUNT(*) >= 1",
 		num(iv.Lo), num(iv.Hi))
-	status, hdr, reply = postQuery(t, ts.URL, "text/plain", agg)
-	if status != http.StatusOK || hdr.Get("X-Cache") != "HIT" || reply.Cache.Path != "preagg" {
-		t.Fatalf("aggregate probe: status %d, X-Cache %q, path %q (reason %q)",
-			status, hdr.Get("X-Cache"), reply.Cache.Path, reply.Cache.Reason)
-	}
-	if got := hdr.Get("X-Cache-Regions"); got != "1,2" {
-		t.Fatalf("aggregate X-Cache-Regions = %q, want \"1,2\"", got)
+	for _, sql := range []string{band(iv.Lo+w/16, iv.Hi-w/16), agg} {
+		status, hdr, reply = postQuery(t, ts.URL, "text/plain", sql)
+		if status != http.StatusOK || hdr.Get("X-Cache") != "MISS" || reply.Cache.Reason != "no-region" {
+			t.Fatalf("spanning probe %q: status %d, X-Cache %q, path %q (reason %q)",
+				sql, status, hdr.Get("X-Cache"), reply.Cache.Path, reply.Cache.Reason)
+		}
+		if reply.RowCount == 0 || !sameAsDirect(t, db, sql, reply) {
+			t.Fatalf("spanning probe %q: reply differs from direct execution (%d rows)", sql, reply.RowCount)
+		}
 	}
 	if m := s.QueryCache().Metrics(); m.VerifyFailed != 0 {
 		t.Fatalf("verify failures: %+v", m)
@@ -405,12 +394,36 @@ func TestSemCacheSmokeV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"semcache_bytes_resident", "semcache_budget",
-		"semcache_evicted", "semcache_composed_hits", "semcache_preagg_hits",
-		"semcache_shadow_regions"} {
+		"semcache_evicted", "semcache_agg_hits", "semcache_shadow_regions"} {
 		if _, ok := metrics[key]; !ok {
 			t.Errorf("metrics missing %s", key)
 		}
 	}
+}
+
+// sameAsDirect reports whether a /query reply carries exactly the columns
+// and rows that direct execution of sql returns, in the reply's encoding.
+func sameAsDirect(t *testing.T, db *memdb.DB, sql string, reply queryReply) bool {
+	t.Helper()
+	direct, err := db.ExecuteSQL(sql, memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true})
+	if err != nil {
+		t.Fatalf("direct %q: %v", sql, err)
+	}
+	var rows [][]any
+	for _, row := range direct.Rows {
+		out := make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind {
+			case memdb.Num:
+				out[j] = v.Num
+			case memdb.Str:
+				out[j] = v.Str
+			}
+		}
+		rows = append(rows, out)
+	}
+	return mustJSON(t, reply.Columns) == mustJSON(t, direct.Columns) &&
+		mustJSON(t, reply.Rows) == mustJSON(t, rows)
 }
 
 // semBand builds a one-dimension Photoz.objid region summary for the v2

@@ -102,9 +102,6 @@ type Config struct {
 	// CacheBudget caps the semantic cache's resident region bytes
 	// (<= 0 = unlimited; see interestcache heat-based admission).
 	CacheBudget int64
-	// CacheComposeMax caps multi-region composition covers (0 = default 4,
-	// negative disables composition).
-	CacheComposeMax int
 	// Traffic, when non-nil, enables traffic-class-aware mining: records
 	// are classified bot/human/admin in processing order, one incremental
 	// miner per class runs alongside the global one (sharing its distance
@@ -269,7 +266,6 @@ func NewServer(cfg Config) (*Server, error) {
 			Exec:        cfg.QueryExec,
 			Verify:      cfg.QueryVerify,
 			BudgetBytes: cfg.CacheBudget,
-			ComposeMax:  cfg.CacheComposeMax,
 		})
 	}
 	s.initRegistry()
