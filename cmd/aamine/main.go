@@ -42,6 +42,10 @@ func main() {
 	alg := flag.String("alg", "dbscan", "clustering algorithm: dbscan or optics")
 	rows := flag.Int("rows", 2000, "synthetic database rows per table (for coverage)")
 	flag.Parse()
+	dmode, err := distance.ParseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
 
 	var recs []qlog.Record
 	switch {
@@ -76,10 +80,6 @@ func main() {
 	stats := schema.NewStats()
 	skyserver.SeedStats(db, stats)
 
-	dmode := distance.ModeEndpoint
-	if *mode == "literal" {
-		dmode = distance.ModePaperLiteral
-	}
 	algorithm := core.AlgDBSCAN
 	if *alg == "optics" {
 		algorithm = core.AlgOPTICS

@@ -28,7 +28,6 @@ func TestListNamesExperiments(t *testing.T) {
 	want := []string{
 		"table1", "fig1a", "fig1b", "fig1c", "coverage", "olapclus", "olapclusraw",
 		"efficiency", "requery", "ablation", "ablationsigma", "density", "scaling",
-		"clusterperf", "pipelineperf", "semcacheperf", "kernelperf",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("-exp list names %v, want %v", names, want)
@@ -42,23 +41,5 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	}
 	if out != "" || !strings.Contains(errOut, `unknown experiment "serveperf"`) {
 		t.Fatalf("stdout %q, stderr %q", out, errOut)
-	}
-}
-
-// A bad -kernelscales entry is a usage error caught before any experiment
-// runs: nothing is printed to stdout, not even for experiments ahead of
-// kernelperf under -exp all.
-func TestBadKernelScalesFailsBeforeRunning(t *testing.T) {
-	for _, list := range []string{"20000,x", "1", "-5"} {
-		code, out, errOut := runArgs("-exp", "all", "-scale", "100", "-kernelscales", list)
-		if code == 0 {
-			t.Errorf("-kernelscales %q exited 0", list)
-		}
-		if out != "" {
-			t.Errorf("-kernelscales %q ran experiments before failing:\n%s", list, out)
-		}
-		if !strings.Contains(errOut, "bad -kernelscales entry") {
-			t.Errorf("-kernelscales %q: stderr %q", list, errOut)
-		}
 	}
 }

@@ -183,12 +183,11 @@ func main() {
 	trafficOverrides := flag.String("traffic-overrides", "", "comma-separated user=class pins for known crawlers and admin accounts, e.g. sdssbot=bot,dba=admin")
 	flag.Parse()
 
-	dmode := distance.ModeEndpoint
-	if *mode == "literal" {
-		dmode = distance.ModePaperLiteral
+	dmode, err := distance.ParseMode(*mode)
+	if err == nil {
+		err = validateTopology(*shards, *role, *peers, *autoEps)
 	}
-
-	if err := validateTopology(*shards, *role, *peers, *autoEps); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "skyserved: %v\n", err)
 		os.Exit(1)
 	}

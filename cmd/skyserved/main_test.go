@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/distance"
+)
 
 func TestValidateTopology(t *testing.T) {
 	cases := []struct {
@@ -31,6 +35,29 @@ func TestValidateTopology(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Errorf("%s: validateTopology(%d, %q, %q, %v) = %v, want ok=%v",
 				c.name, c.shards, c.role, c.peers, c.autoEps, err, c.ok)
+		}
+	}
+}
+
+// -mode accepts exactly endpoint and literal; anything else is refused
+// rather than silently mining in endpoint mode.
+func TestParseMode(t *testing.T) {
+	cases := []struct {
+		flag string
+		want distance.Mode
+		ok   bool
+	}{
+		{"endpoint", distance.ModeEndpoint, true},
+		{"literal", distance.ModePaperLiteral, true},
+		{"", 0, false},
+		{"paper-literal", 0, false},
+		{"Literal", 0, false},
+		{"endpoints", 0, false},
+	}
+	for _, c := range cases {
+		got, err := distance.ParseMode(c.flag)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", c.flag, got, err, c.want, c.ok)
 		}
 	}
 }

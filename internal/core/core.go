@@ -53,11 +53,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// DisablePivotIndex turns off the substrate's LAESA pruning: every
-	// eps-neighbour scan then evaluates each unordered pair of a partition
-	// once, brute force — clusterperf's "before" baseline, measured through
-	// the same instrumentation as the default.
-	DisablePivotIndex bool
 	// SigmaRule and MinColumnSupport configure aggregation (Section 6.2);
 	// zero values mean 3 and 0.5.
 	SigmaRule        float64

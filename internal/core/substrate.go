@@ -373,9 +373,7 @@ const (
 // dbscan.PivotSlackFactor margin), while the paper-literal mode's
 // similarity-like d_pred gives the pruning nothing to hold on to.
 func (m *Miner) usePivots(n int) bool {
-	return !m.cfg.DisablePivotIndex &&
-		m.cfg.Mode == distance.ModeEndpoint &&
-		n >= pivotMinPartition
+	return m.cfg.Mode == distance.ModeEndpoint && n >= pivotMinPartition
 }
 
 // group returns (creating) the scan group for a key.

@@ -37,6 +37,7 @@
 package distance
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/extract"
@@ -63,6 +64,18 @@ func (m Mode) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseMode maps a command's -mode flag value, "endpoint" or "literal", to
+// its Mode; any other value is an error.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "endpoint":
+		return ModeEndpoint, nil
+	case "literal":
+		return ModePaperLiteral, nil
+	}
+	return 0, fmt.Errorf("unknown -mode %q (want endpoint or literal)", s)
 }
 
 // Metric computes distances between access areas.

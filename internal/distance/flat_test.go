@@ -162,12 +162,12 @@ func TestKernelEarlyExit(t *testing.T) {
 	})
 	kern.Add(m.Profile(a))
 	kern.Add(m.Profile(b)) // same constraints, different tables
-	before := KernelEarlyExits()
+	before := kernelEarlyExitTotal.Value()
 	if d := kern.Distance(0, 1); d != m.Distance(a, b) {
 		t.Errorf("early-exit pair d = %v, pointer = %v", d, m.Distance(a, b))
 	}
-	if KernelEarlyExits() != before+1 {
-		t.Errorf("early exits = %d, want %d", KernelEarlyExits(), before+1)
+	if got := kernelEarlyExitTotal.Value(); got != before+1 {
+		t.Errorf("early exits = %d, want %d", got, before+1)
 	}
 }
 

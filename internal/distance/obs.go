@@ -4,11 +4,10 @@ import "repro/internal/obs"
 
 // Distance-kernel instruments. The evals counters make evals/sec a
 // first-class observable: scrape skyaccess_distance_kernel_evals_total (or
-// the pointer-path twin) twice and divide by the interval — the kernelperf
-// experiment derives the same rate offline. The early-exit counter measures
-// how often the flat kernel's structural-equality bound skipped a
-// min-matching loop entirely; its ratio to evals is a deterministic
-// workload fingerprint the bench-drift gate compares across commits.
+// the pointer-path twin) twice and divide by the interval. The early-exit
+// counter measures how often the flat kernel's structural-equality bound
+// skipped a min-matching loop entirely. BenchmarkKernelDistance and
+// BenchmarkProfileDistance time the two paths over the same pairs.
 var (
 	profileEvalsTotal = obs.NewCounter("skyaccess_distance_profile_evals_total",
 		"pointer-path ProfileDistance evaluations")
@@ -17,13 +16,3 @@ var (
 	kernelEarlyExitTotal = obs.NewCounter("skyaccess_distance_kernel_early_exits_total",
 		"kernel evaluations answered by the structural-equality early exit (d_conj = 0, no min-matching)")
 )
-
-// KernelEvals returns the lifetime flat-kernel evaluation count.
-func KernelEvals() int64 { return kernelEvalsTotal.Value() }
-
-// KernelEarlyExits returns the lifetime count of evaluations the kernel's
-// structural-equality early exit answered without a min-matching loop.
-func KernelEarlyExits() int64 { return kernelEarlyExitTotal.Value() }
-
-// ProfileEvals returns the lifetime pointer-path evaluation count.
-func ProfileEvals() int64 { return profileEvalsTotal.Value() }

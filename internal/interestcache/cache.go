@@ -48,7 +48,7 @@ type Config struct {
 	// Verify enables the correctness oracle: every cache-served result is
 	// checked byte-for-byte against direct execution, and on mismatch the
 	// direct result is returned and the failure counted. For tests and
-	// the semcacheperf harness.
+	// skyserved -query-verify.
 	Verify bool
 
 	// BudgetBytes caps the total byte footprint of resident region stores.
@@ -325,7 +325,9 @@ type Info struct {
 	Generation int64
 	// Reason explains a miss: "no-regions", "fingerprint", "parse",
 	// "shape", "uncacheable", "inexact", "empty-area", "no-region",
-	// "store-error", "verify-failed".
+	// "exec-error" (a containing region's store rejected the statement and
+	// so did direct execution), "store-error" (the store failed where
+	// direct execution succeeds), "verify-failed".
 	Reason string
 }
 
@@ -454,9 +456,14 @@ func (c *Cache) creditShadows(snap *snapshot, shape *queryShape) {
 }
 
 func (c *Cache) miss(sql string, info Info, reason string) (*memdb.ResultSet, Info, error) {
-	info.Reason = reason
 	c.misses.Add(1)
 	rs, err := c.cfg.DB.ExecuteSQL(sql, c.cfg.Exec)
+	if err != nil && reason == "store-error" {
+		// Direct execution rejects the statement too: the statement is at
+		// fault, not the store.
+		reason = "exec-error"
+	}
+	info.Reason = reason
 	return rs, info, err
 }
 

@@ -206,6 +206,26 @@ func TestQueryHitAndMiss(t *testing.T) {
 	}
 }
 
+// A statement a containing region's store rejects misses. When direct
+// execution rejects it too (a MySQL LIMIT under StrictTSQL), the miss
+// names the statement, not the store, and returns the direct error.
+func TestQueryExecErrorNamesStatement(t *testing.T) {
+	c := New(Config{
+		DB:        testDB(),
+		Extractor: &extract.Extractor{},
+		Templates: &extract.TemplateCache{},
+		Exec:      memdb.ExecOptions{StrictTSQL: true},
+	})
+	c.Install(1, []*aggregate.Summary{summary(1, []string{"T"}, nil, nil)})
+	if _, info, err := c.Query("SELECT v FROM T"); err != nil || !info.Hit {
+		t.Fatalf("whole-table read: info=%+v err=%v, want a hit", info, err)
+	}
+	_, info, err := c.Query("SELECT v FROM T LIMIT 5")
+	if err == nil || info.Hit || info.Reason != "exec-error" {
+		t.Fatalf("LIMIT under StrictTSQL: info=%+v err=%v, want an exec-error miss", info, err)
+	}
+}
+
 func TestQueryTemplateReuse(t *testing.T) {
 	c := testCache(t, true, summary(1, []string{"T"},
 		map[string]interval.Interval{"T.u": interval.Closed(0, 100)}, nil))

@@ -75,7 +75,8 @@ func TestWorkloadOracle(t *testing.T) {
 // first half of the replay, re-installs heat-ordered (so the reduced
 // budgets evict regions to shadows that collect near-miss heat), then
 // replays everything. Every cache-served result must equal direct
-// execution, and every budget point must serve hits.
+// execution, and every budget point must serve hits: at full budget some on
+// the agg rung, and at half budget at least 70% of the replay.
 func TestHeldOutBudgetOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("held-out budget oracle is slow")
@@ -121,15 +122,23 @@ func TestHeldOutBudgetOracle(t *testing.T) {
 			c.Query(sql)
 		}
 		m := c.Metrics()
-		hits := m.Hits - m0.Hits
-		t.Logf("budget %d: resident %d in %d regions (%d shadows), hits=%d agg=%d misses=%d near_misses=%d verify_checked=%d",
-			budget, m.BytesResident, m.Regions, m.ShadowRegions, hits, m.AggHits-m0.AggHits,
-			m.Misses-m0.Misses, m.NearMisses, m.VerifyChecked)
+		hits, aggHits, misses := m.Hits-m0.Hits, m.AggHits-m0.AggHits, m.Misses-m0.Misses
+		ratio := float64(hits) / float64(hits+misses)
+		t.Logf("budget %d: resident %d in %d regions (%d shadows), hits=%d agg=%d misses=%d ratio=%.3f near_misses=%d verify_checked=%d",
+			budget, m.BytesResident, m.Regions, m.ShadowRegions, hits, aggHits,
+			misses, ratio, m.NearMisses, m.VerifyChecked)
 		if m.VerifyFailed != 0 {
 			t.Fatalf("budget %d: %d oracle failures", budget, m.VerifyFailed)
 		}
 		if hits == 0 {
 			t.Fatalf("budget %d: no cache hits", budget)
+		}
+		if budget == full && aggHits == 0 {
+			t.Fatalf("full budget: no hits on the agg rung")
+		}
+		// 0.90 when the floor was set.
+		if budget == full/2 && ratio < 0.70 {
+			t.Fatalf("half budget: hit ratio %.3f below 0.70", ratio)
 		}
 		if m.BytesResident > budget {
 			t.Fatalf("budget %d: %d bytes resident", budget, m.BytesResident)

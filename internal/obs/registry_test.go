@@ -143,8 +143,7 @@ func TestInvalidNamePanics(t *testing.T) {
 	NewRegistry().NewCounter("bad name!", "x")
 }
 
-// TestSnapshot checks the flat view used by the JSON handler and the
-// bench-drift gate.
+// TestSnapshot checks the flat view used by the JSON handler.
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("snap_total", "c").Add(3)

@@ -84,10 +84,14 @@ func TestPipelineCachedMatchesUncached(t *testing.T) {
 		t.Errorf("full parses (%d) + hits (%d) != total (%d)",
 			cStats.FullParses, cStats.CacheHits, cStats.Total)
 	}
-	// The acceptance bar: a template-dominated log needs at most half the
-	// parses (in practice far fewer — tens of shapes over thousands of rows).
-	if cStats.FullParses >= cStats.Total/2 {
-		t.Errorf("cache ineffective: %d full parses of %d records", cStats.FullParses, cStats.Total)
+	// The acceptance bar: this 3k log needs 6.24x fewer full parses with the
+	// cache (481 of 3000 when the bar was set); 5.3x leaves a 15% margin for
+	// concurrent misses on one fingerprint, which each parse.
+	ratio := float64(cStats.Total) / float64(cStats.FullParses)
+	t.Logf("%d full parses of %d records (%.2fx fewer)", cStats.FullParses, cStats.Total, ratio)
+	if ratio < 5.3 {
+		t.Errorf("cache ineffective: %d full parses of %d records (%.2fx, want >= 5.3x)",
+			cStats.FullParses, cStats.Total, ratio)
 	}
 	// Parse stage observations must still cover every record (fingerprint
 	// time stands in for parse time on hits), keeping §6.6 counts coherent.

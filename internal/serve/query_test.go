@@ -198,8 +198,8 @@ func TestReportETag(t *testing.T) {
 // TestSemCacheSmoke is the make semcache-smoke gate: mine a 5k-query log,
 // prefetch regions, serve the same statements through POST /query with the
 // byte-identity oracle on, and require zero oracle failures plus a real hit
-// population. It exercises the full mine → prefetch → serve → verify loop
-// in one process.
+// population on both rungs (single-region and HAVING aggregate). It
+// exercises the full mine → prefetch → serve → verify loop in one process.
 func TestSemCacheSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke gate is slow")
@@ -253,11 +253,11 @@ func TestSemCacheSmoke(t *testing.T) {
 	if m.VerifyFailed != 0 {
 		t.Fatalf("oracle failures: %+v", m)
 	}
-	if m.Hits == 0 {
-		t.Fatal("smoke run produced no cache hits")
+	if m.Hits == 0 || m.AggHits == 0 {
+		t.Fatalf("smoke run produced %d hits, %d on the agg rung; want both > 0", m.Hits, m.AggHits)
 	}
 	ratio := float64(m.Hits) / float64(m.Hits+m.Misses)
-	t.Logf("served=%d hits=%d misses=%d ratio=%.3f regions=%d", served, m.Hits, m.Misses, ratio, m.Regions)
+	t.Logf("served=%d hits=%d (agg %d) misses=%d ratio=%.3f regions=%d", served, m.Hits, m.AggHits, m.Misses, ratio, m.Regions)
 	if ratio < 0.5 {
 		t.Errorf("hit ratio %.3f below the 0.5 acceptance floor", ratio)
 	}

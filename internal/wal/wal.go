@@ -70,8 +70,7 @@ func (o Options) withDefaults() Options {
 // record costs a scheduler round-trip per record on a loaded single core.
 const walBatchTarget = 256
 
-// SegmentInfo describes one segment for metrics, tests and the perf
-// harness.
+// SegmentInfo describes one segment for metrics and tests.
 type SegmentInfo struct {
 	Path      string
 	Base      uint64 // offset of the segment's first record
