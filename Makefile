@@ -54,13 +54,14 @@ fuzz: fuzz-regression
 	$(GO) test ./internal/interval/ -run=NONE -fuzz=FuzzIntervalSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/interestcache/ -run=NONE -fuzz=FuzzContainmentIndex -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 
 # fuzz-regression replays only the checked-in seed corpora (every f.Add seed
 # plus testdata/fuzz entries) without exploring — deterministic, so CI can
 # gate on it.
 fuzz-regression:
 	$(GO) test -run=Fuzz ./internal/sqlparser/ ./internal/interval/ ./internal/wal/ \
-		./internal/interestcache/
+		./internal/interestcache/ ./internal/serve/
 
 # serve-smoke starts the serving stack, replays 1k records into it, flushes,
 # and asserts /report matches the batch miner byte-for-byte in every format
@@ -110,9 +111,17 @@ shard-smoke:
 # is defined afresh after recovery, and that a clean reopen keeps writing
 # refs to texts defined before it, and TestSealedSegmentScansClean that a
 # sealed segment scans clean while one cut in its footer scans as torn.
+# The snapshot restart tests prove a restart from a v2 snapshot plus a WAL
+# tail that moves access(a) installs the snapshot's neighbour graph and
+# serves the global and every class /report byte-identical to an
+# uninterrupted run and to MineRecords with fewer distance evaluations
+# (TestRestartReusesGraph), that a graph whose digest does not match falls
+# back to the rebuild with the same reports (TestRestartGraphDigestFallback),
+# and that the frozen v1 JSON snapshot still restores, with a WAL tail, to
+# MineRecords' report and is rewritten as v2 (TestRestartFromV1Snapshot).
 # All under -race.
 wal-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence|TestRestartReusesGraph|TestRestartGraphDigestFallback|TestRestartFromV1Snapshot' -v ./internal/serve/
 	$(GO) test -race -count=1 -run TestShardedCrashRecovery -v ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestTornDefinitionRedefined|TestReopenKeepsStatementTable|TestSealedSegmentScansClean' -v ./internal/wal/
 

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,25 +28,52 @@ import (
 )
 
 func main() {
-	logPath := flag.String("log", "", "query log file (csv or jsonl by extension)")
-	synthetic := flag.Int("synthetic", 0, "generate a synthetic log of this size instead of reading one")
-	seed := flag.Int64("seed", 42, "seed for synthetic generation and sampling")
-	eps := flag.Float64("eps", 0.06, "DBSCAN eps")
-	autoEps := flag.Bool("autoeps", false, "derive eps from the k-distance knee (overrides -eps)")
-	minPts := flag.Int("minpts", 8, "DBSCAN minPts (weighted by query multiplicity)")
-	sample := flag.Int("sample", 0, "cap on distinct areas clustered (0 = all)")
-	top := flag.Int("top", 30, "clusters to print")
-	analyze := flag.Bool("analyze", false, "print session/bot/classification analysis of the log")
-	trendWindow := flag.Int64("trend", 0, "also mine in time windows of this many seconds and print trend events")
-	format := flag.String("format", "text", "output format: text, csv, or json")
-	skyFormat := flag.Bool("skyformat", false, "treat -log as a SkyServer SqlLog CSV export (header-mapped columns)")
-	mode := flag.String("mode", "endpoint", "d_pred mode: endpoint or literal")
-	alg := flag.String("alg", "dbscan", "clustering algorithm: dbscan or optics")
-	rows := flag.Int("rows", 2000, "synthetic database rows per table (for coverage)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command and returns its exit status: 2 for a bad flag, an
+// unknown -alg or -format, or no input; 1 for an unknown -mode (as in
+// skyserved), a log that cannot be read or a report that cannot be
+// written. Every flag value is checked before any log is read or mined.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aamine", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	logPath := fs.String("log", "", "query log file (csv or jsonl by extension)")
+	synthetic := fs.Int("synthetic", 0, "generate a synthetic log of this size instead of reading one")
+	seed := fs.Int64("seed", 42, "seed for synthetic generation and sampling")
+	eps := fs.Float64("eps", 0.06, "DBSCAN eps")
+	autoEps := fs.Bool("autoeps", false, "derive eps from the k-distance knee (overrides -eps)")
+	minPts := fs.Int("minpts", 8, "DBSCAN minPts (weighted by query multiplicity)")
+	sample := fs.Int("sample", 0, "cap on distinct areas clustered (0 = all)")
+	top := fs.Int("top", 30, "clusters to print")
+	analyze := fs.Bool("analyze", false, "print session/bot/classification analysis of the log")
+	trendWindow := fs.Int64("trend", 0, "also mine in time windows of this many seconds and print trend events")
+	format := fs.String("format", "text", "output format: text, csv, or json")
+	skyFormat := fs.Bool("skyformat", false, "treat -log as a SkyServer SqlLog CSV export (header-mapped columns)")
+	mode := fs.String("mode", "endpoint", "d_pred mode: endpoint or literal")
+	alg := fs.String("alg", "dbscan", "clustering algorithm: dbscan or optics")
+	rows := fs.Int("rows", 2000, "synthetic database rows per table (for coverage)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "aamine:", err)
+		return code
+	}
 	dmode, err := distance.ParseMode(*mode)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
+	}
+	algorithm, err := core.ParseAlgorithm(*alg)
+	if err != nil {
+		return fail(2, err)
+	}
+	outFormat, err := report.ParseFormat(*format)
+	if err != nil {
+		return fail(2, err)
 	}
 
 	var recs []qlog.Record
@@ -57,7 +86,7 @@ func main() {
 	case *logPath != "":
 		f, err := os.Open(*logPath)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		defer f.Close()
 		switch {
@@ -69,21 +98,17 @@ func main() {
 			recs, err = qlog.ReadCSV(f)
 		}
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "aamine: need -log FILE or -synthetic N")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "aamine: need -log FILE or -synthetic N")
+		return 2
 	}
 
 	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
 	stats := schema.NewStats()
 	skyserver.SeedStats(db, stats)
 
-	algorithm := core.AlgDBSCAN
-	if *alg == "optics" {
-		algorithm = core.AlgOPTICS
-	}
 	miner := core.NewMiner(core.Config{
 		Schema: skyserver.Schema(), Stats: stats,
 		Eps: *eps, MinPts: *minPts, Mode: dmode, AutoEps: *autoEps,
@@ -94,28 +119,25 @@ func main() {
 	res.AttachCoverage(db)
 
 	if *analyze {
-		printAnalysis(recs)
+		printAnalysis(stdout, recs)
 	}
 	if *trendWindow > 0 {
 		windows := miner.MineWindows(recs, *trendWindow)
-		fmt.Print(core.TrendReport(windows, core.Trends(windows)))
+		fmt.Fprint(stdout, core.TrendReport(windows, core.Trends(windows)))
 	}
 
 	if *autoEps {
-		fmt.Printf("auto-selected eps: %.4f\n", res.ChosenEps)
+		fmt.Fprintf(stdout, "auto-selected eps: %.4f\n", res.ChosenEps)
 	}
-	f, err := report.ParseFormat(*format)
-	if err != nil {
-		fatal(err)
+	if err := report.Write(stdout, res, outFormat, report.Options{Top: *top, Coverage: true}); err != nil {
+		return fail(1, err)
 	}
-	if err := report.Write(os.Stdout, res, f, report.Options{Top: *top, Coverage: true}); err != nil {
-		fatal(err)
-	}
+	return 0
 }
 
 // printAnalysis reports the log-understanding extensions: sessions, bots,
 // query intent, and the SDSS-Log-Viewer-style classifications.
-func printAnalysis(recs []qlog.Record) {
+func printAnalysis(w io.Writer, recs []qlog.Record) {
 	sessions := qlog.Sessionize(recs, 1800)
 	profiles := qlog.ProfileUsers(recs, 1800)
 	bots := 0
@@ -124,7 +146,7 @@ func printAnalysis(recs []qlog.Record) {
 			bots++
 		}
 	}
-	fmt.Printf("analysis: %d users, %d sessions, %d bot-like users\n", len(profiles), len(sessions), bots)
+	fmt.Fprintf(w, "analysis: %d users, %d sessions, %d bot-like users\n", len(profiles), len(sessions), bots)
 
 	ex := extract.New(skyserver.Schema())
 	intents := map[qlog.Intent]int{}
@@ -140,14 +162,9 @@ func printAnalysis(recs []qlog.Record) {
 		}
 	}
 	counts := qlog.Classify(areas)
-	fmt.Printf("analysis: %d test vs %d final queries; sky areas:", intents[qlog.TestQuery], intents[qlog.FinalQuery])
+	fmt.Fprintf(w, "analysis: %d test vs %d final queries; sky areas:", intents[qlog.TestQuery], intents[qlog.FinalQuery])
 	for _, k := range []qlog.SkyAreaKind{qlog.RectangularSkyArea, qlog.BandSkyArea, qlog.SinglePointSkyArea, qlog.OtherSkyArea} {
-		fmt.Printf(" %s=%d", k, counts.Sky[k])
+		fmt.Fprintf(w, " %s=%d", k, counts.Sky[k])
 	}
-	fmt.Println()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "aamine:", err)
-	os.Exit(1)
+	fmt.Fprintln(w)
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -78,6 +79,18 @@ const (
 	// AlgOPTICS runs OPTICS and extracts the eps-cut clustering.
 	AlgOPTICS
 )
+
+// ParseAlgorithm maps a command's -alg flag value, "dbscan" or "optics", to
+// its Algorithm; any other value is an error.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s {
+	case "dbscan":
+		return AlgDBSCAN, nil
+	case "optics":
+		return AlgOPTICS, nil
+	}
+	return 0, fmt.Errorf("unknown -alg %q (want dbscan or optics)", s)
+}
 
 // Result is the outcome of a mining run.
 type Result struct {

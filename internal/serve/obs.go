@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 )
@@ -77,6 +78,16 @@ func (s *Server) initRegistry() {
 	r.NewCounterFunc("skyaccess_serve_distance_cache_hits_total",
 		"eps-neighbour graph entries clustered without re-evaluation (lifetime; never resets)",
 		func() float64 { return float64(s.inc.DistanceCacheHits()) })
+
+	s.snapBytes = r.NewGauge("skyaccess_serve_snapshot_bytes",
+		"size of the last snapshot written (0 before the first)")
+	s.graphInstalled = r.NewGauge("skyaccess_serve_snapshot_graph_slots_installed",
+		"eps-neighbour graph slots the snapshot restore installed, sparing the anchoring epoch their scans")
+	s.graphFallbacks = make(map[string]*obs.Counter, len(core.FallbackReasons))
+	for _, reason := range core.FallbackReasons {
+		s.graphFallbacks[reason] = r.NewCounter("skyaccess_serve_snapshot_graph_fallback_"+reason+"_total",
+			"snapshot restores that dropped the neighbour graph (reason: "+reason+") and rebuilt it")
+	}
 
 	if s.wal != nil || s.cfg.WALDir != "" {
 		// Registered via function so the gauges read whatever WAL the

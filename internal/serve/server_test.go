@@ -341,9 +341,9 @@ func TestShutdownUnderLoadZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot json: %v", err)
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("snapshot decode: %v", err)
 	}
 	if snap.Accepted != int64(accepted) || snap.Pipeline.Total != accepted {
 		t.Fatalf("snapshot accounts for %d accepted / %d extracted, want %d", snap.Accepted, snap.Pipeline.Total, accepted)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,9 +16,13 @@ import (
 	"repro/internal/schema"
 )
 
-// snapshotVersion guards against loading a snapshot written by an
-// incompatible build.
-const snapshotVersion = 1
+// snapshotVersion is the format WriteSnapshot writes: snapshotMagic, then
+// the Snapshot gob-encoded, neighbour graph included. Version 1 — the
+// Snapshot as indented JSON, without a graph — is still read.
+const (
+	snapshotVersion = 2
+	snapshotMagic   = "\x89skyaccess-snapshot\n"
+)
 
 // Snapshot is the on-disk service state: the access(a) registry first
 // (restore order matters — representatives are re-extracted under it), then
@@ -39,9 +45,46 @@ type Snapshot struct {
 	// Traffic is the traffic-mining subsystem's state (absent when traffic
 	// mining is off — classless snapshots are unchanged).
 	Traffic *TrafficSnapshot `json:"traffic,omitempty"`
+	// Graph is the distance substrate's eps-neighbour graph, its slots
+	// named by Mining's item indices (absent before the first DBSCAN epoch;
+	// never in a version-1 file).
+	Graph *core.GraphState `json:"-"`
 }
 
-// WriteSnapshot atomically persists the current state: marshal to a
+// encodeSnapshot renders a snapshot in the current format.
+func encodeSnapshot(snap *Snapshot) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString(snapshotMagic)
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeSnapshot parses a snapshot file: the current gob format behind
+// snapshotMagic, or version 1's JSON. Arbitrary bytes give an error or a
+// Snapshot; the graph section is only validated when it is installed.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	var snap Snapshot
+	if rest, ok := bytes.CutPrefix(data, []byte(snapshotMagic)); ok {
+		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&snap); err != nil {
+			return nil, err
+		}
+		if snap.Version != snapshotVersion {
+			return nil, fmt.Errorf("binary snapshot has version %d, want %d", snap.Version, snapshotVersion)
+		}
+		return &snap, nil
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	if snap.Version != 1 {
+		return nil, fmt.Errorf("JSON snapshot has version %d, want 1", snap.Version)
+	}
+	return &snap, nil
+}
+
+// WriteSnapshot atomically persists the current state: encode to a
 // temporary file in the target directory, fsync, rename, fsync the parent
 // directory (without that last step the rename itself could be lost in a
 // crash, resurrecting the previous snapshot against a compacted WAL). A
@@ -61,19 +104,24 @@ func (s *Server) WriteSnapshot(path string) error {
 		Mining:    s.inc.ExportState(),
 	}
 	snap.WALOffset = uint64(snap.Processed)
+	// epochMu keeps every miner on the shared substrate from reclustering
+	// while its graph and the drift state are read.
+	s.epochMu.Lock()
+	snap.Graph = s.inc.ExportGraph()
 	snap.Traffic = s.exportTraffic()
+	s.epochMu.Unlock()
 	s.snapMu.Unlock()
-	data, err := json.MarshalIndent(snap, "", "  ")
+	data, err := encodeSnapshot(snap)
 	if err != nil {
 		return err
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*.json")
+	tmp, err := os.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -90,6 +138,7 @@ func (s *Server) WriteSnapshot(path string) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
+	s.snapBytes.Set(float64(len(data)))
 	// The snapshot now durably covers everything below WALOffset: those
 	// segments are cold, so the WAL may drop parse failures and dedupe
 	// duplicates in them.
@@ -117,36 +166,36 @@ func syncDir(dir string) error {
 
 // restoreSnapshot loads state written by WriteSnapshot, returning the
 // decoded snapshot so NewServer can replay the WAL tail past its covered
-// offset before the anchoring epoch runs. A missing file is not an error —
-// the server simply starts empty (nil, nil).
-func (s *Server) restoreSnapshot(path string) (*Snapshot, error) {
+// offset and then install its graph before the anchoring epoch runs, with
+// the registry generation the restore left (the graph's lists are valid
+// against it). A missing file is not an error — the server simply starts
+// empty (nil, 0, nil).
+func (s *Server) restoreSnapshot(path string) (*Snapshot, uint64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("serve: corrupt snapshot %s: %w", path, err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("serve: snapshot %s has version %d, want %d", path, snap.Version, snapshotVersion)
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: snapshot %s: %w", path, err)
 	}
 	// Registry first: re-extraction of the representatives must see the
 	// exact access(a) state the areas were mined under.
 	s.miner.Stats().RestoreSnapshot(snap.Registry)
+	gen := s.statsGeneration()
 	// The global and class restores re-extract through the server's own
 	// pipeline, so a text shared by several miners is extracted once; the
 	// representatives must not count toward the memo's probation.
 	resume := s.pipe.Cache.SuspendProbation()
 	defer resume()
 	if err := s.inc.RestoreState(snap.Mining, s.pipe); err != nil {
-		return nil, fmt.Errorf("serve: snapshot %s: %w", path, err)
+		return nil, 0, fmt.Errorf("serve: snapshot %s: %w", path, err)
 	}
 	if err := s.restoreTraffic(snap.Traffic); err != nil {
-		return nil, fmt.Errorf("serve: snapshot %s: traffic: %w", path, err)
+		return nil, 0, fmt.Errorf("serve: snapshot %s: traffic: %w", path, err)
 	}
 	if snap.Pipeline != nil {
 		s.mu.Lock()
@@ -156,5 +205,18 @@ func (s *Server) restoreSnapshot(path string) (*Snapshot, error) {
 	}
 	s.accepted.Store(snap.Accepted)
 	s.epochs.Store(snap.Epochs)
-	return &snap, nil
+	return snap, gen, nil
+}
+
+// installGraph hands the snapshot's neighbour graph to the substrate, so
+// the anchoring epoch rescans only stale and new slots. A section that does
+// not fit the restored state is counted by reason and dropped: the epoch
+// then rebuilds the graph, as without one.
+func (s *Server) installGraph(gs *core.GraphState, since uint64) {
+	n, fallback := s.inc.InstallGraph(gs, since)
+	if fallback != "" {
+		s.graphFallbacks[fallback].Inc()
+		return
+	}
+	s.graphInstalled.Set(float64(n))
 }

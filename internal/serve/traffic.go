@@ -219,7 +219,7 @@ type TrafficClassCounts struct {
 }
 
 // exportTraffic builds the snapshot section. Caller holds snapMu (which
-// excludes the pump); drift state is read under epochMu.
+// excludes the pump) and epochMu (which guards the drift state).
 func (s *Server) exportTraffic() *TrafficSnapshot {
 	t := s.traffic
 	if t == nil {
@@ -241,10 +241,8 @@ func (s *Server) exportTraffic() *TrafficSnapshot {
 			Extracted: cc.extracted.Load(),
 		}
 	}
-	s.epochMu.Lock()
 	snap.Drift = t.drift.ExportState()
 	snap.DriftEpochs = t.driftEpochs
-	s.epochMu.Unlock()
 	return snap
 }
 
