@@ -292,7 +292,7 @@ func benchPivot(b *testing.B, pivots bool) {
 		if pivots {
 			ix := dbscan.NewPivotIndex(len(pts), dist, 8)
 			ix.Slack = dbscan.PivotSlackFactor * cfg.Eps
-			dbscan.ClusterGraph(len(pts), func(i int) []int { return ix.Region(i, cfg.Eps, len(pts)) }, cfg)
+			dbscan.ClusterGraph(len(pts), func(i int) []int { return ix.Region(i, cfg.Eps) }, cfg)
 		} else {
 			dbscan.Cluster(len(pts), dist, cfg)
 		}

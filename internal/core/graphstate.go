@@ -199,9 +199,13 @@ func (gs *GraphState) decode(items int) ([]int, [][]int32, error) {
 			fill[t]++
 		}
 	}
+	// Each list is capped at its own end, so an in-place merge into one
+	// never runs into the next; an empty list is nil, as a scan leaves it.
 	lists := make([][]int32, n)
 	for slot := range lists {
-		lists[slot] = flat[deg[slot]:deg[slot+1]:deg[slot+1]]
+		if deg[slot] < deg[slot+1] {
+			lists[slot] = flat[deg[slot]:deg[slot+1]:deg[slot+1]]
+		}
 	}
 	return itemOf, lists, nil
 }

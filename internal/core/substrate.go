@@ -102,6 +102,9 @@ type nbrGraph struct {
 type nbrGroup struct {
 	members []int
 	ix      *dbscan.PivotIndex
+	// dirty is the scan skip mask while an update runs: its dirty members
+	// by local index. Nil between updates.
+	dirty []bool
 	// builtN is the group size when ix was built; at double that the index
 	// is rebuilt to re-spread its pivots.
 	builtN int
@@ -140,16 +143,25 @@ func (s *Substrate) Evals() int64 { return s.evals.Load() }
 // already paid for.
 func (s *Substrate) Hits() int64 { return s.hits.Load() }
 
-// dist is the direct distance between two slots, oriented (min, max) like
-// every other evaluation so values never depend on which side asked.
+// dist is the direct distance between two slots, counted into evals.
 func (s *Substrate) dist(a, b int) float64 {
+	if a != b {
+		s.evals.Add(1)
+	}
+	return s.pair(a, b)
+}
+
+// pair is the distance between two slots, oriented (min, max) like every
+// other evaluation so values never depend on which side asked. It counts
+// nothing: the neighbour graph's scans and pivot tables report their own
+// evaluations.
+func (s *Substrate) pair(a, b int) float64 {
 	if a == b {
 		return 0
 	}
 	if a > b {
 		a, b = b, a
 	}
-	s.evals.Add(1)
 	return s.kern.Distance(a, b)
 }
 
@@ -228,6 +240,15 @@ func (s *Substrate) intern(key string, a *extract.AccessArea) int {
 // slot and returns the graph together with the update sequence it started
 // from: a list entry between two slots whose scanned mark is at most that
 // sequence was reused rather than evaluated.
+//
+// Each dirty slot gets one scan against its group, either pivot-pruned
+// (PivotIndex.AppendRegion) or brute force, skipping dirty members below it
+// so every unordered pair is evaluated once. Scans run on par.ForWorker and
+// append into their worker's arena, counting their evaluations into evals
+// once each. Each dirty slot's list is then allocated at its exact size and
+// filled from its scan plus the dirty slots below it that found it (a
+// slot-indexed reverse index); clean lists drop their dirty entries and
+// merge the found ones in place, growing only when their capacity runs out.
 func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,9 +282,10 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 		isDirty[slot] = true
 	}
 
-	// Admit the new slots to their groups, then bring each touched group's
-	// pivot index up to date: rows re-evaluated at stale members, extended
-	// over new ones, rebuilt once the group has doubled.
+	// Admit the new slots to their groups, mark every dirty member in its
+	// group's skip mask, then bring each touched group's pivot index up to
+	// date: entries re-evaluated at stale members, extended over new ones,
+	// rebuilt once the group has doubled.
 	touched := make(map[*nbrGroup][]int) // group → stale members' local indices
 	for slot := g.covered; slot < n; slot++ {
 		grp := g.group(s.groupKey(slot))
@@ -284,7 +306,9 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 	}
 	workers := par.Workers(s.m.cfg.Workers)
 	for grp, staleLocal := range touched {
+		grp.dirty = make([]bool, len(grp.members))
 		gdist := s.groupDist(grp)
+		var prior int64
 		switch {
 		case !s.m.usePivots(len(grp.members)):
 			grp.ix = nil
@@ -292,44 +316,39 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 			grp.ix = dbscan.NewPivotIndexParallel(len(grp.members), gdist, pivotCount, workers)
 			grp.builtN = len(grp.members)
 		default:
+			prior = grp.ix.TableEvals()
 			grp.ix.Refresh(staleLocal, gdist)
 			grp.ix.Extend(len(grp.members), gdist)
 		}
 		if grp.ix != nil {
 			grp.ix.Slack = dbscan.PivotSlackFactor * eps
+			s.evals.Add(grp.ix.TableEvals() - prior)
 		}
 	}
+	for _, slot := range dirty {
+		g.groups[s.groupKey(slot)].dirty[g.pos[slot]] = true
+	}
 
-	// One scan per dirty slot. A dirty candidate below the scanned slot is
-	// skipped: its own scan already evaluated the pair.
-	found := make([][]int32, len(dirty))
-	scan := func(k int) {
+	// One scan per dirty slot, appended to the arena of the worker that ran
+	// it; spans[k] locates scan k's group-local hits there.
+	arenas := make([][]int32, workers)
+	spans := make([]scanSpan, len(dirty))
+	par.ForWorker(len(dirty), workers, func(w, k int) {
 		q := dirty[k]
 		grp := g.groups[s.groupKey(q)]
-		qi := int(g.pos[q])
-		keep := func(j int) bool { return j > qi || !isDirty[grp.members[j]] }
-		var local []int
-		if grp.ix != nil {
-			local = grp.ix.RegionFiltered(qi, eps, len(grp.members), keep)
-		} else {
-			for j, slot := range grp.members {
-				if j == qi || (keep(j) && s.dist(q, slot) <= eps) {
-					local = append(local, j)
-				}
-			}
-		}
-		out := make([]int32, 0, len(local))
-		for _, j := range local {
-			if j != qi {
-				out = append(out, int32(grp.members[j]))
-			}
-		}
-		found[k] = out
+		lo := len(arenas[w])
+		var evals int
+		arenas[w], evals = s.scan(arenas[w], grp, int(g.pos[q]), eps)
+		s.evals.Add(int64(evals))
+		spans[k] = scanSpan{w: int32(w), lo: int32(lo), hi: int32(len(arenas[w]))}
+	})
+	found := func(k int) (local []int32, grp *nbrGroup, qi int32) {
+		q := dirty[k]
+		sp := spans[k]
+		return arenas[sp.w][sp.lo:sp.hi], g.groups[s.groupKey(q)], g.pos[q]
 	}
-	par.For(len(dirty), workers, scan)
 
-	// Drop dirty slots from clean lists, then merge every found pair into
-	// both endpoints' lists.
+	// Drop dirty slots from clean lists.
 	for _, d := range dirty {
 		if d >= g.covered {
 			continue
@@ -340,24 +359,89 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 			}
 		}
 	}
-	extra := make(map[int32][]int32) // slot → dirty neighbours found by others' scans (ascending)
-	for k, q := range dirty {
-		for _, t := range found[k] {
-			extra[t] = append(extra[t], int32(q))
+	// The reverse index: for every slot, the dirty slots whose scan found
+	// it, ascending because dirty is.
+	start := make([]int32, n+1)
+	for k := range dirty {
+		local, grp, qi := found(k)
+		for _, j := range local {
+			if j != qi {
+				start[grp.members[j]+1]++
+			}
 		}
 	}
+	for t := 0; t < n; t++ {
+		start[t+1] += start[t]
+	}
+	rev := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
 	for k, q := range dirty {
-		g.nbrs[q] = mergeAscending(found[k], extra[int32(q)])
-		delete(extra, int32(q))
+		local, grp, qi := found(k)
+		for _, j := range local {
+			if j != qi {
+				t := grp.members[j]
+				rev[fill[t]] = int32(q)
+				fill[t]++
+			}
+		}
+	}
+	extra := func(t int) []int32 { return rev[start[t]:start[t+1]] }
+
+	// Each dirty slot's list: its own scan's hits, then the dirty slots
+	// below it that found it merged in, at exact size.
+	for k, q := range dirty {
+		local, grp, qi := found(k)
+		var list []int32
+		if size := len(local) - 1 + len(extra(q)); size > 0 {
+			list = make([]int32, 0, size)
+			for _, j := range local {
+				if j != qi {
+					list = append(list, int32(grp.members[j]))
+				}
+			}
+		}
+		g.nbrs[q] = mergeInto(list, extra(q))
 		g.stale[q] = false
 		g.scanned[q] = before + 1
 	}
-	for c, add := range extra {
-		g.nbrs[c] = mergeAscending(g.nbrs[c], add)
+	for t := 0; t < n; t++ {
+		if !isDirty[t] {
+			g.nbrs[t] = mergeInto(g.nbrs[t], extra(t))
+		}
+	}
+	for grp := range touched {
+		grp.dirty = nil
 	}
 	g.covered = n
 	g.seq = before + 1
 	return g, before
+}
+
+// scanSpan locates one scan's hits in its worker's arena.
+type scanSpan struct{ w, lo, hi int32 }
+
+// scan appends to buf the group-local indices within eps of member qi (qi
+// itself included), skipping dirty members below it, and returns buf with
+// the number of distances evaluated: pivot-pruned when the group has an
+// index, otherwise against every candidate.
+func (s *Substrate) scan(buf []int32, grp *nbrGroup, qi int, eps float64) ([]int32, int) {
+	if grp.ix != nil {
+		return grp.ix.AppendRegion(buf, qi, eps, grp.dirty)
+	}
+	q, evals := grp.members[qi], 0
+	for j, slot := range grp.members {
+		switch {
+		case j == qi:
+			buf = append(buf, int32(j))
+		case j < qi && grp.dirty[j]:
+		default:
+			evals++
+			if s.pair(q, slot) <= eps {
+				buf = append(buf, int32(j))
+			}
+		}
+	}
+	return buf, evals
 }
 
 // pivotCount is the LAESA pivot count of every group index, and
@@ -395,10 +479,10 @@ func (s *Substrate) groupKey(slot int) string {
 	return ""
 }
 
-// groupDist is the distance in a group's local index space. It reads the
-// member list at call time, so it stays valid as the group grows.
+// groupDist is the uncounted distance in a group's local index space. It
+// reads the member list at call time, so it stays valid as the group grows.
 func (s *Substrate) groupDist(grp *nbrGroup) func(i, j int) float64 {
-	return func(i, j int) float64 { return s.dist(grp.members[i], grp.members[j]) }
+	return func(i, j int) float64 { return s.pair(grp.members[i], grp.members[j]) }
 }
 
 // dropDirty removes dirty slots from an ascending list, in place.
@@ -412,24 +496,30 @@ func dropDirty(list []int32, isDirty []bool) []int32 {
 	return out
 }
 
-// mergeAscending merges two ascending, disjoint slot lists into a new one.
-func mergeAscending(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
+// mergeInto merges the ascending slots of add, disjoint from list's, into
+// the ascending list. It works from the back inside list's own array when
+// the capacity allows, and otherwise moves list into a new array of exactly
+// the merged size; it never writes past cap(list), so lists with separate
+// arrays stay separate.
+func mergeInto(list, add []int32) []int32 {
+	if len(add) == 0 {
+		return list
 	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
+	i, size := len(list)-1, len(list)+len(add)
+	if cap(list) < size {
+		list = append(make([]int32, 0, size), list...)
+	}
+	list = list[:size]
+	for j, w := len(add)-1, size-1; j >= 0; w-- {
+		if i >= 0 && list[i] > add[j] {
+			list[w] = list[i]
+			i--
 		} else {
-			out = append(out, b[j])
-			j++
+			list[w] = add[j]
+			j--
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return list
 }
 
 // mapRegion is the DBSCAN region source for one partition of one miner:

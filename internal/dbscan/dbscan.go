@@ -7,6 +7,8 @@
 package dbscan
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
@@ -302,15 +304,21 @@ func SuggestEps(kdist []float64) float64 {
 // default-mix workload the overshoot stays under 2·d(q,x) pair for pair,
 // which is what a Slack of PivotSlackFactor·eps absorbs.
 //
-// An index can outlive one clustering run: the miners' substrate keeps one
-// per relation-set group across epochs, Extends it over
-// appended points, Refreshes the entries of points whose distances changed,
-// and scans only changed points with RegionFiltered to maintain its
-// eps-neighbour graph.
+// The table is one candidate-major slice: point i's distances to the K
+// pivots sit next to each other, so a scan reads one contiguous run per
+// candidate and an appended point appends K values. An index can outlive
+// one clustering run: the miners' substrate keeps one per relation-set
+// group across epochs, Extends it over appended points, Refreshes the
+// entries of points whose distances changed, and scans only changed points
+// with AppendRegion to maintain its eps-neighbour graph.
 type PivotIndex struct {
 	dist   func(i, j int) float64
 	pivots []int
-	table  [][]float64 // table[k][i] = d(pivots[k], i)
+	table  []float64 // table[i*len(pivots)+k] = d(pivots[k], i)
+	// tableEvals counts the distances the table has cost: the build and
+	// every Extend and Refresh. A pivot's distance to itself is taken as 0,
+	// not evaluated.
+	tableEvals int64
 
 	// Slack widens the pruning threshold to eps + Slack. Zero (the
 	// constructor default) gives classic LAESA pruning, exact for metrics.
@@ -324,8 +332,8 @@ func NewPivotIndex(n int, dist func(i, j int) float64, k int) *PivotIndex {
 	return NewPivotIndexParallel(n, dist, k, 1)
 }
 
-// NewPivotIndexParallel is NewPivotIndex with the per-pivot row computation
-// spread across workers; dist must then be safe for concurrent use.
+// NewPivotIndexParallel is NewPivotIndex with each pivot's distances spread
+// across workers; dist must then be safe for concurrent use.
 func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *PivotIndex {
 	sp := pivotBuildStage.Start()
 	defer sp.End()
@@ -337,25 +345,29 @@ func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *
 		k = 1
 	}
 	nc := chunks(n, par.Workers(workers))
-	idx := &PivotIndex{dist: dist}
+	idx := &PivotIndex{dist: dist, table: make([]float64, n*k)}
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = 1e308
 	}
 	next := 0
 	for len(idx.pivots) < k {
-		idx.pivots = append(idx.pivots, next)
-		row := make([]float64, n)
+		p, col := next, len(idx.pivots)
+		idx.pivots = append(idx.pivots, p)
+		idx.tableEvals += int64(max(n-1, 0))
 		par.For(nc, nc, func(c int) {
 			lo, hi := chunkBounds(n, nc, c)
 			for i := lo; i < hi; i++ {
-				row[i] = dist(next, i)
-				if row[i] < minDist[i] {
-					minDist[i] = row[i]
+				d := 0.0
+				if i != p {
+					d = dist(p, i)
+				}
+				idx.table[i*k+col] = d
+				if d < minDist[i] {
+					minDist[i] = d
 				}
 			}
 		})
-		idx.table = append(idx.table, row)
 		// Farthest point from all chosen pivots becomes the next pivot.
 		best, bestD := 0, -1.0
 		for i := 0; i < n; i++ {
@@ -367,6 +379,14 @@ func NewPivotIndexParallel(n int, dist func(i, j int) float64, k, workers int) *
 			break
 		}
 		next = best
+	}
+	if got := len(idx.pivots); got < k {
+		// Every point sits on a chosen pivot: drop the unfilled columns.
+		table := make([]float64, n*got)
+		for i := 0; i < n; i++ {
+			copy(table[i*got:(i+1)*got], idx.table[i*k:])
+		}
+		idx.table = table
 	}
 	return idx
 }
@@ -382,18 +402,23 @@ const parallelCutoff = 2048
 
 // N returns the number of points the index currently covers.
 func (ix *PivotIndex) N() int {
-	if len(ix.table) == 0 {
+	if len(ix.pivots) == 0 {
 		return 0
 	}
-	return len(ix.table[0])
+	return len(ix.table) / len(ix.pivots)
 }
 
-// Pivots returns the number of pivot rows.
+// Pivots returns the number of pivots.
 func (ix *PivotIndex) Pivots() int { return len(ix.pivots) }
 
-// Extend grows the index to cover points [N(), n): each pivot row gains the
-// distances to the new points only, so an epoch that appends k points to an
-// already-indexed set costs k·pivots evaluations instead of a full rebuild.
+// TableEvals returns the distance evaluations the table has cost since the
+// index was built: n−1 per pivot at the build, one per pivot per appended
+// point in Extend, and those Refresh re-evaluates. Scans report their own.
+func (ix *PivotIndex) TableEvals() int64 { return ix.tableEvals }
+
+// Extend grows the index to cover points [N(), n): each point appends its
+// K pivot distances, so an epoch that appends m points to an
+// already-indexed set costs m·K evaluations instead of a full rebuild.
 // The pivot SET stays fixed — pruning correctness never depends on pivot
 // choice, only its effectiveness does, so callers should rebuild once the
 // set has grown far past the size the pivots were chosen for (the
@@ -410,82 +435,91 @@ func (ix *PivotIndex) Extend(n int, dist func(i, j int) float64) {
 		return
 	}
 	pivotExtendsTotal.Inc()
-	for k, p := range ix.pivots {
-		row := ix.table[k]
-		for i := old; i < n; i++ {
-			row = append(row, dist(p, i))
+	ix.table = slices.Grow(ix.table, (n-old)*len(ix.pivots))
+	for i := old; i < n; i++ {
+		for _, p := range ix.pivots {
+			ix.table = append(ix.table, dist(p, i))
 		}
-		ix.table[k] = row
 	}
+	ix.tableEvals += int64((n - old) * len(ix.pivots))
 }
 
-// Refresh re-evaluates the table at points whose distances changed — the
-// incremental miner recompiles an area when access(a) moves under it and
-// keeps its index: every pivot row is recomputed at those points, and the
-// whole row of a pivot that is itself among them. The pivot set stays fixed
-// (pruning correctness never depends on it); dist replaces the stored
-// distance function as in Extend.
+// Refresh re-evaluates, in place, the table entries of points whose
+// distances changed — the incremental miner recompiles an area when
+// access(a) moves under it and keeps its index: every pivot's entry is
+// recomputed at those points, and every entry of a pivot that is itself
+// among them. The pivot set stays fixed (pruning correctness never depends
+// on it); dist replaces the stored distance function as in Extend.
 func (ix *PivotIndex) Refresh(points []int, dist func(i, j int) float64) {
 	ix.dist = dist
 	if len(points) == 0 {
 		return
 	}
-	changed := make(map[int]bool, len(points))
-	for _, i := range points {
-		changed[i] = true
-	}
-	for k, p := range ix.pivots {
-		row := ix.table[k]
-		if changed[p] {
-			for i := range row {
-				row[i] = dist(p, i)
+	k, n := len(ix.pivots), ix.N()
+	for col, p := range ix.pivots {
+		if slices.Contains(points, p) {
+			for i := 0; i < n; i++ {
+				if i != p {
+					ix.table[i*k+col] = dist(p, i)
+				}
 			}
+			ix.tableEvals += int64(n - 1)
 			continue
 		}
 		for _, i := range points {
-			row[i] = dist(p, i)
+			ix.table[i*k+col] = dist(p, i)
 		}
+		ix.tableEvals += int64(len(points))
 	}
 }
 
-// Region returns all points within eps of q (including q), using pivot
-// pruning to avoid most distance evaluations.
-func (ix *PivotIndex) Region(q int, eps float64, n int) []int {
-	return ix.RegionFiltered(q, eps, n, nil)
+// Region returns all points within eps of q (including q), in ascending
+// order, using pivot pruning to avoid most distance evaluations.
+func (ix *PivotIndex) Region(q int, eps float64) []int {
+	local, _ := ix.AppendRegion(nil, q, eps, nil)
+	out := make([]int, len(local))
+	for i, j := range local {
+		out[i] = int(j)
+	}
+	return out
 }
 
-// RegionFiltered is Region over the candidates keep admits (nil admits
-// all; q itself is always returned). The incremental miner's neighbour graph scans each
-// changed point only against the candidates whose pair with it no earlier
-// scan of the same update evaluated, so every pair costs one evaluation.
-func (ix *PivotIndex) RegionFiltered(q int, eps float64, n int, keep func(j int) bool) []int {
+// AppendRegion appends to out, in ascending order, every point within eps
+// of q (q itself included) and returns the extended slice together with
+// the number of distances it evaluated. A candidate j below q is skipped
+// when skip[j] is set (nil skips none): the incremental miner's neighbour
+// graph marks its changed points, each of which scans the others above it,
+// so every pair costs one evaluation. Candidates the pivots rule out cost
+// none.
+func (ix *PivotIndex) AppendRegion(out []int32, q int, eps float64, skip []bool) ([]int32, int) {
 	sp := pivotRegionStage.Start()
 	defer sp.End()
 	pivotRegionsTotal.Inc()
-	var out []int
+	k := len(ix.pivots)
+	bound := eps + ix.Slack
+	qrow := ix.table[q*k : q*k+k]
+	evals := 0
 candidates:
-	for j := 0; j < n; j++ {
+	for j, n := 0, ix.N(); j < n; j++ {
 		if j == q {
-			out = append(out, j)
+			out = append(out, int32(q))
 			continue
 		}
-		if keep != nil && !keep(j) {
+		if j < q && skip != nil && skip[j] {
 			continue
 		}
-		for k := range ix.pivots {
-			diff := ix.table[k][q] - ix.table[k][j]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > eps+ix.Slack {
+		row := ix.table[j*k : j*k+k]
+		for c, dq := range qrow {
+			if math.Abs(dq-row[c]) > bound {
 				continue candidates
 			}
 		}
+		evals++
 		if ix.dist(q, j) <= eps {
-			out = append(out, j)
+			out = append(out, int32(j))
 		}
 	}
-	return out
+	return out, evals
 }
 
 // PivotSlackFactor is the near-metric safety margin, in units of eps, that

@@ -314,7 +314,7 @@ func TestSuggestEpsFlatCurve(t *testing.T) {
 func pivotCluster(n int, dist func(i, j int) float64, cfg Config, pivots, workers int) *Result {
 	ix := NewPivotIndexParallel(n, dist, pivots, workers)
 	ix.Slack = PivotSlackFactor * cfg.Eps
-	return ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps, n) }, cfg)
+	return ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps) }, cfg)
 }
 
 // TestClusterWithPivotsNearMetricSlack pins the slack margin down with a
@@ -335,7 +335,7 @@ func TestClusterWithPivotsNearMetricSlack(t *testing.T) {
 	// The slackless index really does misprune: point 2 is within eps of 1
 	// but the pivot-0 gap |5.0 − 7.0| exceeds eps.
 	ix := NewPivotIndex(len(mat), dist, 2)
-	for _, j := range ix.Region(1, cfg.Eps, len(mat)) {
+	for _, j := range ix.Region(1, cfg.Eps) {
 		if j == 2 {
 			t.Fatal("fixture no longer triggers a false prune; rebuild it")
 		}
@@ -380,7 +380,7 @@ func TestPivotRegionEqualsScan(t *testing.T) {
 	}
 	ix := NewPivotIndex(len(pts), euclid1D(pts), 4)
 	for q := 0; q < 50; q++ {
-		got := ix.Region(q, 0.3, len(pts))
+		got := ix.Region(q, 0.3)
 		var want []int
 		for j := range pts {
 			if j == q || math.Abs(pts[q]-pts[j]) <= 0.3 {
@@ -426,8 +426,8 @@ func TestPivotRegionParallelMatchesSerial(t *testing.T) {
 	serialIx := NewPivotIndex(len(pts), euclid1D(pts), 5)
 	parallelIx := NewPivotIndexParallel(len(pts), euclid1D(pts), 5, 8)
 	for q := 0; q < 40; q++ {
-		want := serialIx.Region(q, 0.25, len(pts))
-		got := parallelIx.Region(q, 0.25, len(pts))
+		want := serialIx.Region(q, 0.25)
+		got := parallelIx.Region(q, 0.25)
 		if len(got) != len(want) {
 			t.Fatalf("q=%d: region sizes %d vs %d", q, len(got), len(want))
 		}

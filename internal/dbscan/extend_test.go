@@ -1,7 +1,9 @@
 package dbscan
 
 import (
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -24,8 +26,8 @@ func TestPivotIndexExtendMatchesRebuild(t *testing.T) {
 	fresh := NewPivotIndex(300, dist, 4)
 	const eps = 0.15
 	for q := 0; q < 300; q += 7 {
-		a := ix.Region(q, eps, 300)
-		b := fresh.Region(q, eps, 300)
+		a := ix.Region(q, eps)
+		b := fresh.Region(q, eps)
 		// Pivot sets differ (farthest-point from different prefixes), but
 		// both prunings are exact for a metric, so the results must agree.
 		if len(a) != len(b) {
@@ -56,8 +58,9 @@ func TestPivotIndexExtendEvaluatesNewPointsOnly(t *testing.T) {
 
 	calls = 0
 	ix.Extend(120, counted)
-	if want := 3 * 20; calls != want {
-		t.Errorf("Extend evaluated %d distances, want %d (pivots × new points)", calls, want)
+	if want := 3 * 20; calls != want || ix.TableEvals() != int64(buildCalls+want) {
+		t.Errorf("Extend evaluated %d distances (table total %d), want %d (pivots × new points)",
+			calls, ix.TableEvals(), want)
 	}
 	if buildCalls == 0 {
 		t.Error("index build evaluated nothing")
@@ -94,7 +97,7 @@ func TestClusterWithExtendedIndexMatchesBrute(t *testing.T) {
 	ix := NewPivotIndex(2*n/3, dist, 4)
 	ix.Extend(n, dist)
 	ix.Slack = PivotSlackFactor * cfg.Eps
-	inc := ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps, n) }, cfg)
+	inc := ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps) }, cfg)
 
 	if brute.NumClusters != inc.NumClusters {
 		t.Fatalf("clusters: brute %d vs extended-index %d", brute.NumClusters, inc.NumClusters)
@@ -102,6 +105,49 @@ func TestClusterWithExtendedIndexMatchesBrute(t *testing.T) {
 	for i := range brute.Labels {
 		if brute.Labels[i] != inc.Labels[i] {
 			t.Fatalf("label %d: brute %d vs extended-index %d", i, brute.Labels[i], inc.Labels[i])
+		}
+	}
+}
+
+// Every entry of the candidate-major table must hold d(pivot_k, i) bit for
+// bit after a parallel build, an Extend and a Refresh that moves pivot 0
+// (its whole column is re-evaluated), and TableEvals must count exactly the
+// distances those steps evaluated.
+func TestPivotTableEntriesExact(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := rand.New(rand.NewSource(21))
+		const built, n = 2600, 3000
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = r.Float64()*40, r.Float64()*40
+		}
+		dist := func(i, j int) float64 { return math.Hypot(xs[i]-xs[j], ys[i]-ys[j]) }
+		var calls atomic.Int64
+		counted := func(i, j int) float64 { calls.Add(1); return dist(i, j) }
+
+		ix := NewPivotIndexParallel(built, counted, 6, workers)
+		ix.Extend(n, counted)
+		moved := []int{0, 9, 1234, 2799}
+		for _, i := range moved {
+			xs[i], ys[i] = r.Float64()*40, r.Float64()*40
+		}
+		ix.Refresh(moved, counted)
+
+		if ix.N() != n || ix.Pivots() != 6 || len(ix.table) != n*6 {
+			t.Fatalf("workers %d: N %d, %d pivots, table of %d", workers, ix.N(), ix.Pivots(), len(ix.table))
+		}
+		if ix.pivots[0] != 0 {
+			t.Fatalf("workers %d: first pivot %d, want 0", workers, ix.pivots[0])
+		}
+		for i := 0; i < n; i++ {
+			for k, p := range ix.pivots {
+				if got, want := ix.table[i*6+k], dist(p, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("workers %d: entry (point %d, pivot %d) = %v, want %v", workers, i, p, got, want)
+				}
+			}
+		}
+		if got := calls.Load(); ix.TableEvals() != got {
+			t.Fatalf("workers %d: TableEvals %d, distances evaluated %d", workers, ix.TableEvals(), got)
 		}
 	}
 }

@@ -106,8 +106,9 @@ func TestClusterGraphEmpty(t *testing.T) {
 }
 
 // Refresh after a point moves must leave the index pruning exactly as a
-// fresh build over the moved points would, and RegionFiltered must honour
-// its candidate filter.
+// fresh build over the moved points would, and AppendRegion must honour its
+// skip mask below q, append after the caller's prefix and count one
+// evaluation per candidate the pivots could not rule out.
 func TestPivotIndexRefreshAndFilter(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	n := 300
@@ -125,20 +126,33 @@ func TestPivotIndexRefreshAndFilter(t *testing.T) {
 	ix.Refresh(moved, dist)
 	const eps = 0.7
 	lists := neighbourLists(n, dist, eps)
+	even := make([]bool, n)
+	for j := range even {
+		even[j] = j%2 == 0
+	}
+	prefix := []int32{-7}
 	for q := 0; q < n; q++ {
 		want := lists[q]
-		if got := ix.Region(q, eps, n); !reflect.DeepEqual(got, want) {
+		if got := ix.Region(q, eps); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after Refresh, Region(%d) = %v, want %v", q, got, want)
 		}
-		odd := func(j int) bool { return j%2 == 1 }
-		var wantOdd []int
+		wantSkip := []int32{-7}
 		for _, j := range want {
-			if j == q || odd(j) {
-				wantOdd = append(wantOdd, j)
+			if j >= q || !even[j] {
+				wantSkip = append(wantSkip, int32(j))
 			}
 		}
-		if got := ix.RegionFiltered(q, eps, n, odd); !reflect.DeepEqual(got, wantOdd) {
-			t.Fatalf("RegionFiltered(%d) = %v, want %v", q, got, wantOdd)
+		// Extending to the size already covered only swaps in the
+		// counting distance.
+		calls := 0
+		counted := func(i, j int) float64 { calls++; return dist(i, j) }
+		ix.Extend(n, counted)
+		got, evals := ix.AppendRegion(append([]int32(nil), prefix...), q, eps, even)
+		if !reflect.DeepEqual(got, wantSkip) {
+			t.Fatalf("AppendRegion(%d) = %v, want %v", q, got, wantSkip)
+		}
+		if evals != calls || evals > n-1 {
+			t.Fatalf("AppendRegion(%d) reported %d evaluations, made %d", q, evals, calls)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestPivotLabelsIdenticalOnTable1Workload(t *testing.T) {
 	brute := dbscan.Cluster(n, dist, cfg)
 	ix := dbscan.NewPivotIndex(n, dist, 8)
 	ix.Slack = dbscan.PivotSlackFactor * cfg.Eps
-	pivoted := dbscan.ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps, n) }, cfg)
+	pivoted := dbscan.ClusterGraph(n, func(i int) []int { return ix.Region(i, cfg.Eps) }, cfg)
 	if brute.NumClusters != pivoted.NumClusters {
 		t.Fatalf("cluster counts: brute %d vs pivoted %d", brute.NumClusters, pivoted.NumClusters)
 	}

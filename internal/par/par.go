@@ -26,12 +26,19 @@ func Workers(w int) int {
 // calling goroutine. fn must be safe for concurrent use across distinct
 // indices.
 func For(n, workers int, fn func(i int)) {
+	ForWorker(n, workers, func(_, i int) { fn(i) })
+}
+
+// ForWorker is For that also tells fn which worker runs the call, a number
+// in [0, workers): calls with the same worker number never overlap, so each
+// worker can reuse its own scratch buffer.
+func ForWorker(n, workers int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -42,7 +49,7 @@ func For(n, workers int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -17,6 +17,15 @@ var (
 	queryServeStage  = obs.NewStage("serve_query")
 	remineStage      = obs.NewStage("serve_remine")
 
+	// NewServer's recovery, one span per step: the snapshot restore
+	// (decode, registry, representatives, traffic state), the WAL open and
+	// tail replay, the neighbour-graph install and the anchoring epoch. A
+	// step that does not run records nothing.
+	recoverRestoreStage = obs.NewStage("serve_recover_restore")
+	recoverReplayStage  = obs.NewStage("serve_recover_replay")
+	recoverInstallStage = obs.NewStage("serve_recover_install")
+	recoverEpochStage   = obs.NewStage("serve_recover_epoch")
+
 	handlerPanics = obs.NewCounter("skyaccess_serve_handler_panics_total",
 		"HTTP handler panics Guard recovered and answered 500")
 )

@@ -281,7 +281,9 @@ func NewServer(cfg Config) (*Server, error) {
 	var graph *core.GraphState
 	var restoredGen, walOffset uint64
 	if cfg.SnapshotPath != "" {
+		sp := recoverRestoreStage.Start()
 		snap, gen, err := s.restoreSnapshot(cfg.SnapshotPath)
+		sp.End()
 		if err != nil {
 			cancel()
 			return nil, err
@@ -293,6 +295,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.WALDir != "" {
+		sp := recoverReplayStage.Start()
 		w, err := wal.Open(cfg.WALDir, wal.Options{
 			SegmentBytes:  cfg.WALSegmentBytes,
 			SegmentWindow: cfg.WALSegmentWindow,
@@ -305,7 +308,9 @@ func NewServer(cfg Config) (*Server, error) {
 		// Replay the durable tail the snapshot does not cover, then align
 		// the ingest counters with the log: every appended record was
 		// accepted, and replay pushed processed up to the log's end.
-		if err := s.replayWAL(walOffset); err != nil {
+		err = s.replayWAL(walOffset)
+		sp.End()
+		if err != nil {
 			w.Close()
 			cancel()
 			return nil, fmt.Errorf("serve: WAL replay: %w", err)
@@ -319,14 +324,18 @@ func NewServer(cfg Config) (*Server, error) {
 	// stay live through the whole replay and every GC cycle marks them
 	// (the ingest_dup replay took 1.75× as long that way; DESIGN §10).
 	if graph != nil {
+		sp := recoverInstallStage.Start()
 		s.installGraph(graph, restoredGen)
+		sp.End()
 	}
 	// One anchoring epoch over everything restored and replayed, so /report
 	// is immediately consistent with the recovered state. Drift turns on
 	// only afterwards: the anchoring epoch reproduces the recovered
 	// clustering and must not be diffed against the restored prev snapshot.
 	if s.inc.Distinct() > 0 {
+		sp := recoverEpochStage.Start()
 		s.runEpoch(true)
+		sp.End()
 	}
 	if s.traffic != nil {
 		s.traffic.driftOn = true

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/qlog"
 	"repro/internal/report"
 	"repro/internal/traffic"
@@ -211,6 +212,31 @@ func TestRestartReusesGraph(t *testing.T) {
 	t.Logf("anchoring epoch: %d evals with %v slots installed, %d rebuilding", evals, installed, rebuildEvals)
 	if evals >= rebuildEvals {
 		t.Errorf("anchoring epoch with the graph: %d evals, rebuilding: %d", evals, rebuildEvals)
+	}
+}
+
+// One restart from a snapshot, a WAL tail and a graph records exactly one
+// span in each of recovery's four stages.
+func TestRecoveryStages(t *testing.T) {
+	rc := crashAfterSnapshot(t)
+	stages := map[string]*obs.Stage{
+		"restore": recoverRestoreStage,
+		"replay":  recoverReplayStage,
+		"install": recoverInstallStage,
+		"epoch":   recoverEpochStage,
+	}
+	before := map[string]int64{}
+	for name, st := range stages {
+		before[name] = st.Count()
+	}
+	s, _ := rc.recover(t, nil)
+	if installed, _ := graphMetrics(s); installed == 0 {
+		t.Fatal("restore installed no graph slots")
+	}
+	for name, st := range stages {
+		if got := st.Count() - before[name]; got != 1 {
+			t.Errorf("stage %s recorded %d spans in one restart, want 1", name, got)
+		}
 	}
 }
 
