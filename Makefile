@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test vet lint racecheck fuzz fuzz-regression repro-check \
 	serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke \
-	perfbench-test ci clean
+	examples-smoke perfbench-test ci clean
 
 build:
 	$(GO) build ./...
@@ -149,6 +149,16 @@ repro-check:
 	GOMAXPROCS=1 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
 	GOMAXPROCS=2 $(GO) test -count=1 -run TestReproGolden ./internal/experiments/
 
+# examples-smoke runs every program under examples/ with go run: each must
+# exit 0 and print something. Nothing else builds and runs them, and they
+# use the library's public surface as a reader would.
+examples-smoke:
+	@for d in examples/*/; do \
+		out="$$($(GO) run ./$$d)" || { echo "examples-smoke: $$d failed"; exit 1; }; \
+		if [ -z "$$out" ]; then echo "examples-smoke: $$d printed nothing"; exit 1; fi; \
+		echo "examples-smoke: $$d ok"; \
+	done
+
 # perfbench-test vets and tests the benchmark harness. perfbench/ is its own
 # Go module (its go.mod points repro at ..), so the root ./... patterns never
 # reach it; this keeps a change to the miner from breaking the benchmark's
@@ -159,9 +169,10 @@ perfbench-test:
 # ci mirrors .github/workflows/ci.yml locally: build, lint (gofmt + vet +
 # staticcheck when present), unit tests, the benchmark module's vet and
 # tests, race detector, fuzz seed-corpus regression, the
-# paper-reproduction golden, and the end-to-end smokes. Performance is
-# measured end to end by perfbench (bash perfbench/run.sh), not here.
-ci: build lint test perfbench-test racecheck fuzz-regression repro-check serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke
+# paper-reproduction golden, the end-to-end smokes and the examples.
+# Performance is measured end to end by perfbench (bash perfbench/run.sh),
+# not here.
+ci: build lint test perfbench-test racecheck fuzz-regression repro-check serve-smoke semcache-smoke shard-smoke wal-smoke traffic-smoke examples-smoke
 	@echo "ci: all gates green"
 
 clean:

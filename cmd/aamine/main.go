@@ -25,6 +25,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/skyserver"
 	"repro/internal/sqlparser"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -136,17 +137,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // printAnalysis reports the log-understanding extensions: sessions, bots,
-// query intent, and the SDSS-Log-Viewer-style classifications.
+// query intent, and the SDSS-Log-Viewer-style classifications. Bots are the
+// verdicts of the traffic classifier skyserved -traffic runs, fed the log in
+// file order.
 func printAnalysis(w io.Writer, recs []qlog.Record) {
 	sessions := qlog.Sessionize(recs, 1800)
-	profiles := qlog.ProfileUsers(recs, 1800)
+	users := make(map[string]struct{})
+	clf := traffic.NewClassifier(traffic.Config{})
+	for _, r := range recs {
+		users[r.User] = struct{}{}
+		fp, _ := sqlparser.FingerprintOnly(r.SQL)
+		clf.Observe(r.User, r.Time, fp, r.SQL)
+	}
 	bots := 0
-	for _, p := range profiles {
-		if p.Bot() {
+	for _, cls := range clf.UserClasses() {
+		if cls == traffic.Bot {
 			bots++
 		}
 	}
-	fmt.Fprintf(w, "analysis: %d users, %d sessions, %d bot-like users\n", len(profiles), len(sessions), bots)
+	fmt.Fprintf(w, "analysis: %d users, %d sessions, %d bot-like users\n", len(users), len(sessions), bots)
 
 	ex := extract.New(skyserver.Schema())
 	intents := map[qlog.Intent]int{}

@@ -8,8 +8,14 @@
 // Usage:
 //
 //	skyserved [-addr :8080] [-eps 0.06] [-minpts 8] [-snapshot state.json]
-//	          [-wal-dir wal] [-debug-addr :6060] [-shards N] [-traffic]
-//	          [-role coordinator|shard -peers ...]
+//	          [-wal-dir wal [-wal-segment-bytes N] [-wal-window N]]
+//	          [-traffic [-traffic-overrides user=class,...]]
+//	          [-debug-addr :6060] [-shards N] [-role coordinator|shard -peers ...]
+//
+// -wal-segment-bytes and -wal-window need -wal-dir, and -traffic-overrides
+// needs -traffic: skyserved exits 1 rather than ignore them. The report row
+// cap is per request (/report?top=N), and GOMAXPROCS sets the extraction
+// and clustering parallelism.
 //
 // Endpoints (shared by every topology — one handler set in internal/serve):
 //
@@ -153,25 +159,36 @@ func validateTopology(shards int, role, peers string, autoEps bool) error {
 	return nil
 }
 
+// validateSubsystems refuses flags that configure a subsystem left off:
+// they would be accepted and never read.
+func validateSubsystems(trafficOn bool, trafficOverrides, walDir string, walSegBytes, walWindow int64) error {
+	switch {
+	case trafficOverrides != "" && !trafficOn:
+		return errors.New("-traffic-overrides is read only with -traffic")
+	case walSegBytes != 0 && walDir == "":
+		return errors.New("-wal-segment-bytes is read only with -wal-dir")
+	case walWindow != 0 && walDir == "":
+		return errors.New("-wal-window is read only with -wal-dir")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	eps := flag.Float64("eps", 0.06, "DBSCAN eps")
 	autoEps := flag.Bool("autoeps", false, "derive eps from the k-distance knee each epoch")
 	minPts := flag.Int("minpts", 8, "DBSCAN minPts (weighted by query multiplicity)")
 	mode := flag.String("mode", "endpoint", "d_pred mode: endpoint or literal")
-	workers := flag.Int("workers", 0, "extraction/clustering parallelism (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 42, "sampling seed")
 	rows := flag.Int("rows", 2000, "synthetic database rows per table (access(a) seeding + coverage)")
 	queue := flag.Int("queue", 4096, "ingest queue capacity (full queue answers 429)")
 	batch := flag.Int("batch", 256, "max records per pipeline batch")
 	epochAreas := flag.Int("epoch-areas", 512, "new distinct areas that trigger a re-clustering epoch")
 	epochInterval := flag.Duration("epoch-interval", 15*time.Second, "re-cluster on this timer when new areas are pending (0 = off)")
-	maxLag := flag.Int("max-lag", 0, "admission bound: 429 while this many new areas await mining (0 = off)")
 	snapshot := flag.String("snapshot", "", "snapshot path (restored on start, written on shutdown; empty = none); the file is binary, and a JSON snapshot of an earlier build is still read")
 	walDir := flag.String("wal-dir", "", "durable ingest WAL directory: /ingest acks only after group-commit fsync, restart replays the tail past the snapshot, POST /remine mines historical windows (empty = off; in-process shards get wal-dir/shard-N each)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = 8 MiB default)")
 	walWindow := flag.Int64("wal-window", 0, "also rotate WAL segments every N logical seconds of record time, for finer /remine segment skipping (0 = size-only)")
-	top := flag.Int("top", 0, "default cluster cap for /report (0 = all)")
 	queryVerify := flag.Bool("query-verify", false, "check every cache-served /query result against direct execution (oracle; slow)")
 	cacheBudget := flag.Int64("cache-budget", 0, "semantic-cache resident-bytes budget: regions admitted best-heat-first, coldest evicted under pressure (0 = unlimited)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
@@ -186,6 +203,9 @@ func main() {
 	dmode, err := distance.ParseMode(*mode)
 	if err == nil {
 		err = validateTopology(*shards, *role, *peers, *autoEps)
+	}
+	if err == nil {
+		err = validateSubsystems(*trafficOn, *trafficOverrides, *walDir, *walSegBytes, *walWindow)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skyserved: %v\n", err)
@@ -212,7 +232,7 @@ func main() {
 		return core.Config{
 			Schema: skyserver.Schema(), Stats: stats,
 			Eps: *eps, MinPts: *minPts, AutoEps: *autoEps,
-			Mode: dmode, Seed: *seed, Workers: *workers,
+			Mode: dmode, Seed: *seed,
 		}
 	}
 
@@ -248,7 +268,6 @@ func main() {
 					BatchSize:        *batch,
 					EpochAreas:       *epochAreas,
 					EpochInterval:    *epochInterval,
-					MaxMiningLag:     *maxLag,
 					Templates:        tcache,
 					SnapshotPath:     shardSnapshotPath(*snapshot, i),
 					WALDir:           shardWALDir(*walDir, i),
@@ -274,7 +293,6 @@ func main() {
 			BatchSize:       *batch,
 			Eps:             *eps,
 			Coverage:        db,
-			ReportTop:       *top,
 			Traffic:         *trafficOn,
 			RouterStatePath: statePath,
 		})
@@ -297,12 +315,10 @@ func main() {
 			BatchSize:        *batch,
 			EpochAreas:       *epochAreas,
 			EpochInterval:    *epochInterval,
-			MaxMiningLag:     *maxLag,
 			SnapshotPath:     *snapshot,
 			WALDir:           *walDir,
 			WALSegmentBytes:  *walSegBytes,
 			WALSegmentWindow: *walWindow,
-			ReportTop:        *top,
 			QueryDB:          db,
 			QueryVerify:      *queryVerify,
 			CacheBudget:      *cacheBudget,

@@ -39,6 +39,37 @@ func TestValidateTopology(t *testing.T) {
 	}
 }
 
+// Flags that configure a subsystem are refused when that subsystem is off,
+// rather than accepted and never read.
+func TestValidateSubsystems(t *testing.T) {
+	cases := []struct {
+		name        string
+		trafficOn   bool
+		overrides   string
+		walDir      string
+		walSegBytes int64
+		walWindow   int64
+		ok          bool
+	}{
+		{name: "defaults", ok: true},
+		{name: "traffic", trafficOn: true, ok: true},
+		{name: "traffic with overrides", trafficOn: true, overrides: "sdssbot=bot", ok: true},
+		{name: "overrides without traffic", overrides: "sdssbot=bot"},
+		{name: "wal", walDir: "wal", ok: true},
+		{name: "wal with segment bytes and window", walDir: "wal", walSegBytes: 1 << 20, walWindow: 100, ok: true},
+		{name: "segment bytes without wal", walSegBytes: 1 << 20},
+		{name: "window without wal", walWindow: 100},
+		{name: "overrides and window, both subsystems off", overrides: "x=bot", walWindow: 100},
+	}
+	for _, c := range cases {
+		err := validateSubsystems(c.trafficOn, c.overrides, c.walDir, c.walSegBytes, c.walWindow)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: validateSubsystems(%v, %q, %q, %d, %d) = %v, want ok=%v",
+				c.name, c.trafficOn, c.overrides, c.walDir, c.walSegBytes, c.walWindow, err, c.ok)
+		}
+	}
+}
+
 // -mode accepts exactly endpoint and literal; anything else is refused
 // rather than silently mining in endpoint mode.
 func TestParseMode(t *testing.T) {

@@ -1,5 +1,6 @@
 // Loganalysis: the log-understanding extensions around the core pipeline —
-// per-user sessions and bot detection (Singh et al. [23], Section 3.2),
+// per-user sessions and bot detection (Singh et al. [23], Section 3.2, by
+// the traffic classifier the server runs),
 // sky-area and scan/search/retrieve classification (SDSS Log Viewer [26]),
 // the exploratory-vs-final query heuristic and the cluster density-contrast
 // statistic the paper's Section 6.3 lists as future work.
@@ -7,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	skyaccess "repro"
 	"repro/internal/aggregate"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/skyserver"
 	"repro/internal/sqlparser"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -24,32 +27,50 @@ func main() {
 		recs[i] = qlog.Record{Seq: e.Seq, Time: e.Time, User: e.User, SQL: e.SQL}
 	}
 
-	// 1. Sessions and bots.
+	// 1. Sessions, and bots: the traffic classifier sees the log in order,
+	// one statement fingerprint at a time, as the server's admission does.
+	type userStat struct {
+		user              string
+		queries, sessions int
+	}
+	byUser := map[string]*userStat{}
 	sessions := qlog.Sessionize(recs, 1800)
-	profiles := qlog.ProfileUsers(recs, 1800)
+	for _, s := range sessions {
+		u, ok := byUser[s.User]
+		if !ok {
+			u = &userStat{user: s.User}
+			byUser[s.User] = u
+		}
+		u.queries += len(s.Records)
+		u.sessions++
+	}
+	clf := traffic.NewClassifier(traffic.Config{})
+	for _, r := range recs {
+		fp, _ := sqlparser.FingerprintOnly(r.SQL)
+		clf.Observe(r.User, r.Time, fp, r.SQL)
+	}
+	classes := clf.UserClasses()
+	users := make([]*userStat, 0, len(byUser))
+	countries := map[string]struct{}{}
 	bots := 0
-	for _, p := range profiles {
-		if p.Bot() {
+	for _, u := range byUser {
+		users = append(users, u)
+		countries[skyserver.CountryOf(u.user)] = struct{}{}
+		if classes[u.user] == traffic.Bot {
 			bots++
 		}
 	}
-	countries := map[string]struct{}{}
-	for _, p := range profiles {
-		countries[skyserver.CountryOf(p.User)] = struct{}{}
-	}
+	sort.Slice(users, func(i, j int) bool {
+		if users[i].queries != users[j].queries {
+			return users[i].queries > users[j].queries
+		}
+		return users[i].user < users[j].user
+	})
 	fmt.Printf("%d queries, %d users from %d countries, %d sessions, %d bot-like users\n",
-		len(recs), len(profiles), len(countries), len(sessions), bots)
+		len(recs), len(users), len(countries), len(sessions), bots)
 	fmt.Println("top users:")
-	for i, p := range profiles {
-		if i >= 5 {
-			break
-		}
-		tag := "mortal"
-		if p.Bot() {
-			tag = "BOT"
-		}
-		fmt.Printf("  %-10s %5d queries %4d sessions %5d templates  peak %d/min  [%s]\n",
-			p.User, p.Queries, p.Sessions, p.Skeletons, p.PeakPerMinute, tag)
+	for _, u := range users[:min(5, len(users))] {
+		fmt.Printf("  %-10s %5d queries %4d sessions  [%s]\n", u.user, u.queries, u.sessions, classes[u.user])
 	}
 
 	// 2. Intent (test vs final) and area classification.

@@ -81,9 +81,6 @@ type Options struct {
 	// SigmaRule is the k of the k-standard-deviation outlier rule applied
 	// to range bounds; the paper uses 3. <= 0 disables trimming.
 	SigmaRule float64
-	// MinColumnSupport is the fraction of members that must constrain a
-	// column for it to appear in the aggregated box (default 0.5).
-	MinColumnSupport float64
 }
 
 func (o Options) sigma() float64 {
@@ -93,12 +90,9 @@ func (o Options) sigma() float64 {
 	return o.SigmaRule
 }
 
-func (o Options) support() float64 {
-	if o.MinColumnSupport == 0 {
-		return 0.5
-	}
-	return o.MinColumnSupport
-}
+// minColumnSupport is the fraction of members that must constrain a column
+// for it to appear in the aggregated box.
+const minColumnSupport = 0.5
 
 // Summary is one aggregated access area (a row of Table 1).
 type Summary struct {
@@ -293,7 +287,7 @@ func numericBox(items []*Item, totalWeight int, opts Options) *interval.Box {
 		}
 	}
 	box := interval.NewBox()
-	minSupport := int(math.Ceil(opts.support() * float64(totalWeight)))
+	minSupport := int(math.Ceil(minColumnSupport * float64(totalWeight)))
 	for col, bs := range byCol {
 		if bs.support < minSupport {
 			continue
@@ -400,7 +394,7 @@ func categoricalValues(items []*Item, totalWeight int, opts Options) map[string]
 		}
 	}
 	out := make(map[string][]string)
-	minSupport := int(math.Ceil(opts.support() * float64(totalWeight)))
+	minSupport := int(math.Ceil(minColumnSupport * float64(totalWeight)))
 	for col, cv := range byCol {
 		if cv.support < minSupport {
 			continue
@@ -437,7 +431,7 @@ func joinPreds(items []*Item, totalWeight int, opts Options) []string {
 			}
 		}
 	}
-	minSupport := int(math.Ceil(opts.support() * float64(totalWeight)))
+	minSupport := int(math.Ceil(minColumnSupport * float64(totalWeight)))
 	var out []string
 	for key, w := range support {
 		if w >= minSupport {

@@ -44,8 +44,6 @@ type Config struct {
 	// agree on cluster structure; OPTICS additionally yields a
 	// reachability ordering and is single-threaded here.
 	Algorithm Algorithm
-	// PredCap is the Section 6.6 CNF cap (0 = default 35).
-	PredCap int
 	// SampleSize caps the number of distinct access areas clustered; the
 	// paper similarly clustered a 5.6M-query sample of the 12.4M log
 	// because of DBSCAN's cost. 0 means no cap.
@@ -54,10 +52,9 @@ type Config struct {
 	Seed int64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// SigmaRule and MinColumnSupport configure aggregation (Section 6.2);
-	// zero values mean 3 and 0.5.
-	SigmaRule        float64
-	MinColumnSupport float64
+	// SigmaRule is the k of aggregation's k-standard-deviation outlier rule
+	// (Section 6.2); zero means 3.
+	SigmaRule float64
 }
 
 func (c Config) withDefaults() Config {
@@ -170,7 +167,7 @@ func (m *Miner) MineStream(ctx context.Context, src qlog.RecordSource) *Result {
 
 // pipeline builds the extraction pipeline with the template cache on.
 func (m *Miner) pipeline() *qlog.Pipeline {
-	extractor := &extract.Extractor{Schema: m.cfg.Schema, PredCap: m.cfg.PredCap, Stats: m.stats}
+	extractor := &extract.Extractor{Schema: m.cfg.Schema, Stats: m.stats}
 	return &qlog.Pipeline{
 		Extractor: extractor,
 		Workers:   m.cfg.Workers,
@@ -280,7 +277,7 @@ func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, re
 	res.ChosenEps = eps
 
 	groups, order := partitionItems(items, eps)
-	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule, MinColumnSupport: m.cfg.MinColumnSupport}
+	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule}
 	var mr *mapRegion
 	if m.cfg.Algorithm == AlgDBSCAN {
 		mr = newMapRegion(sub.neighbours(eps))

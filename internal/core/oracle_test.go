@@ -44,7 +44,7 @@ func bruteReference(cfg Config, recs []qlog.Record) *Result {
 	for i, it := range items {
 		profiles[i] = metric.Profile(it.Area)
 	}
-	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule, MinColumnSupport: m.cfg.MinColumnSupport}
+	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule}
 	groups, order := partitionItems(items, m.cfg.Eps)
 	for _, key := range order {
 		part := groups[key]

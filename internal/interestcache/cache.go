@@ -35,9 +35,9 @@ type Config struct {
 	// fall-through execution target. Region stores share its rows, so it
 	// must not be written while the cache serves.
 	DB *memdb.DB
-	// Extractor maps statements to access areas; give it the miner's schema
-	// and predicate cap. Its Stats registry, if any, is ignored: queries
-	// never observe into access(a).
+	// Extractor maps statements to access areas; give it the miner's
+	// schema. Its Stats registry, if any, is ignored: queries never observe
+	// into access(a).
 	Extractor *extract.Extractor
 	// Templates is the exact-statement memo and fingerprint → template
 	// cache. Share the pipeline's instance so statements and templates
@@ -55,12 +55,6 @@ type Config struct {
 	// <= 0 means unlimited (every candidate region is materialised, the
 	// v1 behaviour). See heat.go for the admission policy.
 	BudgetBytes int64
-	// ProbationFraction is the slice of the budget reserved for zero-heat
-	// newcomer regions (default 0.15).
-	ProbationFraction float64
-	// HeatDecay is the per-install aging factor applied to the heat book
-	// (default 0.5).
-	HeatDecay float64
 }
 
 // snapshot is one epoch's immutable region set. Queries load it once and use
@@ -119,14 +113,6 @@ const (
 // New returns a cache with an empty region set (every query misses until the
 // first Install).
 func New(cfg Config) *Cache {
-	if cfg.ProbationFraction == 0 {
-		cfg.ProbationFraction = 0.15
-	} else if cfg.ProbationFraction < 0 || cfg.ProbationFraction >= 1 {
-		cfg.ProbationFraction = 0 // explicit out-of-range value disables the reserve
-	}
-	if cfg.HeatDecay <= 0 || cfg.HeatDecay >= 1 {
-		cfg.HeatDecay = 0.5
-	}
 	if cfg.Extractor != nil {
 		// Answering a query must not grow access(a): the registry is the
 		// miner's, fed only by logged statements (§5.3), so the cache
@@ -156,7 +142,7 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 	c.installMu.Lock()
 	defer c.installMu.Unlock()
 	prev := c.snap.Load()
-	c.book.fold(prev.regions, prev.shadows, c.cfg.HeatDecay, generation)
+	c.book.fold(prev.regions, prev.shadows, generation)
 	prevResident := make(map[string]*Region, len(prev.regions))
 	for _, r := range prev.regions {
 		prevResident[r.identity] = r
@@ -188,7 +174,7 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 	}
 
 	budget := c.budget.Load()
-	plan := planAdmissions(heats, sizes, budget, c.cfg.ProbationFraction)
+	plan := planAdmissions(heats, sizes, budget, installProbation)
 	snap := &snapshot{generation: generation}
 	type resident struct {
 		r    *Region

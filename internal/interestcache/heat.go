@@ -14,6 +14,14 @@ import (
 // budget excludes stay in the snapshot as shadows so they keep collecting
 // near-miss heat and can earn their way back in.
 
+const (
+	// heatDecay is the per-install aging factor applied to the heat book.
+	heatDecay = 0.5
+	// installProbation is the slice of the budget Install reserves for
+	// zero-heat newcomer regions.
+	installProbation = 0.15
+)
+
 // heatEntry is one area identity's book state.
 type heatEntry struct {
 	heat  float64
@@ -33,14 +41,14 @@ func newHeatBook() *heatBook {
 	return &heatBook{entries: map[string]*heatEntry{}}
 }
 
-// fold ages every entry once and adds the generation's observed counters
-// (hits + near-misses) for both resident regions and shadows. Entries cold
-// and unseen for several generations are dropped.
-func (b *heatBook) fold(regions, shadows []*Region, decay float64, generation int64) {
+// fold ages every entry once by heatDecay and adds the generation's
+// observed counters (hits + near-misses) for both resident regions and
+// shadows. Entries cold and unseen for several generations are dropped.
+func (b *heatBook) fold(regions, shadows []*Region, generation int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, e := range b.entries {
-		e.heat *= decay
+		e.heat *= heatDecay
 	}
 	credit := func(r *Region) {
 		e, ok := b.entries[r.identity]

@@ -44,7 +44,7 @@ func Sessionize(recs []Record, gapSeconds int64) []*Session {
 	for user, urecs := range byUser {
 		if len(urecs) == 0 {
 			// Guard the final flush: a session is only ever emitted with at
-			// least one record, so downstream Duration()/profile code never
+			// least one record, so downstream Duration() callers never
 			// sees an empty session.
 			continue
 		}
@@ -82,77 +82,6 @@ func Skeleton(sql string) string {
 		return strings.Join(strings.Fields(sql), " ")
 	}
 	return sk
-}
-
-// UserProfile aggregates one user's activity for the bot/mortal
-// categorisation of [23].
-type UserProfile struct {
-	User          string
-	Queries       int
-	Sessions      int
-	Skeletons     int     // distinct query templates
-	PeakPerMinute int     // maximum queries in any 60-second window
-	SkeletonRatio float64 // Skeletons / Queries: low for bots
-}
-
-// Bot applies the [23]-style heuristic: high volume, few templates relative
-// to volume, machine cadence.
-func (p *UserProfile) Bot() bool {
-	return p.Queries >= 50 && p.SkeletonRatio < 0.35 && p.PeakPerMinute >= 10
-}
-
-// ProfileUsers computes per-user profiles from the log.
-func ProfileUsers(recs []Record, sessionGap int64) []*UserProfile {
-	sessions := Sessionize(recs, sessionGap)
-	type acc struct {
-		queries   int
-		sessions  int
-		skeletons map[string]struct{}
-		times     []int64
-	}
-	byUser := make(map[string]*acc)
-	for _, s := range sessions {
-		a, ok := byUser[s.User]
-		if !ok {
-			a = &acc{skeletons: make(map[string]struct{})}
-			byUser[s.User] = a
-		}
-		a.sessions++
-		for _, r := range s.Records {
-			a.queries++
-			a.skeletons[Skeleton(r.SQL)] = struct{}{}
-			a.times = append(a.times, r.Time)
-		}
-	}
-	var out []*UserProfile
-	for user, a := range byUser {
-		sort.Slice(a.times, func(i, j int) bool { return a.times[i] < a.times[j] })
-		peak := 0
-		lo := 0
-		for hi := range a.times {
-			for a.times[hi]-a.times[lo] >= 60 {
-				lo++
-			}
-			if n := hi - lo + 1; n > peak {
-				peak = n
-			}
-		}
-		p := &UserProfile{
-			User: user, Queries: a.queries, Sessions: a.sessions,
-			Skeletons: len(a.skeletons), PeakPerMinute: peak,
-		}
-		if a.queries > 0 {
-			p.SkeletonRatio = float64(len(a.skeletons)) / float64(a.queries)
-		}
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Queries != out[j].Queries {
-			return out[i].Queries > out[j].Queries
-		}
-		return out[i].User < out[j].User
-	})
-	return out
 }
 
 // Intent is the exploratory-vs-final classification the paper leaves as

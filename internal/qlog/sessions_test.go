@@ -1,7 +1,6 @@
 package qlog
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/extract"
@@ -159,50 +158,6 @@ func TestSkeleton(t *testing.T) {
 	}
 }
 
-func TestProfileUsersBotDetection(t *testing.T) {
-	var recs []Record
-	// A bot: 100 queries from one template at 1-second cadence.
-	for i := 0; i < 100; i++ {
-		recs = append(recs, Record{
-			Seq: i, Time: int64(i), User: "bot01",
-			SQL: fmt.Sprintf("SELECT z FROM Photoz WHERE objid = %d", 1000+i),
-		})
-	}
-	// A mortal: 10 varied queries minutes apart.
-	varied := []string{
-		"SELECT TOP 5 * FROM PhotoObjAll",
-		"SELECT ra, dec FROM PhotoObjAll WHERE ra < 100",
-		"SELECT COUNT(*) FROM SpecObjAll",
-		"SELECT plate FROM SpecObjAll WHERE mjd > 52000 AND plate < 500",
-		"SELECT * FROM zooSpec WHERE p_el > 0.8",
-		"SELECT class FROM SpecObjAll WHERE class = 'QSO'",
-		"SELECT z FROM Photoz WHERE z BETWEEN 0 AND 1",
-		"SELECT name FROM DBObjects",
-		"SELECT objid FROM AtlasOutline WHERE span > 10",
-		"SELECT specobjid FROM sppParams WHERE fehadop < 0",
-	}
-	for i, q := range varied {
-		recs = append(recs, Record{Seq: 100 + i, Time: int64(200 + i*300), User: "carol", SQL: q})
-	}
-	profiles := ProfileUsers(recs, 1800)
-	if len(profiles) != 2 {
-		t.Fatalf("profiles = %d", len(profiles))
-	}
-	if profiles[0].User != "bot01" || !profiles[0].Bot() {
-		t.Errorf("bot profile = %+v", profiles[0])
-	}
-	if profiles[0].PeakPerMinute < 10 {
-		t.Errorf("bot peak = %d", profiles[0].PeakPerMinute)
-	}
-	carol := profiles[1]
-	if carol.User != "carol" || carol.Bot() {
-		t.Errorf("mortal profile = %+v", carol)
-	}
-	if carol.SkeletonRatio != 1.0 {
-		t.Errorf("carol skeleton ratio = %v", carol.SkeletonRatio)
-	}
-}
-
 func TestClassifyIntent(t *testing.T) {
 	cases := []struct {
 		sql  string
@@ -306,10 +261,5 @@ func TestSessionizeGeneratedLog(t *testing.T) {
 	}
 	if n != total {
 		t.Errorf("records in sessions = %d, want %d", n, total)
-	}
-	profiles := ProfileUsers(recs, 1800)
-	// The generator plants 5 bot identities issuing ~2% of queries each.
-	if profiles[0].Queries < 2 {
-		t.Errorf("top profile = %+v", profiles[0])
 	}
 }

@@ -101,7 +101,7 @@ func NewMux(b Backend, reg *obs.Registry, opts report.Options) *http.ServeMux {
 //	POST /query     execute a statement via the semantic result cache
 //	POST /remine    mine a historical window from the WAL
 func (s *Server) Handler() http.Handler {
-	mux := NewMux(s, s.reg, report.Options{Top: s.cfg.ReportTop, Coverage: s.cfg.Coverage != nil})
+	mux := NewMux(s, s.reg, report.Options{Coverage: s.cfg.Coverage != nil})
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/remine", s.handleRemine)

@@ -150,7 +150,7 @@ func (s *Server) Remine(from, to int64, relations []string, fps []uint64) (*core
 		want[s.canonicalRelationName(rel)] = struct{}{}
 	}
 	pipe := &qlog.Pipeline{
-		Extractor: &extract.Extractor{Schema: cfg.Schema, PredCap: cfg.PredCap, Stats: statsCopy},
+		Extractor: &extract.Extractor{Schema: cfg.Schema, Stats: statsCopy},
 		Workers:   cfg.Workers,
 	}
 	areaRecs, _ := pipe.Run(recs)

@@ -40,13 +40,6 @@ type Config struct {
 	// QueueSize bounds the ingest queue; a full queue answers 429
 	// (default 4096).
 	QueueSize int
-	// MaxMiningLag, when positive, bounds the un-mined backlog: ingest
-	// answers 429 while more than this many NEW distinct areas await their
-	// epoch, so admission is paced by mining capacity instead of letting
-	// report staleness grow without bound. Values below EpochAreas are
-	// raised to it (otherwise admission could stall before the epoch
-	// trigger ever fired). 0 disables the bound.
-	MaxMiningLag int
 	// Templates, when non-nil, is used (and populated) as the pipeline's
 	// template cache instead of a private one. The in-process shard
 	// topology shares one cache between the coordinator's router and every
@@ -82,9 +75,6 @@ type Config struct {
 	// cover reaches this many time units (0 = size-only rotation). Smaller
 	// windows mean finer-grained segment skipping for /remine.
 	WALSegmentWindow int64
-	// ReportTop caps the clusters a report emits unless the request
-	// overrides it (0 = all).
-	ReportTop int
 	// QueryDB, when set, enables POST /query: statements are answered by
 	// the interest-driven semantic cache (regions prefetched from this
 	// database after every epoch) with fall-through to direct execution.
@@ -92,9 +82,6 @@ type Config struct {
 	// share its rows, and a region whose mined area is unchanged keeps its
 	// store across epochs.
 	QueryDB *memdb.DB
-	// QueryExec is applied to both cache and direct execution (zero value:
-	// RowLimit 500000, StrictTSQL, matching SkyServer's limits).
-	QueryExec memdb.ExecOptions
 	// QueryVerify turns on the cache's byte-identity oracle: every
 	// cache-served result is checked against direct execution. Costs a
 	// second execution per hit; for tests and smoke gates.
@@ -121,14 +108,12 @@ func (c Config) withDefaults() Config {
 	if c.EpochAreas <= 0 {
 		c.EpochAreas = 512
 	}
-	if c.MaxMiningLag > 0 && c.MaxMiningLag < c.EpochAreas {
-		c.MaxMiningLag = c.EpochAreas
-	}
-	if c.QueryExec == (memdb.ExecOptions{}) {
-		c.QueryExec = memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
-	}
 	return c
 }
+
+// queryExec is applied to both cache and direct execution of POST /query,
+// matching SkyServer's limits.
+var queryExec = memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
 
 // Server is the online mining service. Create with NewServer, serve its
 // Handler, and Shutdown to drain, run the final epoch and snapshot.
@@ -256,7 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tcache = &extract.TemplateCache{}
 	}
 	s.pipe = &qlog.Pipeline{
-		Extractor: &extract.Extractor{Schema: cfg.Miner.Schema, PredCap: cfg.Miner.PredCap, Stats: miner.Stats()},
+		Extractor: &extract.Extractor{Schema: cfg.Miner.Schema, Stats: miner.Stats()},
 		Workers:   cfg.Miner.Workers,
 		Cache:     tcache,
 	}
@@ -267,9 +252,9 @@ func NewServer(cfg Config) (*Server, error) {
 		// re-extraction.
 		s.qcache = interestcache.New(interestcache.Config{
 			DB:          cfg.QueryDB,
-			Extractor:   &extract.Extractor{Schema: cfg.Miner.Schema, PredCap: cfg.Miner.PredCap},
+			Extractor:   &extract.Extractor{Schema: cfg.Miner.Schema},
 			Templates:   s.pipe.Cache,
-			Exec:        cfg.QueryExec,
+			Exec:        queryExec,
 			Verify:      cfg.QueryVerify,
 			BudgetBytes: cfg.CacheBudget,
 		})
@@ -377,12 +362,11 @@ func (s *Server) replayWAL(from uint64) error {
 func (s *Server) Miner() *core.Miner { return s.miner }
 
 // Sentinel admission errors, exported so the shard coordinator (and other
-// embedders) can distinguish backpressure (retry later: ErrQueueFull,
-// ErrMiningLag) from shutdown (stop: ErrClosed).
+// embedders) can distinguish backpressure (retry later: ErrQueueFull) from
+// shutdown (stop: ErrClosed).
 var (
 	ErrClosed    = errors.New("serve: server is shutting down")
 	ErrQueueFull = errors.New("serve: ingest queue full")
-	ErrMiningLag = errors.New("serve: un-mined area backlog at bound")
 )
 
 // enqueue admits one record or reports why it could not. With a WAL
@@ -411,10 +395,6 @@ func (s *Server) enqueue(rec qlog.Record) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.cfg.MaxMiningLag > 0 && s.newSinceEpoch.Load() >= int64(s.cfg.MaxMiningLag) {
-		s.rejected.Add(1)
-		return ErrMiningLag
 	}
 	select {
 	case s.queue <- rec:

@@ -186,6 +186,62 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// /report?top=N is the one row cap: in every format it serves exactly the
+// batch miner's report written with Top N, and an absent top or top=0
+// serves every cluster.
+func TestReportTopCapsRows(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(600, 7)
+
+	batch := core.NewMiner(minerConfig(db)).MineRecords(recs)
+	batch.AttachCoverage(db)
+	if len(batch.Clusters) <= 3 {
+		t.Fatalf("batch mined %d clusters; the cap needs more than 3 to cut", len(batch.Clusters))
+	}
+
+	s, err := NewServer(Config{Miner: minerConfig(db), Coverage: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if reply := postNDJSON(t, ts.URL, recs); reply.Accepted != len(recs) {
+		t.Fatalf("accepted %d of %d", reply.Accepted, len(recs))
+	}
+	if resp, err := http.Post(ts.URL+"/flush", "", nil); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+
+	for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
+		var capped, all bytes.Buffer
+		if err := report.Write(&capped, batch, f, report.Options{Top: 3, Coverage: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := report.Write(&all, batch, f, report.Options{Coverage: true}); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(capped.Bytes(), all.Bytes()) {
+			t.Fatalf("%s: the Top 3 report equals the full one", f)
+		}
+		for query, want := range map[string][]byte{
+			"&top=3": capped.Bytes(),
+			"&top=0": all.Bytes(),
+			"":       all.Bytes(),
+		} {
+			code, _, got := get(t, ts.URL+"/report?format="+string(f)+query, "")
+			if code != http.StatusOK {
+				t.Fatalf("%s%s: status %d", f, query, code)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s%s: report differs from the batch miner's.\nserver:\n%s\nbatch:\n%s", f, query, got, want)
+			}
+		}
+	}
+}
+
 // JSON-array and single-object bodies are accepted alongside NDJSON.
 func TestIngestJSONBodies(t *testing.T) {
 	db := testDB()

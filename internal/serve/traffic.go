@@ -54,8 +54,8 @@ func newTrafficState(cfg traffic.Config, miner *core.Miner) *trafficState {
 	t := &trafficState{
 		cfg:        cfg,
 		classifier: traffic.NewClassifier(cfg),
-		ifaces:     traffic.NewInterfaces(cfg.InterfaceMaxFPs, cfg.InterfaceMaxSamples),
-		drift:      traffic.NewDrift(cfg.DriftMaxEvents),
+		ifaces:     traffic.NewInterfaces(0, 0),
+		drift:      traffic.NewDrift(),
 		sub:        miner.Substrate(),
 		incs:       make(map[string]*core.Incremental, len(traffic.Classes)),
 		counts:     make(map[string]*classCounts, len(traffic.Classes)),

@@ -39,9 +39,6 @@ type Config struct {
 	// clusters (shards run without a coverage source; the scalars are
 	// cluster-local, so attaching once post-merge is equivalent).
 	Coverage aggregate.DataSource
-	// ReportTop caps merged report rows unless the request overrides (0 =
-	// all).
-	ReportTop int
 	// Traffic declares that the shards mine per traffic class (they were
 	// started with a traffic config) and enables the coordinator's
 	// class-aware surfaces: /report?class=, /drift and /interfaces. Each
@@ -318,7 +315,7 @@ func (c *Coordinator) finishBind() {
 
 // sender is shard i's single forwarder: it drains the queue in batches and
 // delivers each batch in order, retrying the undelivered tail forever on
-// backpressure (the shard's mining-lag 429 thereby paces the coordinator's
+// backpressure (the shard's queue-full 429 thereby paces the coordinator's
 // own admission: the queue fills and the client sees 429). Transport errors
 // mark the shard down but keep the batch buffered and retrying — records
 // are abandoned only when the coordinator is closing and the shard stays
@@ -726,7 +723,7 @@ func (c *Coordinator) Close() error {
 // and /snapshot stay single-node. Like a node's, the surface sits behind
 // serve.Guard (POST body limit, panic recovery).
 func (c *Coordinator) Handler() http.Handler {
-	mux := serve.NewMux(c, nil, report.Options{Top: c.cfg.ReportTop, Coverage: c.cfg.Coverage != nil})
+	mux := serve.NewMux(c, nil, report.Options{Coverage: c.cfg.Coverage != nil})
 	mux.HandleFunc("/shard/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -48,10 +48,9 @@ type Node interface {
 }
 
 // retryableIngest reports whether an Ingest error is backpressure — the
-// shard is alive but throttling (queue full or mining-lag bound) — rather
-// than a transport failure.
+// shard is alive but its queue is full — rather than a transport failure.
 func retryableIngest(err error) bool {
-	return err == serve.ErrQueueFull || err == serve.ErrMiningLag
+	return err == serve.ErrQueueFull
 }
 
 // LocalNode is an in-process shard: a serve.Server reached by function call.

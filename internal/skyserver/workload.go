@@ -36,19 +36,22 @@ type WorkloadConfig struct {
 	// syntax errors, SkyServer UDFs, admin DDL (default 0.0054, the
 	// paper's 67,563 / 12,442,989).
 	ErrorFraction float64
-	// MySQLFraction is the share of MySQL-dialect queries (parse fine,
-	// would error on SkyServer; default 0.002).
-	MySQLFraction float64
-	// BigPredFraction is the share of queries with more than 35 predicates
-	// (default 471.0/12442989 ≈ 0.000038, floored to at least one query).
-	BigPredFraction float64
-	// VariantFraction is the share of each template's queries phrased via
-	// alternate SQL forms — aggregates with vacuous HAVING, NOT-wrapped
-	// ranges, EXISTS/IN nesting, join reorderings (default 0.2). These
-	// exercise the Section 4.2-4.4 mappings and are what breaks the
-	// raw-predicate OLAPClus baseline in Section 6.5.
-	VariantFraction float64
 }
+
+const (
+	// mysqlFraction is the share of MySQL-dialect queries (parse fine,
+	// would error on SkyServer).
+	mysqlFraction = 0.002
+	// bigPredFraction is the share of queries with more than 35 predicates
+	// (≈ 0.000038, floored to at least one query).
+	bigPredFraction = 471.0 / 12442989.0
+	// variantFraction is the share of each template's queries phrased via
+	// alternate SQL forms — aggregates with vacuous HAVING, NOT-wrapped
+	// ranges, EXISTS/IN nesting, join reorderings. These exercise the
+	// Section 4.2-4.4 mappings and are what breaks the raw-predicate
+	// OLAPClus baseline in Section 6.5.
+	variantFraction = 0.2
+)
 
 func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	if c.Queries <= 0 {
@@ -59,15 +62,6 @@ func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	}
 	if c.ErrorFraction == 0 {
 		c.ErrorFraction = 0.0054
-	}
-	if c.MySQLFraction == 0 {
-		c.MySQLFraction = 0.002
-	}
-	if c.BigPredFraction == 0 {
-		c.BigPredFraction = 471.0 / 12442989.0
-	}
-	if c.VariantFraction == 0 {
-		c.VariantFraction = 0.2
 	}
 	return c
 }
@@ -399,8 +393,8 @@ func GenerateLog(cfg WorkloadConfig) []LogEntry {
 	tpls := templates()
 
 	nErr := maxInt(1, int(float64(cfg.Queries)*cfg.ErrorFraction))
-	nMySQL := maxInt(1, int(float64(cfg.Queries)*cfg.MySQLFraction))
-	nBig := maxInt(1, int(float64(cfg.Queries)*cfg.BigPredFraction))
+	nMySQL := maxInt(1, int(float64(cfg.Queries)*mysqlFraction))
+	nBig := maxInt(1, int(float64(cfg.Queries)*bigPredFraction))
 	nNoise := int(float64(cfg.Queries) * cfg.NoiseFraction)
 	nTemplates := cfg.Queries - nErr - nMySQL - nBig - nNoise
 	if nTemplates < len(tpls) {
@@ -447,7 +441,7 @@ func GenerateLog(cfg WorkloadConfig) []LogEntry {
 	}
 	for i, t := range tpls {
 		for k := 0; k < counts[i]; k++ {
-			variant := r.Float64() < cfg.VariantFraction
+			variant := r.Float64() < variantFraction
 			add(t.gen(r, variant), t.name)
 		}
 	}
@@ -603,7 +597,7 @@ func GenerateMixedLog(cfg WorkloadConfig, mix ClassMix) []LogEntry {
 					sql, label = noiseQuery(r), "noise"
 				default:
 					tpl := tpls[r.Intn(len(tpls))]
-					sql, label = tpl.gen(r, r.Float64() < cfg.VariantFraction), tpl.name
+					sql, label = tpl.gen(r, r.Float64() < variantFraction), tpl.name
 				}
 				entries = append(entries, LogEntry{User: user, Time: t, SQL: sql, Template: label})
 				t += int64(8 + r.Intn(233))

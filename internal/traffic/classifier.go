@@ -6,80 +6,40 @@ import (
 	"strings"
 )
 
-// Config tunes the classifier. The zero value gets serviceable defaults
-// from withDefaults; the serving layer treats a nil *Config as "traffic
-// mining disabled".
+// Config configures the classifier; the serving layer treats a nil
+// *Config as "traffic mining disabled".
 type Config struct {
 	// Overrides pins users to a class regardless of behaviour — the
 	// operator's allowlist for known crawlers and admin accounts.
 	Overrides map[string]string
+}
 
-	// SessionGap is the inactivity timeout (logical seconds) that ends a
+// The bot heuristic of Singh et al. [23] and the bounds on the state kept
+// to apply it.
+const (
+	// sessionGap is the inactivity timeout (logical seconds) that ends a
 	// session; gap statistics reset at session boundaries so regularity is
-	// a within-session feature. Default 1800 ([23]'s 30 minutes).
-	SessionGap int64
-	// MinQueries is how many queries of the current session a user must
-	// have issued before the bot heuristics may fire. Default 16.
-	MinQueries int
-	// BotMaxMeanGap is the largest mean inter-query gap (seconds) the bot
-	// heuristic accepts — machines poll fast. Default 5.
-	BotMaxMeanGap float64
-	// BotMaxGapStddev bounds the gap standard deviation: machine cadence
-	// is regular, human bursts are not. Default 2.
-	BotMaxGapStddev float64
-	// BotMaxDiversity bounds distinct-fingerprints / queries: bots replay
-	// a handful of form templates. Default 0.25.
-	BotMaxDiversity float64
-	// MaxUsers bounds the tracked-user table; users past the bound are
-	// classified statelessly (admin statements still detected). Default 65536.
-	MaxUsers int
-	// MaxFingerprints bounds the per-user distinct-fingerprint set used for
-	// the diversity feature. Default 512.
-	MaxFingerprints int
-
-	// DriftMaxEvents bounds the retained drift-event log. Default 4096.
-	DriftMaxEvents int
-	// InterfaceMaxFPs bounds how many distinct fingerprints the interface
-	// miner tracks. Default 2048.
-	InterfaceMaxFPs int
-	// InterfaceMaxSamples bounds the observed-value samples kept per slot.
-	// Default 8.
-	InterfaceMaxSamples int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SessionGap <= 0 {
-		c.SessionGap = 1800
-	}
-	if c.MinQueries <= 0 {
-		c.MinQueries = 16
-	}
-	if c.BotMaxMeanGap <= 0 {
-		c.BotMaxMeanGap = 5
-	}
-	if c.BotMaxGapStddev <= 0 {
-		c.BotMaxGapStddev = 2
-	}
-	if c.BotMaxDiversity <= 0 {
-		c.BotMaxDiversity = 0.25
-	}
-	if c.MaxUsers <= 0 {
-		c.MaxUsers = 1 << 16
-	}
-	if c.MaxFingerprints <= 0 {
-		c.MaxFingerprints = 512
-	}
-	if c.DriftMaxEvents <= 0 {
-		c.DriftMaxEvents = 4096
-	}
-	if c.InterfaceMaxFPs <= 0 {
-		c.InterfaceMaxFPs = 2048
-	}
-	if c.InterfaceMaxSamples <= 0 {
-		c.InterfaceMaxSamples = 8
-	}
-	return c
-}
+	// a within-session feature ([23]'s 30 minutes).
+	sessionGap = 1800
+	// minQueries is how many queries of the current session a user must
+	// have issued before the bot heuristics may fire.
+	minQueries = 16
+	// botMaxMeanGap is the largest mean inter-query gap (seconds) the bot
+	// heuristic accepts — machines poll fast.
+	botMaxMeanGap = 5
+	// botMaxGapStddev bounds the gap standard deviation: machine cadence
+	// is regular, human bursts are not.
+	botMaxGapStddev = 2
+	// botMaxDiversity bounds distinct-fingerprints / queries: bots replay
+	// a handful of form templates.
+	botMaxDiversity = 0.25
+	// maxUsers bounds the tracked-user table; users past the bound are
+	// classified statelessly (admin statements still detected).
+	maxUsers = 1 << 16
+	// maxFingerprints bounds the per-user distinct-fingerprint set used for
+	// the diversity feature.
+	maxFingerprints = 512
+)
 
 // userState is the classifier's per-user accumulator. Gap mean/variance use
 // Welford's online recurrence over the inter-arrival gaps of the current
@@ -114,11 +74,10 @@ type Classifier struct {
 	counts map[string]int64 // records admitted per class
 }
 
-// NewClassifier builds a classifier. cfg is taken by value; defaults are
-// applied.
+// NewClassifier builds a classifier. cfg is taken by value.
 func NewClassifier(cfg Config) *Classifier {
 	return &Classifier{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		users:  make(map[string]*userState),
 		counts: make(map[string]int64),
 	}
@@ -166,7 +125,7 @@ func (c *Classifier) Observe(user string, t int64, fp uint64, sql string) string
 	}
 	st, ok := c.users[user]
 	if !ok {
-		if len(c.users) >= c.cfg.MaxUsers {
+		if len(c.users) >= maxUsers {
 			// Past the user bound: stateless fallback. Admin statements are
 			// still recognisable without history.
 			cls := Human
@@ -187,7 +146,7 @@ func (c *Classifier) Observe(user string, t int64, fp uint64, sql string) string
 		if gap < 0 {
 			gap = 0
 		}
-		if int64(gap) > c.cfg.SessionGap {
+		if int64(gap) > sessionGap {
 			// New session: regularity is a within-session feature.
 			st.sessionQueries = 0
 			st.gapCount, st.gapMean, st.gapM2 = 0, 0, 0
@@ -201,7 +160,7 @@ func (c *Classifier) Observe(user string, t int64, fp uint64, sql string) string
 	st.queries++
 	st.sessionQueries++
 	st.lastTime = t
-	if fp != 0 && len(st.fps) < c.cfg.MaxFingerprints {
+	if fp != 0 && len(st.fps) < maxFingerprints {
 		st.fps[fp] = struct{}{}
 	}
 	cls := c.decide(st)
@@ -214,11 +173,11 @@ func (c *Classifier) decide(st *userState) string {
 	if st.admin {
 		return Admin
 	}
-	if st.sessionQueries >= c.cfg.MinQueries && st.gapCount >= c.cfg.MinQueries-1 {
+	if st.sessionQueries >= minQueries && st.gapCount >= minQueries-1 {
 		diversity := float64(len(st.fps)) / float64(st.queries)
-		if st.gapMean <= c.cfg.BotMaxMeanGap &&
-			st.stddev() <= c.cfg.BotMaxGapStddev &&
-			diversity <= c.cfg.BotMaxDiversity {
+		if st.gapMean <= botMaxMeanGap &&
+			st.stddev() <= botMaxGapStddev &&
+			diversity <= botMaxDiversity {
 			return Bot
 		}
 	}

@@ -135,22 +135,21 @@ func endpointDist(alo, ahi, blo, bhi float64) float64 {
 	return math.Min(1, shift/width)
 }
 
+// driftMaxEvents bounds the retained drift-event log.
+const driftMaxEvents = 4096
+
 // Drift tracks per-class cluster snapshots across observed epochs and
 // accumulates the event log. Not internally locked — the serving layer
 // observes under its epoch lock and reads events under the same.
 type Drift struct {
-	maxEvents int
-	prev      map[string][]snapCluster
-	events    []Event
+	prev   map[string][]snapCluster
+	events []Event
 }
 
-// NewDrift builds a detector keeping at most maxEvents events (oldest
+// NewDrift builds a detector keeping at most driftMaxEvents events (oldest
 // dropped first).
-func NewDrift(maxEvents int) *Drift {
-	if maxEvents <= 0 {
-		maxEvents = 4096
-	}
-	return &Drift{maxEvents: maxEvents, prev: make(map[string][]snapCluster)}
+func NewDrift() *Drift {
+	return &Drift{prev: make(map[string][]snapCluster)}
 }
 
 // Observe diffs one class's clusters against the class's previous observed
@@ -217,7 +216,7 @@ func (d *Drift) Observe(class string, epoch int64, clusters []*aggregate.Summary
 
 	d.prev[class] = cur
 	d.events = append(d.events, out...)
-	if over := len(d.events) - d.maxEvents; over > 0 {
+	if over := len(d.events) - driftMaxEvents; over > 0 {
 		d.events = append(d.events[:0:0], d.events[over:]...)
 	}
 	return out

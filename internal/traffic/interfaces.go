@@ -22,8 +22,8 @@ type Param struct {
 	// ±Inf and 18-digit IDs survive JSON).
 	Min string `json:"min,omitempty"`
 	Max string `json:"max,omitempty"`
-	// Samples holds up to InterfaceMaxSamples distinct observed values in
-	// first-seen order (string slots, and the source spellings of number
+	// Samples holds up to the miner's maxSamples distinct observed values
+	// in first-seen order (string slots, and the source spellings of number
 	// slots).
 	Samples []string `json:"samples,omitempty"`
 	Count   int64    `json:"count"`
@@ -82,7 +82,7 @@ type Interfaces struct {
 }
 
 // NewInterfaces builds a miner tracking at most maxFPs distinct
-// fingerprints with maxSamples observed values per slot.
+// fingerprints with maxSamples observed values per slot (0 = 2048 and 8).
 func NewInterfaces(maxFPs, maxSamples int) *Interfaces {
 	if maxFPs <= 0 {
 		maxFPs = 2048

@@ -67,11 +67,16 @@ func TestClassifierOverrides(t *testing.T) {
 }
 
 func TestClassifierSessionReset(t *testing.T) {
-	c := NewClassifier(Config{MinQueries: 4})
-	// Regular cadence, then a session gap, then too few queries for the
-	// heuristic to re-fire: last record must be human again.
-	for i := 0; i < 8; i++ {
-		c.Observe("u9", int64(i), 5, "SELECT 1 FROM t")
+	c := NewClassifier(Config{})
+	// Regular cadence long enough for the heuristic to fire, then a session
+	// gap, then too few queries for it to re-fire: last record must be
+	// human again.
+	var cls string
+	for i := 0; i < minQueries; i++ {
+		cls = c.Observe("u9", int64(i), 5, "SELECT 1 FROM t")
+	}
+	if cls != Bot {
+		t.Fatalf("query %d of a regular session classified %q, want %q", minQueries, cls, Bot)
 	}
 	got := c.Observe("u9", 10_000, 5, "SELECT 1 FROM t")
 	if got != Human {
@@ -121,7 +126,7 @@ func summary(card int, rel string, col string, lo, hi float64) *aggregate.Summar
 }
 
 func TestDriftLifecycle(t *testing.T) {
-	d := NewDrift(0)
+	d := NewDrift()
 	a := summary(100, "PhotoObj", "PhotoObj.ra", 100, 200)
 
 	ev := d.Observe(Bot, 1, []*aggregate.Summary{a})
@@ -170,7 +175,7 @@ func TestDriftLifecycle(t *testing.T) {
 
 func TestDriftClassIsolationAndDeterminism(t *testing.T) {
 	run := func() []byte {
-		d := NewDrift(0)
+		d := NewDrift()
 		d.Observe(Bot, 1, []*aggregate.Summary{summary(10, "PhotoObj", "PhotoObj.ra", 0, 10)})
 		d.Observe(Human, 1, []*aggregate.Summary{summary(20, "SpecObj", "SpecObj.z", 0, 1)})
 		d.Observe(Bot, 2, []*aggregate.Summary{summary(30, "PhotoObj", "PhotoObj.ra", 0, 10)})
@@ -188,7 +193,7 @@ func TestDriftClassIsolationAndDeterminism(t *testing.T) {
 }
 
 func TestDriftInfiniteEndpoints(t *testing.T) {
-	d := NewDrift(0)
+	d := NewDrift()
 	ray := func(card int, lo float64) *aggregate.Summary {
 		box := interval.NewBox()
 		iv := interval.Full()
@@ -214,14 +219,14 @@ func TestDriftInfiniteEndpoints(t *testing.T) {
 }
 
 func TestDriftStateRoundTrip(t *testing.T) {
-	d := NewDrift(0)
+	d := NewDrift()
 	d.Observe(Bot, 1, []*aggregate.Summary{summary(10, "PhotoObj", "PhotoObj.ra", 0, 10)})
 	st := d.ExportState()
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := NewDrift(0)
+	d2 := NewDrift()
 	var st2 DriftState
 	if err := json.Unmarshal(b, &st2); err != nil {
 		t.Fatal(err)

@@ -48,21 +48,19 @@ type Options struct {
 	// carries — logical seconds for the synthetic workload). 0 disables
 	// time rotation.
 	SegmentWindow int64
-	// BufferedAppends bounds the staging buffer between Append and the
-	// writer (default 1024). A full buffer blocks Append — honest
-	// backpressure when the disk cannot keep up.
-	BufferedAppends int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.BufferedAppends <= 0 {
-		o.BufferedAppends = 1024
-	}
 	return o
 }
+
+// bufferedAppends bounds the staging buffer between Append and the writer.
+// A full buffer blocks Append — honest backpressure when the disk cannot
+// keep up.
+const bufferedAppends = 1024
 
 // walBatchTarget is the staging depth at which plain appends wake the
 // writer even without a sync barrier. Below it records pool in staging —
@@ -176,9 +174,6 @@ type WAL struct {
 	staged    []walOp
 	workCond  *sync.Cond
 	spaceCond *sync.Cond
-	// batchTarget is min(walBatchTarget, BufferedAppends): the staging depth
-	// at which appends wake the writer without waiting for a barrier.
-	batchTarget int
 
 	// segMu guards the segment index (sealed list + active meta), which the
 	// writer mutates and readers snapshot.
@@ -230,10 +225,6 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	w.workCond = sync.NewCond(&w.mu)
 	w.spaceCond = sync.NewCond(&w.mu)
-	w.batchTarget = walBatchTarget
-	if w.batchTarget > opt.BufferedAppends {
-		w.batchTarget = opt.BufferedAppends
-	}
 	if err := w.recover(); err != nil {
 		return nil, err
 	}
@@ -467,7 +458,7 @@ func (w *WAL) Append(rec qlog.Record, fp uint64) (uint64, error) {
 	w.mu.Lock()
 	// Wait for space BEFORE taking an offset, so blocked appenders cannot
 	// stage out of offset order when they resume.
-	for !w.closed && len(w.staged) >= w.opt.BufferedAppends {
+	for !w.closed && len(w.staged) >= bufferedAppends {
 		w.spaceCond.Wait()
 	}
 	if w.closed {
@@ -479,7 +470,7 @@ func (w *WAL) Append(rec qlog.Record, fp uint64) (uint64, error) {
 	w.staged = append(w.staged, walOp{rec: rec, off: off, fp: fp})
 	// Records pool in staging until a barrier arrives or a full batch forms;
 	// the durability contract is Sync's, so nothing is owed to disk yet.
-	if len(w.staged) >= w.batchTarget && !w.kick {
+	if len(w.staged) >= walBatchTarget && !w.kick {
 		w.kick = true
 		w.workCond.Signal()
 	}
