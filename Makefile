@@ -95,10 +95,14 @@ semcache-smoke:
 # in-process cluster (same routing/merge code path as multi-node) ingests a
 # 1k-query log over real HTTP, flushes, and the coordinator's merged /report
 # must be byte-identical to the batch miner in every format
-# (TestCoordinatorMatchesBatch); the shard-down test proves ingest keeps
-# accepting and /report degrades with a staleness marker when a node dies.
+# (TestCoordinatorMatchesBatch). TestRemoteCoordinatorMatchesBatch holds the
+# multi-node topology to the same bytes: four shards with private stats
+# registries and template caches, reached over HTTP. TestMergeExactFollowsShardEps
+# proves X-Merge-Exact is judged from the eps the shards clustered at, false
+# when they disagree; the shard-down test proves ingest keeps accepting and
+# /report degrades with a staleness marker when a node dies.
 shard-smoke:
-	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestShardDownDegradesGracefully' -v ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestRemoteCoordinatorMatchesBatch|TestMergeExactFollowsShardEps|TestShardDownDegradesGracefully' -v ./internal/shard/
 
 # wal-smoke is the end-to-end durability gate: kill a server mid-ingest
 # (clean restart and torn-tail variants), or shut it down past its

@@ -33,7 +33,7 @@ func main() {
 }
 
 // run is the command and returns its exit status: 2 for a bad flag, an
-// unknown -alg or -format, or no input; 1 for an unknown -mode (as in
+// unknown -format, or no input; 1 for an unknown -mode (as in
 // skyserved), a log that cannot be read or a report that cannot be
 // written. Every flag value is checked before any log is read or mined.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	synthetic := fs.Int("synthetic", 0, "generate a synthetic log of this size instead of reading one")
 	seed := fs.Int64("seed", 42, "seed for synthetic generation and sampling")
 	eps := fs.Float64("eps", 0.06, "DBSCAN eps")
-	autoEps := fs.Bool("autoeps", false, "derive eps from the k-distance knee (overrides -eps)")
 	minPts := fs.Int("minpts", 8, "DBSCAN minPts (weighted by query multiplicity)")
 	sample := fs.Int("sample", 0, "cap on distinct areas clustered (0 = all)")
 	top := fs.Int("top", 30, "clusters to print")
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text, csv, or json")
 	skyFormat := fs.Bool("skyformat", false, "treat -log as a SkyServer SqlLog CSV export (header-mapped columns)")
 	mode := fs.String("mode", "endpoint", "d_pred mode: endpoint or literal")
-	alg := fs.String("alg", "dbscan", "clustering algorithm: dbscan or optics")
 	rows := fs.Int("rows", 2000, "synthetic database rows per table (for coverage)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -67,10 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dmode, err := distance.ParseMode(*mode)
 	if err != nil {
 		return fail(1, err)
-	}
-	algorithm, err := core.ParseAlgorithm(*alg)
-	if err != nil {
-		return fail(2, err)
 	}
 	outFormat, err := report.ParseFormat(*format)
 	if err != nil {
@@ -112,8 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	miner := core.NewMiner(core.Config{
 		Schema: skyserver.Schema(), Stats: stats,
-		Eps: *eps, MinPts: *minPts, Mode: dmode, AutoEps: *autoEps,
-		Algorithm:  algorithm,
+		Eps: *eps, MinPts: *minPts, Mode: dmode,
 		SampleSize: *sample, Seed: *seed,
 	})
 	res := miner.MineRecords(recs)
@@ -127,9 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, core.TrendReport(windows, core.Trends(windows)))
 	}
 
-	if *autoEps {
-		fmt.Fprintf(stdout, "auto-selected eps: %.4f\n", res.ChosenEps)
-	}
 	if err := report.Write(stdout, res, outFormat, report.Options{Top: *top, Coverage: true}); err != nil {
 		return fail(1, err)
 	}

@@ -16,13 +16,14 @@ func TestExitCodes(t *testing.T) {
 		printed bool   // a report reached stdout
 	}{
 		{[]string{"-synthetic", "300"}, 0, "", true},
-		{[]string{"-synthetic", "300", "-alg", "optics", "-format", "csv"}, 0, "", true},
-		{[]string{"-synthetic", "300", "-alg", "optic"}, 2, `unknown -alg "optic"`, false},
-		{[]string{"-synthetic", "300", "-alg", "DBSCAN"}, 2, `unknown -alg "DBSCAN"`, false},
+		{[]string{"-synthetic", "300", "-format", "csv"}, 0, "", true},
 		{[]string{"-synthetic", "300", "-format", "xml"}, 2, `"xml"`, false},
 		{[]string{"-synthetic", "300", "-mode", "paper"}, 1, `unknown -mode "paper"`, false},
-		{[]string{"-alg", "optics"}, 2, "need -log FILE or -synthetic N", false},
+		{[]string{"-format", "csv"}, 2, "need -log FILE or -synthetic N", false},
 		{[]string{"-nosuchflag"}, 2, "flag provided but not defined", false},
+		// DBSCAN at -eps is the one clusterer: there is no -alg or -autoeps.
+		{[]string{"-synthetic", "300", "-alg", "optics"}, 2, "flag provided but not defined: -alg", false},
+		{[]string{"-synthetic", "300", "-autoeps"}, 2, "flag provided but not defined: -autoeps", false},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

@@ -52,9 +52,14 @@
 //
 // Both sharded topologies run the same coordinator: the shared endpoints
 // plus GET /shard/status (per-shard liveness and delivery state); /report
-// adds X-Stale-Shards and X-Merge-Exact. -peers needs -role coordinator,
-// -shards cannot combine with -role, and -autoeps is refused in every
-// sharded topology (merge exactness needs one fixed eps on every shard).
+// adds X-Stale-Shards and X-Merge-Exact (judged from the eps every shard
+// reports it clustered at). -peers needs -role coordinator, and -shards
+// cannot combine with -role. A topology refuses the flags it never reads:
+// -cache-budget and -query-verify configure a standalone server's /query
+// cache, so every sharded topology refuses them; -role coordinator runs no
+// miner, WAL or epoch loop, so it also refuses -eps, -minpts, -mode,
+// -seed, -epoch-areas, -epoch-interval, -traffic-overrides and the -wal-*
+// flags. Each shard process takes those itself.
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/ plus the same /metrics and /debug/slowlog views.
@@ -138,8 +143,8 @@ func shardWALDir(base string, i int) string {
 }
 
 // validateTopology refuses flag combinations that would start a topology
-// other than the one asked for, or void the coordinator's exactness claim.
-func validateTopology(shards int, role, peers string, autoEps bool) error {
+// other than the one asked for.
+func validateTopology(shards int, role, peers string) error {
 	switch role {
 	case "", "shard", "coordinator":
 	default:
@@ -152,9 +157,41 @@ func validateTopology(shards int, role, peers string, autoEps bool) error {
 		return errors.New("-peers is read only by -role coordinator")
 	case role != "" && shards > 1:
 		return fmt.Errorf("-shards starts an in-process coordinator; it cannot combine with -role %s", role)
-	case autoEps && (shards > 1 || role != ""):
-		// A shard choosing its own eps voids X-Merge-Exact.
-		return errors.New("-autoeps is incompatible with sharding: merge exactness needs one fixed eps on every shard")
+	}
+	return nil
+}
+
+// queryCacheFlags configure the semantic result cache, which only a
+// standalone server builds (a shard node and the coordinator get no
+// QueryDB).
+var queryCacheFlags = []string{"cache-budget", "query-verify"}
+
+// coordinatorUnread are the miner, epoch, WAL and traffic-pin flags that
+// -role coordinator drops: it builds no miner config and no serve.Server.
+var coordinatorUnread = []string{
+	"eps", "epoch-areas", "epoch-interval", "minpts", "mode", "seed",
+	"traffic-overrides", "wal-dir", "wal-segment-bytes", "wal-window",
+}
+
+// validateTopologyFlags refuses a flag the chosen topology never reads.
+// set holds the flags given on the command line (flag.Visit), so a
+// default value never counts.
+func validateTopologyFlags(set map[string]bool, shards int, role string) error {
+	var unread []string
+	if shards > 1 || role != "" {
+		unread = append(unread, queryCacheFlags...)
+	}
+	if role == "coordinator" {
+		unread = append(unread, coordinatorUnread...)
+	}
+	topology := "-role " + role
+	if role == "" {
+		topology = "-shards " + strconv.Itoa(shards)
+	}
+	for _, name := range unread {
+		if set[name] {
+			return fmt.Errorf("-%s is not read under %s", name, topology)
+		}
 	}
 	return nil
 }
@@ -176,7 +213,6 @@ func validateSubsystems(trafficOn bool, trafficOverrides, walDir string, walSegB
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	eps := flag.Float64("eps", 0.06, "DBSCAN eps")
-	autoEps := flag.Bool("autoeps", false, "derive eps from the k-distance knee each epoch")
 	minPts := flag.Int("minpts", 8, "DBSCAN minPts (weighted by query multiplicity)")
 	mode := flag.String("mode", "endpoint", "d_pred mode: endpoint or literal")
 	seed := flag.Int64("seed", 42, "sampling seed")
@@ -199,10 +235,15 @@ func main() {
 	trafficOn := flag.Bool("traffic", false, "classify ingest into bot/human/admin and mine per class: adds /report?class=, /drift and /interfaces (a coordinator assumes its shard peers also run -traffic)")
 	trafficOverrides := flag.String("traffic-overrides", "", "comma-separated user=class pins for known crawlers and admin accounts, e.g. sdssbot=bot,dba=admin")
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	dmode, err := distance.ParseMode(*mode)
 	if err == nil {
-		err = validateTopology(*shards, *role, *peers, *autoEps)
+		err = validateTopology(*shards, *role, *peers)
+	}
+	if err == nil {
+		err = validateTopologyFlags(set, *shards, *role)
 	}
 	if err == nil {
 		err = validateSubsystems(*trafficOn, *trafficOverrides, *walDir, *walSegBytes, *walWindow)
@@ -231,7 +272,7 @@ func main() {
 	minerCfg := func(stats *schema.Stats) core.Config {
 		return core.Config{
 			Schema: skyserver.Schema(), Stats: stats,
-			Eps: *eps, MinPts: *minPts, AutoEps: *autoEps,
+			Eps: *eps, MinPts: *minPts,
 			Mode: dmode, Seed: *seed,
 		}
 	}
@@ -291,7 +332,6 @@ func main() {
 			Nodes:           nodes,
 			QueueSize:       *queue,
 			BatchSize:       *batch,
-			Eps:             *eps,
 			Coverage:        db,
 			Traffic:         *trafficOn,
 			RouterStatePath: statePath,

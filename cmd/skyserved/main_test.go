@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/distance"
@@ -8,15 +9,13 @@ import (
 
 func TestValidateTopology(t *testing.T) {
 	cases := []struct {
-		name    string
-		shards  int
-		role    string
-		peers   string
-		autoEps bool
-		ok      bool
+		name   string
+		shards int
+		role   string
+		peers  string
+		ok     bool
 	}{
 		{name: "standalone", shards: 1, ok: true},
-		{name: "standalone autoeps", shards: 1, autoEps: true, ok: true},
 		{name: "in-process shards", shards: 4, ok: true},
 		{name: "shard node", shards: 1, role: "shard", ok: true},
 		{name: "coordinator", shards: 1, role: "coordinator", peers: "h1:8081,h2:8081", ok: true},
@@ -26,15 +25,58 @@ func TestValidateTopology(t *testing.T) {
 		{name: "peers on a shard node", shards: 1, role: "shard", peers: "h1:8081"},
 		{name: "shard node with in-process shards", shards: 4, role: "shard"},
 		{name: "coordinator with in-process shards", shards: 4, role: "coordinator", peers: "h1:8081"},
-		{name: "in-process shards autoeps", shards: 4, autoEps: true},
-		{name: "shard node autoeps", shards: 1, role: "shard", autoEps: true},
-		{name: "coordinator autoeps", shards: 1, role: "coordinator", peers: "h1:8081", autoEps: true},
 	}
 	for _, c := range cases {
-		err := validateTopology(c.shards, c.role, c.peers, c.autoEps)
+		err := validateTopology(c.shards, c.role, c.peers)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: validateTopology(%d, %q, %q, %v) = %v, want ok=%v",
-				c.name, c.shards, c.role, c.peers, c.autoEps, err, c.ok)
+			t.Errorf("%s: validateTopology(%d, %q, %q) = %v, want ok=%v",
+				c.name, c.shards, c.role, c.peers, err, c.ok)
+		}
+	}
+}
+
+// A topology refuses every flag it never reads, and only when the flag was
+// given: a sharded topology has no /query cache, and a coordinator runs no
+// miner, WAL or epoch loop of its own.
+func TestValidateTopologyFlags(t *testing.T) {
+	cacheFlags := []string{"cache-budget", "query-verify"}
+	coordinatorFlags := []string{"eps", "epoch-areas", "epoch-interval", "minpts", "mode", "seed",
+		"traffic-overrides", "wal-dir", "wal-segment-bytes", "wal-window"}
+	// Flags every topology reads, plus the ones a shard process reads.
+	alwaysRead := []string{"addr", "batch", "debug-addr", "drain", "queue", "rows", "snapshot", "traffic"}
+	cat := func(lists ...[]string) []string {
+		var out []string
+		for _, l := range lists {
+			out = append(out, l...)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		shards int
+		role   string
+		ok     []string
+		refuse []string
+	}{
+		{name: "standalone", shards: 1, ok: cat(alwaysRead, cacheFlags, coordinatorFlags)},
+		{name: "in-process shards", shards: 4, ok: cat(alwaysRead, coordinatorFlags), refuse: cacheFlags},
+		{name: "shard node", shards: 1, role: "shard", ok: cat(alwaysRead, coordinatorFlags), refuse: cacheFlags},
+		{name: "coordinator", shards: 1, role: "coordinator", ok: alwaysRead, refuse: cat(cacheFlags, coordinatorFlags)},
+	}
+	for _, c := range cases {
+		if err := validateTopologyFlags(map[string]bool{}, c.shards, c.role); err != nil {
+			t.Errorf("%s, no flags set: %v", c.name, err)
+		}
+		for _, name := range c.ok {
+			if err := validateTopologyFlags(map[string]bool{name: true}, c.shards, c.role); err != nil {
+				t.Errorf("%s -%s: %v, want ok", c.name, name, err)
+			}
+		}
+		for _, name := range c.refuse {
+			err := validateTopologyFlags(map[string]bool{name: true}, c.shards, c.role)
+			if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+				t.Errorf("%s -%s: %v, want it refused", c.name, name, err)
+			}
 		}
 	}
 }

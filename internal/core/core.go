@@ -6,7 +6,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -32,18 +31,8 @@ type Config struct {
 	// the queries they stand for.
 	Eps    float64
 	MinPts int
-	// AutoEps derives Eps from the k-distance curve (k = MinPts) over a
-	// sample of the deduplicated areas — the eps-selection heuristic of the
-	// DBSCAN paper — overriding Eps.
-	AutoEps bool
 	// Mode selects the d_pred variant (see internal/distance).
 	Mode distance.Mode
-	// Algorithm selects the clustering backend: DBSCAN (default) or an
-	// OPTICS run with DBSCAN-style extraction at Eps — the Section 7
-	// future-work item of trying different clustering techniques. The two
-	// agree on cluster structure; OPTICS additionally yields a
-	// reachability ordering and is single-threaded here.
-	Algorithm Algorithm
 	// SampleSize caps the number of distinct access areas clustered; the
 	// paper similarly clustered a 5.6M-query sample of the 12.4M log
 	// because of DBSCAN's cost. 0 means no cap.
@@ -67,28 +56,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Algorithm enumerates clustering backends.
-type Algorithm int
-
-const (
-	// AlgDBSCAN is the paper's choice (Section 6).
-	AlgDBSCAN Algorithm = iota
-	// AlgOPTICS runs OPTICS and extracts the eps-cut clustering.
-	AlgOPTICS
-)
-
-// ParseAlgorithm maps a command's -alg flag value, "dbscan" or "optics", to
-// its Algorithm; any other value is an error.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "dbscan":
-		return AlgDBSCAN, nil
-	case "optics":
-		return AlgOPTICS, nil
-	}
-	return 0, fmt.Errorf("unknown -alg %q (want dbscan or optics)", s)
-}
-
 // Result is the outcome of a mining run.
 type Result struct {
 	// PipelineStats carries the extraction coverage and stage timings.
@@ -106,13 +73,15 @@ type Result struct {
 	// ContradictoryAreas counts provably-empty areas (excluded from
 	// clustering).
 	ContradictoryAreas int
-	// ChosenEps records the eps actually used (relevant with AutoEps).
+	// ChosenEps records the eps the run clustered at: always Config.Eps.
+	// Shard results carry it so a coordinator can check that every shard
+	// clustered at one eps.
 	ChosenEps float64
 	// DistanceEvals counts the kernel evaluations of the substrate the run
-	// clustered through (auto-eps sample, pivot rows and neighbour scans
-	// combined); DistanceCacheHits counts the neighbour-graph entries it
-	// reused instead of evaluating — 0 for a batch mine, whose substrate is
-	// fresh; an epoch reports both as the substrate's lifetime totals.
+	// clustered through (pivot rows and neighbour scans combined);
+	// DistanceCacheHits counts the neighbour-graph entries it reused
+	// instead of evaluating — 0 for a batch mine, whose substrate is fresh;
+	// an epoch reports both as the substrate's lifetime totals.
 	DistanceEvals     int64
 	DistanceCacheHits int64
 }
@@ -259,53 +228,33 @@ func (m *Miner) mineItems(items []*aggregate.Item, res *Result) {
 }
 
 // cluster is the one clustering engine behind every batch mine and every
-// epoch: eps selection, relation-set partitioning, then per partition
-// DBSCAN from the substrate's eps-neighbour graph (dbscan.ClusterGraph) or
-// OPTICS through Substrate.dist, folded into res. slots[i] is items[i]'s
-// substrate slot, already synced; each item is handed its slot's hull list
-// for Summarize. Clusters are left unordered for finalizeClusters;
-// DistanceEvals and DistanceCacheHits report the substrate's lifetime
-// counters.
+// epoch: relation-set partitioning at Config.Eps, then per partition DBSCAN
+// from the substrate's eps-neighbour graph (dbscan.ClusterGraph), folded
+// into res. slots[i] is items[i]'s substrate slot, already synced; each
+// item is handed its slot's hull list for Summarize. Clusters are left
+// unordered for finalizeClusters; DistanceEvals and DistanceCacheHits
+// report the substrate's lifetime counters.
 func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, res *Result) {
 	res.ClusteredAreas = len(items)
 	sub.attachHulls(items, slots)
-	dist := func(i, j int) float64 { return sub.dist(slots[i], slots[j]) }
 	eps := m.cfg.Eps
-	if m.cfg.AutoEps && len(items) > 1 {
-		eps = m.autoEps(len(items), dist)
-	}
 	res.ChosenEps = eps
 
 	groups, order := partitionItems(items, eps)
 	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule}
-	var mr *mapRegion
-	if m.cfg.Algorithm == AlgDBSCAN {
-		mr = newMapRegion(sub.neighbours(eps))
-	}
+	mr := newMapRegion(sub.neighbours(eps))
 	for _, key := range order {
 		part := groups[key]
 		weights := make([]int, len(part))
+		partSlots := make([]int, len(part))
 		for i, idx := range part {
 			weights[i] = items[idx].Weight
+			partSlots[i] = slots[idx]
 		}
-		var dres *dbscan.Result
-		if mr == nil {
-			distFn := func(i, j int) float64 { return dist(part[i], part[j]) }
-			o := dbscan.RunOPTICS(len(part), distFn, eps*2, m.cfg.MinPts, weights)
-			dres = o.ExtractDBSCAN(eps)
-		} else {
-			partSlots := make([]int, len(part))
-			for i, idx := range part {
-				partSlots[i] = slots[idx]
-			}
-			dcfg := dbscan.Config{Eps: eps, MinPts: m.cfg.MinPts, Workers: m.cfg.Workers, Weights: weights}
-			dres = mr.cluster(partSlots, dcfg)
-		}
-		collectPartition(res, items, part, dres, opts)
+		dcfg := dbscan.Config{Eps: eps, MinPts: m.cfg.MinPts, Workers: m.cfg.Workers, Weights: weights}
+		collectPartition(res, items, part, mr.cluster(partSlots, dcfg), opts)
 	}
-	if mr != nil {
-		sub.hits.Add(mr.reused)
-	}
+	sub.hits.Add(mr.reused)
 	res.DistanceEvals = sub.Evals()
 	res.DistanceCacheHits = sub.Hits()
 }
@@ -394,25 +343,6 @@ func finalizeClusters(res *Result) {
 	for i, c := range res.Clusters {
 		c.ID = i + 1
 	}
-}
-
-// autoEps picks eps from the k-distance knee over a bounded sample of item
-// indices; dist is the substrate distance in item index space.
-func (m *Miner) autoEps(n int, dist func(i, j int) float64) float64 {
-	const maxSample = 1000
-	sample := make([]int, n)
-	for i := range sample {
-		sample[i] = i
-	}
-	if n > maxSample {
-		r := rand.New(rand.NewSource(m.cfg.Seed + 1))
-		sample = r.Perm(n)[:maxSample]
-	}
-	kd := dbscan.KDistances(len(sample), func(i, j int) float64 { return dist(sample[i], sample[j]) }, m.cfg.MinPts)
-	if eps := dbscan.SuggestEps(kd); eps > 0 {
-		return eps
-	}
-	return m.cfg.Eps
 }
 
 // AttachCoverage fills area/object coverage for every cluster from a data

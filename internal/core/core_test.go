@@ -297,53 +297,6 @@ func TestClusterIDsSequentialAndSorted(t *testing.T) {
 	}
 }
 
-func TestAutoEps(t *testing.T) {
-	entries := skyserver.GenerateLog(skyserver.WorkloadConfig{Queries: 1500, Seed: 19})
-	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: 300, Seed: 1})
-	stats := schema.NewStats()
-	skyserver.SeedStats(db, stats)
-	m := NewMiner(Config{Schema: skyserver.Schema(), Stats: stats, AutoEps: true, MinPts: 6})
-	res := m.MineRecords(toRecords(entries))
-	if res.ChosenEps <= 0 || res.ChosenEps > 2 {
-		t.Fatalf("chosen eps = %v", res.ChosenEps)
-	}
-	if len(res.Clusters) == 0 {
-		t.Error("auto-eps mining found no clusters")
-	}
-}
-
-func TestOPTICSAlgorithmRecoversClusters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("clustering test")
-	}
-	entries := skyserver.GenerateLog(skyserver.WorkloadConfig{Queries: 2500, Seed: 42})
-	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: 300, Seed: 1})
-	mk := func(alg Algorithm) *Result {
-		stats := schema.NewStats()
-		skyserver.SeedStats(db, stats)
-		m := NewMiner(Config{Schema: skyserver.Schema(), Stats: stats, Algorithm: alg})
-		return m.MineRecords(toRecords(entries))
-	}
-	viaDBSCAN := mk(AlgDBSCAN)
-	viaOPTICS := mk(AlgOPTICS)
-	matched := func(res *Result) int {
-		n := 0
-		for _, exp := range expectations() {
-			if findCluster(res, exp) != nil {
-				n++
-			}
-		}
-		return n
-	}
-	md, mo := matched(viaDBSCAN), matched(viaOPTICS)
-	if mo < md-3 {
-		t.Errorf("OPTICS recovered %d vs DBSCAN %d paper clusters", mo, md)
-	}
-	if mo < 15 {
-		t.Errorf("OPTICS recovered too few clusters: %d", mo)
-	}
-}
-
 func TestEndToEndFromSkyServerCSVFixture(t *testing.T) {
 	f, err := os.Open("testdata/sample_sqllog.csv")
 	if err != nil {

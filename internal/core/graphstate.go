@@ -46,8 +46,8 @@ const (
 	// FallbackDigest: the covered items' area keys differ from the
 	// exporter's.
 	FallbackDigest = "digest"
-	// FallbackEps: the graph's eps is not the miner's, or the miner does
-	// not cluster with DBSCAN.
+	// FallbackEps: the graph's eps is not the miner's (a restart with a
+	// different -eps).
 	FallbackEps = "eps"
 	// FallbackSplit: the partition-rule flag disagrees with the covered
 	// areas.
@@ -238,7 +238,7 @@ func (inc *Incremental) InstallGraph(gs *GraphState, since uint64) (installed in
 		return 0, FallbackBounds
 	case !bytes.Equal(keyDigest(keys), gs.Digest):
 		return 0, FallbackDigest
-	case inc.m.cfg.Algorithm != AlgDBSCAN || (!inc.m.cfg.AutoEps && gs.Eps != inc.m.cfg.Eps):
+	case gs.Eps != inc.m.cfg.Eps:
 		return 0, FallbackEps
 	}
 	maxTables := 1

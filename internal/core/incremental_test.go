@@ -54,7 +54,6 @@ func TestIncrementalEquivalentToBatch(t *testing.T) {
 		cfg  Config
 	}{
 		{"fixed-eps", Config{Schema: skyserver.Schema(), Seed: 42}},
-		{"auto-eps", Config{Schema: skyserver.Schema(), Seed: 42, AutoEps: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bcfg := tc.cfg

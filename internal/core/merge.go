@@ -12,9 +12,9 @@ import (
 //   - every relation set is owned by exactly one shard (the router's
 //     assignment), so no two inputs can contain the same distinct area and
 //     no DBSCAN neighbourhood is ever split across inputs;
-//   - all shards clustered with the same fixed eps (no AutoEps), below the
-//     1/(maxTables+1) partitioning threshold, so clustering really did run
-//     per relation-set partition.
+//   - all shards clustered with the same eps, below the 1/(maxTables+1)
+//     partitioning threshold, so clustering really did run per
+//     relation-set partition.
 //
 // Under those invariants every scalar is a plain sum, the cluster multiset
 // is the concatenation, and the global Table-1 ordering is re-established by
@@ -24,8 +24,8 @@ import (
 // published results are never mutated.
 //
 // ChosenEps is taken from the first input that clustered anything; callers
-// enforce the equal-eps invariant (the coordinator configures every shard
-// identically). Nil inputs are skipped so callers can pass results from
+// check the equal-eps invariant (the coordinator's MergeIsExact compares
+// every shard's ChosenEps). Nil inputs are skipped so callers can pass results from
 // shards that have not run an epoch yet.
 func MergeResults(parts ...*Result) *Result {
 	merged := &Result{}

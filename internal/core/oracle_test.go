@@ -22,8 +22,8 @@ var (
 // brute-force dbscan.Cluster over pointer profiles and
 // Metric.ProfileDistance — no flat kernel, pivot index or neighbour graph —
 // with each pair oriented (min, max) by item index, the orientation every
-// substrate evaluation uses. It runs at the configured Eps (no AutoEps) and
-// without sampling.
+// substrate evaluation uses. It runs at the configured Eps and without
+// sampling.
 func bruteReference(cfg Config, recs []qlog.Record) *Result {
 	m := NewMiner(cfg)
 	areaRecs, stats := m.pipeline().Run(recs)

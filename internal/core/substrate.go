@@ -32,7 +32,7 @@ import (
 // evaluating each unordered pair once as Kernel.Distance(min, max), so a
 // value never depends on which side asked and an epoch's graph is
 // bit-identical to a batch mine's fresh one over the same registry. A
-// registry restore, an eps change (AutoEps) or a partition-rule flip marks
+// registry restore, an eps change or a partition-rule flip marks
 // every slot dirty and rebuilds the lists through the same code.
 //
 // Miners sharing a substrate must recluster sequentially (the serving
@@ -133,8 +133,7 @@ func (s *Substrate) Slots() int {
 }
 
 // Evals returns the substrate-lifetime kernel evaluations across every
-// sharing miner: neighbour scans, pivot rows, the AutoEps sample, and the
-// direct distances of OPTICS.
+// sharing miner: neighbour scans and pivot rows.
 func (s *Substrate) Evals() int64 { return s.evals.Load() }
 
 // Hits returns the substrate-lifetime neighbour-graph entries miners
@@ -142,14 +141,6 @@ func (s *Substrate) Evals() int64 { return s.evals.Load() }
 // distance an earlier epoch, or an earlier miner of the same epoch,
 // already paid for.
 func (s *Substrate) Hits() int64 { return s.hits.Load() }
-
-// dist is the direct distance between two slots, counted into evals.
-func (s *Substrate) dist(a, b int) float64 {
-	if a != b {
-		s.evals.Add(1)
-	}
-	return s.pair(a, b)
-}
 
 // pair is the distance between two slots, oriented (min, max) like every
 // other evaluation so values never depend on which side asked. It counts

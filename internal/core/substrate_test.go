@@ -182,23 +182,10 @@ func TestEpochsRescanOnlyChangedSlots(t *testing.T) {
 	}
 }
 
-// The rebuild paths go through the same code: an AutoEps eps change and a
-// registry restore each mark every slot dirty, and the epochs after them
-// still equal the batch miner.
+// The rebuild path goes through the same code: a registry restore marks
+// every slot dirty, and the epochs after it still equal the batch miner.
 func TestEpochsRebuildOnEpsChangeAndRestore(t *testing.T) {
 	recs := synthRecords(1600, 9)
-	t.Run("auto-eps", func(t *testing.T) {
-		cfg := Config{Schema: skyserver.Schema(), Seed: 9, AutoEps: true}
-		mcfg := cfg
-		mcfg.Stats = seededStats()
-		m := NewMiner(mcfg)
-		inc := m.Incremental()
-		epsSeen := map[float64]bool{}
-		epochRun(t, recs, cfg, 400, inc, m, nil, func(int) { epsSeen[inc.sub.g.eps] = true })
-		if len(epsSeen) < 2 || inc.sub.builds < 2 {
-			t.Fatalf("eps never changed: %d distinct eps, %d graph builds", len(epsSeen), inc.sub.builds)
-		}
-	})
 	t.Run("restore", func(t *testing.T) {
 		cfg := Config{Schema: skyserver.Schema(), Seed: 9}
 		mcfg := cfg

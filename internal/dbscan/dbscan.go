@@ -9,7 +9,6 @@ package dbscan
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -217,80 +216,6 @@ func (e *engine) claim(neighbours []int, id int, queue []int) []int {
 		}
 	}
 	return queue
-}
-
-// KDistances returns the distance of every point to its k-th nearest
-// neighbour, sorted descending — the eps-selection heuristic from the
-// original DBSCAN paper [10]: plot the curve and pick eps at the "knee".
-// dist must be symmetric: each unordered pair is evaluated once, as
-// dist(i, j) with i < j, and fills both points' rows, so the computation
-// costs n(n−1)/2 evaluations and O(n²) memory.
-// k is clamped to [1, n−1] (a point has only n−1 neighbours); n ≤ 1 has no
-// neighbour distances at all and yields an empty curve.
-func KDistances(n int, dist func(i, j int) float64, k int) []float64 {
-	if n <= 1 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	// rows[i*(n-1)+c] is i's c-th neighbour distance in index order.
-	rows := make([]float64, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := dist(i, j)
-			rows[i*(n-1)+j-1] = d
-			rows[j*(n-1)+i] = d
-		}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		row := rows[i*(n-1) : (i+1)*(n-1)]
-		sort.Float64s(row)
-		out[i] = row[k-1]
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
-// SuggestEps picks an eps from the k-distance curve using the maximum-
-// curvature ("knee") point: the index maximising the distance drop relative
-// to its neighbours. On curves without a genuine cliff no interior drop
-// stands out — the old behaviour then returned the head of the descending
-// curve (the LARGEST k-distance, turning almost everything into one
-// cluster) — so a knee only counts when its window concentrates both well
-// more than a linear curve's share of the descent AND a solid fraction of
-// the total descent; the latter keeps the noisy head of a smooth convex
-// curve (uniform data has steep extreme-value gaps up top) from posing as
-// a knee. Otherwise a small quantile of the curve is returned, leaving
-// roughly the top decile as noise. It is a pragmatic default, not a
-// replacement for looking at the curve.
-func SuggestEps(kdist []float64) float64 {
-	if len(kdist) == 0 {
-		return 0
-	}
-	if len(kdist) < 3 {
-		return kdist[len(kdist)-1]
-	}
-	bestIdx, bestDrop := -1, 0.0
-	for i := 1; i < len(kdist)-1; i++ {
-		drop := kdist[i-1] - kdist[i+1]
-		if drop > bestDrop {
-			bestDrop = drop
-			bestIdx = i
-		}
-	}
-	total := kdist[0] - kdist[len(kdist)-1]
-	// Each drop spans a window of 2 steps; on a perfectly linear curve every
-	// drop equals 2·total/(len-1).
-	linearDrop := 2 * total / float64(len(kdist)-1)
-	if bestIdx < 0 || total <= 0 || bestDrop <= 1.5*linearDrop || bestDrop <= 0.25*total {
-		return kdist[(len(kdist)-1)*9/10]
-	}
-	return kdist[bestIdx]
 }
 
 // PivotIndex accelerates region queries via the triangle inequality

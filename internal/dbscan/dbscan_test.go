@@ -237,77 +237,6 @@ func TestWeightedCorePoints(t *testing.T) {
 	}
 }
 
-func TestKDistances(t *testing.T) {
-	pts := []float64{0, 0.1, 0.2, 10, 10.1, 10.2}
-	kd := KDistances(len(pts), euclid1D(pts), 2)
-	if len(kd) != 6 {
-		t.Fatalf("kd = %v", kd)
-	}
-	// Sorted descending; blob edges have 2-NN 0.2, blob centres 0.1.
-	want := []float64{0.2, 0.2, 0.2, 0.2, 0.1, 0.1}
-	for i, d := range kd {
-		if math.Abs(d-want[i]) > 1e-9 {
-			t.Errorf("kd[%d] = %v, want %v", i, d, want[i])
-		}
-	}
-	// With k exceeding the blob size, distances jump to the other blob.
-	kd = KDistances(len(pts), euclid1D(pts), 3)
-	if kd[0] < 9 {
-		t.Errorf("3-NN distances should cross blobs: %v", kd)
-	}
-}
-
-func TestSuggestEps(t *testing.T) {
-	// A curve with an obvious knee: plateau at 5, drop to 0.2.
-	curve := []float64{5, 5, 5, 0.2, 0.19, 0.18, 0.17}
-	eps := SuggestEps(curve)
-	if eps > 5 || eps < 0.1 {
-		t.Errorf("eps = %v", eps)
-	}
-	if SuggestEps(nil) != 0 {
-		t.Error("empty curve should give 0")
-	}
-	if SuggestEps([]float64{1}) != 1 {
-		t.Error("single point curve")
-	}
-}
-
-func TestSuggestEpsUniformWorkload(t *testing.T) {
-	// Uniformly random points give a near-linear k-distance curve with no
-	// knee. The old heuristic returned the drop-winner nearest the head —
-	// effectively the LARGEST k-distance, merging everything into one
-	// cluster. The fallback must pick from the small end of the curve.
-	r := rand.New(rand.NewSource(21))
-	pts := make([]float64, 400)
-	for i := range pts {
-		pts[i] = r.Float64() * 100
-	}
-	kd := KDistances(len(pts), euclid1D(pts), 4)
-	eps := SuggestEps(kd)
-	if eps <= 0 {
-		t.Fatalf("eps = %v", eps)
-	}
-	median := kd[len(kd)/2]
-	if eps > median {
-		t.Errorf("eps = %v above curve median %v (degenerate near-max pick, curve head %v)", eps, median, kd[0])
-	}
-}
-
-func TestSuggestEpsFlatCurve(t *testing.T) {
-	flat := []float64{2, 2, 2, 2, 2, 2}
-	if eps := SuggestEps(flat); eps != 2 {
-		t.Errorf("flat curve eps = %v, want 2", eps)
-	}
-	linear := make([]float64, 100)
-	for i := range linear {
-		linear[i] = 100 - float64(i)
-	}
-	eps := SuggestEps(linear)
-	if eps >= linear[len(linear)/2] {
-		t.Errorf("linear curve eps = %v, want small quantile (≤ median %v)", eps, linear[len(linear)/2])
-	}
-}
-
 // pivotCluster runs DBSCAN the way the miners' substrate does: every
 // neighbourhood comes from a LAESA index (built on workers goroutines) whose
 // Slack is the PivotSlackFactor margin, fed to ClusterGraph.
@@ -443,46 +372,6 @@ func TestPivotsEmptyInput(t *testing.T) {
 	res := pivotCluster(0, nil, Config{Eps: 1, MinPts: 1}, 4, 1)
 	if res.NumClusters != 0 {
 		t.Errorf("res = %+v", res)
-	}
-}
-
-// TestKDistancesBoundary pins the clamping behaviour of KDistances: k is
-// clamped into [1, n-1], and degenerate inputs (n = 0, n = 1, k = 0,
-// k >= n) return without panicking.
-func TestKDistancesBoundary(t *testing.T) {
-	pts := []float64{0, 1, 2, 3}
-	d := euclid1D(pts)
-
-	if kd := KDistances(0, nil, 4); kd != nil {
-		t.Errorf("n=0: kd = %v, want nil", kd)
-	}
-	if kd := KDistances(1, d, 4); kd != nil {
-		t.Errorf("n=1: kd = %v, want nil", kd)
-	}
-	// k = 0 clamps up to 1 (nearest neighbour).
-	kd0 := KDistances(len(pts), d, 0)
-	kd1 := KDistances(len(pts), d, 1)
-	if len(kd0) != len(pts) {
-		t.Fatalf("k=0: len = %d, want %d", len(kd0), len(pts))
-	}
-	for i := range kd0 {
-		if kd0[i] != kd1[i] {
-			t.Fatalf("k=0 should clamp to k=1: %v vs %v", kd0, kd1)
-		}
-	}
-	// k = n and beyond clamp down to n-1 (the farthest other point).
-	kdN := KDistances(len(pts), d, len(pts))
-	kdMax := KDistances(len(pts), d, len(pts)-1)
-	if len(kdN) != len(pts) {
-		t.Fatalf("k=n: len = %d, want %d", len(kdN), len(pts))
-	}
-	for i := range kdN {
-		if kdN[i] != kdMax[i] {
-			t.Fatalf("k=n should clamp to k=n-1: %v vs %v", kdN, kdMax)
-		}
-	}
-	if kdN[0] != 3 {
-		t.Errorf("max (n-1)-NN distance = %v, want 3", kdN[0])
 	}
 }
 

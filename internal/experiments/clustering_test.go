@@ -78,46 +78,3 @@ func TestPivotLabelsIdenticalOnTable1Workload(t *testing.T) {
 		}
 	}
 }
-
-// TestOPTICSWeightedAgreesWithDBSCAN checks the weighted OPTICS backend
-// against weighted DBSCAN on the default mix: same noise set and the same
-// cluster partition up to renumbering (OPTICS orders clusters by
-// reachability traversal, DBSCAN by seed index).
-func TestOPTICSWeightedAgreesWithDBSCAN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("clustering test")
-	}
-	env := NewEnv(3000, 42)
-	profiles, weights, metric := table1Items(t, env)
-	n := len(profiles)
-	dist := func(i, j int) float64 { return metric.ProfileDistance(profiles[i], profiles[j]) }
-	eps, minPts := 0.06, 8
-	direct := dbscan.Cluster(n, dist, dbscan.Config{Eps: eps, MinPts: minPts, Weights: weights})
-	o := dbscan.RunOPTICS(n, dist, 2*eps, minPts, weights)
-	viaOptics := o.ExtractDBSCAN(eps)
-
-	if direct.NumClusters != viaOptics.NumClusters {
-		t.Fatalf("cluster counts: dbscan %d vs optics %d", direct.NumClusters, viaOptics.NumClusters)
-	}
-	// Same labels up to renumbering: the label mapping must be a bijection
-	// and noise must map to noise.
-	fwd := map[int]int{}
-	rev := map[int]int{}
-	for i := range direct.Labels {
-		a, b := direct.Labels[i], viaOptics.Labels[i]
-		if (a == dbscan.Noise) != (b == dbscan.Noise) {
-			t.Fatalf("point %d: noise status dbscan %d vs optics %d", i, a, b)
-		}
-		if a == dbscan.Noise {
-			continue
-		}
-		if prev, ok := fwd[a]; ok && prev != b {
-			t.Fatalf("dbscan cluster %d split by optics: %d and %d", a, prev, b)
-		}
-		if prev, ok := rev[b]; ok && prev != a {
-			t.Fatalf("optics cluster %d merges dbscan clusters %d and %d", b, prev, a)
-		}
-		fwd[a] = b
-		rev[b] = a
-	}
-}

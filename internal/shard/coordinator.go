@@ -31,10 +31,6 @@ type Config struct {
 	// BatchSize caps how many queued records one forwarded ingest carries
 	// (default 128).
 	BatchSize int
-	// Eps is the shards' (shared, fixed) DBSCAN eps, used with the router's
-	// observed max relation-set size to decide whether the merge is exact
-	// (core.MergeExact). 0 falls back to the merged results' ChosenEps.
-	Eps float64
 	// Coverage, when set, attaches area/object coverage to the merged
 	// clusters (shards run without a coverage source; the scalars are
 	// cluster-local, so attaching once post-merge is equivalent).
@@ -574,21 +570,29 @@ func (c *Coordinator) Latest(class string) (*core.Result, int64, []string) {
 }
 
 // MergeIsExact reports whether relation-set sharding provably reproduced a
-// single batch clustering, from the configured eps (or the shards' chosen
-// eps) and the largest relation set routed.
+// single batch clustering, from the eps the shards clustered at and the
+// largest relation set routed.
 func (c *Coordinator) MergeIsExact() bool {
-	eps := c.cfg.Eps
-	if eps <= 0 {
-		c.mergeMu.RLock()
-		if c.merged != nil {
-			eps = c.merged.ChosenEps
+	eps, ok := c.shardEps()
+	return ok && core.MergeExact(eps, c.router.MaxRels())
+}
+
+// shardEps returns the one eps every cached shard result reports it
+// clustered at (ChosenEps). ok is false when no shard has clustered yet or
+// two shards disagree.
+func (c *Coordinator) shardEps() (eps float64, ok bool) {
+	c.mergeMu.RLock()
+	defer c.mergeMu.RUnlock()
+	for _, r := range c.lastResults {
+		if r == nil || r.ChosenEps == 0 {
+			continue
 		}
-		c.mergeMu.RUnlock()
+		if eps != 0 && r.ChosenEps != eps {
+			return 0, false
+		}
+		eps = r.ChosenEps
 	}
-	if eps <= 0 {
-		return false
-	}
-	return core.MergeExact(eps, c.router.MaxRels())
+	return eps, eps > 0
 }
 
 // MergedStats sums the per-shard pipeline statistics from the last flush.

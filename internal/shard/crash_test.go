@@ -50,7 +50,6 @@ func buildDurableCluster(t *testing.T, n int, dir string) (*Coordinator, []*serv
 		Nodes:           nodes,
 		QueueSize:       512,
 		BatchSize:       64,
-		Eps:             0.06,
 		HealthInterval:  time.Second,
 		RouterStatePath: filepath.Join(dir, "router.json"),
 	})

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -129,7 +130,6 @@ func newInProcessCluster(t *testing.T, n int, db *memdb.DB, routerStatePath stri
 		Nodes:           nodes,
 		QueueSize:       512,
 		BatchSize:       64,
-		Eps:             0.06,
 		Coverage:        db,
 		HealthInterval:  time.Second,
 		RouterStatePath: routerStatePath,
@@ -233,6 +233,116 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 	}
 }
 
+// newHTTPCluster builds the multi-node topology in one process: one shard
+// server per eps value, each with its own stats registry and template
+// cache, served over HTTP by ResultHandler (a `skyserved -role shard`
+// process) behind a router with no template cache (a `-role coordinator`).
+func newHTTPCluster(t *testing.T, db *memdb.DB, eps ...float64) *Coordinator {
+	t.Helper()
+	nodes := make([]Node, len(eps))
+	for i, e := range eps {
+		s, err := serve.NewServer(serve.Config{
+			Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db), Eps: e},
+			Templates:  &extract.TemplateCache{},
+			BatchSize:  64,
+			EpochAreas: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(ResultHandler(s))
+		t.Cleanup(func() {
+			ts.Close()
+			s.Close()
+		})
+		nodes[i] = NewHTTPNode(fmt.Sprintf("shard-%d", i), ts.URL, nil)
+	}
+	coord, err := NewCoordinator(Config{
+		Router:         NewRouter(len(nodes), skyserver.Schema(), nil, 0),
+		Nodes:          nodes,
+		QueueSize:      512,
+		BatchSize:      64,
+		Coverage:       db,
+		HealthInterval: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	return coord
+}
+
+// ingestAndFlush replays recs through the coordinator in bursts of 100 and
+// forces an epoch on every shard.
+func ingestAndFlush(t *testing.T, url string, recs []qlog.Record) {
+	t.Helper()
+	for lo := 0; lo < len(recs); lo += 100 {
+		postUntilAccepted(t, url, recs[lo:min(lo+100, len(recs))])
+	}
+	mustFlush(t, url)
+}
+
+// The multi-node topology: four shard processes, each with a private stats
+// registry and template cache, reached over HTTP. On this log its merged
+// /report equals the batch miner's byte for byte in every format. Private
+// registries are not exact in general: a relation seen from two relation
+// sets on different shards can be observed differently than by one
+// registry (DESIGN §14).
+func TestRemoteCoordinatorMatchesBatch(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(1000, 42)
+	batch := core.NewMiner(core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)}).MineRecords(recs)
+	batch.AttachCoverage(db)
+
+	ts := httptest.NewServer(newHTTPCluster(t, db, 0.06, 0.06, 0.06, 0.06).Handler())
+	defer ts.Close()
+	ingestAndFlush(t, ts.URL, recs)
+
+	for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
+		var want bytes.Buffer
+		if err := report.Write(&want, batch, f, report.Options{Coverage: true}); err != nil {
+			t.Fatal(err)
+		}
+		code, hdr, got := get(t, ts.URL+"/report?format="+string(f))
+		if code != http.StatusOK {
+			t.Fatalf("%s report status %d", f, code)
+		}
+		if hdr.Get("X-Merge-Exact") != "true" {
+			t.Errorf("%s X-Merge-Exact = %q, want true", f, hdr.Get("X-Merge-Exact"))
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s merged report differs from batch miner.\nmerged:\n%s\nbatch:\n%s", f, got, want.Bytes())
+		}
+	}
+}
+
+// X-Merge-Exact is judged from the eps the shards report they clustered
+// at: shards at one eps below the partition bound are exact, shards at an
+// eps above it are not, and shards that disagree on eps are not either.
+func TestMergeExactFollowsShardEps(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(600, 7)
+	for _, c := range []struct {
+		eps  []float64
+		want string
+	}{
+		{[]float64{0.06, 0.06}, "true"},
+		{[]float64{0.5, 0.5}, "false"},
+		{[]float64{0.06, 0.05}, "false"},
+	} {
+		ts := httptest.NewServer(newHTTPCluster(t, db, c.eps...).Handler())
+		ingestAndFlush(t, ts.URL, recs)
+		code, hdr, _ := get(t, ts.URL+"/report")
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("shard eps %v: report status %d", c.eps, code)
+		}
+		if got := hdr.Get("X-Merge-Exact"); got != c.want {
+			t.Errorf("shard eps %v: X-Merge-Exact = %q, want %s", c.eps, got, c.want)
+		}
+	}
+}
+
 // A dead shard must not wedge the coordinator: ingest keeps being accepted
 // (the dead shard's slice buffers), /flush returns, and /report serves the
 // remaining shards' merged view with the dead shard flagged stale.
@@ -266,7 +376,6 @@ func TestShardDownDegradesGracefully(t *testing.T) {
 		},
 		QueueSize:      2048,
 		BatchSize:      64,
-		Eps:            0.06,
 		HealthInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -55,7 +55,6 @@ func newTrafficCluster(t *testing.T, n int, db *memdb.DB) *Coordinator {
 		Nodes:          nodes,
 		QueueSize:      512,
 		BatchSize:      64,
-		Eps:            0.06,
 		Coverage:       db,
 		Traffic:        true,
 		HealthInterval: time.Second,
