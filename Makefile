@@ -78,18 +78,16 @@ serve-smoke:
 # registry: queries between two epochs leave its generation still and the
 # next /report byte-identical to the batch miner's in every format
 # (TestQueryLeavesReportUnchanged). TestSemCacheSmokeV2 serves a band from
-# one region, answers spanning reads (which no one region contains) as
-# direct misses, and evicts under a byte budget.
+# each of two regions, answers spanning reads (which no one region contains)
+# as direct misses, and checks /metrics carries no budget keys.
 # TestInstallCarriesUnchangedRegions proves a region whose mined area is
 # unchanged keeps its store across epochs, only a moved region is rebuilt,
-# and every hit equals direct execution. TestHeldOutBudgetOracle replays
-# statements the miner never saw at full, half and quarter budget (eviction
-# and shadow near-miss crediting in play) and requires zero oracle failures,
-# hits at every budget, aggregate-rung hits at full budget and a ≥0.70 hit
-# ratio at half budget.
+# and every hit equals direct execution. TestHeldOutOracle replays
+# statements the miner never saw, with every mined region resident, and
+# requires zero oracle failures, hits, and hits on the aggregate rung.
 semcache-smoke:
 	$(GO) test -race -count=1 -run 'TestSemCacheSmoke|TestQueryLeavesReportUnchanged' -v ./internal/serve/
-	$(GO) test -race -count=1 -run 'TestInstallCarriesUnchangedRegions|TestHeldOutBudgetOracle' -v ./internal/interestcache/
+	$(GO) test -race -count=1 -run 'TestInstallCarriesUnchangedRegions|TestHeldOutOracle' -v ./internal/interestcache/
 
 # shard-smoke is the end-to-end gate for the sharded topology: a 4-shard
 # in-process cluster (same routing/merge code path as multi-node) ingests a

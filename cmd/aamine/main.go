@@ -116,8 +116,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printAnalysis(stdout, recs)
 	}
 	if *trendWindow > 0 {
-		windows := miner.MineWindows(recs, *trendWindow)
-		fmt.Fprint(stdout, core.TrendReport(windows, core.Trends(windows)))
+		drift := traffic.NewDrift()
+		for i, w := range miner.MineWindows(recs, *trendWindow) {
+			fmt.Fprintf(stdout, "window %d [%d, %d): %d clusters\n", i, w.Start, w.End, len(w.Result.Clusters))
+			for _, e := range drift.Observe("", int64(i), w.Result.Clusters) {
+				fmt.Fprintf(stdout, "  %-8s %s cardinality %d (was %d)\n",
+					e.Kind, e.Expr, e.Cardinality, e.PrevCardinality)
+			}
+		}
 	}
 
 	if err := report.Write(stdout, res, outFormat, report.Options{Top: *top, Coverage: true}); err != nil {

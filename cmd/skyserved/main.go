@@ -55,11 +55,11 @@
 // adds X-Stale-Shards and X-Merge-Exact (judged from the eps every shard
 // reports it clustered at). -peers needs -role coordinator, and -shards
 // cannot combine with -role. A topology refuses the flags it never reads:
-// -cache-budget and -query-verify configure a standalone server's /query
-// cache, so every sharded topology refuses them; -role coordinator runs no
-// miner, WAL or epoch loop, so it also refuses -eps, -minpts, -mode,
-// -seed, -epoch-areas, -epoch-interval, -traffic-overrides and the -wal-*
-// flags. Each shard process takes those itself.
+// -query-verify configures a standalone server's /query cache, so every
+// sharded topology refuses it; -role coordinator runs no miner, WAL or
+// epoch loop, so it also refuses -eps, -minpts, -mode, -seed,
+// -epoch-areas, -epoch-interval, -traffic-overrides and the -wal-* flags.
+// Each shard process takes those itself.
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/ plus the same /metrics and /debug/slowlog views.
@@ -164,7 +164,7 @@ func validateTopology(shards int, role, peers string) error {
 // queryCacheFlags configure the semantic result cache, which only a
 // standalone server builds (a shard node and the coordinator get no
 // QueryDB).
-var queryCacheFlags = []string{"cache-budget", "query-verify"}
+var queryCacheFlags = []string{"query-verify"}
 
 // coordinatorUnread are the miner, epoch, WAL and traffic-pin flags that
 // -role coordinator drops: it builds no miner config and no serve.Server.
@@ -226,7 +226,6 @@ func main() {
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = 8 MiB default)")
 	walWindow := flag.Int64("wal-window", 0, "also rotate WAL segments every N logical seconds of record time, for finer /remine segment skipping (0 = size-only)")
 	queryVerify := flag.Bool("query-verify", false, "check every cache-served /query result against direct execution (oracle; slow)")
-	cacheBudget := flag.Int64("cache-budget", 0, "semantic-cache resident-bytes budget: regions admitted best-heat-first, coldest evicted under pressure (0 = unlimited)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
 	shards := flag.Int("shards", 1, "in-process shard miners behind one router (1 = unsharded)")
@@ -361,7 +360,6 @@ func main() {
 			WALSegmentWindow: *walWindow,
 			QueryDB:          db,
 			QueryVerify:      *queryVerify,
-			CacheBudget:      *cacheBudget,
 			Traffic:          trafficCfg,
 		}
 		if *role == "shard" {

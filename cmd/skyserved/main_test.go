@@ -39,7 +39,7 @@ func TestValidateTopology(t *testing.T) {
 // given: a sharded topology has no /query cache, and a coordinator runs no
 // miner, WAL or epoch loop of its own.
 func TestValidateTopologyFlags(t *testing.T) {
-	cacheFlags := []string{"cache-budget", "query-verify"}
+	cacheFlags := []string{"query-verify"}
 	coordinatorFlags := []string{"eps", "epoch-areas", "epoch-interval", "minpts", "mode", "seed",
 		"traffic-overrides", "wal-dir", "wal-segment-bytes", "wal-window"}
 	// Flags every topology reads, plus the ones a shard process reads.

@@ -1,7 +1,8 @@
 // Trends: trace how user interests move over time — the "trending research
 // directions" of the paper's abstract. The log is mined in fixed time
-// windows; clusters are matched across windows by their shape (relations +
-// constrained columns) and appearance/growth/disappearance events reported.
+// windows; clusters are matched across windows by relation set and box, as
+// the served /drift matches epochs, and appearance/growth/disappearance
+// events reported.
 package main
 
 import (
@@ -35,6 +36,11 @@ func main() {
 
 	miner := skyaccess.NewMiner(skyaccess.Config{Schema: skyaccess.SkyServerSchema(), MinPts: 5})
 	windows := miner.MineWindows(recs, month)
-	events := skyaccess.Trends(windows)
-	fmt.Print(skyaccess.TrendReport(windows, events))
+	for i, w := range windows {
+		fmt.Printf("window %d [%d, %d): %d clusters\n", i, w.Start, w.End, len(w.Result.Clusters))
+	}
+	for _, e := range skyaccess.Trends(windows) {
+		fmt.Printf("  w%d %-8s %s cardinality %d (was %d)\n",
+			e.Epoch, e.Kind, e.Expr, e.Cardinality, e.PrevCardinality)
+	}
 }

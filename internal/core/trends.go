@@ -1,60 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
-	"repro/internal/aggregate"
 	"repro/internal/qlog"
 )
 
-// WindowResult is the mining outcome of one time slice.
+// WindowResult is the mining outcome of one time slice. Feeding each
+// window's Result.Clusters in order to one traffic.Drift traces how the
+// mined interests move between windows, under the rule the served /drift
+// uses.
 type WindowResult struct {
 	Start, End int64 // logical seconds, [Start, End)
 	Result     *Result
-}
-
-// TrendEvent describes a cluster appearing, persisting, or vanishing
-// between consecutive windows — the "trending research directions" of the
-// paper's abstract made operational: the same access-area hotspots, traced
-// over time.
-type TrendEvent struct {
-	Window int // index of the later window
-	Kind   TrendKind
-	// Signature identifies the cluster across windows (relations plus
-	// constrained columns).
-	Signature string
-	// Cardinality in the later window (0 for vanished).
-	Cardinality int
-	// Delta is the cardinality change versus the earlier window.
-	Delta int
-}
-
-// TrendKind classifies trend events.
-type TrendKind int
-
-const (
-	// ClusterAppeared fires when a signature is first seen.
-	ClusterAppeared TrendKind = iota
-	// ClusterVanished fires when a signature drops out.
-	ClusterVanished
-	// ClusterGrew and ClusterShrank fire on ≥25% cardinality moves.
-	ClusterGrew
-	ClusterShrank
-)
-
-func (k TrendKind) String() string {
-	switch k {
-	case ClusterAppeared:
-		return "appeared"
-	case ClusterVanished:
-		return "vanished"
-	case ClusterGrew:
-		return "grew"
-	default:
-		return "shrank"
-	}
 }
 
 // MineWindows splits the log into fixed-duration windows by record time and
@@ -91,87 +49,4 @@ func (m *Miner) MineWindows(recs []qlog.Record, windowSeconds int64) []WindowRes
 		})
 	}
 	return out
-}
-
-// clusterSignature identifies a cluster across windows by its relations and
-// constrained columns (box bounds move; the shape is the identity).
-func clusterSignature(c *aggregate.Summary) string {
-	parts := append([]string(nil), c.Relations...)
-	parts = append(parts, c.Box.Dims()...)
-	for col := range c.Categorical {
-		parts = append(parts, col+"=") // categorical column marker
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
-}
-
-// Trends diffs consecutive windows and reports appearance, disappearance
-// and ≥25% cardinality moves per cluster signature.
-func Trends(windows []WindowResult) []TrendEvent {
-	var events []TrendEvent
-	prev := map[string]int{}
-	for w, win := range windows {
-		cur := map[string]int{}
-		for _, c := range win.Result.Clusters {
-			cur[clusterSignature(c)] += c.Cardinality
-		}
-		if w > 0 {
-			for sig, card := range cur {
-				old, existed := prev[sig]
-				switch {
-				case !existed:
-					events = append(events, TrendEvent{Window: w, Kind: ClusterAppeared, Signature: sig, Cardinality: card, Delta: card})
-				case card >= old+(old+3)/4:
-					events = append(events, TrendEvent{Window: w, Kind: ClusterGrew, Signature: sig, Cardinality: card, Delta: card - old})
-				case card <= old-(old+3)/4:
-					events = append(events, TrendEvent{Window: w, Kind: ClusterShrank, Signature: sig, Cardinality: card, Delta: card - old})
-				}
-			}
-			for sig, old := range prev {
-				if _, still := cur[sig]; !still {
-					events = append(events, TrendEvent{Window: w, Kind: ClusterVanished, Signature: sig, Delta: -old})
-				}
-			}
-		}
-		prev = cur
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Window != events[j].Window {
-			return events[i].Window < events[j].Window
-		}
-		if events[i].Kind != events[j].Kind {
-			return events[i].Kind < events[j].Kind
-		}
-		return events[i].Signature < events[j].Signature
-	})
-	return events
-}
-
-// TrendReport renders trend events as text.
-func TrendReport(windows []WindowResult, events []TrendEvent) string {
-	var b strings.Builder
-	for i, w := range windows {
-		fmt.Fprintf(&b, "window %d [%d, %d): %d clusters, %d queries in clusters\n",
-			i, w.Start, w.End, len(w.Result.Clusters), clusterQueryTotal(w.Result))
-	}
-	for _, e := range events {
-		fmt.Fprintf(&b, "  w%d %-8s %-60s cardinality %d (Δ%+d)\n",
-			e.Window, e.Kind, truncateStr(e.Signature, 60), e.Cardinality, e.Delta)
-	}
-	return b.String()
-}
-
-func clusterQueryTotal(r *Result) int {
-	n := 0
-	for _, c := range r.Clusters {
-		n += c.Cardinality
-	}
-	return n
-}
-
-func truncateStr(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }

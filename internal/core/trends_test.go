@@ -7,7 +7,19 @@ import (
 
 	"repro/internal/qlog"
 	"repro/internal/skyserver"
+	"repro/internal/traffic"
 )
+
+// windowDrift feeds each window's clusters, in order, to one drift detector
+// and returns every event it emits.
+func windowDrift(windows []WindowResult) []traffic.Event {
+	d := traffic.NewDrift()
+	var out []traffic.Event
+	for i, w := range windows {
+		out = append(out, d.Observe("", int64(i), w.Result.Clusters)...)
+	}
+	return out
+}
 
 // trendLog builds a log with a shifting workload: window 0 hammers Photoz
 // objid lookups, window 1 keeps them and adds zooSpec rectangles, window 2
@@ -36,21 +48,18 @@ func TestMineWindowsAndTrends(t *testing.T) {
 	if len(windows) != 3 {
 		t.Fatalf("windows = %d", len(windows))
 	}
-	events := Trends(windows)
 	var kinds []string
-	for _, e := range events {
-		kinds = append(kinds, fmt.Sprintf("w%d:%s:%s", e.Window, e.Kind, e.Signature))
+	for _, e := range windowDrift(windows) {
+		kinds = append(kinds, fmt.Sprintf("w%d:%s:%s", e.Epoch, e.Kind, strings.Join(e.Relations, ",")))
 	}
 	joined := strings.Join(kinds, "\n")
-	if !strings.Contains(joined, "w1:appeared") || !strings.Contains(joined, "zooSpec") {
-		t.Errorf("expected zooSpec appearance in window 1:\n%s", joined)
+	for _, want := range []string{"w0:appeared:Photoz", "w1:appeared:zooSpec", "w2:vanished:Photoz"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %s in:\n%s", want, joined)
+		}
 	}
-	if !strings.Contains(joined, "w2:vanished") || !strings.Contains(joined, "Photoz") {
-		t.Errorf("expected Photoz disappearance in window 2:\n%s", joined)
-	}
-	report := TrendReport(windows, events)
-	if !strings.Contains(report, "window 0") || !strings.Contains(report, "appeared") {
-		t.Errorf("report = %s", report)
+	if strings.Contains(joined, "w1:vanished") || strings.Contains(joined, "w2:appeared") {
+		t.Errorf("unexpected events:\n%s", joined)
 	}
 }
 
@@ -77,13 +86,13 @@ func TestTrendsGrowShrink(t *testing.T) {
 	add(2000, 10) // shrink
 	m := NewMiner(Config{Schema: skyserver.Schema(), MinPts: 5})
 	windows := m.MineWindows(recs, 1000)
-	events := Trends(windows)
+	events := windowDrift(windows)
 	sawGrow, sawShrink := false, false
 	for _, e := range events {
-		if e.Kind == ClusterGrew {
+		if e.Kind == traffic.DriftGrew && e.Epoch == 1 {
 			sawGrow = true
 		}
-		if e.Kind == ClusterShrank {
+		if e.Kind == traffic.DriftShrank && e.Epoch == 2 {
 			sawShrink = true
 		}
 	}

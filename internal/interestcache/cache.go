@@ -50,11 +50,6 @@ type Config struct {
 	// direct result is returned and the failure counted. For tests and
 	// skyserved -query-verify.
 	Verify bool
-
-	// BudgetBytes caps the total byte footprint of resident region stores.
-	// <= 0 means unlimited (every candidate region is materialised, the
-	// v1 behaviour). See heat.go for the admission policy.
-	BudgetBytes int64
 }
 
 // snapshot is one epoch's immutable region set. Queries load it once and use
@@ -63,11 +58,8 @@ type Config struct {
 type snapshot struct {
 	generation int64
 	regions    []*Region
-	// shadows are this generation's non-admitted candidates: area metadata
-	// without stores, scanned on miss to credit near-miss heat.
-	shadows []*Region
-	index   *containmentIndex
-	// bytesResident totals the admitted stores' byte footprint.
+	index      *containmentIndex
+	// bytesResident totals the stores' logical cell size (Region.Bytes).
 	bytesResident int64
 }
 
@@ -77,11 +69,7 @@ type Cache struct {
 	cfg  Config
 	snap atomic.Pointer[snapshot]
 
-	// budget is the live byte budget (runtime-adjustable via SetBudget).
-	budget atomic.Int64
-	// book carries per-identity heat across generations.
-	book *heatBook
-	// installMu serialises Install and SetBudget.
+	// installMu serialises Install.
 	installMu sync.Mutex
 
 	// shapes records, per statement fingerprint, the statement's shape
@@ -89,16 +77,13 @@ type Cache struct {
 	// shape-level, so it is shared by all statements with the fingerprint.
 	shapes sync.Map // uint64 → shapeClass
 
-	hits            atomic.Int64
-	misses          atomic.Int64
-	bytesServed     atomic.Int64
-	verifyChecked   atomic.Int64
-	verifyFailed    atomic.Int64
-	aggHits         atomic.Int64
-	nearMisses      atomic.Int64
-	evicted         atomic.Int64
-	reused          atomic.Int64
-	probationAdmits atomic.Int64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	bytesServed   atomic.Int64
+	verifyChecked atomic.Int64
+	verifyFailed  atomic.Int64
+	aggHits       atomic.Int64
+	reused        atomic.Int64
 }
 
 // shapeClass is a statement shape's cache verdict.
@@ -121,20 +106,17 @@ func New(cfg Config) *Cache {
 		ex.Stats = nil
 		cfg.Extractor = &ex
 	}
-	c := &Cache{cfg: cfg, book: newHeatBook()}
-	c.budget.Store(cfg.BudgetBytes)
+	c := &Cache{cfg: cfg}
 	c.snap.Store(&snapshot{})
 	return c
 }
 
-// Install folds the previous generation's access heat into the book, plans
-// admission of the clusters' regions best-heat-first under the byte budget,
-// prefetches the admitted stores, and atomically replaces the served
-// snapshot. A resident region whose identity is unchanged is carried with
-// its store: the identity fixes the row set, and DB is never written while
-// the cache serves, so the carried store is exactly what a rebuild would
-// produce. Non-admitted candidates stay as shadows collecting near-miss
-// heat. Clusters with no relations or an unset box are skipped (they
+// Install prefetches a region for every cluster and atomically replaces the
+// served snapshot. Every candidate region is resident. A region whose
+// identity is unchanged since the previous generation is carried with its
+// store: the identity fixes the row set, and DB is never written while the
+// cache serves, so the carried store is exactly what a rebuild would
+// produce. Clusters with no relations or an unset box are skipped (they
 // describe nothing prefetchable).
 func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 	sp := prefetchStage.Start()
@@ -142,160 +124,31 @@ func (c *Cache) Install(generation int64, clusters []*aggregate.Summary) {
 	c.installMu.Lock()
 	defer c.installMu.Unlock()
 	prev := c.snap.Load()
-	c.book.fold(prev.regions, prev.shadows, generation)
-	prevResident := make(map[string]*Region, len(prev.regions))
+	prevByIdentity := make(map[string]*Region, len(prev.regions))
 	for _, r := range prev.regions {
-		prevResident[r.identity] = r
+		prevByIdentity[r.identity] = r
 	}
 
-	type candidate struct {
-		cl       *aggregate.Summary
-		identity string
-		heat     float64
-		carry    *Region
-	}
-	var cands []candidate
-	heats := []float64{}
-	sizes := []int64{}
+	snap := &snapshot{generation: generation}
 	for _, cl := range clusters {
 		if cl == nil || len(cl.Relations) == 0 || cl.Box == nil {
 			continue
 		}
-		cn := candidate{cl: cl, identity: identityOf(cl.Relations, cl.Box, cl.Categorical)}
-		cn.heat = c.book.heat(cn.identity)
-		size := c.book.knownBytes(cn.identity)
-		if p, ok := prevResident[cn.identity]; ok {
-			cn.carry = p
-			size = p.Bytes
-		}
-		cands = append(cands, cn)
-		heats = append(heats, cn.heat)
-		sizes = append(sizes, size)
-	}
-
-	budget := c.budget.Load()
-	plan := planAdmissions(heats, sizes, budget, installProbation)
-	snap := &snapshot{generation: generation}
-	type resident struct {
-		r    *Region
-		heat float64
-		pos  int
-	}
-	var residents []resident
-	for i, ad := range plan {
-		cn := cands[i]
-		if !ad.admit {
-			snap.shadows = append(snap.shadows, newShadowRegion(generation, cn.cl))
-			continue
-		}
 		var r *Region
-		if cn.carry != nil {
-			r = carryRegion(cn.carry, cn.cl.ID, generation)
+		if p, ok := prevByIdentity[identityOf(cl.Relations, cl.Box, cl.Categorical)]; ok {
+			r = carryRegion(p, cl.ID, generation)
 			c.reused.Add(1)
 			prefetchCarriedTotal.Add(1)
 		} else {
-			r = newRegion(c.cfg.DB, generation, cn.cl)
+			r = newRegion(c.cfg.DB, generation, cl)
 			prefetchRegionsTotal.Add(1)
 		}
-		c.book.setBytes(cn.identity, r.Bytes)
-		if ad.probation {
-			c.probationAdmits.Add(1)
-		}
-		residents = append(residents, resident{r: r, heat: cn.heat, pos: i})
-	}
-
-	// Hard budget guarantee: the plan charged last-known sizes, so freshly
-	// measured stores can overflow. Demote coldest-first (ties: latest
-	// candidate first) until resident bytes fit.
-	if budget > 0 {
-		var total int64
-		for _, res := range residents {
-			total += res.r.Bytes
-		}
-		for total > budget && len(residents) > 0 {
-			worst := 0
-			for i := 1; i < len(residents); i++ {
-				if residents[i].heat < residents[worst].heat ||
-					(residents[i].heat == residents[worst].heat && residents[i].pos > residents[worst].pos) {
-					worst = i
-				}
-			}
-			total -= residents[worst].r.Bytes
-			snap.shadows = append(snap.shadows, shadowFromRegion(residents[worst].r))
-			residents = append(residents[:worst], residents[worst+1:]...)
-		}
-	}
-
-	for _, res := range residents {
-		snap.regions = append(snap.regions, res.r)
-		snap.bytesResident += res.r.Bytes
-	}
-	for _, sh := range snap.shadows {
-		if _, was := prevResident[sh.identity]; was {
-			c.evicted.Add(1)
-		}
+		snap.regions = append(snap.regions, r)
+		snap.bytesResident += r.Bytes
 	}
 	snap.index = buildIndex(snap.regions)
 	c.snap.Store(snap)
 }
-
-// shadowFromRegion demotes a (just built or carried) region to a shadow.
-func shadowFromRegion(r *Region) *Region {
-	return &Region{
-		ID:          r.ID,
-		Generation:  r.Generation,
-		Relations:   r.Relations,
-		Box:         r.Box,
-		Categorical: r.Categorical,
-		identity:    r.identity,
-		shadow:      true,
-	}
-}
-
-// SetBudget changes the byte budget at runtime. Shrinking re-runs a
-// drop-only admission over the current residents (using live heat: book
-// heat plus this generation's counters), demoting the coldest to shadows
-// immediately; growing takes effect at the next Install.
-func (c *Cache) SetBudget(budget int64) {
-	c.installMu.Lock()
-	defer c.installMu.Unlock()
-	c.budget.Store(budget)
-	if budget <= 0 {
-		return
-	}
-	prev := c.snap.Load()
-	var total int64
-	for _, r := range prev.regions {
-		total += r.Bytes
-	}
-	if total <= budget {
-		return
-	}
-	heats := make([]float64, len(prev.regions))
-	sizes := make([]int64, len(prev.regions))
-	for i, r := range prev.regions {
-		heats[i] = c.book.heat(r.identity) + float64(r.hits.Load()+r.nearMisses.Load())
-		sizes[i] = r.Bytes
-	}
-	plan := planAdmissions(heats, sizes, budget, 0)
-	snap := &snapshot{generation: prev.generation}
-	snap.shadows = append(snap.shadows, prev.shadows...)
-	for i, ad := range plan {
-		r := prev.regions[i]
-		if ad.admit {
-			snap.regions = append(snap.regions, r)
-			snap.bytesResident += r.Bytes
-		} else {
-			snap.shadows = append(snap.shadows, shadowFromRegion(r))
-			c.evicted.Add(1)
-		}
-	}
-	snap.index = buildIndex(snap.regions)
-	c.snap.Store(snap)
-}
-
-// Budget returns the live byte budget (<= 0 means unlimited).
-func (c *Cache) Budget() int64 { return c.budget.Load() }
 
 // Info describes how a query was answered.
 type Info struct {
@@ -337,7 +190,7 @@ func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 	}()
 	snap := c.snap.Load()
 	info := Info{Generation: snap.generation}
-	if len(snap.regions) == 0 && len(snap.shadows) == 0 {
+	if len(snap.regions) == 0 {
 		return c.miss(sql, info, "no-regions")
 	}
 	lsp := lookupStage.Start()
@@ -360,7 +213,6 @@ func (c *Cache) Query(sql string) (*memdb.ResultSet, Info, error) {
 		}
 		return c.finishHit(sql, rs, info, "single", region)
 	}
-	c.creditShadows(snap, shape)
 	return c.miss(sql, info, "no-region")
 }
 
@@ -398,7 +250,6 @@ func (c *Cache) queryAgg(snap *snapshot, sql string, info Info) (*memdb.ResultSe
 		}
 		return c.finishHit(sql, rs, info, "agg", region)
 	}
-	c.creditShadows(snap, shape)
 	return c.miss(sql, info, "no-region")
 }
 
@@ -427,18 +278,6 @@ func (c *Cache) finishHit(sql string, rs *memdb.ResultSet, info Info, path strin
 	info.Path = path
 	info.RegionID = region.ID
 	return rs, info, nil
-}
-
-// creditShadows records a near-miss on every shadow that would have
-// contained the query — the heat signal that lets an evicted region earn
-// readmission.
-func (c *Cache) creditShadows(snap *snapshot, shape *queryShape) {
-	for _, r := range snap.shadows {
-		if r.containsShape(shape) {
-			r.nearMisses.Add(1)
-			c.nearMisses.Add(1)
-		}
-	}
 }
 
 func (c *Cache) miss(sql string, info Info, reason string) (*memdb.ResultSet, Info, error) {
@@ -695,34 +534,28 @@ func exprHasSubquery(e sqlparser.Expr) bool {
 
 // Metrics is a point-in-time counter snapshot.
 type Metrics struct {
-	Generation      int64           `json:"generation"`
-	Regions         int             `json:"regions"`
-	ShadowRegions   int             `json:"shadow_regions"`
-	BytesResident   int64           `json:"bytes_resident"`
-	Budget          int64           `json:"budget"`
-	Hits            int64           `json:"hits"`
-	Misses          int64           `json:"misses"`
-	BytesServed     int64           `json:"bytes_served"`
-	VerifyChecked   int64           `json:"verify_checked"`
-	VerifyFailed    int64           `json:"verify_failed"`
-	AggHits         int64           `json:"agg_hits"`
-	NearMisses      int64           `json:"near_misses"`
-	Evicted         int64           `json:"evicted"`
-	Reused          int64           `json:"reused"`
-	ProbationAdmits int64           `json:"probation_admits"`
-	PerRegion       []RegionMetrics `json:"per_region"`
+	Generation    int64           `json:"generation"`
+	Regions       int             `json:"regions"`
+	BytesResident int64           `json:"bytes_resident"`
+	Hits          int64           `json:"hits"`
+	Misses        int64           `json:"misses"`
+	BytesServed   int64           `json:"bytes_served"`
+	VerifyChecked int64           `json:"verify_checked"`
+	VerifyFailed  int64           `json:"verify_failed"`
+	AggHits       int64           `json:"agg_hits"`
+	Reused        int64           `json:"reused"`
+	PerRegion     []RegionMetrics `json:"per_region"`
 }
 
 // RegionMetrics are the per-region serving counters of the CURRENT region
 // set; counters reset on Install, which gives built and carried regions
-// fresh ones (heat persists in the book, surfaced here).
+// fresh ones.
 type RegionMetrics struct {
 	ID          int     `json:"id"`
 	Rows        int     `json:"rows"`
 	Bytes       int64   `json:"bytes"`
 	Hits        int64   `json:"hits"`
 	BytesServed int64   `json:"bytes_served"`
-	Heat        float64 `json:"heat"`
 	AgeSeconds  float64 `json:"age_seconds"`
 }
 
@@ -730,27 +563,21 @@ type RegionMetrics struct {
 func (c *Cache) Metrics() Metrics {
 	snap := c.snap.Load()
 	m := Metrics{
-		Generation:      snap.generation,
-		Regions:         len(snap.regions),
-		ShadowRegions:   len(snap.shadows),
-		BytesResident:   snap.bytesResident,
-		Budget:          c.budget.Load(),
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		BytesServed:     c.bytesServed.Load(),
-		VerifyChecked:   c.verifyChecked.Load(),
-		VerifyFailed:    c.verifyFailed.Load(),
-		AggHits:         c.aggHits.Load(),
-		NearMisses:      c.nearMisses.Load(),
-		Evicted:         c.evicted.Load(),
-		Reused:          c.reused.Load(),
-		ProbationAdmits: c.probationAdmits.Load(),
+		Generation:    snap.generation,
+		Regions:       len(snap.regions),
+		BytesResident: snap.bytesResident,
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		BytesServed:   c.bytesServed.Load(),
+		VerifyChecked: c.verifyChecked.Load(),
+		VerifyFailed:  c.verifyFailed.Load(),
+		AggHits:       c.aggHits.Load(),
+		Reused:        c.reused.Load(),
 	}
 	for _, r := range snap.regions {
 		m.PerRegion = append(m.PerRegion, RegionMetrics{
 			ID: r.ID, Rows: r.Rows, Bytes: r.Bytes,
 			Hits: r.Hits(), BytesServed: r.BytesServed(),
-			Heat:       c.book.heat(r.identity),
 			AgeSeconds: r.Age().Seconds(),
 		})
 	}

@@ -36,31 +36,27 @@ type Region struct {
 	// Rows and Bytes size the store: its row count and the logical size of
 	// its cells (a 1-byte kind tag per cell, plus 8 per number and the
 	// length of each string). The cells are shared with the source, so
-	// Bytes is the budget's admission weight, not memory the region owns.
+	// Bytes is not memory the region owns.
 	Rows  int
 	Bytes int64
 
 	// identity is the canonical signature of the cluster's access area
-	// (relations + box + categorical). The heat book is keyed by identity so
-	// heat survives epoch re-mining: the same interest area gets new cluster
-	// IDs each epoch but the same identity.
+	// (relations + box + categorical). Install carries a region whose
+	// identity is unchanged: the same interest area gets new cluster IDs
+	// each epoch but the same identity.
 	identity string
 	// materializedAt stamps when the store was built; a carried region
 	// keeps it, so Age is the time since the identity was first prefetched.
 	materializedAt time.Time
-	// shadow regions keep the area metadata with no store: they exist only
-	// to collect near-miss heat for regions the budget excluded.
-	shadow bool
 
 	hits        atomic.Int64
 	bytesServed atomic.Int64
-	nearMisses  atomic.Int64
 }
 
 // queryShape is a query's access area projected into the containment test's
 // vocabulary: referenced relations, per-column numeric bound sets, and
-// per-column pinned string values. Computing it once per query lets region
-// containment, index lookup and shadow near-miss crediting share the work.
+// per-column pinned string values. Computing it once per query lets the
+// index lookup test every candidate region against the same projection.
 type queryShape struct {
 	relations []string
 	bounds    map[string]interval.Set
@@ -91,8 +87,14 @@ func (s *queryShape) hull(dim string) interval.Interval {
 // enumeration), so nothing is copied and db must not be written while the
 // region is served.
 func newRegion(db *memdb.DB, generation int64, c *aggregate.Summary) *Region {
-	r := newShadowRegion(generation, c)
-	r.shadow = false
+	r := &Region{
+		ID:          c.ID,
+		Generation:  generation,
+		Relations:   append([]string(nil), c.Relations...),
+		Box:         c.Box.Clone(),
+		Categorical: c.Categorical,
+		identity:    identityOf(c.Relations, c.Box, c.Categorical),
+	}
 	r.store = db.Restrict(r.Relations, r.Box, r.Categorical)
 	for _, name := range r.store.Tables() {
 		for _, row := range r.store.Table(name).Rows {
@@ -104,25 +106,8 @@ func newRegion(db *memdb.DB, generation int64, c *aggregate.Summary) *Region {
 	return r
 }
 
-// newShadowRegion carries a cluster's area metadata without materialising a
-// store. Shadows sit outside the containment index; the miss path scans them
-// to credit near-miss heat to regions the budget excluded, which is what lets
-// a wrongly-evicted region earn its way back in.
-func newShadowRegion(generation int64, c *aggregate.Summary) *Region {
-	return &Region{
-		ID:          c.ID,
-		Generation:  generation,
-		Relations:   append([]string(nil), c.Relations...),
-		Box:         c.Box.Clone(),
-		Categorical: c.Categorical,
-		identity:    identityOf(c.Relations, c.Box, c.Categorical),
-		shadow:      true,
-	}
-}
-
 // carryRegion re-wraps a prior generation's region under a new generation,
-// sharing the immutable store but with fresh serving counters (the old
-// counters have already been folded into the heat book by Install).
+// sharing the immutable store but with fresh serving counters.
 func carryRegion(prev *Region, id int, generation int64) *Region {
 	return &Region{
 		ID:             id,
@@ -215,8 +200,8 @@ func (r *Region) Contains(area *extract.AccessArea) bool {
 	return r.containsShape(newQueryShape(area))
 }
 
-// containsShape is the containment test proper, shared by Contains, the
-// index lookup and shadow near-miss crediting.
+// containsShape is the containment test proper, shared by Contains and the
+// index lookup.
 func (r *Region) containsShape(s *queryShape) bool {
 	for _, rel := range s.relations {
 		if !containsFold(r.Relations, rel) {
@@ -259,12 +244,9 @@ func (r *Region) Age() time.Duration {
 	return time.Since(r.materializedAt)
 }
 
-// Hits, BytesServed, and NearMisses expose the per-region serving counters.
-// NearMisses counts queries a shadow region would have contained but could
-// not serve; it feeds the heat book alongside hits.
+// Hits and BytesServed expose the per-region serving counters.
 func (r *Region) Hits() int64        { return r.hits.Load() }
 func (r *Region) BytesServed() int64 { return r.bytesServed.Load() }
-func (r *Region) NearMisses() int64  { return r.nearMisses.Load() }
 
 func containsFold(list []string, s string) bool {
 	for _, v := range list {

@@ -9,16 +9,15 @@ import (
 	"repro/internal/memdb"
 )
 
-// budgetCache builds a verifying cache over testDB (or cfg.DB when set)
-// without installing anything.
-func budgetCache(cfg Config) *Cache {
-	if cfg.DB == nil {
-		cfg.DB = testDB()
-	}
-	cfg.Extractor = &extract.Extractor{}
-	cfg.Templates = &extract.TemplateCache{}
-	cfg.Verify = true
-	return New(cfg)
+// verifyingCache builds a verifying cache over testDB without installing
+// anything.
+func verifyingCache() *Cache {
+	return New(Config{
+		DB:        testDB(),
+		Extractor: &extract.Extractor{},
+		Templates: &extract.TemplateCache{},
+		Verify:    true,
+	})
 }
 
 func tSummary(id int, iv interval.Interval) *aggregate.Summary {
@@ -28,118 +27,11 @@ func tSummary(id int, iv interval.Interval) *aggregate.Summary {
 // A T region of k rows costs k rows × 2 numeric cells × 9 bytes.
 const tRowBytes = 2 * 9
 
-func TestBudgetExactFit(t *testing.T) {
-	// Four rows = 72 bytes; a budget of exactly 72 must keep the region
-	// resident, one byte less must demote it to a shadow.
-	c := budgetCache(Config{BudgetBytes: 4 * tRowBytes})
-	c.Install(1, []*aggregate.Summary{tSummary(1, interval.Closed(5, 8))})
-	m := c.Metrics()
-	if m.Regions != 1 || m.ShadowRegions != 0 || m.BytesResident != 4*tRowBytes {
-		t.Fatalf("exact fit: %+v", m)
-	}
-	if _, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8"); err != nil || !info.Hit {
-		t.Fatalf("hit expected: %+v %v", info, err)
-	}
-
-	c = budgetCache(Config{BudgetBytes: 4*tRowBytes - 1})
-	c.Install(1, []*aggregate.Summary{tSummary(1, interval.Closed(5, 8))})
-	m = c.Metrics()
-	if m.Regions != 0 || m.ShadowRegions != 1 || m.BytesResident != 0 {
-		t.Fatalf("one byte short: %+v", m)
-	}
-	if _, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8"); err != nil || info.Hit {
-		t.Fatalf("miss expected: %+v %v", info, err)
-	}
-	if m = c.Metrics(); m.NearMisses != 1 {
-		t.Fatalf("shadow near-miss not credited: %+v", m)
-	}
-	// Re-install: the size is now in the book, so the oversized region is
-	// never even materialised.
-	c.Install(2, []*aggregate.Summary{tSummary(7, interval.Closed(5, 8))})
-	if m = c.Metrics(); m.Regions != 0 || m.ShadowRegions != 1 {
-		t.Fatalf("known-oversize re-admitted: %+v", m)
-	}
-}
-
-func TestProbationAdmitThenEvict(t *testing.T) {
-	hot := tSummary(1, interval.Closed(5, 8))
-	newcomer := tSummary(2, interval.Closed(11, 14))
-	c := budgetCache(Config{BudgetBytes: 8 * tRowBytes})
-	c.Install(1, []*aggregate.Summary{hot})
-	for i := 0; i < 3; i++ {
-		if _, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8"); err != nil || !info.Hit {
-			t.Fatalf("warm-up hit %d: %+v %v", i, info, err)
-		}
-	}
-	// Second generation brings a zero-heat newcomer; the budget fits both,
-	// and the newcomer is admitted on probation.
-	c.Install(2, []*aggregate.Summary{hot, newcomer})
-	m := c.Metrics()
-	if m.Regions != 2 || m.ProbationAdmits < 1 {
-		t.Fatalf("probation admit: %+v", m)
-	}
-	// Shrinking the budget to one region's bytes must evict the coldest —
-	// the newcomer — immediately.
-	c.SetBudget(4 * tRowBytes)
-	m = c.Metrics()
-	if m.Regions != 1 || m.Evicted < 1 || m.PerRegion[0].ID != 1 {
-		t.Fatalf("post-shrink: %+v", m)
-	}
-	if _, info, err := c.Query("SELECT v FROM T WHERE u >= 11 AND u <= 14"); err != nil || info.Hit {
-		t.Fatalf("evicted region still serving: %+v %v", info, err)
-	}
-	if _, info, err := c.Query("SELECT v FROM T WHERE u >= 5 AND u <= 8"); err != nil || !info.Hit {
-		t.Fatalf("hot region lost: %+v %v", info, err)
-	}
-	if m = c.Metrics(); m.NearMisses < 1 || m.VerifyFailed != 0 {
-		t.Fatalf("final metrics: %+v", m)
-	}
-}
-
-func TestHeatCarryThreeGenerations(t *testing.T) {
-	// Budget fits one region. Generation 1 admits A (candidate order);
-	// near-misses on B's shadow must flip residency at generation 2, and
-	// the carried heat must keep B resident through generation 3.
-	a := func(id int) *aggregate.Summary { return tSummary(id, interval.Closed(1, 4)) }
-	b := func(id int) *aggregate.Summary { return tSummary(id, interval.Closed(11, 14)) }
-	qB := "SELECT v FROM T WHERE u >= 11 AND u <= 14"
-	c := budgetCache(Config{BudgetBytes: 4 * tRowBytes})
-
-	c.Install(1, []*aggregate.Summary{a(1), b(2)})
-	if m := c.Metrics(); m.Regions != 1 || m.PerRegion[0].ID != 1 || m.ShadowRegions != 1 {
-		t.Fatalf("gen1: %+v", m)
-	}
-	for i := 0; i < 3; i++ {
-		if _, info, _ := c.Query(qB); info.Hit {
-			t.Fatal("gen1: B should be a shadow")
-		}
-	}
-
-	c.Install(2, []*aggregate.Summary{a(11), b(12)})
-	if m := c.Metrics(); m.Regions != 1 || m.PerRegion[0].ID != 12 || m.Evicted != 1 {
-		t.Fatalf("gen2: %+v", m)
-	}
-	if _, info, err := c.Query(qB); err != nil || !info.Hit {
-		t.Fatalf("gen2: B hit expected: %+v %v", info, err)
-	}
-
-	c.Install(3, []*aggregate.Summary{a(21), b(22)})
-	if m := c.Metrics(); m.Regions != 1 || m.PerRegion[0].ID != 22 {
-		t.Fatalf("gen3: %+v", m)
-	}
-	if _, info, err := c.Query(qB); err != nil || !info.Hit {
-		t.Fatalf("gen3: B hit expected: %+v %v", info, err)
-	}
-	if m := c.Metrics(); m.VerifyFailed != 0 {
-		t.Fatalf("verify failures: %+v", m)
-	}
-}
-
 func TestAggSingleRegion(t *testing.T) {
 	// HAVING statements are rejected by safeShape but served by the agg
 	// path: containment on the WHERE-only area, full statement executed on
 	// the region store.
-	c := budgetCache(Config{})
+	c := verifyingCache()
 	c.Install(1, []*aggregate.Summary{tSummary(1, interval.Closed(0, 100))})
 	q := "SELECT u, COUNT(*) FROM T WHERE u >= 2 AND u <= 9 GROUP BY u HAVING COUNT(*) >= 1"
 	rs, info, err := c.Query(q)
@@ -163,7 +55,7 @@ func TestAggSingleRegion(t *testing.T) {
 // with its store; a region whose box moved is the only one rebuilt, and
 // every hit still equals direct execution.
 func TestInstallCarriesUnchangedRegions(t *testing.T) {
-	c := budgetCache(Config{})
+	c := verifyingCache()
 	clusters := func(id0 int, tHi float64) []*aggregate.Summary {
 		return []*aggregate.Summary{
 			tSummary(id0, interval.Closed(5, tHi)),

@@ -90,13 +90,6 @@ func (b *Box) Clone() *Box {
 	return out
 }
 
-// IntersectWith intersects this box in place with other (dimension-wise).
-func (b *Box) IntersectWith(other *Box) {
-	for name, iv := range other.dims {
-		b.Constrain(name, iv)
-	}
-}
-
 // VolumeRatio returns the fraction of reference's volume that the
 // intersection of b and reference occupies, considering only the dimensions
 // constrained in b that also appear in reference. This implements the "area

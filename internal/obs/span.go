@@ -16,9 +16,6 @@ func init() { spansEnabled.Store(true) }
 // SetSpansEnabled turns stage-span collection on or off process-wide.
 func SetSpansEnabled(on bool) { spansEnabled.Store(on) }
 
-// SpansEnabled reports whether stage spans are being collected.
-func SpansEnabled() bool { return spansEnabled.Load() }
-
 // Stage is a named hot-path phase with a latency histogram in the Default
 // registry. Declare stages as package vars:
 //

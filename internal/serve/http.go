@@ -694,14 +694,9 @@ func (s *Server) MetricsJSON() map[string]any {
 		metrics["semcache_bytes_served"] = m.BytesServed
 		metrics["semcache_verify_checked"] = m.VerifyChecked
 		metrics["semcache_verify_failed"] = m.VerifyFailed
-		metrics["semcache_shadow_regions"] = m.ShadowRegions
 		metrics["semcache_bytes_resident"] = m.BytesResident
-		metrics["semcache_budget"] = m.Budget
 		metrics["semcache_agg_hits"] = m.AggHits
-		metrics["semcache_near_misses"] = m.NearMisses
-		metrics["semcache_evicted"] = m.Evicted
 		metrics["semcache_reused"] = m.Reused
-		metrics["semcache_probation_admits"] = m.ProbationAdmits
 		if total := m.Hits + m.Misses; total > 0 {
 			metrics["semcache_hit_ratio"] = float64(m.Hits) / float64(total)
 		} else {

@@ -86,9 +86,6 @@ type Config struct {
 	// cache-served result is checked against direct execution. Costs a
 	// second execution per hit; for tests and smoke gates.
 	QueryVerify bool
-	// CacheBudget caps the semantic cache's resident region bytes
-	// (<= 0 = unlimited; see interestcache heat-based admission).
-	CacheBudget int64
 	// Traffic, when non-nil, enables traffic-class-aware mining: records
 	// are classified bot/human/admin in processing order, one incremental
 	// miner per class runs alongside the global one (sharing its distance
@@ -251,12 +248,11 @@ func NewServer(cfg Config) (*Server, error) {
 		// and templates warmed by ingestion serve POST /query without
 		// re-extraction.
 		s.qcache = interestcache.New(interestcache.Config{
-			DB:          cfg.QueryDB,
-			Extractor:   &extract.Extractor{Schema: cfg.Miner.Schema},
-			Templates:   s.pipe.Cache,
-			Exec:        queryExec,
-			Verify:      cfg.QueryVerify,
-			BudgetBytes: cfg.CacheBudget,
+			DB:        cfg.QueryDB,
+			Extractor: &extract.Extractor{Schema: cfg.Miner.Schema},
+			Templates: s.pipe.Cache,
+			Exec:      queryExec,
+			Verify:    cfg.QueryVerify,
 		})
 	}
 	s.initRegistry()

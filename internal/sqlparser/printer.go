@@ -6,21 +6,9 @@ import (
 	"strings"
 )
 
-// FormatStatement renders a statement back to SQL text. The output is
+// FormatSelect renders a SELECT statement back to SQL text. The output is
 // canonical (keywords upper-cased, single spaces) and re-parses to an
-// equivalent AST; round-tripping is exercised by tests.
-func FormatStatement(st Statement) string {
-	switch s := st.(type) {
-	case *SelectStatement:
-		return FormatSelect(s)
-	case *OtherStatement:
-		return s.Kind + " ..."
-	default:
-		return fmt.Sprintf("<%T>", st)
-	}
-}
-
-// FormatSelect renders a SELECT statement.
+// equivalent AST.
 func FormatSelect(s *SelectStatement) string {
 	var b strings.Builder
 	b.WriteString("SELECT ")

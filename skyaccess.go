@@ -36,6 +36,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/schema"
 	"repro/internal/skyserver"
+	"repro/internal/traffic"
 )
 
 // Core pipeline types.
@@ -78,8 +79,8 @@ type (
 	// WindowResult is the mining outcome of one time slice.
 	WindowResult = core.WindowResult
 	// TrendEvent marks a cluster appearing/growing/shrinking/vanishing
-	// between windows.
-	TrendEvent = core.TrendEvent
+	// between windows; its Epoch is the window index.
+	TrendEvent = traffic.Event
 	// Recommendation pairs a cluster with its distance to a user's own
 	// activity (QueRIE-style orientation, Sections 3.2/6.3).
 	Recommendation = core.Recommendation
@@ -107,12 +108,15 @@ const (
 // NewMiner builds a Miner.
 func NewMiner(cfg Config) *Miner { return core.NewMiner(cfg) }
 
-// Trends diffs consecutive window results into trend events.
-func Trends(windows []WindowResult) []TrendEvent { return core.Trends(windows) }
-
-// TrendReport renders windows and events as text.
-func TrendReport(windows []WindowResult, events []TrendEvent) string {
-	return core.TrendReport(windows, events)
+// Trends feeds each window's clusters, in order, to one drift detector —
+// the rule the served /drift applies to epochs — and returns its events.
+func Trends(windows []WindowResult) []TrendEvent {
+	d := traffic.NewDrift()
+	var out []TrendEvent
+	for i, w := range windows {
+		out = append(out, d.Observe("", int64(i), w.Result.Clusters)...)
+	}
+	return out
 }
 
 // NewExtractor builds an access-area extractor over a schema.
