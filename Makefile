@@ -134,9 +134,18 @@ wal-smoke:
 # untouched), the
 # shard variants prove the same through a 4-shard coordinator's merge, and
 # the drift tests prove the /drift event log is a deterministic function of
-# the ingest script on both topologies. All under -race.
+# the ingest script on both topologies. The per-class epoch's output stage
+# has three gates of its own: TestCoverageMemoMatchesFresh (every global
+# and class cluster carries exactly the coverage a fresh ComputeCoverage
+# gives, across flushes that carry some clusters over and move others),
+# TestTransposedRegionsMatchSorted (class partitions clustered from the
+# transposed CSR see the sorted neighbourhoods, labels and reuse count) and
+# TestSnapshotUserSetsCopyOnWrite (an Add racing an epoch leaves the
+# epoch's shared user sets unchanged and reaches the next epoch). All under
+# -race.
 traffic-smoke:
-	$(GO) test -race -count=1 -run 'TestTrafficPartitionIdentity|TestTrafficDriftDeterministic' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestTrafficPartitionIdentity|TestTrafficDriftDeterministic|TestCoverageMemoMatchesFresh' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestTransposedRegionsMatchSorted|TestSnapshotUserSetsCopyOnWrite' -v ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCoordinatorTraffic' -v ./internal/shard/
 
 # repro-check is the paper-reproduction golden gate: render every

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	skyserved [-addr :8080] [-eps 0.06] [-minpts 8] [-snapshot state.json]
+//	skyserved [-addr :8080] [-eps 0.06] [-minpts 8] [-snapshot state.snap]
 //	          [-wal-dir wal [-wal-segment-bytes N] [-wal-window N]]
 //	          [-traffic [-traffic-overrides user=class,...]]
 //	          [-debug-addr :6060] [-shards N] [-role coordinator|shard -peers ...]
@@ -80,8 +80,8 @@
 //
 // On SIGINT/SIGTERM the server drains in-flight extraction, runs a final
 // epoch and (with -snapshot) persists state for a replay-free restart; the
-// in-process shard topology writes one snapshot per shard (state.0.json,
-// state.1.json, ...) plus the router assignment (state.json.router).
+// in-process shard topology writes one snapshot per shard (state.0.snap,
+// state.1.snap, ...) plus the router assignment (state.snap.router).
 package main
 
 import (
@@ -124,7 +124,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 // shardSnapshotPath derives shard i's snapshot path from the base by
-// inserting the index before the extension: state.json → state.2.json.
+// inserting the index before the extension: state.snap → state.2.snap.
 func shardSnapshotPath(base string, i int) string {
 	if base == "" {
 		return ""

@@ -1,6 +1,8 @@
 package aggregate
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 
 	"repro/internal/interval"
@@ -76,4 +78,51 @@ func (s *Summary) ComputeCoverage(src DataSource) {
 	}
 	s.AreaCoverage = area
 	s.ObjectCoverage = src.ObjectFraction(s.Relations, s.Box, s.Categorical)
+}
+
+// CoverageKey identifies a summary by exactly what ComputeCoverage reads:
+// its relations, each box dimension's column with the bits of its bounds
+// and its open flags, and each categorical column with its values. Two
+// summaries with one key get the same coverage from one data source, so a
+// caller may carry a computed coverage over to any summary with its key
+// while the source stays unchanged. Expr is no such key: it formats the
+// bounds, which can merge distinct floats. Every string is behind its
+// length, so no two inputs share a key.
+func (s *Summary) CoverageKey() string {
+	var b []byte
+	str := func(v string) {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Relations)))
+	for _, r := range s.Relations {
+		str(r)
+	}
+	dims := s.Box.Dims()
+	b = binary.AppendUvarint(b, uint64(len(dims)))
+	for _, col := range dims {
+		iv := s.Box.Get(col)
+		str(col)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(iv.Lo))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(iv.Hi))
+		var open byte
+		if iv.LoOpen {
+			open |= 1
+		}
+		if iv.HiOpen {
+			open |= 2
+		}
+		b = append(b, open)
+	}
+	cols := sortedKeys(s.Categorical)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, col := range cols {
+		str(col)
+		vals := s.Categorical[col]
+		b = binary.AppendUvarint(b, uint64(len(vals)))
+		for _, v := range vals {
+			str(v)
+		}
+	}
+	return string(b)
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -160,6 +161,9 @@ type itemAccum struct {
 	byKey         map[string]int
 	items         []*aggregate.Item
 	contradictory int
+	// shared marks items whose Users map an epoch snapshot also holds:
+	// add clones such a map before inserting into it (copy-on-write).
+	shared []bool
 }
 
 func newItemAccum() *itemAccum {
@@ -185,12 +189,19 @@ func (a *itemAccum) add(ar *qlog.AreaRecord) (idx int, isNew bool) {
 			RelKey: extract.RelationSetKey(ar.Area.Relations),
 			Key:    key,
 		})
+		a.shared = append(a.shared, false)
 		isNew = true
 	}
 	it := a.items[idx]
 	it.Weight++
-	if ar.Record.User != "" {
-		it.Users[ar.Record.User] = struct{}{}
+	if u := ar.Record.User; u != "" {
+		if _, ok := it.Users[u]; !ok {
+			if a.shared[idx] {
+				it.Users = maps.Clone(it.Users)
+				a.shared[idx] = false
+			}
+			it.Users[u] = struct{}{}
+		}
 	}
 	return idx, isNew
 }
@@ -242,7 +253,7 @@ func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, re
 
 	groups, order := partitionItems(items, eps)
 	opts := aggregate.Options{SigmaRule: m.cfg.SigmaRule}
-	mr := newMapRegion(sub.neighbours(eps))
+	mr := sub.mapRegion(sub.neighbours(eps))
 	for _, key := range order {
 		part := groups[key]
 		weights := make([]int, len(part))
@@ -254,6 +265,7 @@ func (m *Miner) cluster(sub *Substrate, items []*aggregate.Item, slots []int, re
 		dcfg := dbscan.Config{Eps: eps, MinPts: m.cfg.MinPts, Workers: m.cfg.Workers, Weights: weights}
 		collectPartition(res, items, part, mr.cluster(partSlots, dcfg), opts)
 	}
+	mr.trim()
 	sub.hits.Add(mr.reused)
 	res.DistanceEvals = sub.Evals()
 	res.DistanceCacheHits = sub.Hits()

@@ -97,18 +97,18 @@ func (inc *Incremental) DistanceEvals() int64 { return inc.sub.Evals() }
 func (inc *Incremental) DistanceCacheHits() int64 { return inc.sub.Hits() }
 
 // snapshotItems copies the accumulator state admitted so far: shallow item
-// copies (areas are immutable; weights and user sets keep mutating under
-// concurrent Adds) plus the contradictory count.
+// copies (areas are immutable and weights are copied) plus the
+// contradictory count. A copy shares its item's user set instead of
+// cloning it — every epoch would otherwise copy every set — and marks it
+// shared, so the next Add bringing a new user to that item clones the set
+// first and the snapshot's stays as it was.
 func (inc *Incremental) snapshotItems() ([]*aggregate.Item, int) {
 	inc.acc.mu.Lock()
 	defer inc.acc.mu.Unlock()
 	items := make([]*aggregate.Item, len(inc.acc.items))
 	for i, it := range inc.acc.items {
-		users := make(map[string]struct{}, len(it.Users))
-		for u := range it.Users {
-			users[u] = struct{}{}
-		}
-		items[i] = &aggregate.Item{Area: it.Area, Weight: it.Weight, Users: users, RelKey: it.RelKey, Key: it.Key}
+		items[i] = &aggregate.Item{Area: it.Area, Weight: it.Weight, Users: it.Users, RelKey: it.RelKey, Key: it.Key}
+		inc.acc.shared[i] = true
 	}
 	return items, inc.acc.contradictory
 }

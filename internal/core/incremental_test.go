@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/qlog"
@@ -188,5 +192,75 @@ func TestIncrementalRestoreGuards(t *testing.T) {
 	}
 	if err := m.Incremental().RestoreState(nil, nil); err != nil {
 		t.Fatalf("nil state restore: %v", err)
+	}
+}
+
+// Epoch snapshots share their items' user sets copy-on-write. While one
+// Recluster clusters a snapshot, Adds bring a new user to every item; the
+// snapshot's sets must stay as they were taken, and the next epoch must
+// count the new users — exactly as a batch mine over every record does.
+// make traffic-smoke runs this under the race detector.
+func TestSnapshotUserSetsCopyOnWrite(t *testing.T) {
+	m := NewMiner(Config{Schema: skyserver.Schema(), Seed: 3, Stats: seededStats()})
+	inc := m.Incremental()
+	areaRecs, _ := m.pipeline().Run(synthRecords(800, 3))
+	for i := range areaRecs {
+		inc.Add(&areaRecs[i])
+	}
+	late := make([]qlog.AreaRecord, len(areaRecs))
+	for i, ar := range areaRecs {
+		ar.Record.User = fmt.Sprintf("late-%d", i)
+		late[i] = ar
+	}
+
+	snap, _ := inc.snapshotItems()
+	want := make([]map[string]struct{}, len(snap))
+	for i, it := range snap {
+		want[i] = maps.Clone(it.Users)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range late {
+			inc.Add(&late[i])
+		}
+	}()
+	inc.Recluster() // clusters its own snapshot while the Adds run
+	for i, it := range snap {
+		if len(it.Users) != len(want[i]) {
+			t.Fatalf("item %d: snapshot user set grew under concurrent Adds", i)
+		}
+	}
+	wg.Wait()
+	for i, it := range snap {
+		if !maps.Equal(it.Users, want[i]) {
+			t.Fatalf("item %d: snapshot user set changed: %v, taken as %v", i, it.Users, want[i])
+		}
+	}
+
+	next := inc.Recluster()
+	batch := m.MineAreas(append(slices.Clone(areaRecs), late...))
+	if len(next.Clusters) == 0 || len(next.Clusters) != len(batch.Clusters) {
+		t.Fatalf("next epoch has %d clusters, batch mine %d", len(next.Clusters), len(batch.Clusters))
+	}
+	for i, c := range next.Clusters {
+		b := batch.Clusters[i]
+		if c.UserCount != b.UserCount || c.Cardinality != b.Cardinality {
+			t.Fatalf("cluster %d: next epoch %d users / %d queries, batch mine %d / %d",
+				i, c.UserCount, c.Cardinality, b.UserCount, b.Cardinality)
+		}
+	}
+	seen := make(map[string]bool)
+	items, _ := inc.snapshotItems()
+	for _, it := range items {
+		for u := range it.Users {
+			seen[u] = true
+		}
+	}
+	for _, ar := range late {
+		if !ar.Area.IsEmpty() && !seen[ar.Record.User] {
+			t.Fatalf("user %s added during the epoch is missing from the next one", ar.Record.User)
+		}
 	}
 }

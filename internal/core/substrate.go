@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +67,10 @@ type Substrate struct {
 	// latest update that rescanned anything: its changed slots, and those
 	// plus the new ones. Tests and diagnostics read them.
 	builds, lastStale, lastDirty int
+
+	// reg is the clustering scratch every sharing miner reuses; they
+	// recluster sequentially, so one copy serves them all.
+	reg regionScratch
 
 	evals atomic.Int64
 	hits  atomic.Int64
@@ -513,67 +517,166 @@ func mergeInto(list, add []int32) []int32 {
 	return list
 }
 
-// mapRegion is the DBSCAN region source for one partition of one miner:
-// local index i's neighbourhood is its slot's graph list restricted to the
-// partition, mapped into partition-local indices, with i itself inserted.
-// local maps slot → partition index (-1 outside it). Lists come out
-// ascending; a shared substrate's slot order can differ from a miner's
-// item order, so they are sorted when it does. The returned slice is reused
-// by the next call, as dbscan.ClusterGraph allows.
+// mapRegion is the DBSCAN region source for the partitions of one miner's
+// epoch: local index i's neighbourhood is its slot's graph list restricted
+// to the partition, mapped into partition-local indices, with i itself
+// inserted, in ascending order.
+//
+// A partition whose slots ascend — every partition of a batch mine, and of
+// the miner that interns each area first — keeps a list's order under the
+// mapping, so region maps each list as DBSCAN asks for it. A class miner on
+// a shared substrate holds its items in its own first-occurrence order, so
+// its partitions' slots need not ascend and a mapped list would come out
+// scrambled. Such a partition is transposed once instead (transpose): every
+// source, in ascending local index, appends itself to the run of each
+// partition neighbour and of itself. The graph is symmetric, so each run
+// then holds exactly its point's neighbourhood, ascending, with no sort.
+// Both paths count the reused entries of every list they map.
+//
+// The slot → partition-index map and the transposed CSR are the
+// substrate's regionScratch, reused across partitions, miners and epochs;
+// trim drops a CSR far larger than a miner's partitions needed.
 type mapRegion struct {
 	g       *nbrGraph
 	before  uint64
+	sc      *regionScratch
 	slotsOf []int // partition index → slot
-	local   []int32
 	reused  int64
-	buf     []int
+	// peak is the largest CSR this miner's partitions needed.
+	peak int
 }
 
-func newMapRegion(g *nbrGraph, before uint64) *mapRegion {
-	local := make([]int32, len(g.nbrs))
-	for i := range local {
-		local[i] = -1
+// regionScratch backs mapRegion. local maps slot → partition index (-1
+// outside the partition being clustered, and between partitions); buf is
+// the one region handed to DBSCAN; run i of the transposed CSR is
+// adj[start[i]:start[i+1]], filled through fill.
+type regionScratch struct {
+	local            []int32
+	buf              []int
+	start, adj, fill []int32
+}
+
+func (s *Substrate) mapRegion(g *nbrGraph, before uint64) *mapRegion {
+	sc := &s.reg
+	for len(sc.local) < len(g.nbrs) {
+		sc.local = append(sc.local, -1)
 	}
-	return &mapRegion{g: g, before: before, local: local}
+	return &mapRegion{g: g, before: before, sc: sc}
+}
+
+// trim ends a miner's use of the scratch. A CSR over four times the size
+// its partitions needed is dropped, so one large class partition does not
+// pin its peak memory until the next epoch.
+func (r *mapRegion) trim() {
+	if cap(r.sc.adj) > 4*r.peak {
+		r.sc.adj = nil
+	}
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // cluster runs DBSCAN over one partition, given as its members' slots.
 func (r *mapRegion) cluster(slots []int, cfg dbscan.Config) *dbscan.Result {
 	r.slotsOf = slots
+	local := r.sc.local
 	for i, slot := range slots {
-		r.local[slot] = int32(i)
+		local[slot] = int32(i)
 	}
-	res := dbscan.ClusterGraph(len(slots), r.region, cfg)
+	var res *dbscan.Result
+	if slices.IsSorted(slots) {
+		res = dbscan.ClusterGraph(len(slots), r.region, cfg)
+	} else {
+		r.transpose()
+		res = dbscan.ClusterGraph(len(slots), r.run, cfg)
+	}
 	for _, slot := range slots {
-		r.local[slot] = -1
+		local[slot] = -1
 	}
 	return res
 }
 
+// reuse counts a list's entry t as reused when neither the list's slot
+// (fresh reports whether it was) nor t was rescanned by the update the
+// graph came from.
+func (r *mapRegion) reuse(fresh bool, t int32) {
+	if !fresh && r.g.scanned[t] <= r.before {
+		r.reused++
+	}
+}
+
+// region maps slot order to local order, for a partition whose slots
+// ascend.
 func (r *mapRegion) region(i int) []int {
 	s := r.slotsOf[i]
-	list := r.g.nbrs[s]
-	out := r.buf[:0]
+	out := r.sc.buf[:0]
 	self := false
 	fresh := r.g.scanned[s] > r.before
-	for _, t := range list {
+	for _, t := range r.g.nbrs[s] {
 		if !self && int(t) > s {
 			out = append(out, i)
 			self = true
 		}
-		if li := r.local[t]; li >= 0 {
+		if li := r.sc.local[t]; li >= 0 {
 			out = append(out, int(li))
-			if !fresh && r.g.scanned[t] <= r.before {
-				r.reused++
-			}
+			r.reuse(fresh, t)
 		}
 	}
 	if !self {
 		out = append(out, i)
 	}
-	if !sort.IntsAreSorted(out) {
-		sort.Ints(out)
+	r.sc.buf = out
+	return out
+}
+
+// transpose builds the partition's neighbourhoods as a CSR: a first pass
+// sizes each run (its point's partition neighbours plus itself), a second
+// visits the sources in ascending local index and appends each one to its
+// own run and its neighbours' runs.
+func (r *mapRegion) transpose() {
+	sc, n := r.sc, len(r.slotsOf)
+	start := resize(sc.start, n+1)
+	start[0] = 0
+	for i, s := range r.slotsOf {
+		deg := int32(1)
+		for _, t := range r.g.nbrs[s] {
+			if sc.local[t] >= 0 {
+				deg++
+			}
+		}
+		start[i+1] = start[i] + deg
 	}
-	r.buf = out
+	adj := resize(sc.adj, int(start[n]))
+	fill := resize(sc.fill, n)
+	copy(fill, start[:n])
+	for i, s := range r.slotsOf {
+		adj[fill[i]] = int32(i)
+		fill[i]++
+		fresh := r.g.scanned[s] > r.before
+		for _, t := range r.g.nbrs[s] {
+			if li := sc.local[t]; li >= 0 {
+				adj[fill[li]] = int32(i)
+				fill[li]++
+				r.reuse(fresh, t)
+			}
+		}
+	}
+	sc.start, sc.adj, sc.fill = start, adj, fill
+	r.peak = max(r.peak, len(adj))
+}
+
+// run is the transposed path's region source: run i, widened into buf.
+func (r *mapRegion) run(i int) []int {
+	out := r.sc.buf[:0]
+	for _, j := range r.sc.adj[r.sc.start[i]:r.sc.start[i+1]] {
+		out = append(out, int(j))
+	}
+	r.sc.buf = out
 	return out
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/aggregate"
+	"repro/internal/dbscan"
 	"repro/internal/qlog"
 	"repro/internal/schema"
 	"repro/internal/skyserver"
@@ -270,4 +274,137 @@ func TestClusteredItemsCarrySharedHulls(t *testing.T) {
 	}
 	sameMining(t, a.Recluster(), r.Recluster())
 	checkHulls("restored", r)
+}
+
+// A partition whose slots do not ascend clusters from the transposed CSR.
+// Over a substrate shared by a global and three class miners (the seq%3
+// split TestNeighbourGraphMatchesBrute uses), every partition of every
+// class miner, and every global partition in shuffled member orders, is
+// clustered through mapRegion and checked against the filtered and sorted
+// lists: each region must equal its sorted list, and ClusterGraph's labels
+// and the reused count must be the same on both paths. Ascending partitions
+// check the streaming path the same way.
+func TestTransposedRegionsMatchSorted(t *testing.T) {
+	recs := synthRecords(1500, 7)
+	m := NewMiner(Config{Schema: skyserver.Schema(), Seed: 7, Stats: seededStats()})
+	sub := m.Substrate()
+	var miners []*Incremental
+	for i := 0; i < 4; i++ {
+		miners = append(miners, m.IncrementalShared(sub))
+	}
+	areaRecs, _ := m.pipeline().Run(recs)
+	add := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ar := &areaRecs[i]
+			miners[0].Add(ar)
+			miners[1+ar.Record.Seq%3].Add(ar)
+		}
+	}
+	// The first epoch builds the graph; the second adds slots, so its
+	// update leaves both fresh and reused entries for the reused count.
+	half := len(areaRecs) / 2
+	add(0, half)
+	for _, inc := range miners {
+		inc.Recluster()
+	}
+	add(half, len(areaRecs))
+	var parts [][]int // partition slots, in member order
+	var weights [][]int
+	for _, inc := range miners {
+		items, _ := inc.snapshotItems()
+		inc.slots = append(inc.slots, sub.sync(items[len(inc.slots):])...)
+		groups, order := partitionItems(items, m.cfg.Eps)
+		for _, key := range order {
+			var slots, w []int
+			for _, idx := range groups[key] {
+				slots = append(slots, inc.slots[idx])
+				w = append(w, items[idx].Weight)
+			}
+			parts, weights = append(parts, slots), append(weights, w)
+		}
+	}
+	g, before := sub.neighbours(m.cfg.Eps)
+	if before == g.seq {
+		t.Fatal("the second epoch's graph update rescanned nothing")
+	}
+	r := rand.New(rand.NewSource(7))
+	for i, n := 0, len(parts); i < n; i++ {
+		if len(parts[i]) > 2 && slices.IsSorted(parts[i]) {
+			shuffled := slices.Clone(parts[i])
+			w := slices.Clone(weights[i])
+			r.Shuffle(len(shuffled), func(a, b int) {
+				shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
+				w[a], w[b] = w[b], w[a]
+			})
+			parts, weights = append(parts, shuffled), append(weights, w)
+		}
+	}
+
+	transposed, fresh, reused := 0, false, false
+	for p, slots := range parts {
+		// The reference: each list filtered to the partition, mapped to
+		// local indices, itself added, sorted.
+		local := make(map[int32]int, len(slots))
+		for i, s := range slots {
+			local[int32(s)] = i
+		}
+		want := make([][]int, len(slots))
+		var wantReused int64
+		for i, s := range slots {
+			want[i] = []int{i}
+			scanned := g.scanned[s] > before
+			fresh = fresh || scanned
+			for _, t := range g.nbrs[s] {
+				if li, ok := local[t]; ok {
+					want[i] = append(want[i], li)
+					if !scanned && g.scanned[t] <= before {
+						wantReused++
+					}
+				}
+			}
+			sort.Ints(want[i])
+		}
+		reused = reused || wantReused > 0
+		cfg := dbscan.Config{Eps: m.cfg.Eps, MinPts: m.cfg.MinPts, Weights: weights[p]}
+		wantRes := dbscan.ClusterGraph(len(slots), func(i int) []int { return want[i] }, cfg)
+
+		mr := sub.mapRegion(g, before)
+		res := mr.cluster(slots, cfg)
+		got := make([][]int, len(slots))
+		if slices.IsSorted(slots) {
+			// The streaming path maps each list on demand: replay it.
+			probe := sub.mapRegion(g, before)
+			probe.slotsOf = slots
+			for i, s := range slots {
+				probe.sc.local[s] = int32(i)
+			}
+			for i := range slots {
+				got[i] = slices.Clone(probe.region(i))
+			}
+			for _, s := range slots {
+				probe.sc.local[s] = -1
+			}
+		} else {
+			// The CSR still holds the partition just clustered.
+			transposed++
+			for i := range slots {
+				got[i] = slices.Clone(mr.run(i))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition %d (%d members, ascending %v): regions differ from the sorted lists",
+				p, len(slots), slices.IsSorted(slots))
+		}
+		if !reflect.DeepEqual(res.Labels, wantRes.Labels) {
+			t.Fatalf("partition %d: labels differ from the sorted lists'", p)
+		}
+		if mr.reused != wantReused {
+			t.Fatalf("partition %d: reused %d, sorted lists %d", p, mr.reused, wantReused)
+		}
+	}
+	t.Logf("%d partitions, %d transposed", len(parts), transposed)
+	if transposed < 20 || !fresh || !reused {
+		t.Fatalf("%d transposed partitions, fresh entries %v, reused entries %v: the test exercised too little",
+			transposed, fresh, reused)
+	}
 }

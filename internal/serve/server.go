@@ -35,7 +35,9 @@ type Config struct {
 	// reuse (see core.Incremental).
 	Miner core.Config
 	// Coverage, when set, attaches area/object coverage to every epoch's
-	// clusters and enables the coverage columns in reports.
+	// clusters and enables the coverage columns in reports. It must not
+	// change while the server runs: an epoch carries a cluster's coverage
+	// over from the epoch before when its aggregated area is unchanged.
 	Coverage aggregate.DataSource
 	// QueueSize bounds the ingest queue; a full queue answers 429
 	// (default 4096).
@@ -164,8 +166,10 @@ type Server struct {
 	// can all request one). epochForced/epochProcessed/epochStatsGen (also
 	// under epochMu) remember what the last epoch covered, so an idempotent
 	// re-flush — nothing processed, no stats movement since a forced epoch —
-	// skips the re-cluster instead of redoing it.
+	// skips the re-cluster instead of redoing it. cov (also under epochMu)
+	// carries cluster coverage from one epoch to the next.
 	epochMu        sync.Mutex
+	cov            coverageMemo
 	epochForced    bool
 	epochProcessed int64
 	epochStatsGen  uint64
@@ -560,7 +564,7 @@ func (s *Server) runEpoch(force bool) {
 	res := s.inc.Recluster()
 	res.PipelineStats = s.statsSnapshot()
 	if s.cfg.Coverage != nil {
-		res.AttachCoverage(s.cfg.Coverage)
+		s.cov.attach(res, s.cfg.Coverage)
 	}
 	// The class miners recluster after the global one: every area is
 	// already interned in the shared substrate and its neighbour graph is
@@ -569,6 +573,7 @@ func (s *Server) runEpoch(force bool) {
 	if s.traffic != nil {
 		classRes = s.reclusterClasses(force)
 	}
+	s.cov.endEpoch()
 	el := time.Since(t0)
 	s.lastEpochNS.Store(int64(el))
 	s.totalEpochNS.Add(int64(el))

@@ -134,7 +134,7 @@ func (s *Server) reclusterClasses(force bool) map[string]*core.Result {
 			Extracted: int(cc.extracted.Load()),
 		}
 		if s.cfg.Coverage != nil {
-			r.AttachCoverage(s.cfg.Coverage)
+			s.cov.attach(r, s.cfg.Coverage)
 		}
 		classRes[cls] = r
 	}
