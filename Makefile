@@ -89,18 +89,23 @@ semcache-smoke:
 	$(GO) test -race -count=1 -run 'TestSemCacheSmoke|TestQueryLeavesReportUnchanged' -v ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestInstallCarriesUnchangedRegions|TestHeldOutOracle' -v ./internal/interestcache/
 
-# shard-smoke is the end-to-end gate for the sharded topology: a 4-shard
-# in-process cluster (same routing/merge code path as multi-node) ingests a
-# 1k-query log over real HTTP, flushes, and the coordinator's merged /report
-# must be byte-identical to the batch miner in every format
-# (TestCoordinatorMatchesBatch). TestRemoteCoordinatorMatchesBatch holds the
-# multi-node topology to the same bytes: four shards with private stats
-# registries and template caches, reached over HTTP. TestMergeExactFollowsShardEps
-# proves X-Merge-Exact is judged from the eps the shards clustered at, false
-# when they disagree; the shard-down test proves ingest keeps accepting and
+# shard-smoke is the end-to-end gate for the sharded topology: four shard
+# servers with private stats registries and template caches, each behind its
+# own HTTP listener as a -role shard process is, take a 1k-query log through
+# a coordinator, and the merged /report must be byte-identical to the batch
+# miner in every format, with its content types, 503 before the first merge,
+# every record on one shard and /metrics agreeing
+# (TestCoordinatorMatchesBatch); TestRemoteCoordinatorMatchesBatch holds
+# three shards on another log to the same bytes.
+# TestMergeExactFollowsShardEps proves X-Merge-Exact is judged from the eps
+# the shards clustered at, false when they disagree; the shard-down test proves ingest keeps accepting and
 # /report degrades with a staleness marker when a node dies.
+# TestPoisonRecordDoesNotWedgeShard proves a statement of 1 MiB of '<'
+# reaches its shard and a record too large to forward is refused at
+# admission, and TestShardRefusalDropsRecord that a record the shard
+# refuses is dropped once, not re-sent forever.
 shard-smoke:
-	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestRemoteCoordinatorMatchesBatch|TestMergeExactFollowsShardEps|TestShardDownDegradesGracefully' -v ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestRemoteCoordinatorMatchesBatch|TestMergeExactFollowsShardEps|TestShardDownDegradesGracefully|TestPoisonRecordDoesNotWedgeShard|TestShardRefusalDropsRecord' -v ./internal/shard/
 
 # wal-smoke is the end-to-end durability gate: kill a server mid-ingest
 # (clean restart and torn-tail variants), or shut it down past its
@@ -108,7 +113,9 @@ shard-smoke:
 # dir, and require the recovered /report to be byte-identical to an
 # uninterrupted run; TestRemineWindowEquivalence proves POST /remine over a
 # [from,to) window matches batch-mining the same slice, and the shard
-# variant proves per-shard WALs recover under the coordinator. The wal
+# variant proves per-shard WALs recover under the coordinator: each aborted
+# shard server restarts on its own WAL dir behind a new listener, and the
+# coordinator from its persisted router state and offsets. The wal
 # package's statement-table tests prove a def torn off the active segment
 # is defined afresh after recovery, and that a clean reopen keeps writing
 # refs to texts defined before it, and TestSealedSegmentScansClean that a
@@ -132,7 +139,8 @@ wal-smoke:
 # mining that class's records, whether the records arrive tagged or the
 # server's own classifier assigns them (and the classless report is
 # untouched), the
-# shard variants prove the same through a 4-shard coordinator's merge, and
+# shard variants prove the same through the merge of a coordinator over four
+# HTTP shards, and
 # the drift tests prove the /drift event log is a deterministic function of
 # the ingest script on both topologies. The per-class epoch's output stage
 # has three gates of its own: TestCoverageMemoMatchesFresh (every global

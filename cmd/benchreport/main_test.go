@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -20,9 +21,11 @@ func TestListNamesExperiments(t *testing.T) {
 		t.Fatalf("-exp list exited %d", code)
 	}
 	var names []string
+	descs := make(map[string][]string)
 	for _, line := range strings.Split(out, "\n")[1:] {
 		if fields := strings.Fields(line); len(fields) > 0 {
 			names = append(names, fields[0])
+			descs[fields[0]] = fields[1:]
 		}
 	}
 	want := []string{
@@ -31,6 +34,28 @@ func TestListNamesExperiments(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("-exp list names %v, want %v", names, want)
+	}
+	// Each paper experiment's line names its DESIGN.md §4 id, and no other
+	// line claims one.
+	eid := map[string]string{
+		"table1": "E1", "fig1a": "E2", "fig1b": "E3", "fig1c": "E4", "coverage": "E5",
+		"olapclus": "E6", "olapclusraw": "E7", "efficiency": "E8", "requery": "E9", "ablation": "E10",
+	}
+	isEID := regexp.MustCompile(`^E[0-9]+$`)
+	for _, name := range names {
+		var ids []string
+		for _, word := range descs[name] {
+			if isEID.MatchString(word) {
+				ids = append(ids, word)
+			}
+		}
+		var wantIDs []string
+		if id, ok := eid[name]; ok {
+			wantIDs = []string{id}
+		}
+		if !reflect.DeepEqual(ids, wantIDs) {
+			t.Errorf("-exp list line for %s names ids %v, want %v: %q", name, ids, wantIDs, strings.Join(descs[name], " "))
+		}
 	}
 }
 

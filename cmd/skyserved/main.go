@@ -10,7 +10,7 @@
 //	skyserved [-addr :8080] [-eps 0.06] [-minpts 8] [-snapshot state.snap]
 //	          [-wal-dir wal [-wal-segment-bytes N] [-wal-window N]]
 //	          [-traffic [-traffic-overrides user=class,...]]
-//	          [-debug-addr :6060] [-shards N] [-role coordinator|shard -peers ...]
+//	          [-debug-addr :6060] [-role coordinator|shard -peers ...]
 //
 // -wal-segment-bytes and -wal-window need -wal-dir, and -traffic-overrides
 // needs -traffic: skyserved exits 1 rather than ignore them. The report row
@@ -40,26 +40,36 @@
 //	POST /remine    mine a historical [from,to) record-time window from the
 //	                WAL (optional relation/fingerprint filters; -wal-dir)
 //
-// Topologies (one binary, three roles):
+// Roles (one binary; a sharded deployment is N shard processes plus one
+// coordinator, on one host or many):
 //
-//	-shards N       in-process sharding: N shard miners behind one
-//	                relation-set router and merged /report, same process
-//	-role shard     one shard node of a multi-node cluster (adds
-//	                GET /shard/result, /shard/telemetry and /shard/traffic
-//	                for the coordinator)
+//	(no -role)      standalone server
+//	-role shard     one shard of a cluster (adds GET /shard/result and
+//	                /shard/traffic for the coordinator)
 //	-role coordinator -peers http://h1:8081,http://h2:8081
-//	                routes /ingest to the peer shards
+//	                routes /ingest to the peer shards by relation set and
+//	                merges their epochs into one /report
 //
-// Both sharded topologies run the same coordinator: the shared endpoints
-// plus GET /shard/status (per-shard liveness and delivery state); /report
-// adds X-Stale-Shards and X-Merge-Exact (judged from the eps every shard
-// reports it clustered at). -peers needs -role coordinator, and -shards
-// cannot combine with -role. A topology refuses the flags it never reads:
-// -query-verify configures a standalone server's /query cache, so every
-// sharded topology refuses it; -role coordinator runs no miner, WAL or
-// epoch loop, so it also refuses -eps, -minpts, -mode, -seed,
-// -epoch-areas, -epoch-interval, -traffic-overrides and the -wal-* flags.
-// Each shard process takes those itself.
+// The coordinator serves the shared endpoints plus GET /shard/status
+// (per-shard liveness and delivery state); /report adds X-Stale-Shards and
+// X-Merge-Exact (judged from the eps every shard reports it clustered at).
+// On one host:
+//
+//	for p in 8081 8082 8083 8084; do skyserved -role shard -addr 127.0.0.1:$p & done
+//	skyserved -role coordinator -addr :8080 \
+//	    -peers 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083,127.0.0.1:8084
+//
+// On a 2-vCPU host that cluster took a 20k-record replay to its final
+// /report in a median 2.11 s, against 2.32 s for four shard miners inside
+// one process and 2.86 s for a single node, at the cost of 413–447 MB
+// summed peak RSS against 326–370 MB in one process (DESIGN.md §14).
+//
+// -peers needs -role coordinator. A role refuses the flags it never reads:
+// -query-verify configures a standalone server's /query cache, so both
+// roles refuse it; -role coordinator runs no miner, WAL or epoch loop, so
+// it also refuses -eps, -minpts, -mode, -seed, -epoch-areas,
+// -epoch-interval, -traffic-overrides and the -wal-* flags. Each shard
+// process takes those itself.
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/ plus the same /metrics and /debug/slowlog views.
@@ -79,9 +89,10 @@
 //	    http://localhost:8080/query
 //
 // On SIGINT/SIGTERM the server drains in-flight extraction, runs a final
-// epoch and (with -snapshot) persists state for a replay-free restart; the
-// in-process shard topology writes one snapshot per shard (state.0.snap,
-// state.1.snap, ...) plus the router assignment (state.snap.router).
+// epoch and (with -snapshot) persists state for a replay-free restart. A
+// coordinator's -snapshot names its router state instead: the assignment
+// (state.snap.router) and routing offsets (state.snap.router.offsets),
+// written at every flush and on shutdown.
 package main
 
 import (
@@ -94,15 +105,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/distance"
-	"repro/internal/extract"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/serve"
@@ -123,28 +131,9 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// shardSnapshotPath derives shard i's snapshot path from the base by
-// inserting the index before the extension: state.snap → state.2.snap.
-func shardSnapshotPath(base string, i int) string {
-	if base == "" {
-		return ""
-	}
-	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "." + strconv.Itoa(i) + ext
-}
-
-// shardWALDir derives shard i's WAL directory from the base: each
-// in-process shard owns its own log (wal → wal/shard-2).
-func shardWALDir(base string, i int) string {
-	if base == "" {
-		return ""
-	}
-	return filepath.Join(base, "shard-"+strconv.Itoa(i))
-}
-
 // validateTopology refuses flag combinations that would start a topology
 // other than the one asked for.
-func validateTopology(shards int, role, peers string) error {
+func validateTopology(role, peers string) error {
 	switch role {
 	case "", "shard", "coordinator":
 	default:
@@ -155,8 +144,6 @@ func validateTopology(shards int, role, peers string) error {
 		return errors.New("-role coordinator needs -peers")
 	case role != "coordinator" && peers != "":
 		return errors.New("-peers is read only by -role coordinator")
-	case role != "" && shards > 1:
-		return fmt.Errorf("-shards starts an in-process coordinator; it cannot combine with -role %s", role)
 	}
 	return nil
 }
@@ -173,24 +160,20 @@ var coordinatorUnread = []string{
 	"traffic-overrides", "wal-dir", "wal-segment-bytes", "wal-window",
 }
 
-// validateTopologyFlags refuses a flag the chosen topology never reads.
-// set holds the flags given on the command line (flag.Visit), so a
-// default value never counts.
-func validateTopologyFlags(set map[string]bool, shards int, role string) error {
+// validateTopologyFlags refuses a flag the chosen role never reads. set
+// holds the flags given on the command line (flag.Visit), so a default
+// value never counts.
+func validateTopologyFlags(set map[string]bool, role string) error {
 	var unread []string
-	if shards > 1 || role != "" {
+	if role != "" {
 		unread = append(unread, queryCacheFlags...)
 	}
 	if role == "coordinator" {
 		unread = append(unread, coordinatorUnread...)
 	}
-	topology := "-role " + role
-	if role == "" {
-		topology = "-shards " + strconv.Itoa(shards)
-	}
 	for _, name := range unread {
 		if set[name] {
-			return fmt.Errorf("-%s is not read under %s", name, topology)
+			return fmt.Errorf("-%s is not read under -role %s", name, role)
 		}
 	}
 	return nil
@@ -222,13 +205,12 @@ func main() {
 	epochAreas := flag.Int("epoch-areas", 512, "new distinct areas that trigger a re-clustering epoch")
 	epochInterval := flag.Duration("epoch-interval", 15*time.Second, "re-cluster on this timer when new areas are pending (0 = off)")
 	snapshot := flag.String("snapshot", "", "snapshot path (restored on start, written on shutdown; empty = none); the file is binary, and a JSON snapshot of an earlier build is still read")
-	walDir := flag.String("wal-dir", "", "durable ingest WAL directory: /ingest acks only after group-commit fsync, restart replays the tail past the snapshot, POST /remine mines historical windows (empty = off; in-process shards get wal-dir/shard-N each)")
+	walDir := flag.String("wal-dir", "", "durable ingest WAL directory: /ingest acks only after group-commit fsync, restart replays the tail past the snapshot, POST /remine mines historical windows (empty = off)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = 8 MiB default)")
 	walWindow := flag.Int64("wal-window", 0, "also rotate WAL segments every N logical seconds of record time, for finer /remine segment skipping (0 = size-only)")
 	queryVerify := flag.Bool("query-verify", false, "check every cache-served /query result against direct execution (oracle; slow)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "debug listener for pprof/metrics/slowlog (empty = off)")
-	shards := flag.Int("shards", 1, "in-process shard miners behind one router (1 = unsharded)")
 	role := flag.String("role", "", "multi-node role: coordinator or shard (empty = standalone)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs (coordinator role)")
 	trafficOn := flag.Bool("traffic", false, "classify ingest into bot/human/admin and mine per class: adds /report?class=, /drift and /interfaces (a coordinator assumes its shard peers also run -traffic)")
@@ -239,10 +221,10 @@ func main() {
 
 	dmode, err := distance.ParseMode(*mode)
 	if err == nil {
-		err = validateTopology(*shards, *role, *peers)
+		err = validateTopology(*role, *peers)
 	}
 	if err == nil {
-		err = validateTopologyFlags(set, *shards, *role)
+		err = validateTopologyFlags(set, *role)
 	}
 	if err == nil {
 		err = validateSubsystems(*trafficOn, *trafficOverrides, *walDir, *walSegBytes, *walWindow)
@@ -268,66 +250,27 @@ func main() {
 		}
 	}
 
-	minerCfg := func(stats *schema.Stats) core.Config {
-		return core.Config{
-			Schema: skyserver.Schema(), Stats: stats,
-			Eps: *eps, MinPts: *minPts,
-			Mode: dmode, Seed: *seed,
-		}
-	}
-
-	// What to serve, and how to stop it, by topology. Every topology builds
-	// the synthetic database: it seeds access(a), backs /query and supplies
+	// What to serve, and how to stop it, by role. Every role builds the
+	// synthetic database: it seeds access(a), backs /query and supplies
 	// coverage for the (merged) report.
 	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
 	var handler http.Handler
 	var registry *obs.Registry
 	var shutdown func(context.Context) error
 
-	if *role == "coordinator" || *shards > 1 {
-		// One coordinator for both sharded topologies; only the node list
-		// differs. -role coordinator routes to remote shard processes (no
-		// local miner); -shards N embeds N shard servers that share one
-		// stats registry (the access(a) observations commute) and one
-		// template cache (warmed by the router), so the merged report is
-		// byte-identical to a single batch mine over the same records.
-		var nodes []shard.Node
-		var tcache *extract.TemplateCache
-		if *role == "coordinator" {
-			for i, p := range strings.Split(*peers, ",") {
-				nodes = append(nodes, shard.NewHTTPNode(fmt.Sprintf("shard-%d", i), strings.TrimSpace(p), nil))
-			}
-		} else {
-			stats := schema.NewStats()
-			skyserver.SeedStats(db, stats)
-			tcache = &extract.TemplateCache{}
-			for i := 0; i < *shards; i++ {
-				s, err := serve.NewServer(serve.Config{
-					Miner:            minerCfg(stats),
-					QueueSize:        *queue,
-					BatchSize:        *batch,
-					EpochAreas:       *epochAreas,
-					EpochInterval:    *epochInterval,
-					Templates:        tcache,
-					SnapshotPath:     shardSnapshotPath(*snapshot, i),
-					WALDir:           shardWALDir(*walDir, i),
-					WALSegmentBytes:  *walSegBytes,
-					WALSegmentWindow: *walWindow,
-					Traffic:          trafficCfg,
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "skyserved: shard %d: %v\n", i, err)
-					os.Exit(1)
-				}
-				nodes = append(nodes, shard.NewLocalNode(fmt.Sprintf("shard-%d", i), s))
-			}
+	if *role == "coordinator" {
+		// The coordinator runs no miner: it routes to the peer shard
+		// processes and merges their epochs.
+		var nodes []*shard.HTTPNode
+		for i, p := range strings.Split(*peers, ",") {
+			nodes = append(nodes, shard.NewHTTPNode(fmt.Sprintf("shard-%d", i), strings.TrimSpace(p), nil))
 		}
 		statePath := ""
 		if *snapshot != "" {
 			statePath = *snapshot + ".router"
 		}
 		coord, err := shard.NewCoordinator(shard.Config{
-			Router:          shard.NewRouter(len(nodes), skyserver.Schema(), tcache, 0),
+			Router:          shard.NewRouter(len(nodes), skyserver.Schema(), 0),
 			Nodes:           nodes,
 			QueueSize:       *queue,
 			BatchSize:       *batch,
@@ -344,11 +287,15 @@ func main() {
 		shutdown = func(ctx context.Context) error { return coord.Close() }
 		log.Printf("skyserved: coordinator over %d shards", len(nodes))
 	} else {
-		// Standalone server, or one shard node of a multi-node cluster.
+		// Standalone server, or one shard node of a cluster.
 		stats := schema.NewStats()
 		skyserver.SeedStats(db, stats)
 		cfg := serve.Config{
-			Miner:            minerCfg(stats),
+			Miner: core.Config{
+				Schema: skyserver.Schema(), Stats: stats,
+				Eps: *eps, MinPts: *minPts,
+				Mode: dmode, Seed: *seed,
+			},
 			Coverage:         db,
 			QueueSize:        *queue,
 			BatchSize:        *batch,

@@ -1,48 +1,50 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/distance"
 )
 
 func TestValidateTopology(t *testing.T) {
 	cases := []struct {
-		name   string
-		shards int
-		role   string
-		peers  string
-		ok     bool
+		name  string
+		role  string
+		peers string
+		ok    bool
 	}{
-		{name: "standalone", shards: 1, ok: true},
-		{name: "in-process shards", shards: 4, ok: true},
-		{name: "shard node", shards: 1, role: "shard", ok: true},
-		{name: "coordinator", shards: 1, role: "coordinator", peers: "h1:8081,h2:8081", ok: true},
-		{name: "unknown role", shards: 1, role: "leader"},
-		{name: "coordinator without peers", shards: 1, role: "coordinator"},
-		{name: "peers without coordinator", shards: 1, peers: "h1:8081"},
-		{name: "peers on a shard node", shards: 1, role: "shard", peers: "h1:8081"},
-		{name: "shard node with in-process shards", shards: 4, role: "shard"},
-		{name: "coordinator with in-process shards", shards: 4, role: "coordinator", peers: "h1:8081"},
+		{name: "standalone", ok: true},
+		{name: "shard node", role: "shard", ok: true},
+		{name: "coordinator", role: "coordinator", peers: "h1:8081,h2:8081", ok: true},
+		{name: "unknown role", role: "leader"},
+		{name: "coordinator without peers", role: "coordinator"},
+		{name: "peers without coordinator", peers: "h1:8081"},
+		{name: "peers on a shard node", role: "shard", peers: "h1:8081"},
 	}
 	for _, c := range cases {
-		err := validateTopology(c.shards, c.role, c.peers)
+		err := validateTopology(c.role, c.peers)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: validateTopology(%d, %q, %q) = %v, want ok=%v",
-				c.name, c.shards, c.role, c.peers, err, c.ok)
+			t.Errorf("%s: validateTopology(%q, %q) = %v, want ok=%v",
+				c.name, c.role, c.peers, err, c.ok)
 		}
 	}
 }
 
-// A topology refuses every flag it never reads, and only when the flag was
-// given: a sharded topology has no /query cache, and a coordinator runs no
-// miner, WAL or epoch loop of its own.
+// A role refuses every flag it never reads, and only when the flag was
+// given: a shard or coordinator has no /query cache, and a coordinator runs
+// no miner, WAL or epoch loop of its own.
 func TestValidateTopologyFlags(t *testing.T) {
 	cacheFlags := []string{"query-verify"}
 	coordinatorFlags := []string{"eps", "epoch-areas", "epoch-interval", "minpts", "mode", "seed",
 		"traffic-overrides", "wal-dir", "wal-segment-bytes", "wal-window"}
-	// Flags every topology reads, plus the ones a shard process reads.
+	// Flags every role reads, plus the ones a shard process reads.
 	alwaysRead := []string{"addr", "batch", "debug-addr", "drain", "queue", "rows", "snapshot", "traffic"}
 	cat := func(lists ...[]string) []string {
 		var out []string
@@ -53,31 +55,63 @@ func TestValidateTopologyFlags(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		shards int
 		role   string
 		ok     []string
 		refuse []string
 	}{
-		{name: "standalone", shards: 1, ok: cat(alwaysRead, cacheFlags, coordinatorFlags)},
-		{name: "in-process shards", shards: 4, ok: cat(alwaysRead, coordinatorFlags), refuse: cacheFlags},
-		{name: "shard node", shards: 1, role: "shard", ok: cat(alwaysRead, coordinatorFlags), refuse: cacheFlags},
-		{name: "coordinator", shards: 1, role: "coordinator", ok: alwaysRead, refuse: cat(cacheFlags, coordinatorFlags)},
+		{name: "standalone", ok: cat(alwaysRead, cacheFlags, coordinatorFlags)},
+		{name: "shard node", role: "shard", ok: cat(alwaysRead, coordinatorFlags), refuse: cacheFlags},
+		{name: "coordinator", role: "coordinator", ok: alwaysRead, refuse: cat(cacheFlags, coordinatorFlags)},
 	}
 	for _, c := range cases {
-		if err := validateTopologyFlags(map[string]bool{}, c.shards, c.role); err != nil {
+		if err := validateTopologyFlags(map[string]bool{}, c.role); err != nil {
 			t.Errorf("%s, no flags set: %v", c.name, err)
 		}
 		for _, name := range c.ok {
-			if err := validateTopologyFlags(map[string]bool{name: true}, c.shards, c.role); err != nil {
+			if err := validateTopologyFlags(map[string]bool{name: true}, c.role); err != nil {
 				t.Errorf("%s -%s: %v, want ok", c.name, name, err)
 			}
 		}
 		for _, name := range c.refuse {
-			err := validateTopologyFlags(map[string]bool{name: true}, c.shards, c.role)
+			err := validateTopologyFlags(map[string]bool{name: true}, c.role)
 			if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 				t.Errorf("%s -%s: %v, want it refused", c.name, name, err)
 			}
 		}
+	}
+}
+
+// runMainEnv names the environment variable that makes this test binary
+// run skyserved's main with the arguments it holds (one per line).
+const runMainEnv = "SKYSERVED_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(runMainEnv); ok {
+		os.Args = append([]string{"skyserved"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// The one sharded topology is shard processes behind a coordinator:
+// skyserved has no -shards flag, so -shards 4 is refused as an unknown
+// flag and the process exits before it listens.
+func TestShardsFlagRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), runMainEnv+"=-shards\n4\n-addr\n127.0.0.1:0")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("skyserved -shards 4: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if ctx.Err() != nil || bytes.Contains(out, []byte("listening")) {
+		t.Fatalf("skyserved -shards 4 started serving:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("flag provided but not defined: -shards")) {
+		t.Errorf("skyserved -shards 4 output does not name the flag:\n%s", out)
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 // has exactly one handler, written against this interface, so a client gets
 // the same contract — status codes, JSON keys, ETags — from either topology.
 type Backend interface {
-	// Enqueue admits one record: ErrClosed answers 503, any other error
-	// 429 (backpressure: the client re-sends the tail).
+	// Enqueue admits one record: ErrClosed answers 503, ErrRecordTooLarge
+	// 400 (the record is refused for good), any other error 429
+	// (backpressure: the client re-sends the tail).
 	Enqueue(rec qlog.Record) error
 	// Commit is the durability barrier run before any reply acknowledging
 	// accepted > 0 records (a no-op where nothing is logged).
@@ -114,6 +115,12 @@ func (s *Server) Handler() http.Handler {
 // handler buffer without bound. A larger /ingest body answers 413, after
 // admitting (and acknowledging) the NDJSON records that fit.
 const MaxBodyBytes = 8 << 20
+
+// MaxLineBytes caps one NDJSON line of an /ingest body, its newline
+// included. A shard coordinator forwards records to its shards as NDJSON,
+// so it refuses at admission any record whose forwarded line would exceed
+// it (ErrRecordTooLarge): the shard would refuse that line.
+const MaxLineBytes = 4 << 20
 
 // Guard wraps a listener's handler set in the protections both topologies
 // share: every POST body is capped at MaxBodyBytes, and a panicking handler
@@ -215,7 +222,7 @@ func replyIngest(w http.ResponseWriter, status int, reply ingestReply, b Backend
 // the whole body in memory.
 func ingestNDJSON(w http.ResponseWriter, r *http.Request, b Backend) {
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	accepted := 0
 	line := 0
 	for sc.Scan() {
@@ -282,8 +289,11 @@ func ingestJSON(w http.ResponseWriter, r *http.Request, b Backend) {
 
 func ingestRejected(w http.ResponseWriter, accepted int, err error, b Backend) {
 	status := http.StatusTooManyRequests
-	if err == ErrClosed {
+	switch err {
+	case ErrClosed:
 		status = http.StatusServiceUnavailable
+	case ErrRecordTooLarge:
+		status = http.StatusBadRequest
 	}
 	replyIngest(w, status, ingestReply{Accepted: accepted, Dropped: 1, Error: err.Error()}, b)
 }

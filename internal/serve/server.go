@@ -42,12 +42,6 @@ type Config struct {
 	// QueueSize bounds the ingest queue; a full queue answers 429
 	// (default 4096).
 	QueueSize int
-	// Templates, when non-nil, is used (and populated) as the pipeline's
-	// template cache instead of a private one. The in-process shard
-	// topology shares one cache between the coordinator's router and every
-	// shard node, so a shape fingerprinted for routing is already warm when
-	// the owning shard extracts it.
-	Templates *extract.TemplateCache
 	// BatchSize caps how many queued records one pipeline run drains
 	// (default 256).
 	BatchSize int
@@ -237,14 +231,10 @@ func NewServer(cfg Config) (*Server, error) {
 		start:     time.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	tcache := cfg.Templates
-	if tcache == nil {
-		tcache = &extract.TemplateCache{}
-	}
 	s.pipe = &qlog.Pipeline{
 		Extractor: &extract.Extractor{Schema: cfg.Miner.Schema, Stats: miner.Stats()},
 		Workers:   cfg.Miner.Workers,
-		Cache:     tcache,
+		Cache:     &extract.TemplateCache{},
 	}
 	if cfg.QueryDB != nil {
 		// The cache shares the pipeline's memo and template cache and an
@@ -363,10 +353,13 @@ func (s *Server) Miner() *core.Miner { return s.miner }
 
 // Sentinel admission errors, exported so the shard coordinator (and other
 // embedders) can distinguish backpressure (retry later: ErrQueueFull) from
-// shutdown (stop: ErrClosed).
+// shutdown (stop: ErrClosed). ErrRecordTooLarge is the coordinator's own:
+// a record whose forwarded NDJSON line would exceed MaxLineBytes, which no
+// shard would ever admit.
 var (
-	ErrClosed    = errors.New("serve: server is shutting down")
-	ErrQueueFull = errors.New("serve: ingest queue full")
+	ErrClosed         = errors.New("serve: server is shutting down")
+	ErrQueueFull      = errors.New("serve: ingest queue full")
+	ErrRecordTooLarge = errors.New("serve: record exceeds the NDJSON line cap")
 )
 
 // enqueue admits one record or reports why it could not. With a WAL
@@ -384,8 +377,7 @@ func (s *Server) enqueue(rec qlog.Record) error {
 		// writer's sync-barrier critical path. The lexer pass comes from the
 		// exact-statement memo, so a re-issued text is not lexed again, and
 		// the entry rides on the record so the pipeline reuses it (and, once
-		// the text was extracted, its whole outcome). An in-process shard
-		// coordinator has attached the entry already.
+		// the text was extracted, its whole outcome).
 		if rec.Stmt == nil {
 			rec.Stmt = s.pipe.Cache.Stmt(rec.SQL)
 		}
@@ -433,7 +425,7 @@ func (s *Server) Commit(accepted int) error {
 
 // IngestRecords admits records in order until one is refused, returning how
 // many were accepted and the first admission error (nil when all made it).
-// It is the programmatic twin of POST /ingest for in-process shard nodes.
+// It is the programmatic twin of POST /ingest.
 // The accepted prefix is WAL-durable before the call returns.
 func (s *Server) IngestRecords(recs []qlog.Record) (int, error) {
 	accepted := len(recs)

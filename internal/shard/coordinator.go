@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"log"
 	"net/http"
 	"sort"
 	"strconv"
@@ -23,7 +26,7 @@ type Config struct {
 	Router *Router
 	// Nodes are the shards, indexed as the router indexes them. Required,
 	// len(Nodes) == Router.Shards().
-	Nodes []Node
+	Nodes []*HTTPNode
 	// QueueSize bounds each shard's pending-record queue (default 1024).
 	// A full queue surfaces as 429 to the ingesting client — backpressure
 	// propagates instead of buffering without bound.
@@ -63,12 +66,11 @@ func (c Config) withDefaults() Config {
 // Coordinator fans ingested records out to shard nodes by relation-set key
 // and merges their epoch results into one global Table-1 view. It carries
 // the serve layer's determinism contract across the fan-out: after Flush,
-// the merged /report reflects every record accepted before it, and — in the
-// in-process topology — is byte-identical to a single batch mine.
+// the merged /report reflects every record accepted before it.
 type Coordinator struct {
 	cfg    Config
 	router *Router
-	nodes  []Node
+	nodes  []*HTTPNode
 
 	// ingestMu serialises admission (mirrors serve.Server.enqueue: the
 	// closed check and the queue send must be atomic with respect to
@@ -92,7 +94,7 @@ type Coordinator struct {
 	queues    []chan qlog.Record
 	enqueued  []atomic.Int64 // admitted to the shard queue
 	forwarded []atomic.Int64 // accepted by the shard node
-	dropped   []atomic.Int64 // abandoned after Close with the shard down
+	dropped   []atomic.Int64 // refused by the shard, or abandoned at Close with the shard down
 	// baseForwarded/baseAccepted carry the routing offsets restored from the
 	// previous run's persisted state (see offsets.go), so the offsets the
 	// coordinator persists are monotonic across restarts while the per-run
@@ -177,8 +179,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Enqueue routes one record and admits it to the owning shard's queue (or,
 // during the router's warmup, to the per-key staging buffer). Errors are
 // serve's admission sentinels, so the shared /ingest handler answers the
-// same status codes a single server would.
+// same status codes a single server would; a record no shard would admit
+// is refused here, before it is acknowledged.
 func (c *Coordinator) Enqueue(rec qlog.Record) error {
+	if !fitsShardLine(&rec) {
+		c.rejected.Add(1)
+		return serve.ErrRecordTooLarge
+	}
 	shardIdx, key := c.router.Route(&rec)
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
@@ -194,6 +201,26 @@ func (c *Coordinator) Enqueue(rec qlog.Record) error {
 		return nil
 	}
 	return c.admitLocked(shardIdx, rec)
+}
+
+// lineOverhead bounds the bytes of a forwarded NDJSON line outside its
+// string fields: the keys, quotes, two integers and the newline.
+const lineOverhead = 128
+
+// fitsShardLine reports whether rec's forwarded NDJSON line fits within
+// serve.MaxLineBytes. Re-encoding grows a string field at most six-fold (a
+// control character or an invalid UTF-8 byte becomes a six-byte escape), so
+// only a record that could exceed the cap after that growth is encoded to
+// measure it.
+func fitsShardLine(rec *qlog.Record) bool {
+	if 6*(len(rec.SQL)+len(rec.User)+len(rec.Class))+lineOverhead <= serve.MaxLineBytes {
+		return true
+	}
+	var buf bytes.Buffer
+	if err := newLineEncoder(&buf).Encode(rec); err != nil {
+		return false
+	}
+	return buf.Len() <= serve.MaxLineBytes
 }
 
 // admitLocked delivers one routed record to shard i, going through the
@@ -312,10 +339,11 @@ func (c *Coordinator) finishBind() {
 // sender is shard i's single forwarder: it drains the queue in batches and
 // delivers each batch in order, retrying the undelivered tail forever on
 // backpressure (the shard's queue-full 429 thereby paces the coordinator's
-// own admission: the queue fills and the client sees 429). Transport errors
-// mark the shard down but keep the batch buffered and retrying — records
-// are abandoned only when the coordinator is closing and the shard stays
-// unreachable.
+// own admission: the queue fills and the client sees 429). A record the
+// shard refuses (400) is dropped and counted, since re-sending it would be
+// refused again. Transport errors mark the shard down but keep the batch
+// buffered and retrying — records are abandoned only when the coordinator
+// is closing and the shard stays unreachable.
 func (c *Coordinator) sender(i int) {
 	defer c.senderWG.Done()
 	q := c.queues[i]
@@ -357,10 +385,16 @@ func (c *Coordinator) forward(i int, batch []qlog.Record) {
 		}
 		c.retries.Add(1)
 		attempts++
+		var refused *refusedError
 		switch {
-		case err == nil || retryableIngest(err):
+		case err == nil || err == serve.ErrQueueFull:
 			// Backpressure: the shard is mining as fast as it can.
 			time.Sleep(time.Millisecond)
+		case errors.As(err, &refused):
+			log.Printf("shard: dropping record seq %d: %v", batch[0].Seq, err)
+			c.dropped[i].Add(1)
+			batch = batch[1:]
+			attempts = 0
 		default:
 			c.down[i].Store(true)
 			if c.Closed() && attempts > 20 {
@@ -408,8 +442,9 @@ func (c *Coordinator) drained(i int) bool {
 
 // Flush makes the merged report deterministic: it binds any still-staged
 // keys and delivers their buffers, waits for every accepted record to reach
-// its shard, quiesces the shards, asks each to flush (final epoch), fetches
-// the per-shard results and re-merges. Down shards are skipped — their
+// its shard, asks each shard to flush (a shard's flush mines everything it
+// accepted, then runs its final epoch), fetches the per-shard results and
+// re-merges. Down shards are skipped — their
 // last-known result stays in the merge and the shard is reported stale — so
 // one dead node degrades the report instead of wedging it.
 func (c *Coordinator) Flush() {
@@ -430,33 +465,6 @@ func (c *Coordinator) Flush() {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// Quiesce before any final epoch: in the in-process topology the shards
-	// share one stats registry, and an epoch compiles distance profiles from
-	// it (distance.Matrix reads the per-column access sets) — so no shard may
-	// run its flush epoch while another is still processing and observing.
-	// Quiescing pins the registry generation, which makes the final full
-	// recluster deterministic and batch-identical regardless of per-shard
-	// timing.
-	for {
-		busy := false
-		for i, node := range c.nodes {
-			if c.down[i].Load() {
-				continue
-			}
-			tel, err := node.Telemetry()
-			if err != nil {
-				c.down[i].Store(true)
-				continue
-			}
-			if tel.Processed < tel.Accepted {
-				busy = true
-			}
-		}
-		if !busy {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 	var wg sync.WaitGroup
 	fresh := make([]bool, len(c.nodes))
 	for i, node := range c.nodes {
@@ -464,7 +472,7 @@ func (c *Coordinator) Flush() {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, node Node) {
+		go func(i int, node *HTTPNode) {
 			defer wg.Done()
 			if err := node.Flush(); err != nil || !c.fetch(i, false) {
 				c.down[i].Store(true)
@@ -511,12 +519,8 @@ func (c *Coordinator) remerge(fresh []bool) {
 // or, with needResult, when the shard has no epoch yet.
 func (c *Coordinator) fetch(i int, needResult bool) bool {
 	node := c.nodes[i]
-	res, _, err := node.Result()
+	res, st, err := node.Result()
 	if err != nil || (needResult && res == nil) {
-		return false
-	}
-	st, err := node.Stats()
-	if err != nil {
 		return false
 	}
 	var tr *WireTraffic
@@ -649,9 +653,8 @@ func (c *Coordinator) Status() []ShardStatus {
 
 // Close stops admission, binds and delivers any still-staged records, lets
 // the senders deliver (or, for shards that stay down, abandon) the buffered
-// backlog, stops the health loop, closes every node — LocalNodes drain and
-// snapshot their embedded servers — and persists the router assignment and
-// the per-shard routing offsets.
+// backlog, stops the health loop and persists the router assignment and the
+// per-shard routing offsets. The shard processes own their own lifecycle.
 func (c *Coordinator) Close() error {
 	c.ingestMu.Lock()
 	if c.closed {
@@ -694,25 +697,7 @@ func (c *Coordinator) Close() error {
 	c.senderWG.Wait()
 	close(c.stopHealth)
 	<-c.healthDone
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.nodes))
-	for i, node := range c.nodes {
-		wg.Add(1)
-		go func(i int, node Node) {
-			defer wg.Done()
-			errs[i] = node.Close()
-		}(i, node)
-	}
-	wg.Wait()
-	if err := c.persistState(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.persistState()
 }
 
 // Handler returns the coordinator's HTTP surface: serve's shared handler set
@@ -808,9 +793,9 @@ func (c *Coordinator) MetricsJSON() map[string]any {
 		"route_ns_per_record":   perRecord,
 		"route_full_parses":     c.router.FullParses(),
 		"route_max_relations":   c.router.MaxRels(),
-		"template_cache_len":    c.router.Cache().Len(),
-		"template_cache_hits":   c.router.Cache().Hits(),
-		"template_cache_misses": c.router.Cache().Misses(),
+		"template_cache_len":    c.router.cache.Len(),
+		"template_cache_hits":   c.router.cache.Hits(),
+		"template_cache_misses": c.router.cache.Misses(),
 	}
 	if c.cfg.Traffic {
 		c.mergeMu.RLock()
@@ -823,6 +808,7 @@ func (c *Coordinator) MetricsJSON() map[string]any {
 		metrics[prefix+"queue_depth"] = st.QueueDepth
 		metrics[prefix+"enqueued"] = st.Enqueued
 		metrics[prefix+"forwarded"] = st.Forwarded
+		metrics[prefix+"dropped"] = st.Dropped
 		metrics[prefix+"down"] = st.Down
 		metrics[prefix+"routed_load"] = st.Load
 	}

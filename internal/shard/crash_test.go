@@ -8,55 +8,34 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/extract"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/skyserver"
 )
 
-// buildDurableCluster is newInProcessCluster with per-shard durability:
-// every shard server owns a WAL directory and snapshot path under dir, and
-// the coordinator persists its router state and routing offsets next to
-// them. The returned servers let the test crash individual shards (Abort).
-func buildDurableCluster(t *testing.T, n int, dir string) (*Coordinator, []*serve.Server) {
+// buildDurableCluster is newHTTPCluster with per-shard durability: every
+// shard server owns a WAL directory and snapshot path under dir, and the
+// coordinator persists its router state and routing offsets next to them.
+// Each call starts fresh listeners, as restarted processes would bind. The
+// returned servers and listeners let the test crash individual shards.
+func buildDurableCluster(t *testing.T, n int, dir string) (*Coordinator, []*serve.Server, []*httptest.Server) {
 	t.Helper()
 	db := testDB()
-	stats := seededStats(db)
-	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), tcache, 0)
-	nodes := make([]Node, n)
 	servers := make([]*serve.Server, n)
-	for i := 0; i < n; i++ {
-		s, err := serve.NewServer(serve.Config{
-			Miner:           core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: stats},
-			Templates:       tcache,
-			BatchSize:       64,
-			EpochAreas:      256,
-			SnapshotPath:    filepath.Join(dir, "shard-"+strconv.Itoa(i)+".json"),
-			WALDir:          filepath.Join(dir, "wal", "shard-"+strconv.Itoa(i)),
-			WALSegmentBytes: 4096,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = s
-		nodes[i] = NewLocalNode("shard-"+strconv.Itoa(i), s)
+	listeners := make([]*httptest.Server, n)
+	urls := make([]string, n)
+	for i := range servers {
+		cfg := shardConfig(db, 0)
+		cfg.SnapshotPath = filepath.Join(dir, "shard-"+strconv.Itoa(i)+".json")
+		cfg.WALDir = filepath.Join(dir, "wal", "shard-"+strconv.Itoa(i))
+		cfg.WALSegmentBytes = 4096
+		servers[i], listeners[i] = startShard(t, cfg)
+		urls[i] = listeners[i].URL
 	}
-	coord, err := NewCoordinator(Config{
-		Router:          router,
-		Nodes:           nodes,
-		QueueSize:       512,
-		BatchSize:       64,
-		HealthInterval:  time.Second,
-		RouterStatePath: filepath.Join(dir, "router.json"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coord, servers
+	coord := newCoordinator(t, urls, Config{RouterStatePath: filepath.Join(dir, "router.json")})
+	return coord, servers, listeners
 }
 
 // A sharded deployment killed mid-run must recover shard by shard: every
@@ -68,19 +47,13 @@ func TestShardedCrashRecovery(t *testing.T) {
 	recs := synthRecords(1000, 42)
 	dir := t.TempDir()
 
-	coord, servers := buildDurableCluster(t, 2, dir)
+	coord, servers, listeners := buildDurableCluster(t, 2, dir)
 	ts := httptest.NewServer(coord.Handler())
-	for lo := 0; lo < len(recs); lo += 100 {
-		hi := lo + 100
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		postUntilAccepted(t, ts.URL, recs[lo:hi])
-	}
 	// Flush delivers everything to its owning shard (each shard's WAL has
-	// fsynced its slice — LocalNode ingest returns only after the barrier)
-	// and persists the router assignment plus the routing offsets.
-	mustFlush(t, ts.URL)
+	// fsynced its slice — a shard acknowledges a forwarded batch only after
+	// its durability barrier) and persists the router assignment plus the
+	// routing offsets.
+	ingestAndFlush(t, ts.URL, recs)
 	ts.Close()
 
 	stateData, err := os.ReadFile(filepath.Join(dir, "router.json.offsets"))
@@ -105,17 +78,19 @@ func TestShardedCrashRecovery(t *testing.T) {
 		t.Fatalf("persisted offsets cover %d records over %d shards, want %d over 2:\n%s", sum, st.Shards, len(recs), stateData)
 	}
 
-	// Crash every shard: no final epochs, no snapshots — only the WALs (and
-	// the coordinator's sidecar) survive. The coordinator object is simply
-	// abandoned, as a killed process would abandon it.
-	for _, s := range servers {
+	// Crash every shard process: no final epochs, no snapshots — only the
+	// WALs (and the coordinator's sidecar) survive — and its listener goes
+	// away. The coordinator object is simply abandoned, as a killed process
+	// would abandon it.
+	for i, s := range servers {
 		s.Abort()
+		listeners[i].Close()
 	}
 
-	// Restart the whole topology against the same directory tree. Each shard
-	// replays its full WAL (no snapshot was ever written); the coordinator
-	// restores the assignment and offset base.
-	coord2, servers2 := buildDurableCluster(t, 2, dir)
+	// Restart the whole topology against the same directory tree, behind new
+	// listeners. Each shard replays its full WAL (no snapshot was ever
+	// written); the coordinator restores the assignment and offset base.
+	coord2, servers2, _ := buildDurableCluster(t, 2, dir)
 	defer func() {
 		if err := coord2.Close(); err != nil {
 			t.Errorf("close after recovery: %v", err)

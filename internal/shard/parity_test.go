@@ -24,8 +24,8 @@ func formatContentType(f report.Format) string {
 }
 
 // One HTTP contract for both topologies: the same request sent to a single
-// serve.Server and to an in-process coordinator must get the same status
-// code, because both answer through serve's one handler set.
+// serve.Server and to a coordinator over HTTP shards must get the same
+// status code, because both answer through serve's one handler set.
 func TestTopologyParity(t *testing.T) {
 	db := testDB()
 	recs := taggedRecords(400, 5)
@@ -43,7 +43,7 @@ func TestTopologyParity(t *testing.T) {
 			cfg.Traffic = &traffic.Config{}
 			coord = newTrafficCluster(t, 2, db)
 		} else {
-			coord = newInProcessCluster(t, 2, db, "")
+			coord = newHTTPCluster(t, db, 0, 0)
 		}
 		defer coord.Close()
 		node, err := serve.NewServer(cfg)

@@ -18,15 +18,15 @@ import (
 
 // Router maps each ingested record to the shard that owns its relation set.
 //
-// The key insight is that routing reuses the serve layer's template cache:
-// a statement shape's FROM clause is literal-independent, so once any record
-// of a fingerprint class has been extracted, every later record of the class
-// routes on the cached template's precomputed RouteKey — a fingerprint plus
-// one map lookup, no parse — and a text already extracted routes on its
-// memoised area. A miss runs the shared extraction ladder
-// (extract.TemplateCache.Resolve), which WARMS the cache: in the in-process
-// topology it is the very cache the owning shard's pipeline reads, so the
-// shard then replays the memoised outcome instead of re-parsing.
+// The key insight is that routing runs the serve layer's template-cache
+// ladder on a private cache: a statement shape's FROM clause is
+// literal-independent, so once any record of a fingerprint class has been
+// extracted, every later record of the class routes on the cached template's
+// precomputed RouteKey — a fingerprint plus one map lookup, no parse — and a
+// text already extracted routes on its memoised area. A miss runs the
+// extraction ladder the shards run (extract.TemplateCache.Resolve), so the
+// router's key is the relation-set key of the area the owning shard
+// extracts.
 //
 // Relation-set keys bind to shards in two phases. Binding a key the moment
 // it is first seen is blind — every heavy key appears within the first few
@@ -83,22 +83,17 @@ const ShardStaged = -1
 // NewRouter's warmup argument is 0.
 const DefaultWarmup = 1024
 
-// NewRouter builds a router over n shards. cache may be shared with
-// in-process shard servers (see serve.Config.Templates) or private in the
-// multi-node topology. The router's extractor deliberately carries NO stats
-// registry: value observation is the owning shard's job, and in the shared
-// in-process registry it must happen exactly once per record.
+// NewRouter builds a router over n shards with a private template cache.
+// The router's extractor deliberately carries NO stats registry: value
+// observation is the owning shard's job.
 //
 // warmup is the staging horizon in area-bearing records: 0 means
 // DefaultWarmup, negative disables staging (every key binds least-loaded the
 // moment it is first seen — the blind policy, kept for single-shard routers
 // where packing is moot).
-func NewRouter(n int, sch *schema.Schema, cache *extract.TemplateCache, warmup int) *Router {
+func NewRouter(n int, sch *schema.Schema, warmup int) *Router {
 	if n < 1 {
 		n = 1
-	}
-	if cache == nil {
-		cache = &extract.TemplateCache{}
 	}
 	switch {
 	case warmup == 0:
@@ -112,7 +107,7 @@ func NewRouter(n int, sch *schema.Schema, cache *extract.TemplateCache, warmup i
 	}
 	return &Router{
 		n:      n,
-		cache:  cache,
+		cache:  &extract.TemplateCache{},
 		ex:     &extract.Extractor{Schema: sch},
 		warmup: warmup,
 		assign: make(map[string]int),
@@ -120,9 +115,6 @@ func NewRouter(n int, sch *schema.Schema, cache *extract.TemplateCache, warmup i
 		staged: make(map[string]int64),
 	}
 }
-
-// Cache exposes the template cache so in-process shard servers can share it.
-func (r *Router) Cache() *extract.TemplateCache { return r.cache }
 
 // Shards returns the shard count.
 func (r *Router) Shards() int { return r.n }
@@ -133,12 +125,10 @@ func (r *Router) Shards() int { return r.n }
 // record under the returned key and deliver the buffer when BindAll assigns
 // it (see the type comment).
 //
-// The router lexes through the exact-statement memo and attaches the entry
-// to rec (unless it carries one already): an in-process shard, which shares
-// the router's cache, admits and extracts it without looking the text up
-// again. A text with a memoised outcome routes on its area, a fingerprint
-// with a cached template on the template's RouteKey; any other record runs
-// the shared extraction ladder, whose outcome the shard then replays.
+// The router lexes through its exact-statement memo and attaches the entry
+// to rec (unless it carries one already). A text with a memoised outcome
+// routes on its area, a fingerprint with a cached template on the
+// template's RouteKey; any other record runs the extraction ladder.
 func (r *Router) Route(rec *qlog.Record) (int, string) {
 	t0 := time.Now()
 	defer func() {

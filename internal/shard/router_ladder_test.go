@@ -10,9 +10,7 @@ import (
 
 // The router and the pipeline extract through one ladder, so the router's
 // key for every area-bearing record is the relation-set key of the area the
-// pipeline extracts. With a private router cache the two ladders run
-// independently; with a shared one (the in-process topology) the pipeline
-// replays what the router stored, and must still match an uncached run.
+// pipeline extracts.
 func TestRouterKeysMatchPipelineAreas(t *testing.T) {
 	recs := synthRecords(2000, 5)
 	sch := skyserver.Schema()
@@ -21,40 +19,21 @@ func TestRouterKeysMatchPipelineAreas(t *testing.T) {
 	for _, ar := range want {
 		bySeq[ar.Record.Seq] = ar
 	}
-	for _, shared := range []bool{false, true} {
-		var cache *extract.TemplateCache
-		if shared {
-			cache = &extract.TemplateCache{}
-		}
-		r := NewRouter(4, sch, cache, -1)
-		routed := make([]qlog.Record, len(recs))
-		checked := 0
-		for i := range recs {
-			routed[i] = recs[i]
-			_, key := r.Route(&routed[i])
-			ar, ok := bySeq[recs[i].Seq]
-			if !ok {
-				continue
-			}
-			if want := extract.RelationSetKey(ar.Area.Relations); key != want {
-				t.Fatalf("shared=%v seq %d: router key %q, pipeline area's %q\n  %s", shared, recs[i].Seq, key, want, recs[i].SQL)
-			}
-			checked++
-		}
-		if checked < len(recs)/2 {
-			t.Fatalf("shared=%v: only %d of %d records carried an area", shared, checked, len(recs))
-		}
-		if !shared {
+	r := NewRouter(4, sch, -1)
+	checked := 0
+	for i := range recs {
+		rec := recs[i]
+		_, key := r.Route(&rec)
+		ar, ok := bySeq[recs[i].Seq]
+		if !ok {
 			continue
 		}
-		got, _ := (&qlog.Pipeline{Extractor: extract.New(sch), Cache: r.Cache()}).Run(routed)
-		if len(got) != len(want) {
-			t.Fatalf("pipeline behind the router extracted %d areas, uncached %d", len(got), len(want))
+		if want := extract.RelationSetKey(ar.Area.Relations); key != want {
+			t.Fatalf("seq %d: router key %q, pipeline area's %q\n  %s", recs[i].Seq, key, want, recs[i].SQL)
 		}
-		for i := range got {
-			if got[i].Record.Seq != want[i].Record.Seq || got[i].Key != want[i].Key {
-				t.Fatalf("seq %d: key %q behind the router, %q uncached", want[i].Record.Seq, got[i].Key, want[i].Key)
-			}
-		}
+		checked++
+	}
+	if checked < len(recs)/2 {
+		t.Fatalf("only %d of %d records carried an area", checked, len(recs))
 	}
 }

@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/extract"
 	"repro/internal/interval"
 	"repro/internal/memdb"
 	"repro/internal/qlog"
@@ -104,76 +106,112 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 	return resp.StatusCode, resp.Header, buf.Bytes()
 }
 
-// newInProcessCluster builds the in-process topology the shard-smoke gate
-// runs: n shard servers sharing one stats registry and one template cache
-// behind a relation-set router.
-func newInProcessCluster(t *testing.T, n int, db *memdb.DB, routerStatePath string) *Coordinator {
+// startShard runs one `skyserved -role shard` process inside the test: a
+// serve.Server behind ResultHandler on its own listener. Cleanup closes
+// both (Close is a no-op on a server the test already aborted).
+func startShard(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	stats := seededStats(db)
-	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), tcache, 0)
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		s, err := serve.NewServer(serve.Config{
-			Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: stats},
-			Templates:  tcache,
-			BatchSize:  64,
-			EpochAreas: 256,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = NewLocalNode("shard-"+string(rune('0'+i)), s)
-	}
-	coord, err := NewCoordinator(Config{
-		Router:          router,
-		Nodes:           nodes,
-		QueueSize:       512,
-		BatchSize:       64,
-		Coverage:        db,
-		HealthInterval:  time.Second,
-		RouterStatePath: routerStatePath,
-	})
+	s, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(ResultHandler(s))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return s, ts
+}
+
+// shardConfig is one shard's server config. Like a shard process, each
+// shard owns a stats registry seeded from db and a template cache.
+func shardConfig(db *memdb.DB, eps float64) serve.Config {
+	return serve.Config{
+		Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db), Eps: eps},
+		BatchSize:  64,
+		EpochAreas: 256,
+	}
+}
+
+// newCoordinator is a `skyserved -role coordinator` over the shard
+// listeners at urls: cfg with the router, the nodes and test-sized queue
+// defaults filled in. Cleanup closes it before the shards it forwards to.
+func newCoordinator(t *testing.T, urls []string, cfg Config) *Coordinator {
+	t.Helper()
+	cfg.Router = NewRouter(len(urls), skyserver.Schema(), 0)
+	for i, u := range urls {
+		cfg.Nodes = append(cfg.Nodes, NewHTTPNode(fmt.Sprintf("shard-%d", i), u, nil))
+	}
+	if cfg.QueueSize == 0 {
+		cfg.QueueSize = 512
+	}
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = 64
+	}
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = time.Second
+	}
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
 	return coord
 }
 
-// The shard-smoke gate: a 4-shard in-process cluster ingesting over HTTP
-// must serve a merged /report byte-for-byte identical, in every format, to
-// the batch miner over the same records — relation-set sharding is exact.
-func TestCoordinatorMatchesBatch(t *testing.T) {
-	db := testDB()
-	recs := synthRecords(1000, 42)
+// newHTTPCluster builds the sharded topology in one process: one shard per
+// eps value (0 = the default eps), each with its own stats registry and
+// template cache, behind a coordinator that attaches coverage from db.
+func newHTTPCluster(t *testing.T, db *memdb.DB, eps ...float64) *Coordinator {
+	t.Helper()
+	urls := make([]string, len(eps))
+	for i, e := range eps {
+		_, ts := startShard(t, shardConfig(db, e))
+		urls[i] = ts.URL
+	}
+	return newCoordinator(t, urls, Config{Coverage: db})
+}
 
+// ingestAndFlush replays recs through the coordinator in bursts of 100 and
+// forces an epoch on every shard.
+func ingestAndFlush(t *testing.T, url string, recs []qlog.Record) {
+	t.Helper()
+	for lo := 0; lo < len(recs); lo += 100 {
+		postUntilAccepted(t, url, recs[lo:min(lo+100, len(recs))])
+	}
+	mustFlush(t, url)
+}
+
+// shardStatus reads the coordinator's GET /shard/status rows.
+func shardStatus(t *testing.T, url string) []ShardStatus {
+	t.Helper()
+	code, _, body := get(t, url+"/shard/status")
+	if code != http.StatusOK {
+		t.Fatalf("shard/status: %d", code)
+	}
+	var status struct {
+		Shards []ShardStatus `json:"shards"`
+	}
+	if err := json.Unmarshal(body, &status); err != nil {
+		t.Fatal(err)
+	}
+	return status.Shards
+}
+
+// assertMatchesBatch holds the coordinator at url to the batch miner over
+// recs: in every format the merged /report equals MineRecords byte for
+// byte, with the format's content type, X-Merge-Exact: true and no stale
+// shards.
+func assertMatchesBatch(t *testing.T, url string, db *memdb.DB, recs []qlog.Record) {
+	t.Helper()
 	batch := core.NewMiner(core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)}).MineRecords(recs)
 	batch.AttachCoverage(db)
-
-	coord := newInProcessCluster(t, 4, db, "")
-	defer coord.Close()
-	ts := httptest.NewServer(coord.Handler())
-	defer ts.Close()
-
-	if code, _, _ := get(t, ts.URL+"/report"); code != http.StatusServiceUnavailable {
-		t.Fatalf("report before first merge: status %d", code)
-	}
-
-	for lo := 0; lo < len(recs); lo += 100 {
-		hi := lo + 100
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		postUntilAccepted(t, ts.URL, recs[lo:hi])
-	}
-	mustFlush(t, ts.URL)
-
 	for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
 		var want bytes.Buffer
 		if err := report.Write(&want, batch, f, report.Options{Coverage: true}); err != nil {
 			t.Fatal(err)
 		}
-		code, hdr, got := get(t, ts.URL+"/report?format="+string(f))
+		code, hdr, got := get(t, url+"/report?format="+string(f))
 		if code != http.StatusOK {
 			t.Fatalf("%s report status %d", f, code)
 		}
@@ -190,21 +228,30 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 			t.Fatalf("%s merged report differs from batch miner.\nmerged:\n%s\nbatch:\n%s", f, got, want.Bytes())
 		}
 	}
+}
+
+// The shard-smoke gate: four shards, each with a private stats registry and
+// template cache, reached over HTTP. On this log the merged /report equals
+// the batch miner's byte for byte in every format, with every record on
+// exactly one shard. Private registries are not exact in general: a
+// relation seen from two relation sets on different shards can be observed
+// differently than by one registry (DESIGN §14).
+func TestCoordinatorMatchesBatch(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(1000, 42)
+
+	ts := httptest.NewServer(newHTTPCluster(t, db, 0.06, 0.06, 0.06, 0.06).Handler())
+	defer ts.Close()
+	if code, _, _ := get(t, ts.URL+"/report"); code != http.StatusServiceUnavailable {
+		t.Fatalf("report before first merge: status %d", code)
+	}
+	ingestAndFlush(t, ts.URL, recs)
+	assertMatchesBatch(t, ts.URL, db, recs)
 
 	// Every record landed on exactly one shard.
-	code, _, body := get(t, ts.URL+"/shard/status")
-	if code != http.StatusOK {
-		t.Fatalf("shard/status: %d", code)
-	}
-	var status struct {
-		Shards []ShardStatus `json:"shards"`
-	}
-	if err := json.Unmarshal(body, &status); err != nil {
-		t.Fatal(err)
-	}
 	var forwarded int64
 	nonEmpty := 0
-	for _, st := range status.Shards {
+	for _, st := range shardStatus(t, ts.URL) {
 		forwarded += st.Forwarded
 		if st.Forwarded > 0 {
 			nonEmpty++
@@ -217,7 +264,7 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 		t.Errorf("only %d shards received records; routing did not spread the workload", nonEmpty)
 	}
 
-	code, _, body = get(t, ts.URL+"/metrics")
+	code, _, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -233,87 +280,15 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 	}
 }
 
-// newHTTPCluster builds the multi-node topology in one process: one shard
-// server per eps value, each with its own stats registry and template
-// cache, served over HTTP by ResultHandler (a `skyserved -role shard`
-// process) behind a router with no template cache (a `-role coordinator`).
-func newHTTPCluster(t *testing.T, db *memdb.DB, eps ...float64) *Coordinator {
-	t.Helper()
-	nodes := make([]Node, len(eps))
-	for i, e := range eps {
-		s, err := serve.NewServer(serve.Config{
-			Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db), Eps: e},
-			Templates:  &extract.TemplateCache{},
-			BatchSize:  64,
-			EpochAreas: 256,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(ResultHandler(s))
-		t.Cleanup(func() {
-			ts.Close()
-			s.Close()
-		})
-		nodes[i] = NewHTTPNode(fmt.Sprintf("shard-%d", i), ts.URL, nil)
-	}
-	coord, err := NewCoordinator(Config{
-		Router:         NewRouter(len(nodes), skyserver.Schema(), nil, 0),
-		Nodes:          nodes,
-		QueueSize:      512,
-		BatchSize:      64,
-		Coverage:       db,
-		HealthInterval: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	return coord
-}
-
-// ingestAndFlush replays recs through the coordinator in bursts of 100 and
-// forces an epoch on every shard.
-func ingestAndFlush(t *testing.T, url string, recs []qlog.Record) {
-	t.Helper()
-	for lo := 0; lo < len(recs); lo += 100 {
-		postUntilAccepted(t, url, recs[lo:min(lo+100, len(recs))])
-	}
-	mustFlush(t, url)
-}
-
-// The multi-node topology: four shard processes, each with a private stats
-// registry and template cache, reached over HTTP. On this log its merged
-// /report equals the batch miner's byte for byte in every format. Private
-// registries are not exact in general: a relation seen from two relation
-// sets on different shards can be observed differently than by one
-// registry (DESIGN §14).
+// The same exactness at another shard count and log: three shards take
+// 2,000 records of workload seed 7, whose relation sets route differently.
 func TestRemoteCoordinatorMatchesBatch(t *testing.T) {
 	db := testDB()
-	recs := synthRecords(1000, 42)
-	batch := core.NewMiner(core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)}).MineRecords(recs)
-	batch.AttachCoverage(db)
-
-	ts := httptest.NewServer(newHTTPCluster(t, db, 0.06, 0.06, 0.06, 0.06).Handler())
+	recs := synthRecords(2000, 7)
+	ts := httptest.NewServer(newHTTPCluster(t, db, 0.06, 0.06, 0.06).Handler())
 	defer ts.Close()
 	ingestAndFlush(t, ts.URL, recs)
-
-	for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
-		var want bytes.Buffer
-		if err := report.Write(&want, batch, f, report.Options{Coverage: true}); err != nil {
-			t.Fatal(err)
-		}
-		code, hdr, got := get(t, ts.URL+"/report?format="+string(f))
-		if code != http.StatusOK {
-			t.Fatalf("%s report status %d", f, code)
-		}
-		if hdr.Get("X-Merge-Exact") != "true" {
-			t.Errorf("%s X-Merge-Exact = %q, want true", f, hdr.Get("X-Merge-Exact"))
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%s merged report differs from batch miner.\nmerged:\n%s\nbatch:\n%s", f, got, want.Bytes())
-		}
-	}
+	assertMatchesBatch(t, ts.URL, db, recs)
 }
 
 // X-Merge-Exact is judged from the eps the shards report they clustered
@@ -350,37 +325,12 @@ func TestShardDownDegradesGracefully(t *testing.T) {
 	db := testDB()
 	recs := synthRecords(600, 7)
 
-	mkShard := func() (*serve.Server, *httptest.Server) {
-		s, err := serve.NewServer(serve.Config{
-			Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)},
-			BatchSize:  64,
-			EpochAreas: 256,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, httptest.NewServer(ResultHandler(s))
-	}
-	s0, ts0 := mkShard()
-	s1, ts1 := mkShard()
-	defer s0.Close()
-	defer s1.Close()
-	defer ts0.Close()
-
-	router := NewRouter(2, skyserver.Schema(), nil, 0)
-	coord, err := NewCoordinator(Config{
-		Router: router,
-		Nodes: []Node{
-			NewHTTPNode("shard-0", ts0.URL, nil),
-			NewHTTPNode("shard-1", ts1.URL, nil),
-		},
+	_, ts0 := startShard(t, shardConfig(db, 0))
+	_, ts1 := startShard(t, shardConfig(db, 0))
+	coord := newCoordinator(t, []string{ts0.URL, ts1.URL}, Config{
 		QueueSize:      2048,
-		BatchSize:      64,
 		HealthInterval: 50 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
 
@@ -416,20 +366,11 @@ func TestShardDownDegradesGracefully(t *testing.T) {
 		t.Error("degraded report is empty")
 	}
 
-	code, _, body = get(t, cts.URL+"/shard/status")
-	if code != http.StatusOK {
-		t.Fatalf("shard/status: %d", code)
-	}
-	var status struct {
-		Shards []ShardStatus `json:"shards"`
-	}
-	if err := json.Unmarshal(body, &status); err != nil {
-		t.Fatal(err)
-	}
-	if !status.Shards[1].Down {
+	status := shardStatus(t, cts.URL)
+	if !status[1].Down {
 		t.Error("shard/status does not show shard-1 down")
 	}
-	if !status.Shards[1].Stale {
+	if !status[1].Stale {
 		t.Error("shard/status does not show shard-1 stale")
 	}
 
@@ -494,7 +435,7 @@ func TestWireResultRoundTrip(t *testing.T) {
 // is about the bound assignment.)
 func TestRouterStatePersistence(t *testing.T) {
 	recs := synthRecords(400, 11)
-	r1 := NewRouter(4, skyserver.Schema(), nil, -1)
+	r1 := NewRouter(4, skyserver.Schema(), -1)
 	want := make([]int, len(recs))
 	for i, rec := range recs {
 		want[i], _ = r1.Route(&rec)
@@ -504,7 +445,7 @@ func TestRouterStatePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2 := NewRouter(4, skyserver.Schema(), nil, -1)
+	r2 := NewRouter(4, skyserver.Schema(), -1)
 	if err := r2.LoadState(path); err != nil {
 		t.Fatal(err)
 	}
@@ -519,17 +460,17 @@ func TestRouterStatePersistence(t *testing.T) {
 		t.Errorf("restored maxRels %d, want %d", r2.MaxRels(), r1.MaxRels())
 	}
 
-	r3 := NewRouter(8, skyserver.Schema(), nil, -1)
+	r3 := NewRouter(8, skyserver.Schema(), -1)
 	if err := r3.LoadState(path); err == nil {
 		t.Fatal("loading a 4-shard assignment into an 8-shard router must fail")
 	}
-	if err := NewRouter(4, skyserver.Schema(), nil, -1).LoadState(filepath.Join(t.TempDir(), "absent.json")); err != nil {
+	if err := NewRouter(4, skyserver.Schema(), -1).LoadState(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatalf("missing state file is a cold start, not an error: %v", err)
 	}
 
 	// A restored router must not stage: its keys route immediately even when
 	// it was constructed with warmup enabled.
-	r4 := NewRouter(4, skyserver.Schema(), nil, 0)
+	r4 := NewRouter(4, skyserver.Schema(), 0)
 	if err := r4.LoadState(path); err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +487,7 @@ func TestRouterStatePersistence(t *testing.T) {
 // routing is sticky to those assignments.
 func TestRouterWarmupBinding(t *testing.T) {
 	recs := synthRecords(2000, 42)
-	r := NewRouter(4, skyserver.Schema(), nil, 64)
+	r := NewRouter(4, skyserver.Schema(), 64)
 
 	staged := 0
 	keyOf := make(map[int]string)
@@ -603,5 +544,167 @@ func TestRouterWarmupBinding(t *testing.T) {
 	}
 	if total == 0 || nonEmpty < 2 {
 		t.Errorf("loads %v: packing did not spread staged keys", loads)
+	}
+}
+
+// postRaw POSTs body to the coordinator's /ingest as it is and decodes the
+// reply.
+func postRaw(t *testing.T, url, contentType string, body []byte) (int, int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/ingest", contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	defer resp.Body.Close()
+	var reply struct {
+		Accepted int    `json:"accepted"`
+		Error    string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("ingest reply: %v", err)
+	}
+	return resp.StatusCode, reply.Accepted, reply.Error
+}
+
+// rawLine is rec's NDJSON line with its SQL spliced in unescaped, as a
+// client may send it: raw '<', U+2028 and invalid UTF-8 are all legal
+// inside a JSON string on the wire.
+func rawLine(rec qlog.Record, sql string) []byte {
+	rec.SQL = "@"
+	enc, _ := json.Marshal(rec)
+	return append(bytes.Replace(enc, []byte(`"sql":"@"`), []byte(`"sql":"`+sql+`"`), 1), '\n')
+}
+
+// One acknowledged record must not wedge its shard. A statement of 1 MiB of
+// '<' is forwarded as it came: HTML escaping would grow it six-fold, past
+// the shard's NDJSON line cap, and the shard would refuse every re-send. A
+// record whose forwarded line would exceed serve.MaxLineBytes anyway — too
+// long as it is, or grown by re-encoding U+2028 or invalid UTF-8 — is
+// refused at admission with a 400 and the accepted prefix, so no shard ever
+// sees it.
+func TestPoisonRecordDoesNotWedgeShard(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(400, 7)
+	ts := httptest.NewServer(newHTTPCluster(t, db, 0, 0).Handler())
+	defer ts.Close()
+
+	refused := []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"5 MiB statement in a JSON array", "application/json",
+			[]byte(`[` + string(bytes.TrimSpace(rawLine(recs[0], ""))) + `,` +
+				string(bytes.TrimSpace(rawLine(recs[1], strings.Repeat("x", 5<<20)))) + `]`)},
+		{"U+2028 grows to six bytes", "application/x-ndjson",
+			append(rawLine(recs[0], ""), rawLine(recs[1], strings.Repeat("\u2028", 1<<20))...)},
+		{"invalid UTF-8 grows to U+FFFD", "application/x-ndjson",
+			append(rawLine(recs[0], ""), rawLine(recs[1], strings.Repeat("\xff", 3<<19))...)},
+	}
+	for _, c := range refused {
+		code, accepted, msg := postRaw(t, ts.URL, c.contentType, c.body)
+		if code != http.StatusBadRequest || accepted != 1 || !strings.Contains(msg, "line cap") {
+			t.Errorf("%s: status %d, accepted %d (%s); want 400 after accepting 1", c.name, code, accepted, msg)
+		}
+	}
+	// The refusals' accepted prefixes were recs[0] with an empty statement.
+	mined := []qlog.Record{}
+	for range refused {
+		blank := recs[0]
+		blank.SQL = ""
+		mined = append(mined, blank)
+	}
+
+	poison := qlog.Record{Seq: -1, User: "poison"}
+	if code, accepted, msg := postRaw(t, ts.URL, "application/x-ndjson", rawLine(poison, strings.Repeat("<", 1<<20))); code != http.StatusAccepted || accepted != 1 {
+		t.Fatalf("1 MiB of '<': status %d, accepted %d (%s); want 202", code, accepted, msg)
+	}
+	poison.SQL = strings.Repeat("<", 1<<20)
+	mined = append(append(mined, poison), recs...)
+	ingestAndFlush(t, ts.URL, recs)
+
+	var forwarded int64
+	for _, st := range shardStatus(t, ts.URL) {
+		if st.Down || st.Stale || st.Dropped != 0 || st.QueueDepth != 0 {
+			t.Errorf("%s wedged: %+v", st.Name, st)
+		}
+		forwarded += st.Forwarded
+	}
+	if forwarded != int64(len(mined)) {
+		t.Errorf("shards took %d records, want %d", forwarded, len(mined))
+	}
+	batch := core.NewMiner(core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)}).MineRecords(mined)
+	batch.AttachCoverage(db)
+	var want bytes.Buffer
+	if err := report.Write(&want, batch, report.CSV, report.Options{Coverage: true}); err != nil {
+		t.Fatal(err)
+	}
+	code, hdr, got := get(t, ts.URL+"/report?format=csv")
+	if code != http.StatusOK || hdr.Get("X-Stale-Shards") != "" {
+		t.Fatalf("report: status %d, stale shards %q", code, hdr.Get("X-Stale-Shards"))
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("merged report differs from batch miner.\nmerged:\n%s\nbatch:\n%s", got, want.Bytes())
+	}
+}
+
+// A record the shard refuses (400) is dropped and counted once: the
+// coordinator does not re-send it forever, the shard stays up, and the rest
+// of the slice is delivered and mined.
+func TestShardRefusalDropsRecord(t *testing.T) {
+	db := testDB()
+	recs := synthRecords(300, 7)
+	s, err := serve.NewServer(shardConfig(db, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shard refuses any forwarded batch that starts with the marked
+	// record, as it refuses a line it cannot decode.
+	marked := qlog.Record{Seq: -1, User: "marked", SQL: "SELECT 1"}
+	prefix, _ := json.Marshal(marked)
+	var refusals atomic.Int64
+	shardHandler := ResultHandler(s)
+	sts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ingest" {
+			body, _ := io.ReadAll(r.Body)
+			if bytes.HasPrefix(body, prefix) {
+				refusals.Add(1)
+				w.WriteHeader(http.StatusBadRequest)
+				_, _ = w.Write([]byte(`{"accepted":0,"error":"line 1: refused"}`))
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		shardHandler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		sts.Close()
+		s.Close()
+	})
+	ts := httptest.NewServer(newCoordinator(t, []string{sts.URL}, Config{Coverage: db}).Handler())
+	defer ts.Close()
+
+	postUntilAccepted(t, ts.URL, []qlog.Record{marked})
+	deadline := time.Now().Add(10 * time.Second)
+	for shardStatus(t, ts.URL)[0].Dropped == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the refused record was never dropped (%d refusals)", refusals.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ingestAndFlush(t, ts.URL, recs)
+
+	st := shardStatus(t, ts.URL)[0]
+	if st.Down || st.Dropped != 1 || st.Forwarded != int64(len(recs)) || refusals.Load() != 1 {
+		t.Fatalf("after one refusal: %+v, %d refusals; want 1 dropped, %d forwarded, 1 refusal",
+			st, refusals.Load(), len(recs))
+	}
+	batch := core.NewMiner(core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: seededStats(db)}).MineRecords(recs)
+	batch.AttachCoverage(db)
+	var want bytes.Buffer
+	if err := report.Write(&want, batch, report.CSV, report.Options{Coverage: true}); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, got := get(t, ts.URL+"/report?format=csv"); code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("report status %d; merged report differs from batch miner.\nmerged:\n%s\nbatch:\n%s", code, got, want.Bytes())
 	}
 }

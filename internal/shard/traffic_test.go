@@ -6,14 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/memdb"
 	"repro/internal/qlog"
 	"repro/internal/report"
-	"repro/internal/serve"
 	"repro/internal/skyserver"
 	"repro/internal/traffic"
 )
@@ -28,41 +26,19 @@ func taggedRecords(n int, seed int64) []qlog.Record {
 	return recs
 }
 
-// newTrafficCluster is newInProcessCluster with traffic mining on: every
-// shard server classifies and mines per class, and the coordinator serves
-// the merged class-aware surfaces.
+// newTrafficCluster is newHTTPCluster with traffic mining on: every shard
+// classifies and mines per class, and the coordinator serves the merged
+// class-aware surfaces.
 func newTrafficCluster(t *testing.T, n int, db *memdb.DB) *Coordinator {
 	t.Helper()
-	stats := seededStats(db)
-	tcache := &extract.TemplateCache{}
-	router := NewRouter(n, skyserver.Schema(), tcache, 0)
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		s, err := serve.NewServer(serve.Config{
-			Miner:      core.Config{Schema: skyserver.Schema(), Seed: 42, Stats: stats},
-			Templates:  tcache,
-			BatchSize:  64,
-			EpochAreas: 256,
-			Traffic:    &traffic.Config{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = NewLocalNode("shard-"+string(rune('0'+i)), s)
+	urls := make([]string, n)
+	for i := range urls {
+		cfg := shardConfig(db, 0)
+		cfg.Traffic = &traffic.Config{}
+		_, ts := startShard(t, cfg)
+		urls[i] = ts.URL
 	}
-	coord, err := NewCoordinator(Config{
-		Router:         router,
-		Nodes:          nodes,
-		QueueSize:      512,
-		BatchSize:      64,
-		Coverage:       db,
-		Traffic:        true,
-		HealthInterval: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coord
+	return newCoordinator(t, urls, Config{Coverage: db, Traffic: true})
 }
 
 // The sharded partition gate: each class's merged report through a 4-shard
@@ -187,7 +163,7 @@ func TestCoordinatorTrafficMatchesBatch(t *testing.T) {
 // a traffic-off single server.
 func TestCoordinatorTrafficDisabled(t *testing.T) {
 	db := testDB()
-	coord := newInProcessCluster(t, 1, db, "")
+	coord := newHTTPCluster(t, db, 0)
 	defer coord.Close()
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()

@@ -2,13 +2,15 @@
 // ingested records to N shard nodes by relation-set key — the same key
 // core.partitionItems splits the distance matrix on — so each shard mines a
 // disjoint slice of the area space with the unmodified core.Incremental
-// miner, and the coordinator's merge of the per-shard results is EXACT (what
-// one batch miner over the union would report) whenever eps stays below the
-// 1/(maxTables+1) partitioning threshold.
+// miner, and the coordinator merges the per-shard results. With eps below
+// the 1/(maxTables+1) partitioning threshold no cluster crosses a relation
+// set, so the merge is what one batch miner over the union would report
+// given the same access(a) observations. Each shard keeps a private stats
+// registry, so that last condition is shown on the synthetic log (the
+// byte-identity tests), not proven in general (DESIGN §14).
 //
-// Two topologies share all of the code: in-process shards (goroutine nodes
-// behind the same router/merge path, the CI equivalence gate) and multi-node
-// shards (each a plain skyserved -role shard, reached over HTTP).
+// There is one topology: every shard is a skyserved -role shard process
+// reached over HTTP (HTTPNode), and the coordinator is a -role coordinator.
 package shard
 
 import (
