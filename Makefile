@@ -66,8 +66,12 @@ fuzz-regression:
 # serve-smoke starts the serving stack, replays 1k records into it, flushes,
 # and asserts /report matches the batch miner byte-for-byte in every format
 # (TestServeSmoke drives the real HTTP handler surface end to end).
+# TestMetricsViewIsRegistry holds the JSON /metrics of a server with WAL,
+# traffic classes and /query on to its registry: no two metric names share
+# a key, every value is the registry's, and the keys perfbench reads are
+# there.
 serve-smoke:
-	$(GO) test -race -count=1 -run TestServeSmoke -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMetricsViewIsRegistry' -v ./internal/serve/
 
 # semcache-smoke is the end-to-end gate for the interest-driven result cache:
 # mine a 5k-query log through the HTTP ingest path, prefetch regions at the
@@ -104,15 +108,20 @@ semcache-smoke:
 # reaches its shard and a record too large to forward is refused at
 # admission, and TestShardRefusalDropsRecord that a record the shard
 # refuses is dropped once, not re-sent forever.
+# TestCoordinatorMetricsViewIsRegistry holds the coordinator's JSON /metrics
+# to its own registry, and its Prometheus view to carrying the coordinator
+# and per-shard counters.
 shard-smoke:
-	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestRemoteCoordinatorMatchesBatch|TestMergeExactFollowsShardEps|TestShardDownDegradesGracefully|TestPoisonRecordDoesNotWedgeShard|TestShardRefusalDropsRecord' -v ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestCoordinatorMatchesBatch|TestRemoteCoordinatorMatchesBatch|TestMergeExactFollowsShardEps|TestShardDownDegradesGracefully|TestPoisonRecordDoesNotWedgeShard|TestShardRefusalDropsRecord|TestCoordinatorMetricsViewIsRegistry' -v ./internal/shard/
 
 # wal-smoke is the end-to-end durability gate: kill a server mid-ingest
 # (clean restart and torn-tail variants), or shut it down past its
 # deadline with acknowledged records still queued, reopen on the same WAL
 # dir, and require the recovered /report to be byte-identical to an
 # uninterrupted run; TestRemineWindowEquivalence proves POST /remine over a
-# [from,to) window matches batch-mining the same slice, and the shard
+# [from,to) window matches batch-mining the same slice, and
+# TestRemineAfterSnapshotCompaction that it still does after a snapshot
+# compacted the window's segments (unlexable records included), and the shard
 # variant proves per-shard WALs recover under the coordinator: each aborted
 # shard server restarts on its own WAL dir behind a new listener, and the
 # coordinator from its persisted router state and offsets. The wal
@@ -130,7 +139,7 @@ shard-smoke:
 # MineRecords' report and is rewritten as v2 (TestRestartFromV1Snapshot).
 # All under -race.
 wal-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence|TestRestartReusesGraph|TestRestartGraphDigestFallback|TestRestartFromV1Snapshot' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplay|TestCrashRecoveryTornTail|TestDeadlineShutdownReplaysUnmined|TestRemineWindowEquivalence|TestRemineAfterSnapshotCompaction|TestRestartReusesGraph|TestRestartGraphDigestFallback|TestRestartFromV1Snapshot' -v ./internal/serve/
 	$(GO) test -race -count=1 -run TestShardedCrashRecovery -v ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestTornDefinitionRedefined|TestReopenKeepsStatementTable|TestSealedSegmentScansClean' -v ./internal/wal/
 

@@ -27,8 +27,13 @@
 //	GET  /drift     per-class interest-drift event log (-traffic)
 //	GET  /interfaces  top-K mined query interfaces (-traffic, ?top=N)
 //	GET  /stats     cumulative pipeline statistics
-//	GET  /metrics   ingest/cache/epoch/semantic-cache counters
-//	                (?format=prom for Prometheus exposition)
+//	GET  /metrics   the backend's metrics registry as one flat JSON object:
+//	                each key is a metric name without its skyaccess_serve_,
+//	                skyaccess_coord_ or skyaccess_ prefix and _total suffix
+//	                (ingest_accepted, epochs, epoch_last_seconds,
+//	                distance_evals, semcache_hits, wal_durable_offset, ...;
+//	                a coordinator's shard_N_forwarded, merge_exact, ...);
+//	                ?format=prom for Prometheus exposition
 //	GET  /debug/slowlog  top-K slowest statements by fingerprint
 //	GET  /healthz   readiness
 //
@@ -72,7 +77,8 @@
 // process takes those itself.
 //
 // With -debug-addr a second listener serves net/http/pprof under
-// /debug/pprof/ plus the same /metrics and /debug/slowlog views.
+// /debug/pprof/ plus the service's own /metrics and /debug/slowlog
+// handlers.
 //
 // Drive it with loggen:
 //
@@ -111,7 +117,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distance"
-	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -255,7 +260,6 @@ func main() {
 	// coverage for the (merged) report.
 	db := skyserver.BuildDatabase(skyserver.DataConfig{RowsPerTable: *rows, Seed: 1})
 	var handler http.Handler
-	var registry *obs.Registry
 	var shutdown func(context.Context) error
 
 	if *role == "coordinator" {
@@ -326,7 +330,6 @@ func main() {
 		} else {
 			handler = s.Handler()
 		}
-		registry = s.Registry()
 		shutdown = s.Shutdown
 	}
 
@@ -335,8 +338,9 @@ func main() {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("skyserved: listening on %s", *addr)
 
-	// Debug listener: pprof plus the Prometheus and slowlog views, kept off
-	// the service port so profiling is never exposed to ingest clients.
+	// Debug listener: pprof plus the service's own /metrics and
+	// /debug/slowlog handlers, kept off the service port so profiling is
+	// never exposed to ingest clients.
 	var debugSrv *http.Server
 	if *debugAddr != "" {
 		mux := http.NewServeMux()
@@ -345,13 +349,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if registry != nil {
-				_ = registry.WritePrometheus(w)
-			}
-			_ = obs.Default().WritePrometheus(w)
-		})
+		mux.Handle("/metrics", handler)
 		mux.Handle("/debug/slowlog", handler)
 		debugSrv = newHTTPServer(*debugAddr, mux)
 		go func() {

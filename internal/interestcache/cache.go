@@ -534,17 +534,16 @@ func exprHasSubquery(e sqlparser.Expr) bool {
 
 // Metrics is a point-in-time counter snapshot.
 type Metrics struct {
-	Generation    int64           `json:"generation"`
-	Regions       int             `json:"regions"`
-	BytesResident int64           `json:"bytes_resident"`
-	Hits          int64           `json:"hits"`
-	Misses        int64           `json:"misses"`
-	BytesServed   int64           `json:"bytes_served"`
-	VerifyChecked int64           `json:"verify_checked"`
-	VerifyFailed  int64           `json:"verify_failed"`
-	AggHits       int64           `json:"agg_hits"`
-	Reused        int64           `json:"reused"`
-	PerRegion     []RegionMetrics `json:"per_region"`
+	Generation    int64 `json:"generation"`
+	Regions       int   `json:"regions"`
+	BytesResident int64 `json:"bytes_resident"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	BytesServed   int64 `json:"bytes_served"`
+	VerifyChecked int64 `json:"verify_checked"`
+	VerifyFailed  int64 `json:"verify_failed"`
+	AggHits       int64 `json:"agg_hits"`
+	Reused        int64 `json:"reused"`
 }
 
 // RegionMetrics are the per-region serving counters of the CURRENT region
@@ -559,10 +558,10 @@ type RegionMetrics struct {
 	AgeSeconds  float64 `json:"age_seconds"`
 }
 
-// Metrics returns the current counters and per-region statistics.
+// Metrics returns the current counters.
 func (c *Cache) Metrics() Metrics {
 	snap := c.snap.Load()
-	m := Metrics{
+	return Metrics{
 		Generation:    snap.generation,
 		Regions:       len(snap.regions),
 		BytesResident: snap.bytesResident,
@@ -574,14 +573,19 @@ func (c *Cache) Metrics() Metrics {
 		AggHits:       c.aggHits.Load(),
 		Reused:        c.reused.Load(),
 	}
-	for _, r := range snap.regions {
-		m.PerRegion = append(m.PerRegion, RegionMetrics{
+}
+
+// PerRegion returns the serving statistics of every installed region.
+func (c *Cache) PerRegion() []RegionMetrics {
+	var out []RegionMetrics
+	for _, r := range c.snap.Load().regions {
+		out = append(out, RegionMetrics{
 			ID: r.ID, Rows: r.Rows, Bytes: r.Bytes,
 			Hits: r.Hits(), BytesServed: r.BytesServed(),
 			AgeSeconds: r.Age().Seconds(),
 		})
 	}
-	return m
+	return out
 }
 
 // Generation returns the current region-set generation.

@@ -201,8 +201,8 @@ func TestQueryHitAndMiss(t *testing.T) {
 	if m.Hits != 1 || m.Misses != 1 || m.VerifyFailed != 0 || m.BytesServed == 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if len(m.PerRegion) != 1 || m.PerRegion[0].Hits != 1 {
-		t.Fatalf("per-region = %+v", m.PerRegion)
+	if pr := c.PerRegion(); len(pr) != 1 || pr[0].Hits != 1 {
+		t.Fatalf("per-region = %+v", pr)
 	}
 }
 

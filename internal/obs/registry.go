@@ -7,8 +7,9 @@
 //
 // Two registries matter in practice: the package Default registry holds
 // process-wide instruments (per-stage latency histograms, package counters
-// like template-cache hits), while each serve.Server owns a private
-// registry for its per-instance gauges. Registration is idempotent —
+// like template-cache hits), while each serve.Server and each shard
+// coordinator owns a private registry for its per-instance counters and
+// gauges, the one source of its /metrics views. Registration is idempotent —
 // re-registering a name returns the existing metric — so package-level
 // stages can be declared in var blocks without init-order ceremony.
 package obs

@@ -45,6 +45,28 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// WriteJSONL writes '<', '>' and '&' as themselves: HTML escaping would grow
+// each into a six-byte \u00XX escape.
+func TestJSONLNoHTMLEscape(t *testing.T) {
+	recs := []Record{
+		{Seq: 3, Time: 30, User: "carol", SQL: "SELECT * FROM T WHERE a < 1 AND b > 2 AND c = '&'", Class: "human"},
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	if line := buf.String(); strings.Contains(line, `\u00`) || !strings.Contains(line, "a < 1 AND b > 2 AND c = '&'") {
+		t.Errorf("encoded line escapes its statement: %s", line)
+	}
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != recs[0] {
+		t.Errorf("got = %+v, want %+v", got, recs)
+	}
+}
+
 func TestReadCSVBadRow(t *testing.T) {
 	_, err := ReadCSV(strings.NewReader("seq,time,user,sql\nx,0,u,SELECT 1\n"))
 	if err == nil {

@@ -106,10 +106,13 @@ func ReadCSVStream(ctx context.Context, r io.Reader, fn func(Record) error) erro
 	}
 }
 
-// WriteJSONL serialises records one JSON object per line.
+// WriteJSONL serialises records one JSON object per line. HTML escaping is
+// off: it would turn every '<', '>' and '&' of a statement into a six-byte
+// escape.
 func WriteJSONL(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
+	enc.SetEscapeHTML(false)
 	for _, r := range recs {
 		if err := enc.Encode(r); err != nil {
 			return err

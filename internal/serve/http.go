@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memdb"
@@ -35,11 +34,9 @@ type Backend interface {
 	Commit(accepted int) error
 	// Flush drains everything accepted and runs an epoch (blocks).
 	Flush()
-	// FlushJSON, StatsJSON and MetricsJSON are the /flush, /stats and
-	// /metrics reply bodies.
+	// FlushJSON and StatsJSON are the /flush and /stats reply bodies.
 	FlushJSON() map[string]any
 	StatsJSON() map[string]any
-	MetricsJSON() map[string]any
 	// Latest returns the newest result for one traffic class ("" = the
 	// classless report), its generation, and the names of shards whose
 	// contribution is last-known rather than fresh (nil result before the
@@ -68,15 +65,16 @@ type Backend interface {
 //	GET  /interfaces  hottest statement templates as parameterized query
 //	                interfaces (?top=N)
 //	GET  /stats     cumulative pipeline statistics
-//	GET  /metrics   flat counters (ingest rate, cache hits, epoch latency...);
-//	                ?format=prom renders reg (when non-nil) plus the
+//	GET  /metrics   reg's counters and gauges as one flat JSON object, keyed
+//	                by MetricKey; ?format=prom renders reg plus the
 //	                process-wide Default registry in Prometheus text format
 //	GET  /debug/slowlog  top-K slowest statements by fingerprint (?k=N)
 //	GET  /healthz   readiness
 //
-// opts carries the report defaults (row cap, coverage columns). A backend
-// that also has a MergeIsExact() bool method answers /report with an
-// X-Merge-Exact header.
+// reg is the backend's private registry, the one source of its /metrics
+// view. opts carries the report defaults (row cap, coverage columns). A
+// backend that also has a MergeIsExact() bool method answers /report with
+// an X-Merge-Exact header.
 func NewMux(b Backend, reg *obs.Registry, opts report.Options) *http.ServeMux {
 	h := &handlers{b: b, reg: reg, opts: opts}
 	mux := http.NewServeMux()
@@ -548,19 +546,39 @@ func (h *handlers) interfaces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// metrics serves the backend's flat JSON counter map; ?format=prom renders
-// the backend's registry plus the process-wide Default registry (stage
-// histograms, package counters) in Prometheus text exposition format.
+// metrics serves the backend's registry: by default as a flat JSON object
+// (see MetricKey), with ?format=prom together with the process-wide Default
+// registry (stage histograms, package counters) in Prometheus text
+// exposition format. Both views read atomics, holding no server lock longer
+// than a counter copy, so a slow /metrics client never stalls ingest or an
+// epoch flush (TestMetricsConcurrentWithFlush hammers this under -race).
 func (h *handlers) metrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if h.reg != nil {
-			_ = h.reg.WritePrometheus(w)
-		}
+		_ = h.reg.WritePrometheus(w)
 		_ = obs.Default().WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, h.b.MetricsJSON())
+	snap := h.reg.Snapshot()
+	view := make(map[string]float64, len(snap))
+	for name, v := range snap {
+		view[MetricKey(name)] = v
+	}
+	writeJSON(w, http.StatusOK, view)
+}
+
+// MetricKey is the JSON /metrics key of a registry metric: its name without
+// the skyaccess_serve_, skyaccess_coord_ or skyaccess_ prefix and without a
+// _total suffix (skyaccess_serve_ingest_accepted_total → ingest_accepted,
+// skyaccess_semcache_bytes_resident → semcache_bytes_resident).
+func MetricKey(name string) string {
+	for _, p := range []string{"skyaccess_serve_", "skyaccess_coord_", "skyaccess_"} {
+		if k, ok := strings.CutPrefix(name, p); ok {
+			name = k
+			break
+		}
+	}
+	return strings.TrimSuffix(name, "_total")
 }
 
 // slowlogEntry is the JSON shape of one /debug/slowlog row; the fingerprint
@@ -628,9 +646,10 @@ func (s *Server) FlushJSON() map[string]any {
 	}
 }
 
-// StatsJSON is the /stats reply body.
+// StatsJSON is the /stats reply body. With /query on, it carries the
+// semantic cache's per-region serving counters.
 func (s *Server) StatsJSON() map[string]any {
-	return map[string]any{
+	stats := map[string]any{
 		"pipeline":       s.statsSnapshot(),
 		"distinct_areas": s.inc.Distinct(),
 		"accepted":       s.accepted.Load(),
@@ -638,90 +657,14 @@ func (s *Server) StatsJSON() map[string]any {
 		"processed":      s.processedCount(),
 		"epochs":         s.epochs.Load(),
 	}
+	if s.qcache != nil {
+		stats["semcache_per_region"] = s.qcache.PerRegion()
+	}
+	return stats
 }
 
 func (s *Server) processedCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.processed
-}
-
-// MetricsJSON is the /metrics reply body: the flat counter map (keys
-// unchanged since the first serve release), a JSON view over the same
-// atomics the registry's function-backed metrics read. Every value is
-// snapshotted outside the server mutex — statsSnapshot takes s.mu only long
-// enough to copy the cumulative pipeline stats, everything else reads
-// atomics — so a slow /metrics client never stalls ingest or an epoch flush
-// (TestMetricsConcurrentWithFlush hammers this under -race).
-func (s *Server) MetricsJSON() map[string]any {
-	st := s.statsSnapshot()
-	uptime := time.Since(s.start).Seconds()
-	accepted := s.accepted.Load()
-	rate := 0.0
-	if uptime > 0 {
-		rate = float64(accepted) / uptime
-	}
-	templateLookups := st.CacheHits + st.FullParses
-	templateHitRatio := 0.0
-	if templateLookups > 0 {
-		templateHitRatio = float64(st.CacheHits) / float64(templateLookups)
-	}
-	evals, hits := s.inc.DistanceEvals(), s.inc.DistanceCacheHits()
-	distRatio := 0.0
-	if evals+hits > 0 {
-		distRatio = float64(hits) / float64(evals+hits)
-	}
-	metrics := map[string]any{
-		"uptime_seconds":           uptime,
-		"ingest_accepted":          accepted,
-		"ingest_rejected":          s.rejected.Load(),
-		"ingest_processed":         s.processedCount(),
-		"ingest_rate_per_sec":      rate,
-		"queue_depth":              len(s.queue),
-		"queue_capacity":           cap(s.queue),
-		"distinct_areas":           s.inc.Distinct(),
-		"epochs":                   s.epochs.Load(),
-		"epoch_last_ms":            float64(s.lastEpochNS.Load()) / 1e6,
-		"epoch_total_ms":           float64(s.totalEpochNS.Load()) / 1e6,
-		"template_cache_hits":      st.CacheHits,
-		"template_full_parses":     st.FullParses,
-		"template_hit_ratio":       templateHitRatio,
-		"distance_evals":           evals,
-		"distance_cache_hits":      hits,
-		"distance_cache_hit_ratio": distRatio,
-	}
-	if s.wal != nil {
-		metrics["wal_next_offset"] = s.wal.NextOffset()
-		metrics["wal_durable_offset"] = s.wal.DurableOffset()
-		metrics["wal_segments"] = len(s.wal.Segments())
-	}
-	if s.qcache != nil {
-		m := s.qcache.Metrics()
-		metrics["semcache_generation"] = m.Generation
-		metrics["semcache_regions"] = m.Regions
-		metrics["semcache_hits"] = m.Hits
-		metrics["semcache_misses"] = m.Misses
-		metrics["semcache_bytes_served"] = m.BytesServed
-		metrics["semcache_verify_checked"] = m.VerifyChecked
-		metrics["semcache_verify_failed"] = m.VerifyFailed
-		metrics["semcache_bytes_resident"] = m.BytesResident
-		metrics["semcache_agg_hits"] = m.AggHits
-		metrics["semcache_reused"] = m.Reused
-		if total := m.Hits + m.Misses; total > 0 {
-			metrics["semcache_hit_ratio"] = float64(m.Hits) / float64(total)
-		} else {
-			metrics["semcache_hit_ratio"] = 0.0
-		}
-		metrics["semcache_per_region"] = m.PerRegion
-	}
-	if t := s.traffic; t != nil {
-		for _, cls := range traffic.Classes {
-			cc := t.counts[cls]
-			metrics["traffic_"+cls+"_records"] = cc.total.Load()
-			metrics["traffic_"+cls+"_extracted"] = cc.extracted.Load()
-		}
-		metrics["traffic_drift_events"] = t.driftEvents.Load()
-		metrics["traffic_interfaces_tracked"] = t.trackedInterfaces()
-	}
-	return metrics
 }

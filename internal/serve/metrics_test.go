@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/qlog"
 	"repro/internal/traffic"
@@ -16,8 +18,8 @@ import (
 
 // TestMetricsProm checks /metrics?format=prom serves both registries —
 // the server's per-instance metrics and the process Default registry's
-// stage histograms — in valid exposition shape, while the JSON view keeps
-// its legacy keys.
+// stage histograms — in valid exposition shape, and pins the JSON view's
+// key set.
 func TestMetricsProm(t *testing.T) {
 	db := testDB()
 	s, err := NewServer(Config{Miner: minerConfig(db), QueryDB: db})
@@ -80,27 +82,37 @@ func TestMetricsProm(t *testing.T) {
 		}
 	}
 
-	// Legacy JSON view unchanged: same endpoint, no format param.
+	// The JSON view: same endpoint, no format param, one key per registry
+	// metric (MetricKey), and exactly this key set for a server with /query
+	// on and no WAL or traffic classes.
 	code, _, jsonBody := get(t, ts.URL+"/metrics", "")
 	if code != 200 {
 		t.Fatalf("json status %d", code)
 	}
 	var m map[string]any
 	if err := json.Unmarshal(jsonBody, &m); err != nil {
-		t.Fatalf("legacy metrics json: %v", err)
+		t.Fatalf("metrics json: %v", err)
 	}
-	for _, key := range []string{
+	keys := []string{
 		"uptime_seconds", "ingest_accepted", "ingest_rejected", "ingest_processed",
-		"ingest_rate_per_sec", "queue_depth", "queue_capacity", "distinct_areas",
-		"epochs", "epoch_last_ms", "epoch_total_ms", "template_cache_hits",
-		"template_full_parses", "template_hit_ratio", "distance_evals",
-		"distance_cache_hits", "distance_cache_hit_ratio",
-		"semcache_generation", "semcache_regions", "semcache_hits",
-		"semcache_misses", "semcache_bytes_served", "semcache_hit_ratio",
-	} {
+		"queue_depth", "queue_capacity", "distinct_areas",
+		"epochs", "epoch_last_seconds", "epoch_total_seconds", "template_cache_hits",
+		"template_full_parses", "memo_entries", "memo_off", "distance_evals",
+		"distance_cache_hits", "snapshot_bytes", "snapshot_graph_slots_installed",
+		"semcache_generation", "semcache_regions", "semcache_bytes_resident", "semcache_hits",
+		"semcache_misses", "semcache_bytes_served", "semcache_verify_checked",
+		"semcache_verify_failed", "semcache_agg_hits", "semcache_reused",
+	}
+	for _, reason := range core.FallbackReasons {
+		keys = append(keys, "snapshot_graph_fallback_"+reason)
+	}
+	for _, key := range keys {
 		if _, ok := m[key]; !ok {
-			t.Errorf("legacy metrics missing key %q", key)
+			t.Errorf("metrics missing key %q", key)
 		}
+	}
+	if len(m) != len(keys) {
+		t.Errorf("metrics has %d keys, want the %d listed: %v", len(m), len(keys), m)
 	}
 	if m["ingest_accepted"].(float64) != float64(accepted) {
 		t.Errorf("ingest_accepted = %v, want %d", m["ingest_accepted"], accepted)
@@ -111,6 +123,77 @@ func TestMetricsProm(t *testing.T) {
 		t.Errorf("prom processed total disagrees with JSON view:\n%s",
 			grepLines(text, "ingest_processed"))
 	}
+}
+
+// The rendering rule, on a server with every subsystem on (WAL, traffic
+// classes, /query): no two registry names share a JSON key, every JSON
+// value is the registry's, and the keys perfbench's traced ledger reads are
+// there.
+func TestMetricsViewIsRegistry(t *testing.T) {
+	db := testDB()
+	dir := t.TempDir()
+	s, err := NewServer(Config{Miner: minerConfig(db), QueryDB: db, Traffic: &traffic.Config{},
+		SnapshotPath: filepath.Join(dir, "state.snap"), WALDir: filepath.Join(dir, "wal"), WALSegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	recs := synthRecords(300, 42)
+	postNDJSON(t, ts.URL, recs)
+	s.Flush()
+	for _, r := range recs[:20] {
+		postQuery(t, ts.URL, "text/plain", r.SQL)
+	}
+	if err := s.WriteSnapshot(filepath.Join(dir, "state.snap")); err != nil {
+		t.Fatal(err)
+	}
+
+	view := checkMetricsView(t, ts.URL, s.Registry())
+	for _, key := range []string{"distinct_areas", "distance_evals", "distance_cache_hits", "semcache_bytes_resident"} {
+		if view[key] <= 0 {
+			t.Errorf("/metrics %s = %v, want > 0", key, view[key])
+		}
+	}
+}
+
+// checkMetricsView holds GET url/metrics to its registry: one JSON key per
+// metric, each the value the registry reads. The server must be quiescent,
+// so that only uptime moves between the two reads; the uptime only grows.
+func checkMetricsView(t *testing.T, url string, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	owner := map[string]string{}
+	for name := range reg.Snapshot() {
+		key := MetricKey(name)
+		if prev, dup := owner[key]; dup {
+			t.Errorf("metrics %s and %s share the JSON key %s", prev, name, key)
+		}
+		owner[key] = name
+	}
+	_, _, body := get(t, url+"/metrics", "")
+	var view map[string]float64
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatalf("metrics json: %v", err)
+	}
+	snap := reg.Snapshot()
+	if len(view) != len(snap) {
+		t.Errorf("/metrics has %d keys, the registry %d metrics", len(view), len(snap))
+	}
+	for name, want := range snap {
+		got, ok := view[MetricKey(name)]
+		switch {
+		case !ok:
+			t.Errorf("/metrics lacks %s (%s)", MetricKey(name), name)
+		case strings.HasSuffix(name, "_uptime_seconds"):
+			if got <= 0 || got > want {
+				t.Errorf("/metrics %s = %v, registry then %v", MetricKey(name), got, want)
+			}
+		case got != want:
+			t.Errorf("/metrics %s = %v, registry %s = %v", MetricKey(name), got, name, want)
+		}
+	}
+	return view
 }
 
 func grepLines(text, substr string) string {

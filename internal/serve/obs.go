@@ -30,11 +30,11 @@ var (
 		"HTTP handler panics Guard recovered and answered 500")
 )
 
-// initRegistry builds the server's private metrics registry: every legacy
-// /metrics JSON key becomes a function-backed registry metric reading the
-// same atomics the handlers always read, so the JSON view and the
-// Prometheus view are two renderings of one source of truth. Called once
-// from NewServer, before the server is reachable.
+// initRegistry builds the server's private metrics registry, mostly
+// function-backed metrics over the atomics the server keeps anyway. It is
+// the one source of /metrics: the JSON view and the Prometheus view are two
+// renderings of it (see MetricKey). Called once from NewServer, before the
+// server is reachable.
 func (s *Server) initRegistry() {
 	r := obs.NewRegistry()
 	s.reg = r
@@ -153,6 +153,9 @@ func (s *Server) initRegistry() {
 		r.NewGaugeFunc("skyaccess_semcache_regions",
 			"regions in the installed set",
 			func() float64 { return float64(qc.Metrics().Regions) })
+		r.NewGaugeFunc("skyaccess_semcache_bytes_resident",
+			"logical cell bytes held by the installed regions' stores",
+			func() float64 { return float64(qc.Metrics().BytesResident) })
 		r.NewCounterFunc("skyaccess_semcache_hits_total",
 			"queries answered from a prefetched region",
 			func() float64 { return float64(qc.Metrics().Hits) })
@@ -168,11 +171,16 @@ func (s *Server) initRegistry() {
 		r.NewCounterFunc("skyaccess_semcache_verify_failed_total",
 			"oracle checks that found a mismatch",
 			func() float64 { return float64(qc.Metrics().VerifyFailed) })
+		r.NewCounterFunc("skyaccess_semcache_agg_hits_total",
+			"cache hits answered on the aggregate rung",
+			func() float64 { return float64(qc.Metrics().AggHits) })
+		r.NewCounterFunc("skyaccess_semcache_reused_total",
+			"regions an install carried over from the previous set with their stores",
+			func() float64 { return float64(qc.Metrics().Reused) })
 	}
 }
 
-// Registry exposes the server's private metrics registry (tests and
-// skyserved's debug listener).
+// Registry exposes the server's private metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 func b2f(b bool) float64 {

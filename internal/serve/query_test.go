@@ -97,10 +97,19 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"semcache_hits", "semcache_misses", "semcache_regions",
-		"semcache_generation", "semcache_bytes_served", "semcache_per_region"} {
+		"semcache_generation", "semcache_bytes_served"} {
 		if _, ok := metrics[key]; !ok {
 			t.Errorf("metrics missing %s", key)
 		}
+	}
+	// The per-region rows are on /stats.
+	_, _, statsBody := get(t, ts.URL+"/stats", "")
+	var stats map[string]any
+	if err := json.Unmarshal(statsBody, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["semcache_per_region"]; !ok {
+		t.Errorf("stats missing semcache_per_region")
 	}
 }
 

@@ -187,8 +187,8 @@ type Server struct {
 	// Config.QueryDB is unset). runEpoch re-installs its region set.
 	qcache *interestcache.Cache
 
-	// reg is the server's private metrics registry: function-backed views
-	// over the same atomics the JSON /metrics keys read (see initRegistry).
+	// reg is the server's private metrics registry, the one source of both
+	// /metrics views (see initRegistry).
 	reg *obs.Registry
 	// snapBytes is the size of the last snapshot written; graphInstalled
 	// the neighbour-graph slots the restore installed, and graphFallbacks
@@ -371,10 +371,10 @@ func (s *Server) enqueue(rec qlog.Record) error {
 	var fp uint64
 	if s.wal != nil {
 		// Fingerprint outside the admission lock: lexing is the expensive
-		// part, and the WAL's segment index is keyed by it (0 = unparseable,
-		// compaction's drop marker). Doing it here — on the ingest goroutine,
-		// which otherwise idles on backpressure — keeps it off the WAL
-		// writer's sync-barrier critical path. The lexer pass comes from the
+		// part, and the WAL's segment index is keyed by it (0 = unlexable;
+		// compaction keeps such a record as a single). Doing it here — on
+		// the ingest goroutine, which otherwise idles on backpressure —
+		// keeps it off the WAL writer's sync-barrier critical path. The lexer pass comes from the
 		// exact-statement memo, so a re-issued text is not lexed again, and
 		// the entry rides on the record so the pipeline reuses it (and, once
 		// the text was extracted, its whole outcome).
@@ -609,35 +609,6 @@ func (s *Server) Latest(class string) (*core.Result, int64, []string) {
 
 // StatsSnapshot exposes a copy of the cumulative pipeline statistics.
 func (s *Server) StatsSnapshot() *qlog.Stats { return s.statsSnapshot() }
-
-// Telemetry is a point-in-time numeric snapshot of the server's ingest and
-// epoch counters, the shard coordinator's merge unit for /metrics.
-type Telemetry struct {
-	Accepted      int64   `json:"accepted"`
-	Rejected      int64   `json:"rejected"`
-	Processed     int64   `json:"processed"`
-	Epochs        int64   `json:"epochs"`
-	DistinctAreas int     `json:"distinct_areas"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCap      int     `json:"queue_capacity"`
-	EpochLastMS   float64 `json:"epoch_last_ms"`
-	EpochTotalMS  float64 `json:"epoch_total_ms"`
-}
-
-// Telemetry snapshots the counters without taking any epoch lock.
-func (s *Server) Telemetry() Telemetry {
-	return Telemetry{
-		Accepted:      s.accepted.Load(),
-		Rejected:      s.rejected.Load(),
-		Processed:     s.processedCount(),
-		Epochs:        s.epochs.Load(),
-		DistinctAreas: s.inc.Distinct(),
-		QueueDepth:    len(s.queue),
-		QueueCap:      cap(s.queue),
-		EpochLastMS:   float64(s.lastEpochNS.Load()) / 1e6,
-		EpochTotalMS:  float64(s.totalEpochNS.Load()) / 1e6,
-	}
-}
 
 // QueryCache exposes the semantic result cache (nil unless QueryDB is set).
 func (s *Server) QueryCache() *interestcache.Cache { return s.qcache }

@@ -140,8 +140,7 @@ func (s *Server) WriteSnapshot(path string) error {
 	}
 	s.snapBytes.Set(float64(len(data)))
 	// The snapshot now durably covers everything below WALOffset: those
-	// segments are cold, so the WAL may drop parse failures and dedupe
-	// duplicates in them.
+	// segments are cold, so the WAL may fold their duplicates into groups.
 	if s.wal != nil {
 		s.wal.SetCompactFloor(snap.WALOffset)
 		if _, err := s.wal.Compact(); err != nil {

@@ -139,8 +139,8 @@ func (rc *restartCase) recover(t *testing.T, edit func(*Snapshot)) (*Server, int
 	}
 	t.Cleanup(func() { s.Close() })
 	evals := s.inc.DistanceEvals()
-	if got := s.Telemetry(); got.Processed != int64(len(rc.recs)) {
-		t.Fatalf("recovered %d of %d records", got.Processed, len(rc.recs))
+	if processed, _ := ingestCounts(s); processed != float64(len(rc.recs)) {
+		t.Fatalf("recovered %v of %d records", processed, len(rc.recs))
 	}
 	for cls, want := range classReports(t, s) {
 		if !bytes.Equal(want, rc.reports[cls]) {
@@ -288,8 +288,8 @@ func TestRestartFromV1Snapshot(t *testing.T) {
 	}
 	check := func(s *Server) {
 		t.Helper()
-		if got := s.Telemetry(); got.Processed != int64(len(recs)) {
-			t.Fatalf("recovered %d of %d records", got.Processed, len(recs))
+		if processed, _ := ingestCounts(s); processed != float64(len(recs)) {
+			t.Fatalf("recovered %v of %d records", processed, len(recs))
 		}
 		latest, _ := s.latest()
 		var got bytes.Buffer

@@ -7,13 +7,13 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/qlog"
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -132,6 +132,10 @@ type Coordinator struct {
 	mergedDrift  []traffic.Event
 	mergedIfaces []traffic.Interface
 	ifaceTracked int
+
+	// reg is the coordinator's private metrics registry, the one source of
+	// its /metrics views (see initRegistry).
+	reg *obs.Registry
 }
 
 // NewCoordinator builds a coordinator over cfg.Nodes and starts one sender
@@ -159,6 +163,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		lastTraffic: make([]*WireTraffic, n),
 	}
 	c.baseForwarded = make([]int64, n)
+	c.initRegistry()
 	if cfg.RouterStatePath != "" {
 		if err := c.router.LoadState(cfg.RouterStatePath); err != nil {
 			return nil, err
@@ -210,14 +215,14 @@ const lineOverhead = 128
 // fitsShardLine reports whether rec's forwarded NDJSON line fits within
 // serve.MaxLineBytes. Re-encoding grows a string field at most six-fold (a
 // control character or an invalid UTF-8 byte becomes a six-byte escape), so
-// only a record that could exceed the cap after that growth is encoded to
-// measure it.
+// only a record that could exceed the cap after that growth is encoded, as
+// HTTPNode.Ingest encodes it, to measure it.
 func fitsShardLine(rec *qlog.Record) bool {
 	if 6*(len(rec.SQL)+len(rec.User)+len(rec.Class))+lineOverhead <= serve.MaxLineBytes {
 		return true
 	}
 	var buf bytes.Buffer
-	if err := newLineEncoder(&buf).Encode(rec); err != nil {
+	if err := qlog.WriteJSONL(&buf, []qlog.Record{*rec}); err != nil {
 		return false
 	}
 	return buf.Len() <= serve.MaxLineBytes
@@ -712,7 +717,7 @@ func (c *Coordinator) Close() error {
 // and /snapshot stay single-node. Like a node's, the surface sits behind
 // serve.Guard (POST body limit, panic recovery).
 func (c *Coordinator) Handler() http.Handler {
-	mux := serve.NewMux(c, nil, report.Options{Coverage: c.cfg.Coverage != nil})
+	mux := serve.NewMux(c, c.reg, report.Options{Coverage: c.cfg.Coverage != nil})
 	mux.HandleFunc("/shard/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -760,57 +765,4 @@ func (c *Coordinator) StatsJSON() map[string]any {
 		reply["distinct_areas"] = merged.DistinctAreas
 	}
 	return reply
-}
-
-// MetricsJSON is the /metrics reply body: admission, routing overhead,
-// merge state and per-shard queue counters.
-func (c *Coordinator) MetricsJSON() map[string]any {
-	uptime := time.Since(c.start).Seconds()
-	accepted := c.accepted.Load()
-	rate := 0.0
-	if uptime > 0 {
-		rate = float64(accepted) / uptime
-	}
-	routed := c.router.Routed()
-	routeNS := c.router.RouteNanos()
-	perRecord := 0.0
-	if routed > 0 {
-		perRecord = float64(routeNS) / float64(routed)
-	}
-	_, gen, stale := c.Latest("")
-	metrics := map[string]any{
-		"uptime_seconds":        uptime,
-		"ingest_accepted":       accepted,
-		"ingest_rejected":       c.rejected.Load(),
-		"ingest_rate_per_sec":   rate,
-		"shards":                len(c.nodes),
-		"merge_generation":      gen,
-		"stale_shards":          len(stale),
-		"merge_exact":           c.MergeIsExact(),
-		"forward_retries":       c.retries.Load(),
-		"route_records":         routed,
-		"route_total_ns":        routeNS,
-		"route_ns_per_record":   perRecord,
-		"route_full_parses":     c.router.FullParses(),
-		"route_max_relations":   c.router.MaxRels(),
-		"template_cache_len":    c.router.cache.Len(),
-		"template_cache_hits":   c.router.cache.Hits(),
-		"template_cache_misses": c.router.cache.Misses(),
-	}
-	if c.cfg.Traffic {
-		c.mergeMu.RLock()
-		metrics["traffic_drift_events"] = len(c.mergedDrift)
-		metrics["traffic_interfaces_tracked"] = c.ifaceTracked
-		c.mergeMu.RUnlock()
-	}
-	for _, st := range c.Status() {
-		prefix := "shard_" + strconv.Itoa(st.Index) + "_"
-		metrics[prefix+"queue_depth"] = st.QueueDepth
-		metrics[prefix+"enqueued"] = st.Enqueued
-		metrics[prefix+"forwarded"] = st.Forwarded
-		metrics[prefix+"dropped"] = st.Dropped
-		metrics[prefix+"down"] = st.Down
-		metrics[prefix+"routed_load"] = st.Load
-	}
-	return metrics
 }

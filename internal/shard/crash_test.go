@@ -98,7 +98,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	}()
 	var replayed int64
 	for _, s := range servers2 {
-		replayed += s.Telemetry().Processed
+		replayed += int64(s.Registry().Snapshot()["skyaccess_serve_ingest_processed_total"])
 	}
 	if replayed != int64(len(recs)) {
 		t.Fatalf("shards replayed %d records, want %d — acknowledged records were lost", replayed, len(recs))

@@ -22,15 +22,6 @@ type refusedError struct{ msg string }
 
 func (e *refusedError) Error() string { return e.msg }
 
-// newLineEncoder returns the NDJSON encoder HTTPNode.Ingest forwards with.
-// HTML escaping is off: it would turn every '<', '>' and '&' of a statement
-// into a six-byte escape on its way to the shard.
-func newLineEncoder(w io.Writer) *json.Encoder {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return enc
-}
-
 // HTTPNode is one shard as the coordinator sees it: a skyserved -role shard
 // process reached over its HTTP surface (POST /ingest NDJSON, POST /flush,
 // GET /shard/result, /shard/traffic and /healthz).
@@ -69,11 +60,8 @@ func (n *HTTPNode) Name() string { return n.name }
 // down, and a 400 to a refusedError.
 func (n *HTTPNode) Ingest(recs []qlog.Record) (int, error) {
 	var buf bytes.Buffer
-	enc := newLineEncoder(&buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return 0, err
-		}
+	if err := qlog.WriteJSONL(&buf, recs); err != nil {
+		return 0, err
 	}
 	resp, err := n.client.Post(n.baseURL+"/ingest", "application/x-ndjson", &buf)
 	if err != nil {

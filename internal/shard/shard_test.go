@@ -275,8 +275,82 @@ func TestCoordinatorMatchesBatch(t *testing.T) {
 	if metrics["ingest_accepted"].(float64) != float64(len(recs)) {
 		t.Errorf("metrics ingest_accepted = %v, want %d", metrics["ingest_accepted"], len(recs))
 	}
-	if metrics["merge_exact"] != true {
-		t.Errorf("metrics merge_exact = %v, want true", metrics["merge_exact"])
+	if metrics["merge_exact"] != 1.0 {
+		t.Errorf("metrics merge_exact = %v, want 1", metrics["merge_exact"])
+	}
+}
+
+// The rendering rule on the coordinator, with traffic classes on: no two
+// registry names share a JSON key, every JSON value is the registry's, and
+// the Prometheus view carries the coordinator's own counters, the
+// per-shard ones included.
+func TestCoordinatorMetricsViewIsRegistry(t *testing.T) {
+	db := testDB()
+	c := newTrafficCluster(t, 2, db)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	recs := taggedRecords(400, 42)
+	ingestAndFlush(t, ts.URL, recs)
+
+	reg := c.Registry()
+	owner := map[string]string{}
+	for name := range reg.Snapshot() {
+		key := serve.MetricKey(name)
+		if prev, dup := owner[key]; dup {
+			t.Errorf("metrics %s and %s share the JSON key %s", prev, name, key)
+		}
+		owner[key] = name
+	}
+	_, _, body := get(t, ts.URL+"/metrics")
+	var view map[string]float64
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatalf("metrics json: %v", err)
+	}
+	snap := reg.Snapshot()
+	if len(view) != len(snap) {
+		t.Errorf("/metrics has %d keys, the registry %d metrics", len(view), len(snap))
+	}
+	for name, want := range snap {
+		key := serve.MetricKey(name)
+		got, ok := view[key]
+		switch {
+		case !ok:
+			t.Errorf("/metrics lacks %s (%s)", key, name)
+		case name == "skyaccess_coord_uptime_seconds":
+			// Uptime is the one value that moves between the two reads.
+			if got <= 0 || got > want {
+				t.Errorf("/metrics %s = %v, registry then %v", key, got, want)
+			}
+		case got != want:
+			t.Errorf("/metrics %s = %v, registry %s = %v", key, got, name, want)
+		}
+	}
+	for key, want := range map[string]float64{
+		"ingest_accepted": float64(len(recs)), "shards": 2, "merge_exact": 1,
+		"shard_0_down": 0, "shard_1_down": 0, "shard_0_dropped": 0, "shard_1_dropped": 0,
+	} {
+		if view[key] != want {
+			t.Errorf("/metrics %s = %v, want %v", key, view[key], want)
+		}
+	}
+	if sum := view["shard_0_forwarded"] + view["shard_1_forwarded"]; sum != float64(len(recs)) {
+		t.Errorf("shards forwarded %v records, want %d", sum, len(recs))
+	}
+	if _, ok := view["traffic_drift_events"]; !ok {
+		t.Error("/metrics lacks traffic_drift_events with traffic on")
+	}
+
+	_, _, prom := get(t, ts.URL+"/metrics?format=prom")
+	for _, want := range []string{
+		fmt.Sprintf("skyaccess_coord_ingest_accepted_total %d\n", len(recs)),
+		"# TYPE skyaccess_coord_shard_0_forwarded_total counter\n",
+		"# TYPE skyaccess_coord_shard_1_down gauge\n",
+		"# TYPE skyaccess_coord_merge_exact gauge\n",
+		"# TYPE skyaccess_stage_serve_report_seconds histogram\n",
+	} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("coordinator prom output missing %q", want)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 // CompactStats summarises one Compact pass.
 type CompactStats struct {
 	Segments int   // segments rewritten
-	Dropped  int   // parse-failed records removed
 	Deduped  int   // duplicate records folded into groups
 	BytesIn  int64 // segment bytes before
 	BytesOut int64 // segment bytes after
@@ -28,13 +27,13 @@ type famKey struct {
 }
 
 // Compact rewrites every cold segment — sealed AND wholly below the
-// compaction floor, i.e. fully covered by a persisted snapshot — dropping
-// records whose statement never lexed (fingerprint 0: the mining pipeline
-// re-rejects them on replay anyway) and collapsing duplicate (fingerprint,
-// user, sql) families into delta-coded group entries that expand
-// losslessly, every occurrence's (seq, time) preserved. The footer keeps
-// the segment's original logical span, so offset arithmetic over the log
-// stays exact even though physical records shrink. Rewrites are atomic
+// compaction floor, i.e. fully covered by a persisted snapshot — collapsing
+// duplicate (fingerprint, user, sql, class) families into delta-coded group
+// entries that expand losslessly, every occurrence's (seq, time) preserved.
+// Every record survives: one whose statement never lexed (fingerprint 0)
+// stays a single, because /remine counts it in a window's statements and
+// its extraction coverage. The footer keeps the segment's logical span, so
+// offset arithmetic over the log stays exact. Rewrites are atomic
 // (temp file, rename, directory fsync); a crash mid-compaction leaves
 // either the old or the new file, both complete.
 func (w *WAL) Compact() (CompactStats, error) {
@@ -67,7 +66,8 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 		return err
 	}
 
-	// Pass 1: group records by family in first-seen order.
+	// Pass 1: group records by family in first-seen order. A record that
+	// never lexed has no fingerprint to key a family by and forms its own.
 	type family struct {
 		key   famKey
 		seqs  []int
@@ -75,17 +75,14 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 	}
 	idx := make(map[famKey]int)
 	var fams []*family
-	dropped := 0
 	err = scanFile(m.path, func(rec qlog.Record, fp uint64) error {
-		if fp == 0 {
-			dropped++
-			return nil
-		}
 		k := famKey{fp: fp, user: rec.User, sql: rec.SQL, class: rec.Class}
 		i, ok := idx[k]
-		if !ok {
+		if !ok || fp == 0 {
 			i = len(fams)
-			idx[k] = i
+			if fp != 0 {
+				idx[k] = i
+			}
 			fams = append(fams, &family{key: k})
 		}
 		f := fams[i]
@@ -153,8 +150,8 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 		}
 	}
 
-	// Footer + trailer: span is the ORIGINAL logical count — the offset
-	// arithmetic contract — while records reflects what is physically left.
+	// Footer + trailer: span is the segment's logical count, the offset
+	// arithmetic contract; records counts the same records, groups expanded.
 	ft := &footer{span: m.span, records: records, minT: minT, maxT: maxT, fps: sortedFps(fpset)}
 	if _, err := bw.Write(sealBytes(ft)); err != nil {
 		f.Close()
@@ -195,12 +192,10 @@ func (w *WAL) compactSegment(m *segMeta, st *CompactStats) error {
 	w.segMu.Unlock()
 
 	st.Segments++
-	st.Dropped += dropped
 	st.Deduped += deduped
 	st.BytesIn += before.Size()
 	st.BytesOut += after.Size()
 	compactionsRun.Inc()
-	compactDropped.Add(int64(dropped))
 	compactDeduped.Add(int64(deduped))
 	return nil
 }

@@ -17,7 +17,6 @@ var (
 	segmentsSealed  = obs.NewCounter("wal_segments_sealed_total", "segments sealed by rotation")
 	segmentsSkipped = obs.NewCounter("wal_segments_skipped_total", "segments skipped by the index during windowed reads")
 	compactionsRun  = obs.NewCounter("wal_compactions_total", "cold segments compacted")
-	compactDropped  = obs.NewCounter("wal_compact_dropped_total", "parse-failed records dropped by compaction")
 	compactDeduped  = obs.NewCounter("wal_compact_deduped_total", "duplicate records collapsed into groups by compaction")
 	dictDefs        = obs.NewCounter("wal_dict_defs_total", "appended records written as statement-table defs (text stored, next id taken)")
 	dictRefs        = obs.NewCounter("wal_dict_refs_total", "appended records written as statement-table refs (varint id in place of text and fingerprint)")

@@ -484,9 +484,9 @@ func decodeFooter(b []byte) (footer, error) {
 
 // scanResult is what a full segment scan learns.
 type scanResult struct {
-	span uint64 // logical records (groups expanded; compaction-dropped
-	// records are NOT recoverable from a scan, so for compacted segments the
-	// footer's span is authoritative)
+	span uint64 // logical records (groups expanded; records an earlier
+	// build's compaction dropped are NOT recoverable from a scan, so for
+	// compacted segments the footer's span is authoritative)
 	records   uint64
 	minT      int64
 	maxT      int64

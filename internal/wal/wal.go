@@ -12,9 +12,9 @@
 // record span, time range, and the distinct statement fingerprints it
 // contains — so re-mining a time window or a template family opens only
 // the segments that can match. Cold segments (those wholly covered by a
-// snapshot) are compacted in place: parse-failed records are dropped and
-// duplicate statements are collapsed to delta-coded groups that expand
-// losslessly on read.
+// snapshot) are compacted in place: duplicate statements are collapsed to
+// delta-coded groups that expand losslessly on read, and every record
+// survives.
 //
 // The durability contract the serving layer builds on: a record is
 // acknowledged to a client only after Sync returns for an offset past it,
@@ -322,7 +322,8 @@ func loadSegment(path string, base uint64, last bool) (*segMeta, int64, stmtTabl
 	if res.footer != nil {
 		// A sealed segment scanned the long way (e.g. trailer missing after
 		// an interrupted seal): the footer is authoritative for the span,
-		// which a scan cannot reconstruct once compaction dropped records.
+		// which a scan cannot reconstruct once an earlier build's compaction
+		// dropped records.
 		meta.span = res.footer.span
 		meta.sealed = true
 		return meta, -1, stmtTable{}, nil
@@ -855,8 +856,11 @@ func (w *WAL) Replay(from uint64, fn func(qlog.Record) error) error {
 
 // ReadWindow streams records whose Time lies in [from, to), optionally
 // restricted to a set of statement fingerprints, using the segment index to
-// open only segments that can match. Records arrive in WAL order. The
-// returned stats expose the index's skip win.
+// open only segments that can match. Segments are read in WAL order, and an
+// uncompacted segment yields its records in WAL order; a compacted one
+// yields them family by family (a family's records in WAL order), with
+// families in order of first occurrence. The returned stats expose the
+// index's skip win.
 func (w *WAL) ReadWindow(from, to int64, fps []uint64, fn func(rec qlog.Record, fp uint64) error) (WindowStats, error) {
 	return w.readWindow(from, to, fps, fn, true)
 }
