@@ -55,13 +55,14 @@ fuzz: fuzz-regression
 	$(GO) test ./internal/wal/ -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/interestcache/ -run=NONE -fuzz=FuzzContainmentIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/extract/ -run=NONE -fuzz=FuzzRebindShape -fuzztime=$(FUZZTIME)
 
 # fuzz-regression replays only the checked-in seed corpora (every f.Add seed
 # plus testdata/fuzz entries) without exploring — deterministic, so CI can
 # gate on it.
 fuzz-regression:
 	$(GO) test -run=Fuzz ./internal/sqlparser/ ./internal/interval/ ./internal/wal/ \
-		./internal/interestcache/ ./internal/serve/
+		./internal/interestcache/ ./internal/serve/ ./internal/extract/
 
 # serve-smoke starts the serving stack, replays 1k records into it, flushes,
 # and asserts /report matches the batch miner byte-for-byte in every format

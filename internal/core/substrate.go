@@ -325,12 +325,18 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 	}
 
 	// One scan per dirty slot, appended to the arena of the worker that ran
-	// it; spans[k] locates scan k's group-local hits there.
+	// it; spans[k] locates scan k's group-local hits there. Each arena is
+	// sized up front to its share of the expected hits (scanHint), so the
+	// scans of a restart's anchoring epoch do not grow it by doubling.
 	arenas := make([][]int32, workers)
+	arenaCap := scanHint(g, dirty)/min(workers, len(dirty)) + 1
 	spans := make([]scanSpan, len(dirty))
 	par.ForWorker(len(dirty), workers, func(w, k int) {
 		q := dirty[k]
 		grp := g.groups[s.groupKey(q)]
+		if arenas[w] == nil {
+			arenas[w] = make([]int32, 0, arenaCap)
+		}
 		lo := len(arenas[w])
 		var evals int
 		arenas[w], evals = s.scan(arenas[w], grp, int(g.pos[q]), eps)
@@ -414,6 +420,30 @@ func (s *Substrate) neighbours(eps float64) (*nbrGraph, uint64) {
 
 // scanSpan locates one scan's hits in its worker's arena.
 type scanSpan struct{ w, lo, hi int32 }
+
+// scanHint estimates the hits the scans of dirty will append, the scanned
+// slot itself included: a covered slot's scan finds about its current list
+// (on a restart, the installed graph's), a new slot's about the mean list
+// of the covered slots.
+func scanHint(g *nbrGraph, dirty []int) int {
+	entries := 0
+	for slot := 0; slot < g.covered; slot++ {
+		entries += len(g.nbrs[slot])
+	}
+	mean := 0
+	if g.covered > 0 {
+		mean = entries / g.covered
+	}
+	hint := 0
+	for _, slot := range dirty {
+		if slot < g.covered {
+			hint += len(g.nbrs[slot]) + 1
+		} else {
+			hint += mean + 1
+		}
+	}
+	return hint
+}
 
 // scan appends to buf the group-local indices within eps of member qi (qi
 // itself included), skipping dirty members below it, and returns buf with

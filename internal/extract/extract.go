@@ -144,7 +144,7 @@ type state struct {
 	// presence) influences the constraint's structure — constant folding,
 	// constant-vs-constant comparisons, HAVING aggregate lemmas. Such a
 	// statement's area cannot be rebound with other constants, so its
-	// fingerprint class must always take the slow path (DESIGN.md §7).
+	// fingerprint class must always take the slow path (DESIGN.md §9).
 	cacheable   bool
 	cacheReason string
 	// likeGuards records, per LIKE pattern literal, whether the pattern

@@ -19,6 +19,16 @@ var (
 		"cached templates re-instantiated with fresh literals")
 	templateRebindFails = obs.NewCounter("skyaccess_extract_template_rebind_fails_total",
 		"rebinds rejected by a per-record guard (record took the slow path)")
+	templateRefusals = obs.NewCounter("skyaccess_extract_template_refusals_total",
+		"templates not stored because the cache held its Limit")
+	slowRebinds = obs.NewCounter("skyaccess_extract_template_slow_rebinds_total",
+		"rebinds that re-ran CNF conversion and consolidation")
+	shapeHits = obs.NewCounter("skyaccess_extract_shape_hits_total",
+		"rebinds served by substituting into the order pattern's stored shape")
+	shapeStores = obs.NewCounter("skyaccess_extract_shape_stores_total",
+		"shapes stored after a slow rebind of a new order pattern")
+	shapeRefusals = obs.NewCounter("skyaccess_extract_shape_refusals_total",
+		"shapes not stored because the template held MaxShapesPerTemplate")
 
 	memoHitsTotal = obs.NewCounter("skyaccess_extract_memo_hits_total",
 		"exact-statement memo lookups that found the text's entry")

@@ -21,7 +21,7 @@ type likeGuard struct {
 }
 
 // AreaTemplate is the cached per-fingerprint extraction outcome of one
-// statement shape (DESIGN.md §7). Statements sharing a fingerprint differ
+// statement shape (DESIGN.md §9). Statements sharing a fingerprint differ
 // only in literal values, so the outcome — parse failure category, non-SELECT
 // kind, extraction error, or an access area with literal slots — is shared by
 // the whole class, except where a value decides the constraint's structure
@@ -57,6 +57,13 @@ type AreaTemplate struct {
 	// skipping CNF conversion and consolidation.
 	fast bool
 	cnf  predicate.CNF
+
+	// order is the order plan of a template that is not tier A (nil when it
+	// keeps no shapes); shapes holds the published shapes, one per order
+	// pattern seen, replaced copy-on-write under shapeMu (template_shape.go).
+	order   *orderPlan
+	shapeMu sync.Mutex
+	shapes  atomic.Pointer[[]*shape]
 
 	// routeKey is the precomputed RelationSetKey of relations. A statement
 	// shape's FROM clause is literal-independent, so the key is valid for
@@ -103,6 +110,8 @@ func (ex *Extractor) extractTemplate(sel *sqlparser.SelectStatement) (*AccessAre
 	if tierASafe(expr, area.CNF) {
 		t.fast = true
 		t.cnf = area.CNF.Clone()
+	} else {
+		t.order = newOrderPlan(expr)
 	}
 	return area, tm, t, nil
 }
@@ -115,28 +124,49 @@ func (ex *Extractor) extractTemplate(sel *sqlparser.SelectStatement) (*AccessAre
 // stay consistent with the slow path. Relations and Referenced slices are
 // shared across rebinds of one template; callers must not mutate them.
 func (t *AreaTemplate) Rebind(ex *Extractor, lits []sqlparser.Literal) (*AccessArea, Timings, bool) {
+	area, tm, _, ok := t.rebind(ex, lits)
+	return area, tm, ok
+}
+
+// rebindTier names the rung of Rebind that served a binding.
+type rebindTier int
+
+const (
+	tierA     rebindTier = iota + 1 // substitution into the template's one CNF
+	tierShape                       // substitution into the binding's order-pattern shape
+	tierSlow                        // substitution into the constraint, then CNF and consolidation
+)
+
+// rebind is Rebind reporting which tier served the binding (DESIGN.md §9).
+func (t *AreaTemplate) rebind(ex *Extractor, lits []sqlparser.Literal) (*AccessArea, Timings, rebindTier, bool) {
 	sp := rebindStage.Start()
 	defer sp.End()
 	var tm Timings
 	if t.Uncacheable || t.ParseFailCat != "" || t.NonSelect || t.ExtractErr != nil || t.constraint == nil {
 		templateRebindFails.Inc()
-		return nil, tm, false
+		return nil, tm, 0, false
 	}
 	for _, g := range t.guards {
 		if g.Slot > len(lits) {
 			templateRebindFails.Inc()
-			return nil, tm, false
+			return nil, tm, 0, false
 		}
 		if strings.ContainsAny(lits[g.Slot-1].Str, "%_") != g.Wildcard {
 			templateRebindFails.Inc()
-			return nil, tm, false
+			return nil, tm, 0, false
 		}
 	}
 	templateRebinds.Inc()
-	var area *AccessArea
+	t0 := time.Now()
+	var (
+		cnf       predicate.CNF
+		truncated = t.truncated
+		tier      = tierA
+		pat       []byte
+		learn     bool
+	)
 	if t.fast {
-		t0 := time.Now()
-		cnf := t.cnf.Clone()
+		cnf = t.cnf.Clone()
 		for i := range cnf {
 			for j := range cnf[i] {
 				p := &cnf[i][j]
@@ -145,16 +175,25 @@ func (t *AreaTemplate) Rebind(ex *Extractor, lits []sqlparser.Literal) (*AccessA
 				}
 			}
 		}
-		area = &AccessArea{
-			Relations:  t.relations,
-			CNF:        cnf,
-			Exact:      t.exactBase && !t.truncated,
-			Truncated:  t.truncated,
-			Referenced: t.referenced,
-		}
 		tm.Extract = time.Since(t0)
 	} else {
-		t0 := time.Now()
+		tier = tierSlow
+		if t.order != nil {
+			pat, learn = t.order.pattern(lits)
+		}
+		if learn {
+			if sh := t.shapeFor(pat); sh != nil {
+				learn = false
+				if !sh.slow {
+					tier = tierShape
+					cnf, truncated = sh.bind(lits), sh.truncated
+					tm.Extract = time.Since(t0)
+				}
+			}
+		}
+	}
+	if tier == tierSlow {
+		slowRebinds.Inc()
 		expr := predicate.MapLeaves(t.constraint, func(p predicate.Pred) predicate.Pred {
 			if p.Kind == predicate.ColumnConstant {
 				p.Val = substValue(p.Val, lits)
@@ -163,23 +202,28 @@ func (t *AreaTemplate) Rebind(ex *Extractor, lits []sqlparser.Literal) (*AccessA
 		})
 		tm.Extract = time.Since(t0)
 		t1 := time.Now()
-		cnf, truncated := predicate.ToCNF(expr, ex.predCap())
+		cnf, truncated = predicate.ToCNF(expr, ex.predCap())
 		tm.CNF = time.Since(t1)
 		t2 := time.Now()
 		cnf = predicate.Consolidate(cnf)
-		tm.Consolidate = time.Since(t2)
-		area = &AccessArea{
-			Relations:  t.relations,
-			CNF:        cnf,
-			Exact:      t.exactBase && !truncated,
-			Truncated:  truncated,
-			Referenced: t.referenced,
+		if learn {
+			t.learnShape(pat, lits, cnf, truncated)
 		}
+		tm.Consolidate = time.Since(t2)
+	} else if tier == tierShape {
+		shapeHits.Inc()
+	}
+	area := &AccessArea{
+		Relations:  t.relations,
+		CNF:        cnf,
+		Exact:      t.exactBase && !truncated,
+		Truncated:  truncated,
+		Referenced: t.referenced,
 	}
 	if ex.Stats != nil {
 		observeStats(ex.Stats, area)
 	}
-	return area, tm, true
+	return area, tm, tier, true
 }
 
 // substValue replaces a slotted constant with the record's literal at the
@@ -208,7 +252,7 @@ func substValue(v predicate.Value, lits []sqlparser.Literal) predicate.Value {
 // tierASafe reports whether the final consolidated CNF is structurally
 // invariant under any reassignment of the template's literal slots, so a
 // rebind may substitute into it directly instead of re-running CNF
-// conversion and consolidation. The rules (DESIGN.md §7):
+// conversion and consolidation. The rules (DESIGN.md §9):
 //
 //  1. Every final clause holds exactly one predicate — multi-predicate
 //     clauses can merge, become tautological, or reorder within the clause
@@ -325,9 +369,10 @@ type TemplateCache struct {
 	misses atomic.Int64
 
 	// Limit, when positive, stops the cache from storing more than this many
-	// templates; lookups continue to work. The SkyServer log's template
-	// count is small (tens of shapes per workload), so the default of
-	// unbounded is safe there; bound it for adversarial inputs.
+	// templates; lookups continue to work, and a class refused a template
+	// takes the full path. The SkyServer log's template count is small
+	// (hundreds of shapes per workload); a server bounds it against
+	// adversarial inputs such as alias-variant floods.
 	Limit int
 
 	// The exact-statement memo: stmts maps exact text to its entry (nil
@@ -357,19 +402,23 @@ func (c *TemplateCache) Get(fp uint64) (*AreaTemplate, bool) {
 	return v.(*AreaTemplate), true
 }
 
-// put stores the template for fp unless the cache is nil or the size limit is
-// reached; the first stored template wins when two workers race.
+// put stores the template for fp unless the cache is nil or holds Limit
+// templates already (a refusal, counted); the first stored template wins when
+// two workers race.
 func (c *TemplateCache) put(fp uint64, t *AreaTemplate) {
 	if c == nil {
 		return
 	}
-	if c.Limit > 0 && c.size.Load() >= int64(c.Limit) {
+	if n := c.size.Add(1); c.Limit > 0 && n > int64(c.Limit) {
+		c.size.Add(-1)
+		templateRefusals.Inc()
 		return
 	}
-	if _, loaded := c.m.LoadOrStore(fp, t); !loaded {
-		c.size.Add(1)
-		templateStores.Inc()
+	if _, loaded := c.m.LoadOrStore(fp, t); loaded {
+		c.size.Add(-1)
+		return
 	}
+	templateStores.Inc()
 }
 
 // Len returns the number of cached templates.

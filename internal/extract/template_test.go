@@ -130,10 +130,13 @@ func TestTemplateRebindTierA(t *testing.T) {
 	}
 }
 
-// Tier B: BETWEEN puts two slotted bounds on one column, so consolidation
-// could merge or contradict them differently for other values — the template
-// must re-run CNF conversion and consolidation, and still land bit-identical,
-// including on rebinds that cross into contradiction (empty area).
+// The name predates the rung names: BETWEEN puts two slotted bounds on one
+// column, so the template is not tier A — consolidation could merge or
+// contradict the bounds differently for other values. Each binding's order
+// pattern decides: the first binding of a pattern takes the slow path (CNF
+// conversion and consolidation) and stores its shape, later bindings of the
+// pattern substitute into that shape. Every rung lands bit-identical to the
+// full path, including rebinds that cross into contradiction (empty area).
 func TestTemplateRebindTierB(t *testing.T) {
 	ex := New(testSchema())
 	base := "SELECT * FROM T WHERE u BETWEEN 1 AND 8"
@@ -141,15 +144,32 @@ func TestTemplateRebindTierB(t *testing.T) {
 	if tmpl.fast {
 		t.Errorf("%q: two slotted bounds on one column must not be tier A", base)
 	}
-	for _, src := range []string{
-		"SELECT * FROM T WHERE u BETWEEN 3 AND 4",
-		"SELECT * FROM T WHERE u BETWEEN 8 AND 1", // contradiction: empty area
+	for _, c := range []struct {
+		src  string
+		tier rebindTier
+	}{
+		{"SELECT * FROM T WHERE u BETWEEN 3 AND 4", tierSlow},
+		{"SELECT * FROM T WHERE u BETWEEN 5 AND 9", tierShape},
+		{"SELECT * FROM T WHERE u BETWEEN 8 AND 1", tierSlow}, // contradiction: empty area
+		{"SELECT * FROM T WHERE u BETWEEN 7 AND 2", tierShape},
+		{"SELECT * FROM T WHERE u BETWEEN 2 AND 2", tierSlow}, // a tie: one point
+		{"SELECT * FROM T WHERE u BETWEEN 6 AND 6", tierShape},
 	} {
-		area, ok := rebindFor(t, ex, tmpl, base, src)
-		if !ok {
-			t.Fatalf("rebind refused for %q", src)
+		fp, lits, err := sqlparser.Fingerprint(c.src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSameArea(t, ex, area, src)
+		if want, _, _ := sqlparser.Fingerprint(base); fp != want {
+			t.Fatalf("not the same template:\n  %q\n  %q", base, c.src)
+		}
+		area, _, tier, ok := tmpl.rebind(ex, lits)
+		if !ok {
+			t.Fatalf("rebind refused for %q", c.src)
+		}
+		if tier != c.tier {
+			t.Errorf("%q: rebind tier %d, want %d", c.src, tier, c.tier)
+		}
+		requireSameArea(t, ex, area, c.src)
 	}
 }
 

@@ -108,6 +108,14 @@ func (c Config) withDefaults() Config {
 // matching SkyServer's limits.
 var queryExec = memdb.ExecOptions{RowLimit: 500000, StrictTSQL: true}
 
+// TemplateCacheLimit bounds the statement shapes a server's template cache
+// stores (extract.TemplateCache.Limit). SkyServer-shaped logs carry a few
+// hundred to two thousand shapes (about 1,850 in 150k GenerateMixedLog
+// records); the bound stops a flood of alias-variant statements, each its
+// own fingerprint, from growing the heap without end. A statement whose
+// shape is refused takes the full path.
+const TemplateCacheLimit = 4096
+
 // Server is the online mining service. Create with NewServer, serve its
 // Handler, and Shutdown to drain, run the final epoch and snapshot.
 type Server struct {
@@ -234,7 +242,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.pipe = &qlog.Pipeline{
 		Extractor: &extract.Extractor{Schema: cfg.Miner.Schema, Stats: miner.Stats()},
 		Workers:   cfg.Miner.Workers,
-		Cache:     &extract.TemplateCache{},
+		Cache:     &extract.TemplateCache{Limit: TemplateCacheLimit},
 	}
 	if cfg.QueryDB != nil {
 		// The cache shares the pipeline's memo and template cache and an

@@ -14,6 +14,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/qlog"
 	"repro/internal/schema"
+	"repro/internal/serve"
 )
 
 // Router maps each ingested record to the shard that owns its relation set.
@@ -107,7 +108,7 @@ func NewRouter(n int, sch *schema.Schema, warmup int) *Router {
 	}
 	return &Router{
 		n:      n,
-		cache:  &extract.TemplateCache{},
+		cache:  &extract.TemplateCache{Limit: serve.TemplateCacheLimit},
 		ex:     &extract.Extractor{Schema: sch},
 		warmup: warmup,
 		assign: make(map[string]int),
